@@ -19,9 +19,9 @@ from .relations import LinearRelation, RelationParts, from_operator, parts, \
 from .extensions import NWitness, SigmaDecomposition, defect_numbers, n_class_check, \
     extend, reduce, sigma_decompose, prop_n_audit, delta_membership, O_membership, \
     Os_membership, delta0_estimate, simple_check, theorem_ex_check, lemma_exn_check
-from .boundary import BoundaryTriple, WeylValue, InverseBoundaryData, \
-    IsometricBoundaryPair, validate_triple, weyl, gamma_field, inverse_boundary, \
-    transform, t_theta, pair_from_triple, pair_isometry_check, DEFAULT_GRID
+from .boundary import BoundaryTriple, WeylValue, IsometricBoundaryPair, \
+    validate_triple, weyl, gamma_field, transform, t_theta, pair_from_triple, \
+    pair_isometry_check, DEFAULT_GRID
 from .similarity import BlockUnitary, v0, v0_operator_part, sigma_unitary_check, \
     w_maps, membership_check, build_V_from_tau, build_standard_V, pencil, \
     weyl_equality_criterion, reconstruct_similarity, w_invariance_audit

@@ -84,13 +84,6 @@ class WeylValue:
 
 
 @dataclass(frozen=True)
-class InverseBoundaryData:
-    g0_inv: np.ndarray
-    g1_inv: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass(frozen=True)
 class IsometricBoundaryPair:
     boundary_dim: int
     gamma_rel: LinearRelation
@@ -143,9 +136,7 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 
     def kernel_of(rows: np.ndarray) -> LinearRelation:
         k = sub.kernel(rows, m, tol)
-        cols = basis @ k.frame
-        return LinearRelation(space, space, sub.span(cols, tol)
-                              if cols.size else sub.trivial(2 * space.dim))
+        return LinearRelation(space, space, sub.span(basis @ k.frame, tol))
 
     t0 = kernel_of(gamma[:d, :])
     t1 = kernel_of(gamma[d:, :])
@@ -178,11 +169,6 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
                           basis=basis, basis_pinv=basis_pinv, t0=t0, t1=t1,
                           n_rel=n_rel, ft=ft, fn=fn, fjn=fjn, fjt=fjt,
                           g0inv=g0inv, g1inv=g1inv, beta=beta)
-
-
-def inverse_boundary(triple: BoundaryTriple,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> InverseBoundaryData:
-    return InverseBoundaryData(triple.g0inv, triple.g1inv, triple.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +252,8 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation,
     if theta.src.dim != d or theta.tgt.dim != d:
         raise ValueError("Theta must be a relation in the boundary space")
     coords = sub.preimage(triple.gamma, theta.graph, tol)
-    cols = triple.basis @ coords.frame
     space = triple.space
-    out = LinearRelation(space, space, sub.span(cols, tol)
-                         if cols.size else sub.trivial(2 * space.dim))
+    out = LinearRelation(space, space, sub.span(triple.basis @ coords.frame, tol))
     if rel.is_selfadjoint(theta, tol) and not rel.is_selfadjoint(out, tol):
         raise TripleValidationError("self-adjoint Theta produced a non-self-adjoint extension")
     return out
@@ -289,7 +273,7 @@ def pair_from_triple(triple: BoundaryTriple, domain: Subspace | None = None,
     cols = np.vstack([triple.basis, triple.gamma])
     graph = sub.span(cols, tol)
     if domain is not None:
-        cage = sub.product(domain, sub.full(2 * d), tol)
+        cage = sub.product(domain, sub.full(2 * d))
         graph = sub.intersect(graph, cage, tol)
     gamma_rel = LinearRelation(ksrc, ktgt, graph)
     p = rel.parts(gamma_rel, tol)

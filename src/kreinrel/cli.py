@@ -140,10 +140,9 @@ def cmd_triple(args) -> int:
         _print_matrix(bnd.gamma_field(triple, _parse_z(args.z), tol),
                       f"gamma({args.z}) =")
     elif args.action == "inverse":
-        data = bnd.inverse_boundary(triple, tol)
-        _print_matrix(data.g0_inv, "Gamma0^(-1) =")
-        _print_matrix(data.g1_inv, "Gamma1^(-1) =")
-        _print_matrix(data.beta, "beta =")
+        _print_matrix(triple.g0inv, "Gamma0^(-1) =")
+        _print_matrix(triple.g1inv, "Gamma1^(-1) =")
+        _print_matrix(triple.beta, "beta =")
     elif args.action == "transform":
         x = kio.decode_matrix(json.loads(args.matrix))
         new = bnd.transform(triple, x, tol)

@@ -48,11 +48,6 @@ class SigmaDecomposition:
     defect_minus_frame: np.ndarray = field(repr=False)
 
 
-def hilbert_conjugate(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """The symmetric companion JT living in the Euclidean space."""
-    return rel.hilbertize(t, tol)
-
-
 def defect_subspace(t: LinearRelation, z: complex,
                     tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """ker(JT* - z) computed from the Krein adjoint of T."""
@@ -68,11 +63,6 @@ def defect_numbers(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> tup
     return d_plus, d_minus
 
 
-def graph_complement(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """Euclidean complement of graph(T) in the doubled space."""
-    return sub.complement(t.graph, tol)
-
-
 def n_class_check(t: LinearRelation, n: LinearRelation,
                   tol: TolerancePolicy = DEFAULT_TOL) -> NWitness:
     """Verify N-class membership and return the witness bundling T0.
@@ -86,12 +76,12 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
     tplus = rel.adjoint(t, "krein", tol)
     if not sub.contains(tplus.graph, n.graph, tol):
         raise NClassRejection("N not inside the adjoint")
-    if not sub.contains(graph_complement(t, tol), n.graph, tol):
+    if not sub.contains(sub.complement(t.graph), n.graph, tol):
         raise NClassRejection("N not orthogonal to T")
     frak_n = rel.hilbertize(n, tol)
     for z in (1j, -1j):
         e, d = frak_n.blocks()
-        ran_shifted = sub.span(d + z * e, tol) if frak_n.dim else sub.trivial(t.src.dim)
+        ran_shifted = sub.span(d + z * e, tol)
         if not sub.equal(ran_shifted, defect_subspace(t, z, tol), tol):
             raise NClassRejection(f"range condition fails at z={z}")
     t0, orthogonal = rel.cw_sum(t, n, tol)
@@ -117,7 +107,7 @@ def reduce(t: LinearRelation, t0: LinearRelation,
         raise ValueError("reduce needs a self-adjoint extension")
     if not sub.contains(t0.graph, t.graph, tol):
         raise ValueError("T0 does not extend T")
-    n_graph = sub.intersect(t0.graph, graph_complement(t, tol), tol)
+    n_graph = sub.intersect(t0.graph, sub.complement(t.graph), tol)
     n = LinearRelation(t.src, t.tgt, n_graph)
     n_class_check(t, n, tol)
     return n
@@ -128,7 +118,7 @@ def sigma_decompose(t: LinearRelation, t0: LinearRelation,
     """Σ = T+ ∩ T-perp with its N ⊕ J_hat(N) split and the defect pairing."""
     n = reduce(t, t0, tol)
     tplus = rel.adjoint(t, "krein", tol)
-    sigma = sub.intersect(tplus.graph, graph_complement(t, tol), tol)
+    sigma = sub.intersect(tplus.graph, sub.complement(t.graph), tol)
     jhat = doubled(t.src).J_hat
     jn = sub.image(jhat, n.graph, tol)
     hil = hilbert_space(t.src.dim)
@@ -157,7 +147,7 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
 
     def preimage_of(shift_z: complex, target: Subspace) -> Subspace:
         shifted = rel.shift(frak_t0, -shift_z)  # T0 + shift_z I
-        cage = sub.product(sub.full(t.src.dim), target, tol)
+        cage = sub.product(sub.full(t.src.dim), target)
         return rel.parts(
             LinearRelation(frak_t0.src, frak_t0.tgt,
                            sub.intersect(shifted.graph, cage, tol)), tol).dom
@@ -166,9 +156,9 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
     via_minus = preimage_of(-1j, nmi)
 
     c_full_graph = _cayley_graph(frak_t0)
-    c_n = sub.intersect(c_full_graph, sub.product(ni, sub.full(t.src.dim), tol), tol)
+    c_n = sub.intersect(c_full_graph, sub.product(ni, sub.full(t.src.dim)), tol)
     x, y = c_n.frame[: t.src.dim, :], c_n.frame[t.src.dim :, :]
-    via_cayley = sub.span(y - x, tol) if c_n.dim else sub.trivial(t.src.dim)
+    via_cayley = sub.span(y - x, tol)
     return {"resolvent_plus": via_plus, "resolvent_minus": via_minus,
             "cayley": via_cayley}
 
@@ -202,8 +192,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
     # Σ = J M_hat: post-compose the relation M_hat with the base symmetry.
     j_mhat = sub.span(np.vstack([
         dec.m_hat.graph.frame[: dim_h, :],
-        j_base @ dec.m_hat.graph.frame[dim_h :, :]]), tol) \
-        if dec.m_hat.dim else sub.trivial(2 * dim_h)
+        j_base @ dec.m_hat.graph.frame[dim_h :, :]]), tol)
     report = {
         "defects": (d_plus, d_minus),
         "n_defects": (n_plus, n_minus),
@@ -235,7 +224,7 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     """
     fp, fm = dec.defect_plus_frame, dec.defect_minus_frame
     d1, d2 = fp.shape[1], fm.shape[1]
-    phi = np.hstack([fp, fm]) if d1 + d2 else np.zeros((fp.shape[0], 0))
+    phi = np.hstack([fp, fm])
     if d1 + d2 == 0:
         return {"dom_n_hyper_maximal": dom_n.dim == 0, "m_degenerate": False}
     if np.linalg.matrix_rank(phi) < d1 + d2:
@@ -243,8 +232,7 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     lift = np.linalg.pinv(phi) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
     pair_space = KreinSpace(d1 + d2, s, (d1, d2))
-    lifted = sub.span(lift, tol) if lift.size else sub.trivial(d1 + d2)
-    flags = neutrality_rank(pair_space, lifted)
+    flags = neutrality_rank(pair_space, sub.span(lift, tol))
     return {"dom_n_hyper_maximal": bool(flags["hyper_maximal"]), "m_degenerate": False}
 
 
@@ -266,8 +254,8 @@ def O_membership(g: LinearRelation, h: LinearRelation, z: complex,
     """ran(G - z) ∩ ran(H - z) trivial."""
     eg, dg = g.blocks()
     eh, dh = h.blocks()
-    rg = sub.span(dg - z * eg, tol) if g.dim else sub.trivial(g.tgt.dim)
-    rh = sub.span(dh - z * eh, tol) if h.dim else sub.trivial(h.tgt.dim)
+    rg = sub.span(dg - z * eg, tol)
+    rh = sub.span(dh - z * eh, tol)
     return sub.intersect(rg, rh, tol).dim == 0
 
 

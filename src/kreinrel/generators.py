@@ -56,11 +56,6 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = random_complex(rng, n, n)
-    return (m + m.conj().T) / 2.0
-
-
 def random_signature_symmetry(rng: np.random.Generator, p: int, q: int) -> np.ndarray:
     """Random fundamental symmetry with prescribed signature."""
     u = random_unitary(rng, p + q)

@@ -93,9 +93,7 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     out = {"space": space, "relation": None, "triple": None}
     if "relation" in doc:
         cols = decode_vectors(doc["relation"].get("graph", []), 2 * dim)
-        out["relation"] = LinearRelation(space, space, span(cols, tol)
-                                         if cols.size else
-                                         span(np.zeros((2 * dim, 0)), tol))
+        out["relation"] = LinearRelation(space, space, span(cols, tol))
     if "triple" in doc:
         tdoc = doc["triple"]
         if out["relation"] is None:

@@ -39,7 +39,7 @@ class KreinSpace:
     def is_hilbert(self) -> bool:
         return self.signature[1] == 0
 
-    def same_as(self, other: "KreinSpace", tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    def same_as(self, other: "KreinSpace") -> bool:
         return self.dim == other.dim and np.allclose(self.J, other.J, atol=1e-12)
 
 
@@ -113,7 +113,7 @@ def ortho_companion(space: KreinSpace, a: Subspace,
     """The [.,.]-orthogonal companion: Euclidean complement of J(A)."""
     if a.ambient_dim != space.dim:
         raise DimensionMismatchError("subspace does not live in this space")
-    return sub.complement(sub.image(space.J, a, tol), tol)
+    return sub.complement(sub.image(space.J, a, tol))
 
 
 def is_neutral(space: KreinSpace, a: Subspace) -> bool:

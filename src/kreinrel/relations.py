@@ -42,7 +42,7 @@ class LinearRelation:
 
     @property
     def is_endo(self) -> bool:
-        return self.src.dim == self.tgt.dim and np.allclose(self.src.J, self.tgt.J)
+        return self.src.same_as(self.tgt)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Domain-side and range-side blocks of the graph frame."""
@@ -97,27 +97,15 @@ def from_operator(m, src: KreinSpace, tgt: KreinSpace,
 
 def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationParts:
     e, d = t.blocks()
-    dom = sub.span(e, tol) if e.size else sub.trivial(t.src.dim)
-    ran = sub.span(d, tol) if d.size else sub.trivial(t.tgt.dim)
-    ker = sub.span(e @ sub.kernel(d, tol=tol).frame, tol) if t.dim else sub.trivial(t.src.dim)
-    mul = sub.span(d @ sub.kernel(e, tol=tol).frame, tol) if t.dim else sub.trivial(t.tgt.dim)
+    dom = sub.span(e, tol)
+    ran = sub.span(d, tol)
+    ker = sub.span(e @ sub.kernel(d, tol=tol).frame, tol)
+    mul = sub.span(d @ sub.kernel(e, tol=tol).frame, tol)
     return RelationParts(dom, ran, ker, mul)
 
 
 def is_operator(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return parts(t, tol).mul.dim == 0
-
-
-def to_matrix(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Materialize an everywhere-defined single-valued relation as a matrix."""
-    p = parts(t, tol)
-    if p.mul.dim != 0 or p.dom.dim != t.src.dim:
-        raise NotRegularError("relation is not an everywhere defined operator")
-    e, d = t.blocks()
-    m = d @ np.linalg.pinv(e)
-    if np.linalg.norm(m @ e - d) > 1e-8 * (1.0 + np.linalg.norm(d)):
-        raise NotRegularError("matrix extraction failed the consistency check")
-    return m
 
 
 def inverse(t: LinearRelation) -> LinearRelation:
@@ -130,7 +118,7 @@ def restrict(t: LinearRelation, dom: Subspace,
     """Domain restriction T ∩ (L x H)."""
     if dom.ambient_dim != t.src.dim:
         raise DimensionMismatchError("restriction subspace lives in the wrong space")
-    cage = sub.product(dom, sub.full(t.tgt.dim), tol)
+    cage = sub.product(dom, sub.full(t.tgt.dim))
     return LinearRelation(t.src, t.tgt, sub.intersect(t.graph, cage, tol))
 
 
@@ -141,13 +129,11 @@ def compose(outer: LinearRelation, inner: LinearRelation,
         raise HostMismatchError("inner space of the composition does not match")
     ei, di = inner.blocks()
     eo, do = outer.blocks()
-    match = np.hstack([di, -eo]) if (inner.dim or outer.dim) else np.zeros((inner.tgt.dim, 0))
-    k = sub.kernel(match, inner.dim + outer.dim, tol)
+    k = sub.kernel(np.hstack([di, -eo]), inner.dim + outer.dim, tol)
     x = k.frame[: inner.dim, :]
     y = k.frame[inner.dim :, :]
     cols = np.vstack([ei @ x, do @ y])
-    return LinearRelation(inner.src, outer.tgt, sub.span(cols, tol)
-                          if cols.size else sub.trivial(inner.src.dim + outer.tgt.dim))
+    return LinearRelation(inner.src, outer.tgt, sub.span(cols, tol))
 
 
 def shift(t: LinearRelation, z: complex,
@@ -157,8 +143,7 @@ def shift(t: LinearRelation, z: complex,
         raise HostMismatchError("shift needs an endorelation")
     e, d = t.blocks()
     cols = np.vstack([e, d - z * e])
-    return LinearRelation(t.src, t.tgt, sub.span(cols, tol)
-                          if cols.size else sub.trivial(t.graph.ambient_dim))
+    return LinearRelation(t.src, t.tgt, sub.span(cols, tol))
 
 
 def cw_sum(a: LinearRelation, b: LinearRelation,
@@ -180,20 +165,19 @@ def op_sum(a: LinearRelation, b: LinearRelation,
     k = sub.kernel(np.hstack([ea, -eb]), a.dim + b.dim, tol)
     x, y = k.frame[: a.dim, :], k.frame[a.dim :, :]
     cols = np.vstack([ea @ x, da @ x + db @ y])
-    return LinearRelation(a.src, a.tgt, sub.span(cols, tol)
-                          if cols.size else sub.trivial(a.graph.ambient_dim))
+    return LinearRelation(a.src, a.tgt, sub.span(cols, tol))
 
 
 def operator_part(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     """T ∩ (H x mul(T)^perp), so that T = operator_part ⊕ ({0} x mul T)."""
     mul = parts(t, tol).mul
-    cage = sub.product(sub.full(t.src.dim), sub.complement(mul, tol), tol)
+    cage = sub.product(sub.full(t.src.dim), sub.complement(mul))
     return LinearRelation(t.src, t.tgt, sub.intersect(t.graph, cage, tol))
 
 
 def mul_part_relation(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     mul = parts(t, tol).mul
-    return LinearRelation(t.src, t.tgt, sub.product(sub.trivial(t.src.dim), mul, tol))
+    return LinearRelation(t.src, t.tgt, sub.product(sub.trivial(t.src.dim), mul))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +203,7 @@ def adjoint(t: LinearRelation, metric: str = "krein",
     """
     if metric not in ("krein", "hilbert"):
         raise ValueError("metric must be 'krein' or 'hilbert'")
-    comp = sub.complement(t.graph, tol)
+    comp = sub.complement(t.graph)
     star = sub.image(_flip_map(t.src.dim, t.tgt.dim), comp, tol)
     if metric == "hilbert":
         return LinearRelation(hilbert_space(t.tgt.dim), hilbert_space(t.src.dim), star)
@@ -250,11 +234,8 @@ def eigenspace(t: LinearRelation, z: complex,
                tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """ker(T - zI) = {f : (f, zf) in T}."""
     e, d = t.blocks()
-    if t.dim == 0:
-        return sub.trivial(t.src.dim)
     k = sub.kernel(d - z * e, t.dim, tol)
-    cols = e @ k.frame
-    return sub.span(cols, tol) if cols.size else sub.trivial(t.src.dim)
+    return sub.span(e @ k.frame, tol)
 
 
 def graph_eigenspace(t: LinearRelation, z: complex,
@@ -262,8 +243,7 @@ def graph_eigenspace(t: LinearRelation, z: complex,
     """The graph zI ∩ T over the eigenspace at z."""
     ns = eigenspace(t, z, tol)
     cols = np.vstack([ns.frame, z * ns.frame])
-    return LinearRelation(t.src, t.tgt, sub.span(cols, tol)
-                          if cols.size else sub.trivial(t.graph.ambient_dim))
+    return LinearRelation(t.src, t.tgt, sub.span(cols, tol))
 
 
 def spectral_probe(t: LinearRelation, z: complex,
@@ -271,7 +251,7 @@ def spectral_probe(t: LinearRelation, z: complex,
     """Point classification; ranges are closed in finite dimension."""
     eig = eigenspace(t, z, tol).dim > 0
     e, d = t.blocks()
-    ran_dim = sub.span(d - z * e, tol).dim if t.dim else 0
+    ran_dim = sub.span(d - z * e, tol).dim
     regular_type = not eig
     regular = regular_type and ran_dim == t.src.dim
     return {"eigenvalue": eig, "regular_type": regular_type, "regular": regular}
@@ -294,24 +274,12 @@ def resolvent_matrix(t: LinearRelation, z: complex,
 # Cayley transforms and the angular operator
 
 
-def post_compose(t: LinearRelation, m, tgt: KreinSpace | None = None,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """The relation {(f, M f') : (f, f') in T}; used for passing to JT."""
-    m = as_matrix(m, cols=t.tgt.dim)
-    e, d = t.blocks()
-    cols = np.vstack([e, m @ d])
-    new_tgt = tgt if tgt is not None else t.tgt
-    return LinearRelation(t.src, new_tgt, sub.span(cols, tol)
-                          if cols.size else sub.trivial(t.src.dim + new_tgt.dim))
-
-
 def hilbertize(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     """JT as a relation in the Euclidean Hilbert space over the same carrier."""
     h = hilbert_space(t.src.dim)
     e, d = t.blocks()
     cols = np.vstack([e, t.src.J @ d])
-    return LinearRelation(h, h, sub.span(cols, tol)
-                          if cols.size else sub.trivial(2 * h.dim))
+    return LinearRelation(h, h, sub.span(cols, tol))
 
 
 def cayley(t0: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -197,7 +197,7 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         vs_full = v0_operator_part(triple_a, triple_b, tol)
         frame = triple_a.tplus.graph.frame
         diff_cols = (vs_full - vm) @ frame
-        ran_diff = sub.span(diff_cols, tol) if diff_cols.size else sub.trivial(vm.shape[0])
+        ran_diff = sub.span(diff_cols, tol)
         vs_image = sub.image(vm, triple_a.parent.graph, tol)
         lemma_e = (sub.contains(triple_b.parent.graph, ran_diff, tol)
                    and sub.equal(vs_image, triple_b.parent.graph, tol))
@@ -330,10 +330,9 @@ def _pair_weyl_relation(pair: IsometricBoundaryPair, z: complex,
     g = pair.gamma_rel
     n2 = g.src.dim // 2
     zgraph = rel.z_relation(KreinSpace(n2, np.eye(n2, dtype=np.complex128), (n2, 0)), z, tol)
-    cage = sub.product(zgraph.graph, sub.full(g.tgt.dim), tol)
+    cage = sub.product(zgraph.graph, sub.full(g.tgt.dim))
     hit = sub.intersect(g.graph, cage, tol)
-    cols = hit.frame[g.src.dim :, :]
-    return sub.span(cols, tol) if cols.size else sub.trivial(g.tgt.dim)
+    return sub.span(hit.frame[g.src.dim :, :], tol)
 
 
 def _coerce_pair(obj, tol: TolerancePolicy) -> IsometricBoundaryPair:
@@ -365,9 +364,9 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex,
     nb = v_rel.tgt.dim // 2
     z_graph_b = rel.z_relation(KreinSpace(nb, np.eye(nb, dtype=np.complex128), (nb, 0)),
                                z, tol).graph
-    cage = sub.product(sub.full(na2), z_graph_b, tol)
+    cage = sub.product(sub.full(na2), z_graph_b)
     hit = sub.intersect(v_rel.graph, cage, tol)
-    vinv_z = sub.span(hit.frame[:na2, :], tol) if hit.dim else sub.trivial(na2)
+    vinv_z = sub.span(hit.frame[:na2, :], tol)
 
     s_graph = pa.kernel.graph
     rhs_rel = LinearRelation(pa.a_star.src, pa.a_star.tgt, sub.sum_(s_graph, vinv_z, tol))
@@ -521,7 +520,7 @@ def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     for v in vs:
         v_rel = _as_v_relation(v, triple_a, triple_b, tol)
         w_rel = rel.compose(rel.from_operator(ut_inv, v_rel.tgt, ksrc, tol), v_rel, tol)
-        t_img = rel.parts(rel.restrict(w_rel, _as_sub_of_k(triple_a.parent.graph), tol), tol).ran
+        t_img = rel.parts(rel.restrict(w_rel, triple_a.parent.graph, tol), tol).ran
         entry = {"t_invariant": sub.equal(t_img, triple_a.parent.graph, tol),
                  "defect_invariant": {}}
         for z in pts:
@@ -531,7 +530,3 @@ def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         entry["ok"] = entry["t_invariant"] and all(entry["defect_invariant"].values())
         reports.append(entry)
     return {"per_v": reports, "ok": all(e["ok"] for e in reports)}
-
-
-def _as_sub_of_k(graph: Subspace) -> Subspace:
-    return graph

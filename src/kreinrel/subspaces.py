@@ -92,7 +92,7 @@ def _check_same_ambient(a: Subspace, b: Subspace):
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
 
 
-def complement(a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+def complement(a: Subspace) -> Subspace:
     """Euclidean orthocomplement."""
     n, r = a.ambient_dim, a.dim
     if r == 0:
@@ -107,15 +107,17 @@ def sum_(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspa
 
 
 def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """A ∩ B via the kernel of the stacked-complement map.
+    """A ∩ B from the kernel of [F_A, -F_B], one SVD.
 
-    x lies in the intersection iff both complement projections kill it;
-    this avoids the tolerance amplification of the double-complement route.
+    A kernel frame [X; Y] has F_A X = F_B Y up to the singular values
+    sigma dropped below the rank cut, so both halves span the
+    intersection.  Their sum F_A X + F_B Y has orthogonal columns of norm
+    sqrt(2 - sigma^2); normalizing them gives the frame.
     """
     _check_same_ambient(a, b)
-    ca, cb = complement(a, tol), complement(b, tol)
-    stacked = np.vstack([ca.frame.conj().T, cb.frame.conj().T])
-    return kernel(stacked, a.ambient_dim, tol)
+    k = kernel(np.hstack([a.frame, -b.frame]), a.dim + b.dim, tol).frame
+    f = a.frame @ k[: a.dim] + b.frame @ k[a.dim :]
+    return Subspace(a.ambient_dim, f / np.linalg.norm(f, axis=0))
 
 
 def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -140,11 +142,11 @@ def image(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Sub
 def preimage(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Preimage {x : Mx in A}; always contains ker M."""
     m = as_matrix(m, rows=a.ambient_dim)
-    ca = complement(a, tol)
+    ca = complement(a)
     return kernel(ca.frame.conj().T @ m, m.shape[1], tol)
 
 
-def product(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+def product(a: Subspace, b: Subspace) -> Subspace:
     """A x B inside C^(dimA_ambient + dimB_ambient)."""
     n1, n2 = a.ambient_dim, b.ambient_dim
     f = np.zeros((n1 + n2, a.dim + b.dim), dtype=np.complex128)
@@ -175,6 +177,11 @@ def equal(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 
 def contains(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Whether B is a subset of A, via distance(B, A ∩ B)."""
+    """Whether B is a subset of A, by the same angle rule as `equal`.
+
+    The largest principal angle from B to A is arcsin ||F_B - P_A F_B||_2,
+    the norm of what the projector onto A leaves of B's frame.
+    """
     _check_same_ambient(a, b)
-    return distance(b, intersect(a, b, tol)) <= tol.angle_tol
+    residual = b.frame - a.frame @ a.coords(b.frame)
+    return float(np.arcsin(min(1.0, np.linalg.norm(residual, ord=2)))) <= tol.angle_tol

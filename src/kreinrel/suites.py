@@ -107,14 +107,14 @@ def suite_eqgh(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Re
             dom_cage = sub.span(gen.random_complex(rng, n, max(1, n - 2)), tol)
             g = LinearRelation(space, space, sub.intersect(
                 sub.span(gen.random_complex(rng, 2 * n, graph_dim + 2), tol),
-                sub.product(dom_cage, sub.full(n), tol), tol))
+                sub.product(dom_cage, sub.full(n)), tol))
             if g.dim == 0:
                 continue
             gplus = rel.adjoint(g, "krein", tol)
             dom_g = rel.parts(g, tol).dom
-            cage = sub.product(sub.complement(dom_g, tol), sub.full(n), tol)
+            cage = sub.product(sub.complement(dom_g), sub.full(n))
             pool = sub.intersect(
-                sub.intersect(gplus.graph, sub.complement(g.graph, tol), tol),
+                sub.intersect(gplus.graph, sub.complement(g.graph), tol),
                 cage, tol)
             if pool.dim:
                 break
@@ -126,7 +126,7 @@ def suite_eqgh(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Re
             jh = rel.hilbertize(h, tol)
             for z in (0.7 - 0.3j, 1j, 2.0):
                 eh, dh = jh.blocks()
-                ran_shift = sub.span(dh + z * eh, tol) if jh.dim else sub.trivial(n)
+                ran_shift = sub.span(dh + z * eh, tol)
                 target = rel.eigenspace(jg_plus, z, tol)
                 if not sub.contains(target, ran_shift, tol):
                     report.fail(tseed, "inclusion (a) fails", z=z)
@@ -142,7 +142,7 @@ def suite_eqgh(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Re
         jn = rel.hilbertize(w.N, tol)
         for z in (1j, -1j):
             en, dn = jn.blocks()
-            ran_shift = sub.span(dn + z * en, tol) if jn.dim else sub.trivial(n)
+            ran_shift = sub.span(dn + z * en, tol)
             target = rel.eigenspace(jt_plus, z, tol)
             if not sub.equal(ran_shift, target, tol):
                 report.fail(tseed, "hyper-maximal equality (b)(ii) fails", z=z)
@@ -155,7 +155,7 @@ def suite_eqgh(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Re
             equal_everywhere = True
             for z in (1j, -1j):
                 eh2, dh2 = jh2.blocks()
-                ran_shift = sub.span(dh2 + z * eh2, tol) if jh2.dim else sub.trivial(n)
+                ran_shift = sub.span(dh2 + z * eh2, tol)
                 target = rel.eigenspace(jg2_plus, z, tol)
                 if not sub.contains(target, ran_shift, tol):
                     report.fail(tseed, "neutral inclusion (b)(i) fails", z=z)
@@ -204,7 +204,7 @@ def suite_o(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Repor
 
 
 def _orth_complement_relation(g: LinearRelation, rng, tol) -> LinearRelation:
-    pool = sub.complement(g.graph, tol)
+    pool = sub.complement(g.graph)
     keep = max(1, min(pool.dim, int(rng.integers(1, pool.dim + 1)))) if pool.dim else 0
     if keep == 0:
         return rel.zero_relation(g.src, g.tgt)
@@ -217,8 +217,7 @@ def _lemma_o_range(g: LinearRelation, h: LinearRelation, z: complex,
     """ran((G - z)^{-1}(zI - H) + I) through explicit relation algebra."""
     gz_inv = rel.inverse(rel.shift(g, z))
     eh, dh = h.blocks()
-    zh = LinearRelation(h.src, h.tgt, sub.span(np.vstack([eh, z * eh - dh]), tol)
-                        if h.dim else sub.trivial(2 * h.src.dim))
+    zh = LinearRelation(h.src, h.tgt, sub.span(np.vstack([eh, z * eh - dh]), tol))
     comp = rel.compose(gz_inv, zh, tol)
     plus_i = rel.op_sum(comp, rel.identity_relation(g.src), tol)
     return rel.parts(plus_i, tol).ran
@@ -248,8 +247,8 @@ def suite_sfn(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Rep
         # planted deficiency: confine the graph so a vector escapes dom+ran
         u = gen.random_complex(rng, n, 1)
         u /= np.linalg.norm(u)
-        cage = sub.complement(sub.span(u, tol), tol)
-        small = sub.intersect(g.graph, sub.product(cage, cage, tol), tol)
+        cage = sub.complement(sub.span(u, tol))
+        small = sub.intersect(g.graph, sub.product(cage, cage), tol)
         g_small = LinearRelation(space, space, small)
         gsp = rel.adjoint(g_small, "krein", tol)
         common = sub.intersect(rel.eigenspace(gsp, 0.3 + 1j, tol),

@@ -56,11 +56,3 @@ def as_matrix(entries, rows=None, cols=None) -> np.ndarray:
         raise DimensionMismatchError(f"expected {cols} cols, got {m.shape[1]}")
     return m
 
-
-def as_vector(entries, dim=None) -> np.ndarray:
-    v = np.asarray(entries, dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatchError(f"expected length {dim}, got {v.shape[0]}")
-    return v

@@ -116,7 +116,7 @@ def test_gamma_field_c4(c4):
 
 
 def test_inverse_boundary_c4(c4):
-    data = bnd.inverse_boundary(c4["triple"])
+    tri = c4["triple"]
     g0inv_golden = np.zeros((8, 3), dtype=complex)
     g0inv_golden[0, 0] = 0.5
     g0inv_golden[1, 1] = 1
@@ -127,9 +127,9 @@ def test_inverse_boundary_c4(c4):
     g1inv_golden[4, 2] = 1
     g1inv_golden[6, 1] = 1
     g1inv_golden[7, 0] = 1
-    assert np.abs(data.g0_inv - g0inv_golden).max() < 1e-10
-    assert np.abs(data.g1_inv - g1inv_golden).max() < 1e-10
-    assert np.abs(data.beta).max() < 1e-12
+    assert np.abs(tri.g0inv - g0inv_golden).max() < 1e-10
+    assert np.abs(tri.g1inv - g1inv_golden).max() < 1e-10
+    assert np.abs(tri.beta).max() < 1e-12
 
 
 def test_inverse_boundary_projection_identities(c4):

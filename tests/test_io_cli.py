@@ -150,6 +150,23 @@ def test_cli_triple_gamma(capsys):
     assert "gamma(2i)" in capsys.readouterr().out
 
 
+def test_cli_triple_inverse(capsys):
+    tri = kio.load_document(FIXTURE)["triple"]
+    assert main(["triple", "inverse", FIXTURE]) == 0
+    printed, label = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  ["):
+            printed[label].append([complex(x.replace("i", "j"))
+                                   for x in line.strip(" []").split(", ")])
+        else:
+            label = line
+            printed[label] = []
+    assert list(printed) == ["Gamma0^(-1) =", "Gamma1^(-1) =", "beta ="]
+    for got, want in zip(printed.values(), (tri.g0inv, tri.g1inv, tri.beta)):
+        assert np.array(got).shape == want.shape
+        assert np.abs(np.array(got) - want).max() < 1e-9
+
+
 def test_cli_mathematical_rejection(tmp_path, capsys):
     # a symmetric-but-wrong candidate for the N-class is a rejection, not a crash
     out = kio.load_document(FIXTURE)

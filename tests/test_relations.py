@@ -161,6 +161,16 @@ def test_symmetry_flags(c4):
     assert rel.is_selfadjoint(c4["triple"].t1)
 
 
+def test_is_endo_needs_the_same_host(c4):
+    # a target symmetry 1e-9 off is a different host, as for compose and cw_sum
+    t = c4["T"]
+    bumped = t.tgt.J.copy()
+    bumped[0, 1] = bumped[1, 0] = 1e-9
+    moved = rel.LinearRelation(t.src, krein.KreinSpace(4, bumped, t.tgt.signature), t.graph)
+    assert t.is_endo and not moved.is_endo
+    assert not rel.is_symmetric(moved) and not rel.is_selfadjoint(moved)
+
+
 def test_hyper_maximal_graph_selfadjoint():
     # any hyper-maximal neutral subspace of the doubled space, read as a
     # relation, is self-adjoint

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kreinrel import subspaces as sub
-from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError
+from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy
 
 from oracles import exact_rank, intersection_by_join, principal_angles_arccos, svd_nullspace
 
 
 def rand_cols(rng, n, k):
     return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+
+
+def rand_pair(rng, n, ka, kb, nested):
+    """A of dim ka and B of kb random columns, plus A itself when nested."""
+    a = sub.span(rand_cols(rng, n, ka))
+    cols = rand_cols(rng, n, kb)
+    return a, sub.span(np.hstack([a.frame, cols]) if nested else cols)
+
+
+# (n, ka, kb, nested): trivial A, full A, A inside B, dim A + dim B > n, n = 32
+EDGE_PAIRS = [(4, 0, 2, False), (4, 4, 2, False), (5, 2, 1, True), (5, 3, 4, False),
+              (32, 12, 25, False)]
 
 
 def test_span_collinear():
@@ -48,15 +60,29 @@ def test_intersect_idempotent():
 
 def test_intersect_matches_join_oracle():
     rng = np.random.default_rng(1)
+    pairs = [rand_pair(rng, *case) for case in EDGE_PAIRS]
     for _ in range(20):
         a = sub.span(rand_cols(rng, 6, 3))
         b_cols = np.hstack([a.frame[:, :1] + a.frame[:, 1:2], rand_cols(rng, 6, 2)])
-        b = sub.span(b_cols)
+        pairs.append((a, sub.span(b_cols)))
+    for a, b in pairs:
         got = sub.intersect(a, b)
         want = intersection_by_join(a.frame, b.frame)
         assert got.dim == want.shape[1]
         if want.shape[1]:
             assert sub.equal(got, sub.span(want))
+
+
+def test_intersect_under_a_loose_rank_cut():
+    # a near-intersection kept by the cut still yields an orthonormal frame
+    loose = TolerancePolicy(rank_rel=1e-2)
+    rng = np.random.default_rng(6)
+    a = sub.span(rand_cols(rng, 6, 3))
+    b = sub.span(np.hstack([a.frame[:, :2] + 1e-3 * rand_cols(rng, 6, 2), rand_cols(rng, 6, 1)]))
+    got = sub.intersect(a, b, loose)
+    assert got.dim == 2
+    assert sub.contains(a, got, TolerancePolicy(angle_tol=1e-2))
+    assert sub.contains(b, got, TolerancePolicy(angle_tol=1e-2))
 
 
 def test_sum_complement_full():
@@ -109,6 +135,21 @@ def test_contains_via_intersection(c4):
     assert not sub.contains(t.graph, tplus.graph)
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(angle_tol=1e-6)],
+                         ids=["default", "angle_tol=1e-6"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_contains_agrees_with_equal_near_the_cut(tol, factor, k):
+    # B turns one direction of A by theta out of A, in a rotated basis
+    theta = factor * tol.angle_tol
+    q, _ = np.linalg.qr(rand_cols(np.random.default_rng(k), 4, 4))
+    b_cols = np.eye(4)[:, :k].astype(np.complex128)
+    b_cols[:, k - 1] = np.cos(theta) * b_cols[:, k - 1] + np.sin(theta) * np.eye(4)[:, 3]
+    a, b = sub.span(q[:, :k]), sub.span(q @ b_cols)
+    assert (sub.contains(a, b, tol) == sub.contains(b, a, tol) == sub.equal(a, b, tol)
+            == (factor < 1))
+
+
 def test_tiny_angles_resolved():
     # sine-based distance keeps accuracy far below the arccos floor
     eps = 1e-12
@@ -120,11 +161,14 @@ def test_tiny_angles_resolved():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(0, 3),
-       st.integers(0, 3))
-def test_dimension_formula(seed, n, ka, kb):
-    rng = np.random.default_rng(seed)
-    a = sub.span(rand_cols(rng, n, ka)) if ka else sub.trivial(n)
-    b = sub.span(rand_cols(rng, n, kb)) if kb else sub.trivial(n)
+       st.integers(0, 3), st.booleans())
+@example(0, *EDGE_PAIRS[0])
+@example(1, *EDGE_PAIRS[1])
+@example(2, *EDGE_PAIRS[2])
+@example(3, *EDGE_PAIRS[3])
+@example(4, *EDGE_PAIRS[4])
+def test_dimension_formula(seed, n, ka, kb, nested):
+    a, b = rand_pair(np.random.default_rng(seed), n, ka, kb, nested)
     assert (sub.sum_(a, b).dim + sub.intersect(a, b).dim == a.dim + b.dim)
 
 
