@@ -97,7 +97,7 @@ def green_residual(space: KreinSpace, basis: np.ndarray, gamma: np.ndarray) -> f
     jo = boundary_doubled(gamma.shape[0] // 2).J_hat
     lhs = basis.conj().T @ jhat @ basis
     rhs = gamma.conj().T @ jo @ gamma
-    return float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 def validate_triple(t: LinearRelation, gamma, basis=None,
@@ -382,12 +382,6 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
     return report
 
 
-def regular_type_sym(t: LinearRelation, z: complex,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return (rel.spectral_probe(t, z, tol)["regular_type"]
-            and rel.spectral_probe(t, np.conj(z), tol)["regular_type"])
-
-
 def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                 grid=DEFAULT_GRID, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """Regular-point transfer between triples with matching Weyl families."""
@@ -403,8 +397,8 @@ def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                                   (triple_a.t1, triple_b.t1))):
         rho_a = {z for z in omega if rel.spectral_probe(ta, z, tol)["regular"]}
         rho_b = {z for z in omega if rel.spectral_probe(tb, z, tol)["regular"]}
-        hat_a = {z for z in omega if regular_type_sym(triple_a.parent, z, tol)}
-        hat_b = {z for z in omega if regular_type_sym(triple_b.parent, z, tol)}
+        hat_a = {z for z in omega if ext.delta_membership(triple_a.parent, z, tol)}
+        hat_b = {z for z in omega if ext.delta_membership(triple_b.parent, z, tol)}
         ok = True
         if rho_a and rho_b:
             ok = (rho_a & rho_b == rho_a & hat_b) and (rho_a & rho_b == rho_b & hat_a)

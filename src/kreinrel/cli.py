@@ -249,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_similar)
 
     p_ver = sub_parsers.add_parser("verify")
-    p_ver.add_argument("--suite", default="all",
-                       choices=["appendix", "extensions", "boundary",
-                                "similarity", "all"])
+    p_ver.add_argument("--suite", default="all", choices=[*st.SUITES, "all"])
     p_ver.add_argument("--trials", type=int, default=50)
     p_ver.add_argument("--seed", type=int,
                        default=int(os.environ.get("KREINREL_SEED", "7")))

@@ -146,7 +146,7 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
     nmi = defect_subspace(t, -1j, tol)
 
     def preimage_of(shift_z: complex, target: Subspace) -> Subspace:
-        shifted = rel.shift(frak_t0, -shift_z)  # T0 + shift_z I
+        shifted = rel.shift(frak_t0, -shift_z, tol)  # T0 + shift_z I
         cage = sub.product(sub.full(t.src.dim), target)
         return rel.parts(
             LinearRelation(frak_t0.src, frak_t0.tgt,
@@ -155,7 +155,7 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
     via_plus = preimage_of(1j, ni)
     via_minus = preimage_of(-1j, nmi)
 
-    c_full_graph = _cayley_graph(frak_t0)
+    c_full_graph = _cayley_graph(frak_t0, tol)
     c_n = sub.intersect(c_full_graph, sub.product(ni, sub.full(t.src.dim)), tol)
     x, y = c_n.frame[: t.src.dim, :], c_n.frame[t.src.dim :, :]
     via_cayley = sub.span(y - x, tol)
@@ -163,9 +163,9 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
             "cayley": via_cayley}
 
 
-def _cayley_graph(frak_t0: LinearRelation) -> Subspace:
+def _cayley_graph(frak_t0: LinearRelation, tol: TolerancePolicy) -> Subspace:
     e, d = frak_t0.blocks()
-    return sub.span(np.vstack([d + 1j * e, d - 1j * e]))
+    return sub.span(np.vstack([d + 1j * e, d - 1j * e]), tol)
 
 
 def prop_n_audit(t: LinearRelation, n: LinearRelation,

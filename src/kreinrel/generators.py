@@ -79,8 +79,7 @@ def hyper_maximal_neutral(rng: np.random.Generator, space: KreinSpace,
 
 
 def gen_symmetric(spec: InstanceSpec, space: KreinSpace | None = None,
-                  tol: TolerancePolicy = DEFAULT_TOL,
-                  max_tries: int = 200) -> LinearRelation:
+                  tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     """Symmetric relation with prescribed equal defects inside a random
     hyper-maximal neutral subspace of the doubled space."""
     p, q = spec.signature
@@ -92,7 +91,7 @@ def gen_symmetric(spec: InstanceSpec, space: KreinSpace | None = None,
         raise SamplingExhaustedError(
             f"property (P) is impossible for defect {d} in dimension {n}")
     grid = bnd.DEFAULT_GRID
-    for attempt in range(max_tries):
+    for attempt in range(200):
         rng = rng_for(spec.seed, 1, attempt)
         m = hyper_maximal_neutral(rng, space, tol)
         coeff = random_complex(rng, n, n - d)
@@ -108,7 +107,7 @@ def gen_symmetric(spec: InstanceSpec, space: KreinSpace | None = None,
         if spec.require_simple and not ext.simple_check(t, grid, tol):
             continue
         return t
-    raise SamplingExhaustedError(f"no admissible instance after {max_tries} tries")
+    raise SamplingExhaustedError("no admissible instance after 200 tries")
 
 
 def sample_witness(t: LinearRelation, seed: int,
@@ -172,14 +171,13 @@ def gen_triple(t: LinearRelation, seed: int,
     return bnd.validate_triple(t, gamma, basis, tol)
 
 
-def gen_standard_unitary(seed: int, src: KreinSpace, tgt: KreinSpace,
-                         max_tries: int = 50) -> np.ndarray:
+def gen_standard_unitary(seed: int, src: KreinSpace, tgt: KreinSpace) -> np.ndarray:
     """Standard unitary via the Krein-space Cayley transform of a random
     J-skew-adjoint matrix, composed with a signature-matching isometry."""
     if src.signature != tgt.signature:
         raise ValueError("signatures must match for a standard unitary to exist")
     n = src.dim
-    for attempt in range(max_tries):
+    for attempt in range(50):
         rng = rng_for(seed, 4, attempt)
         s = random_complex(rng, n, n)
         a = src.J @ ((s - s.conj().T) / 2.0)

@@ -118,9 +118,7 @@ def ortho_companion(space: KreinSpace, a: Subspace,
 
 def is_neutral(space: KreinSpace, a: Subspace) -> bool:
     g = indefinite_gram(space, a, a)
-    if g.size == 0:
-        return True
-    return float(np.abs(g).max()) <= NEUTRAL_TOL * (1.0 + np.linalg.norm(a.frame))
+    return float(np.abs(g).max(initial=0.0)) <= NEUTRAL_TOL * (1.0 + np.linalg.norm(a.frame))
 
 
 def classify(space: KreinSpace, a: Subspace) -> str:

@@ -152,7 +152,7 @@ def cw_sum(a: LinearRelation, b: LinearRelation,
     _same_hosts(a, b)
     total = LinearRelation(a.src, a.tgt, sub.sum_(a.graph, b.graph, tol))
     g = a.graph.frame.conj().T @ b.graph.frame
-    orthogonal = g.size == 0 or float(np.abs(g).max()) <= tol.angle_tol
+    orthogonal = float(np.abs(g).max(initial=0.0)) <= tol.angle_tol
     return total, orthogonal
 
 

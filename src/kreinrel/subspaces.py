@@ -43,12 +43,7 @@ class Subspace:
         return self.frame.conj().T @ vectors
 
     def contains_vector(self, v, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        v = np.asarray(v, dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return True
-        r = v - self.frame @ (self.frame.conj().T @ v)
-        return np.linalg.norm(r) <= tol.angle_tol * (1.0 + nrm)
+        return contains(self, span([v], tol), tol)
 
 
 def _orth(columns: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
@@ -56,8 +51,6 @@ def _orth(columns: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((columns.shape[0], 0), dtype=np.complex128)
     rank = int(np.sum(s > tol.rank_cut(s[0])))
     return u[:, :rank]
 
@@ -129,7 +122,7 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) 
     if m.size == 0 or m.shape[0] == 0:
         return full(n)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > tol.rank_cut(s[0]))) if s.size else 0
+    rank = int(np.sum(s > tol.rank_cut(s[0])))
     return Subspace(n, vh[rank:].conj().T)
 
 

@@ -4,6 +4,10 @@ Each suite constructs instances satisfying the hypotheses of one result,
 evaluates both sides of every displayed identity by independent subspace
 computations, and records residuals; a surviving counterexample is a
 build failure, not a statistic.
+
+Each suite is written as one trial, `trial(report, k, tseed, tol)`, and
+`_suite` runs it `trials` times: trial k gets its own seed `tseed`,
+derived from the master seed and k, so any trial can be replayed alone.
 """
 
 from __future__ import annotations
@@ -62,22 +66,33 @@ def _plain(v):
     return v
 
 
-def _trial_dims(rng: np.random.Generator, max_dim: int = 6) -> tuple[int, int, int]:
-    n = int(rng.integers(2, max_dim + 1))
+def _suite(name: str):
+    """Make `trial(report, k, tseed, tol)` the suite `(trials, seed, tol) -> Report`."""
+    def runner(trial):
+        def suite(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+            report = Report(name, trials)
+            start = time.perf_counter()
+            for k in range(trials):
+                trial(report, k, seed * 1000003 + k, tol)
+            report.elapsed = time.perf_counter() - start
+            return report
+        suite.__name__ = suite.__qualname__ = trial.__name__
+        suite.__doc__ = trial.__doc__
+        return suite
+    return runner
+
+
+def _trial_dims(rng: np.random.Generator) -> tuple[int, int, int]:
+    n = int(rng.integers(2, 7))
     p = int(rng.integers(0, n + 1))
     d = int(rng.integers(1, n))
     return n, p, d
 
 
-def _draw_pair(seed: int, tol: TolerancePolicy,
-               require_p: bool = False, max_dim: int = 6):
-    rng = gen.rng_for(seed, 10)
-    n, p, d = _trial_dims(rng, max_dim)
-    spec = gen.InstanceSpec(seed, n, (p, n - p), d,
-                            require_property_p=require_p)
-    t = gen.gen_symmetric(spec, tol=tol)
-    witness = gen.sample_witness(t, seed, tol)
-    return t, witness
+def _draw_pair(seed: int, tol: TolerancePolicy):
+    n, p, d = _trial_dims(gen.rng_for(seed, 10))
+    t = gen.gen_symmetric(gen.InstanceSpec(seed, n, (p, n - p), d), tol=tol)
+    return t, gen.sample_witness(t, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -90,117 +105,107 @@ def _random_relation(rng, space: KreinSpace, graph_dim: int,
     return LinearRelation(space, space, sub.span(cols, tol))
 
 
-def suite_eqgh(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("eqgh")
+def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Range inclusions/equalities for H inside G+ ∩ G-perp."""
-    report = Report("eqgh", trials)
-    start = time.perf_counter()
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        rng = gen.rng_for(tseed, 20)
-        n, p, d = _trial_dims(rng)
-        space = gen.random_space(tseed, p, n - p)
+    rng = gen.rng_for(tseed, 20)
+    n, p, d = _trial_dims(rng)
+    space = gen.random_space(tseed, p, n - p)
 
-        # (a): dom G ⊥ dom H, H ⊆ G+ ∩ G-perp.  A cramped domain keeps the
-        # candidate pool nonempty, retrying a few draws when it collapses.
-        pool = None
-        for graph_dim in range(max(1, n // 2), 0, -1):
-            dom_cage = sub.span(gen.random_complex(rng, n, max(1, n - 2)), tol)
-            g = LinearRelation(space, space, sub.intersect(
-                sub.span(gen.random_complex(rng, 2 * n, graph_dim + 2), tol),
-                sub.product(dom_cage, sub.full(n)), tol))
-            if g.dim == 0:
-                continue
-            gplus = rel.adjoint(g, "krein", tol)
-            dom_g = rel.parts(g, tol).dom
-            cage = sub.product(sub.complement(dom_g), sub.full(n))
-            pool = sub.intersect(
-                sub.intersect(gplus.graph, sub.complement(g.graph), tol),
-                cage, tol)
-            if pool.dim:
-                break
-        if pool is not None and pool.dim:
-            keep = min(pool.dim, int(rng.integers(1, pool.dim + 1)))
-            h = LinearRelation(space, space, sub.span(
-                pool.frame @ gen.random_complex(rng, pool.dim, keep), tol))
-            jg_plus = rel.hilbertize(gplus, tol)
-            jh = rel.hilbertize(h, tol)
-            for z in (0.7 - 0.3j, 1j, 2.0):
-                eh, dh = jh.blocks()
-                ran_shift = sub.span(dh + z * eh, tol)
-                target = rel.eigenspace(jg_plus, z, tol)
-                if not sub.contains(target, ran_shift, tol):
-                    report.fail(tseed, "inclusion (a) fails", z=z)
-        else:
-            report.skipped += 1
+    # (a): dom G ⊥ dom H, H ⊆ G+ ∩ G-perp.  A cramped domain keeps the
+    # candidate pool nonempty, retrying a few draws when it collapses.
+    pool = None
+    for graph_dim in range(max(1, n // 2), 0, -1):
+        dom_cage = sub.span(gen.random_complex(rng, n, max(1, n - 2)), tol)
+        g = LinearRelation(space, space, sub.intersect(
+            sub.span(gen.random_complex(rng, 2 * n, graph_dim + 2), tol),
+            sub.product(dom_cage, sub.full(n)), tol))
+        if g.dim == 0:
+            continue
+        gplus = rel.adjoint(g, "krein", tol)
+        dom_g = rel.parts(g, tol).dom
+        cage = sub.product(sub.complement(dom_g), sub.full(n))
+        pool = sub.intersect(
+            sub.intersect(gplus.graph, sub.complement(g.graph), tol),
+            cage, tol)
+        if pool.dim:
+            break
+    if pool is not None and pool.dim:
+        keep = min(pool.dim, int(rng.integers(1, pool.dim + 1)))
+        h = LinearRelation(space, space, sub.span(
+            pool.frame @ gen.random_complex(rng, pool.dim, keep), tol))
+        jg_plus = rel.hilbertize(gplus, tol)
+        jh = rel.hilbertize(h, tol)
+        for z in (0.7 - 0.3j, 1j, 2.0):
+            eh, dh = jh.blocks()
+            ran_shift = sub.span(dh + z * eh, tol)
+            target = rel.eigenspace(jg_plus, z, tol)
+            if not sub.contains(target, ran_shift, tol):
+                report.fail(tseed, "inclusion (a) fails", z=z)
+    else:
+        report.skipped += 1
 
-        # (b): hyper-maximal case gives equalities at both ±i, a strictly
-        # smaller neutral sum gives strict inclusions.
-        spec = gen.InstanceSpec(tseed, n, (p, n - p), d)
-        t = gen.gen_symmetric(spec, tol=tol)
-        w = gen.sample_witness(t, tseed, tol)
-        jt_plus = rel.hilbertize(rel.adjoint(t, "krein", tol), tol)
-        jn = rel.hilbertize(w.N, tol)
+    # (b): hyper-maximal case gives equalities at both ±i, a strictly
+    # smaller neutral sum gives strict inclusions.
+    spec = gen.InstanceSpec(tseed, n, (p, n - p), d)
+    t = gen.gen_symmetric(spec, tol=tol)
+    w = gen.sample_witness(t, tseed, tol)
+    jt_plus = rel.hilbertize(rel.adjoint(t, "krein", tol), tol)
+    jn = rel.hilbertize(w.N, tol)
+    for z in (1j, -1j):
+        en, dn = jn.blocks()
+        ran_shift = sub.span(dn + z * en, tol)
+        target = rel.eigenspace(jt_plus, z, tol)
+        if not sub.equal(ran_shift, target, tol):
+            report.fail(tseed, "hyper-maximal equality (b)(ii) fails", z=z)
+    if t.dim >= 2:
+        split = t.dim // 2
+        g2 = LinearRelation(space, space, sub.span(t.graph.frame[:, :split], tol))
+        h2 = LinearRelation(space, space, sub.span(t.graph.frame[:, split:], tol))
+        jg2_plus = rel.hilbertize(rel.adjoint(g2, "krein", tol), tol)
+        jh2 = rel.hilbertize(h2, tol)
+        equal_everywhere = True
         for z in (1j, -1j):
-            en, dn = jn.blocks()
-            ran_shift = sub.span(dn + z * en, tol)
-            target = rel.eigenspace(jt_plus, z, tol)
+            eh2, dh2 = jh2.blocks()
+            ran_shift = sub.span(dh2 + z * eh2, tol)
+            target = rel.eigenspace(jg2_plus, z, tol)
+            if not sub.contains(target, ran_shift, tol):
+                report.fail(tseed, "neutral inclusion (b)(i) fails", z=z)
             if not sub.equal(ran_shift, target, tol):
-                report.fail(tseed, "hyper-maximal equality (b)(ii) fails", z=z)
-        if t.dim >= 2:
-            split = t.dim // 2
-            g2 = LinearRelation(space, space, sub.span(t.graph.frame[:, :split], tol))
-            h2 = LinearRelation(space, space, sub.span(t.graph.frame[:, split:], tol))
-            jg2_plus = rel.hilbertize(rel.adjoint(g2, "krein", tol), tol)
-            jh2 = rel.hilbertize(h2, tol)
-            equal_everywhere = True
-            for z in (1j, -1j):
-                eh2, dh2 = jh2.blocks()
-                ran_shift = sub.span(dh2 + z * eh2, tol)
-                target = rel.eigenspace(jg2_plus, z, tol)
-                if not sub.contains(target, ran_shift, tol):
-                    report.fail(tseed, "neutral inclusion (b)(i) fails", z=z)
-                if not sub.equal(ran_shift, target, tol):
-                    equal_everywhere = False
-            if equal_everywhere:
-                report.fail(tseed, "non-maximal sum reached equality (b)(ii) converse)")
-    report.elapsed = time.perf_counter() - start
-    return report
+                equal_everywhere = False
+        if equal_everywhere:
+            report.fail(tseed, "non-maximal sum reached equality (b)(ii) converse)")
 
 
-def suite_o(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("lemma_o")
+def suite_o(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Eigenspace formula for componentwise sums and the point-spectrum split."""
-    report = Report("lemma_o", trials)
-    start = time.perf_counter()
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        rng = gen.rng_for(tseed, 21)
-        n, p, _ = _trial_dims(rng)
-        space = gen.random_space(tseed, p, n - p)
-        g = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
-        h_free = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
-        zs = [complex(z) for z in (0.4 + 0.2j, 1j, 1.5, 0.0)]
-        for h, orthogonal in ((h_free, False), (_orth_complement_relation(g, rng, tol), True)):
-            gh, _ = rel.cw_sum(g, h, tol)
-            for z in zs:
-                lhs = rel.eigenspace(gh, z, tol)
-                rhs = _lemma_o_range(g, h, z, tol)
-                if not sub.equal(lhs, rhs, tol):
-                    report.fail(tseed, "eigenspace formula fails", z=z,
-                                orthogonal=orthogonal)
-                naive = sub.sum_(rel.eigenspace(g, z, tol), rel.eigenspace(h, z, tol), tol)
-                if not sub.contains(lhs, naive, tol):
-                    report.fail(tseed, "naive inclusion fails", z=z)
-                in_o = ext.O_membership(g, h, z, tol)
-                if in_o and not sub.equal(lhs, naive, tol):
-                    report.fail(tseed, "equality on O fails", z=z)
-                if orthogonal:
-                    point = lhs.dim > 0
-                    split = (in_o and (rel.eigenspace(g, z, tol).dim > 0
-                                       or rel.eigenspace(h, z, tol).dim > 0)) or not in_o
-                    if point != split:
-                        report.fail(tseed, "point-spectrum split fails", z=z)
-    report.elapsed = time.perf_counter() - start
-    return report
+    rng = gen.rng_for(tseed, 21)
+    n, p, _ = _trial_dims(rng)
+    space = gen.random_space(tseed, p, n - p)
+    g = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
+    h_free = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
+    zs = [complex(z) for z in (0.4 + 0.2j, 1j, 1.5, 0.0)]
+    for h, orthogonal in ((h_free, False), (_orth_complement_relation(g, rng, tol), True)):
+        gh, _ = rel.cw_sum(g, h, tol)
+        for z in zs:
+            lhs = rel.eigenspace(gh, z, tol)
+            rhs = _lemma_o_range(g, h, z, tol)
+            if not sub.equal(lhs, rhs, tol):
+                report.fail(tseed, "eigenspace formula fails", z=z,
+                            orthogonal=orthogonal)
+            naive = sub.sum_(rel.eigenspace(g, z, tol), rel.eigenspace(h, z, tol), tol)
+            if not sub.contains(lhs, naive, tol):
+                report.fail(tseed, "naive inclusion fails", z=z)
+            in_o = ext.O_membership(g, h, z, tol)
+            if in_o and not sub.equal(lhs, naive, tol):
+                report.fail(tseed, "equality on O fails", z=z)
+            if orthogonal:
+                point = lhs.dim > 0
+                split = (in_o and (rel.eigenspace(g, z, tol).dim > 0
+                                   or rel.eigenspace(h, z, tol).dim > 0)) or not in_o
+                if point != split:
+                    report.fail(tseed, "point-spectrum split fails", z=z)
 
 
 def _orth_complement_relation(g: LinearRelation, rng, tol) -> LinearRelation:
@@ -215,7 +220,7 @@ def _orth_complement_relation(g: LinearRelation, rng, tol) -> LinearRelation:
 def _lemma_o_range(g: LinearRelation, h: LinearRelation, z: complex,
                    tol: TolerancePolicy) -> sub.Subspace:
     """ran((G - z)^{-1}(zI - H) + I) through explicit relation algebra."""
-    gz_inv = rel.inverse(rel.shift(g, z))
+    gz_inv = rel.inverse(rel.shift(g, z, tol))
     eh, dh = h.blocks()
     zh = LinearRelation(h.src, h.tgt, sub.span(np.vstack([eh, z * eh - dh]), tol))
     comp = rel.compose(gz_inv, zh, tol)
@@ -223,43 +228,39 @@ def _lemma_o_range(g: LinearRelation, h: LinearRelation, z: complex,
     return rel.parts(plus_i, tol).ran
 
 
-def suite_sfn(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("sfn")
+def suite_sfn(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Defect disjointness iff dom + ran dense, plus a planted counterexample."""
-    report = Report("sfn", trials)
-    start = time.perf_counter()
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        rng = gen.rng_for(tseed, 22)
-        n, p, _ = _trial_dims(rng)
-        space = gen.random_space(tseed, p, n - p)
-        g = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
-        parts_g = rel.parts(g, tol)
-        dense = sub.sum_(parts_g.dom, parts_g.ran, tol).dim == n
-        gplus = rel.adjoint(g, "krein", tol)
-        pairs = [(0.3 + 1j, -0.7 + 0.2j), (1j, -1j), (2.0, 0.5)]
-        disjoint = all(
-            sub.intersect(rel.eigenspace(gplus, z1, tol),
-                          rel.eigenspace(gplus, z2, tol), tol).dim == 0
-            for z1, z2 in pairs)
-        if dense != disjoint:
-            report.fail(tseed, "equivalence fails", dense=dense, disjoint=disjoint)
+    rng = gen.rng_for(tseed, 22)
+    n, p, _ = _trial_dims(rng)
+    space = gen.random_space(tseed, p, n - p)
+    g = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
+    parts_g = rel.parts(g, tol)
+    dense = sub.sum_(parts_g.dom, parts_g.ran, tol).dim == n
+    gplus = rel.adjoint(g, "krein", tol)
+    pairs = [(0.3 + 1j, -0.7 + 0.2j), (1j, -1j), (2.0, 0.5)]
+    disjoint = all(
+        sub.intersect(rel.eigenspace(gplus, z1, tol),
+                      rel.eigenspace(gplus, z2, tol), tol).dim == 0
+        for z1, z2 in pairs)
+    if dense != disjoint:
+        report.fail(tseed, "equivalence fails", dense=dense, disjoint=disjoint)
 
-        # planted deficiency: confine the graph so a vector escapes dom+ran
-        u = gen.random_complex(rng, n, 1)
-        u /= np.linalg.norm(u)
-        cage = sub.complement(sub.span(u, tol))
-        small = sub.intersect(g.graph, sub.product(cage, cage), tol)
-        g_small = LinearRelation(space, space, small)
-        gsp = rel.adjoint(g_small, "krein", tol)
-        common = sub.intersect(rel.eigenspace(gsp, 0.3 + 1j, tol),
-                               rel.eigenspace(gsp, -0.7 + 0.2j, tol), tol)
-        if common.dim == 0:
-            report.fail(tseed, "planted counterexample stayed disjoint")
-    report.elapsed = time.perf_counter() - start
-    return report
+    # planted deficiency: confine the graph so a vector escapes dom+ran
+    u = gen.random_complex(rng, n, 1)
+    u /= np.linalg.norm(u)
+    cage = sub.complement(sub.span(u, tol))
+    small = sub.intersect(g.graph, sub.product(cage, cage), tol)
+    g_small = LinearRelation(space, space, small)
+    gsp = rel.adjoint(g_small, "krein", tol)
+    common = sub.intersect(rel.eigenspace(gsp, 0.3 + 1j, tol),
+                           rel.eigenspace(gsp, -0.7 + 0.2j, tol), tol)
+    if common.dim == 0:
+        report.fail(tseed, "planted counterexample stayed disjoint")
 
 
-def suite_p3(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("p3")
+def suite_p3(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Finite-dimensional content of the denseness lemma for symmetric operators.
 
     Checks (i) densely defined implies property (P) and an adjoint with
@@ -268,159 +269,125 @@ def suite_p3(trials: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL) -> Repo
     on.  The literal converse (P) => densely defined is false already in
     C^2 and is recorded as a skip, not a failure.
     """
-    report = Report("p3", trials)
-    start = time.perf_counter()
-    hil_template = None
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        rng = gen.rng_for(tseed, 23)
-        n = int(rng.integers(2, 7))
-        space = hilbert_space(n)
-        d = int(rng.integers(1, n))
-        spec = gen.InstanceSpec(tseed, n, (n, 0), d)
-        t = gen.gen_symmetric(spec, space=space, tol=tol)
-        if not rel.is_operator(t, tol):
-            report.skipped += 1
-            continue
-        parts_t = rel.parts(t, tol)
-        densely = parts_t.dom.dim == n
-        prop_p = sub.sum_(parts_t.dom, parts_t.ran, tol).dim == n
-        tstar = rel.adjoint(t, "hilbert", tol)
-        parts_star = rel.parts(tstar, tol)
-        star_operator = parts_star.mul.dim == 0
-        mechanism = sub.intersect(parts_star.ker, parts_star.mul, tol).dim == 0
-        if densely != star_operator:
-            report.fail(tseed, "dense <=> adjoint operator fails")
-        if densely and not prop_p:
-            report.fail(tseed, "dense without property (P)")
-        if prop_p != mechanism:
-            report.fail(tseed, "(P) <=> trivial ker∩mul fails")
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-def appendix_suites(trials: int, seed: int,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> list[Report]:
-    return [suite_eqgh(trials, seed, tol), suite_o(trials, seed, tol),
-            suite_sfn(trials, seed, tol), suite_p3(trials, seed, tol)]
+    rng = gen.rng_for(tseed, 23)
+    n = int(rng.integers(2, 7))
+    space = hilbert_space(n)
+    d = int(rng.integers(1, n))
+    spec = gen.InstanceSpec(tseed, n, (n, 0), d)
+    t = gen.gen_symmetric(spec, space=space, tol=tol)
+    if not rel.is_operator(t, tol):
+        report.skipped += 1
+        return
+    parts_t = rel.parts(t, tol)
+    densely = parts_t.dom.dim == n
+    prop_p = sub.sum_(parts_t.dom, parts_t.ran, tol).dim == n
+    tstar = rel.adjoint(t, "hilbert", tol)
+    parts_star = rel.parts(tstar, tol)
+    star_operator = parts_star.mul.dim == 0
+    mechanism = sub.intersect(parts_star.ker, parts_star.mul, tol).dim == 0
+    if densely != star_operator:
+        report.fail(tseed, "dense <=> adjoint operator fails")
+    if densely and not prop_p:
+        report.fail(tseed, "dense without property (P)")
+    if prop_p != mechanism:
+        report.fail(tseed, "(P) <=> trivial ker∩mul fails")
 
 
 # ---------------------------------------------------------------------------
 # module-level suites
 
 
-def suite_extensions(trials: int, seed: int,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("extensions")
+def suite_extensions(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Roundtrip of the extension correspondence plus the full witness audit."""
-    report = Report("extensions", trials)
-    start = time.perf_counter()
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        t, w = _draw_pair(tseed, tol)
-        t0 = ext.extend(t, w.N, tol)
-        report.record(sub.distance(t0.graph, w.t0.graph))
-        n_back = ext.reduce(t, t0, tol)
-        report.record(sub.distance(n_back.graph, w.N.graph))
-        audit = ext.prop_n_audit(t, w.N, tol)
-        if not audit["ok"]:
-            report.fail(tseed, "proposition audit fails", audit=str(audit))
-        for v in audit["dom_formula_distances"].values():
-            report.record(v)
-    report.elapsed = time.perf_counter() - start
-    return report
+    t, w = _draw_pair(tseed, tol)
+    t0 = ext.extend(t, w.N, tol)
+    report.record(sub.distance(t0.graph, w.t0.graph))
+    n_back = ext.reduce(t, t0, tol)
+    report.record(sub.distance(n_back.graph, w.N.graph))
+    audit = ext.prop_n_audit(t, w.N, tol)
+    if not audit["ok"]:
+        report.fail(tseed, "proposition audit fails", audit=str(audit))
+    for v in audit["dom_formula_distances"].values():
+        report.record(v)
 
 
-def suite_boundary(trials: int, seed: int,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("boundary")
+def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Green residuals, Weyl symmetry, the beta-shift law and resolvent identities."""
-    report = Report("boundary", trials)
-    start = time.perf_counter()
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        t, _ = _draw_pair(tseed, tol)
-        triple = gen.gen_triple(t, tseed, tol)
-        report.record(bnd.green_residual(t.src, triple.basis, triple.gamma))
-        report.record(bnd.weyl_symmetry_check(triple, bnd.DEFAULT_GRID, tol)["max_residual"])
-        shifted = bnd.beta_shift(triple, tol=tol)
-        for z in bnd.DEFAULT_GRID:
-            mz = bnd.weyl(triple, complex(z), tol).operator_form
-            mzb = bnd.weyl(shifted, complex(z), tol).operator_form
-            if mz is None or mzb is None:
-                continue
-            report.record(np.abs(mzb - (mz - triple.beta)).max())
-        res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID, tol)
-        for key in ("max_gamma_diff", "max_pairing", "max_krein_naimark"):
-            report.record(res[key])
-        flags = bnd.pair_isometry_check(bnd.pair_from_triple(triple, None, tol), tol)
-        if not flags["unitary"]:
-            report.fail(tseed, "validated triple is not a unitary pair")
-    report.elapsed = time.perf_counter() - start
-    return report
+    t, _ = _draw_pair(tseed, tol)
+    triple = gen.gen_triple(t, tseed, tol)
+    report.record(bnd.green_residual(t.src, triple.basis, triple.gamma))
+    report.record(bnd.weyl_symmetry_check(triple, bnd.DEFAULT_GRID, tol)["max_residual"])
+    shifted = bnd.beta_shift(triple, tol=tol)
+    for z in bnd.DEFAULT_GRID:
+        mz = bnd.weyl(triple, complex(z), tol).operator_form
+        mzb = bnd.weyl(shifted, complex(z), tol).operator_form
+        if mz is None or mzb is None:
+            continue
+        report.record(np.abs(mzb - (mz - triple.beta)).max())
+    res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID, tol)
+    for key in ("max_gamma_diff", "max_pairing", "max_krein_naimark"):
+        report.record(res[key])
+    flags = bnd.pair_isometry_check(bnd.pair_from_triple(triple, None, tol), tol)
+    if not flags["unitary"]:
+        report.fail(tseed, "validated triple is not a unitary pair")
 
 
-def suite_similarity(trials: int, seed: int,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+@_suite("similarity")
+def suite_similarity(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Operator-part agreement, Sigma-unitarity, w-map laws and the
     planted-similarity reconstruction."""
-    report = Report("similarity", trials)
-    start = time.perf_counter()
-    for k in range(trials):
-        tseed = seed * 1000003 + k
-        rng = gen.rng_for(tseed, 30)
-        n = int(rng.integers(2, 5))
-        p = int(rng.integers(0, n + 1))
-        d = int(rng.integers(1, n))
-        spec = gen.InstanceSpec(tseed, n, (p, n - p), d)
-        t = gen.gen_symmetric(spec, tol=tol)
-        triple_a = gen.gen_triple(t, tseed, tol)
-        if k % 3 == 2:
-            # cross-space pair sharing only the boundary dimension
-            n2 = int(rng.integers(d + 1, d + 4))
-            p2 = int(rng.integers(0, n2 + 1))
-            t2 = gen.gen_symmetric(gen.InstanceSpec(tseed + 5, n2, (p2, n2 - p2), d),
-                                   tol=tol)
-            triple_b = gen.gen_triple(t2, tseed + 7, tol)
-        else:
-            triple_b = gen.gen_triple(t, tseed + 7, tol)
-        sc = sim.sigma_unitary_check(triple_a, triple_b, tol)
-        report.record(sc["gram_residual"])
-        report.record(sc["inverse_residual"])
-        wm = sim.w_maps(triple_a, triple_b, tol)
-        report.record(wm["inverse_residual"])
-        report.record(wm["llp_residual"])
+    rng = gen.rng_for(tseed, 30)
+    n = int(rng.integers(2, 5))
+    p = int(rng.integers(0, n + 1))
+    d = int(rng.integers(1, n))
+    spec = gen.InstanceSpec(tseed, n, (p, n - p), d)
+    t = gen.gen_symmetric(spec, tol=tol)
+    triple_a = gen.gen_triple(t, tseed, tol)
+    if k % 3 == 2:
+        # cross-space pair sharing only the boundary dimension
+        n2 = int(rng.integers(d + 1, d + 4))
+        p2 = int(rng.integers(0, n2 + 1))
+        t2 = gen.gen_symmetric(gen.InstanceSpec(tseed + 5, n2, (p2, n2 - p2), d),
+                               tol=tol)
+        triple_b = gen.gen_triple(t2, tseed + 7, tol)
+    else:
+        triple_b = gen.gen_triple(t, tseed + 7, tol)
+    sc = sim.sigma_unitary_check(triple_a, triple_b, tol)
+    report.record(sc["gram_residual"])
+    report.record(sc["inverse_residual"])
+    wm = sim.w_maps(triple_a, triple_b, tol)
+    report.record(wm["inverse_residual"])
+    report.record(wm["llp_residual"])
 
-        u = gen.gen_standard_unitary(tseed, t.src, t.src)
-        planted = gen.planted_similar_triple(triple_a, u, t.src, tol)
-        out = sim.reconstruct_similarity(triple_a, planted, bnd.DEFAULT_GRID, tol)
-        if out["status"] != "unitary":
-            report.fail(tseed, "planted reconstruction failed", status=out["status"],
-                        reason=out.get("reason", ""))
-        else:
-            report.record(out["gamma_residual"])
-            report.record(out["w_offdiag"])
-        scaled = gen.scaled_triple(triple_a, 2.0, tol)
-        neg = sim.reconstruct_similarity(triple_a, scaled, bnd.DEFAULT_GRID, tol)
-        if neg["status"] != "witness":
-            report.fail(tseed, "scaled triple not rejected", status=neg["status"])
-    report.elapsed = time.perf_counter() - start
-    return report
+    u = gen.gen_standard_unitary(tseed, t.src, t.src)
+    planted = gen.planted_similar_triple(triple_a, u, t.src, tol)
+    out = sim.reconstruct_similarity(triple_a, planted, bnd.DEFAULT_GRID, tol)
+    if out["status"] != "unitary":
+        report.fail(tseed, "planted reconstruction failed", status=out["status"],
+                    reason=out.get("reason", ""))
+    else:
+        report.record(out["gamma_residual"])
+        report.record(out["w_offdiag"])
+    scaled = gen.scaled_triple(triple_a, 2.0, tol)
+    neg = sim.reconstruct_similarity(triple_a, scaled, bnd.DEFAULT_GRID, tol)
+    if neg["status"] != "witness":
+        report.fail(tseed, "scaled triple not rejected", status=neg["status"])
 
 
+# CLI name -> suites it runs; "all" runs every entry in this order.
 SUITES = {
-    "appendix": appendix_suites,
-    "extensions": lambda n, s, tol=DEFAULT_TOL: [suite_extensions(n, s, tol)],
-    "boundary": lambda n, s, tol=DEFAULT_TOL: [suite_boundary(n, s, tol)],
-    "similarity": lambda n, s, tol=DEFAULT_TOL: [suite_similarity(n, s, tol)],
+    "appendix": (suite_eqgh, suite_o, suite_sfn, suite_p3),
+    "extensions": (suite_extensions,),
+    "boundary": (suite_boundary,),
+    "similarity": (suite_similarity,),
 }
 
 
 def run_suites(which: str, trials: int, seed: int,
                tol: TolerancePolicy = DEFAULT_TOL) -> list[Report]:
-    if which == "all":
-        out = []
-        for name in ("appendix", "extensions", "boundary", "similarity"):
-            out.extend(SUITES[name](trials, seed, tol))
-        return out
-    if which not in SUITES:
+    if which != "all" and which not in SUITES:
         raise ValueError(f"unknown suite {which!r}")
-    return SUITES[which](trials, seed, tol)
+    names = SUITES if which == "all" else (which,)
+    return [suite(trials, seed, tol) for name in names for suite in SUITES[name]]

@@ -6,6 +6,7 @@ import pytest
 import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, generators as gen, \
     relations as rel, subspaces as sub, suites as st
+from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 
 def test_instance_spec_validation():
@@ -97,3 +98,18 @@ def test_suites_deterministic():
 def test_suites_clean_on_small_runs(name):
     for report in st.run_suites(name, 6, 2024):
         assert report.ok, report.to_dict()
+
+
+def test_custom_policy_reaches_every_rank_cut(monkeypatch):
+    custom = TolerancePolicy(rank_rel=2e-10, rank_abs=2e-12, angle_tol=2e-8)
+    seen = []
+    rank_cut = TolerancePolicy.rank_cut
+
+    def recording(self, largest_sv):
+        seen.append(self)
+        return rank_cut(self, largest_sv)
+
+    monkeypatch.setattr(TolerancePolicy, "rank_cut", recording)
+    st.run_suites("all", 3, 11, custom)
+    assert seen
+    assert DEFAULT_TOL not in seen

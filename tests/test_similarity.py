@@ -304,3 +304,14 @@ def test_w_invariance_audit(pair44):
     bad[0, 1] += 0.05
     audit = sim.w_invariance_audit(tri, planted, u, [bad])
     assert not audit["ok"]
+
+
+def test_boundary_dim_zero_checks():
+    # a self-adjoint T has T+ = T, so the empty boundary map is a triple
+    t = gen_symmetric(InstanceSpec(3, 4, (2, 2), 0))
+    tri = bnd.validate_triple(t, np.zeros((0, rel.adjoint(t).dim)))
+    assert tri.boundary_dim == 0
+    assert sim.w_maps(tri, tri)["ok"]
+    assert sim.sigma_unitary_check(tri, tri)["ok"]
+    v = sim.build_standard_V(tri, tri, np.eye(t.dim))
+    assert np.allclose(v.full_matrix(), np.eye(2 * t.src.dim))

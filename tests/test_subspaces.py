@@ -137,7 +137,7 @@ def test_contains_via_intersection(c4):
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(angle_tol=1e-6)],
                          ids=["default", "angle_tol=1e-6"])
-@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("factor", [0.5, 1.5, 2.0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_contains_agrees_with_equal_near_the_cut(tol, factor, k):
     # B turns one direction of A by theta out of A, in a rotated basis
@@ -148,6 +148,9 @@ def test_contains_agrees_with_equal_near_the_cut(tol, factor, k):
     a, b = sub.span(q[:, :k]), sub.span(q @ b_cols)
     assert (sub.contains(a, b, tol) == sub.contains(b, a, tol) == sub.equal(a, b, tol)
             == (factor < 1))
+    # the turned vector alone, at any length, follows the same angle rule
+    v = q @ b_cols[:, k - 1]
+    assert a.contains_vector(v, tol) == a.contains_vector(10 * v, tol) == (factor < 1)
 
 
 def test_tiny_angles_resolved():
