@@ -199,7 +199,7 @@ def gamma_field_hat(triple: BoundaryTriple, z: complex,
     d = triple.boundary_dim
     nz = rel.graph_eigenspace(triple.tplus, z, tol)
     frame = nz.graph.frame
-    l0 = triple.apply(frame)[:d, :] if nz.dim else np.zeros((d, 0))
+    l0 = triple.apply(frame)[:d, :]
     if nz.dim != d or np.linalg.matrix_rank(l0) < d:
         raise rel.NotRegularError(f"gamma-field undefined at z={z}")
     return frame @ np.linalg.inv(l0)
@@ -393,12 +393,12 @@ def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         weyl_equal[z] = sub.equal(ma.graph, mb.graph, tol)
     omega = [z for z in pts if weyl_equal[z] and weyl_equal.get(np.conj(z), False)]
     report = {"weyl_equal": weyl_equal, "omega": omega, "transfers": {}}
+    hat_a = {z for z in omega if ext.delta_membership(triple_a.parent, z, tol)}
+    hat_b = {z for z in omega if ext.delta_membership(triple_b.parent, z, tol)}
     for i, (ta, tb) in enumerate(((triple_a.t0, triple_b.t0),
                                   (triple_a.t1, triple_b.t1))):
         rho_a = {z for z in omega if rel.spectral_probe(ta, z, tol)["regular"]}
         rho_b = {z for z in omega if rel.spectral_probe(tb, z, tol)["regular"]}
-        hat_a = {z for z in omega if ext.delta_membership(triple_a.parent, z, tol)}
-        hat_b = {z for z in omega if ext.delta_membership(triple_b.parent, z, tol)}
         ok = True
         if rho_a and rho_b:
             ok = (rho_a & rho_b == rho_a & hat_b) and (rho_a & rho_b == rho_b & hat_a)

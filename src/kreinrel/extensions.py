@@ -280,11 +280,9 @@ def delta0_estimate(t: LinearRelation, witnesses, grid,
         z = complex(z)
         ok = True
         for w in witnesses:
-            if not Os_membership(t, w.N, z, tol):
-                ok = False
-                break
-            if (rel.eigenspace(w.N, z, tol).dim > 0
-                    or rel.eigenspace(w.N, np.conj(z), tol).dim > 0):
+            if (not Os_membership(t, w.N, z, tol)
+                    or rel.spectral_probe(w.N, z, tol)["eigenvalue"]
+                    or rel.spectral_probe(w.N, np.conj(z), tol)["eigenvalue"]):
                 ok = False
                 break
         if ok:
@@ -302,13 +300,10 @@ def simple_check(t: LinearRelation, grid,
         z = complex(z)
         if z.imag == 0:
             continue
-        if rel.eigenspace(t, z, tol).dim > 0:
+        if rel.spectral_probe(t, z, tol)["eigenvalue"]:
             return False
         frames.append(rel.eigenspace(tplus, z, tol).frame)
-    if not frames:
-        return False
-    total = sub.span(np.hstack(frames), tol)
-    return total.dim == t.src.dim
+    return bool(frames) and sub.span(np.hstack(frames), tol).dim == t.src.dim
 
 
 def has_property_p(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -364,7 +359,7 @@ def lemma_exn_check(t: LinearRelation, n: LinearRelation, grid,
               "pm_i_trivial": None}
     for z in grid:
         z = complex(z)
-        if rel.eigenspace(n, z, tol).dim > 0:
+        if rel.spectral_probe(n, z, tol)["eigenvalue"]:
             report["eigenvalues"].append(z)
     ni = defect_subspace(t, 1j, tol)
     nmi = defect_subspace(t, -1j, tol)

@@ -40,7 +40,7 @@ class KreinSpace:
         return self.signature[1] == 0
 
     def same_as(self, other: "KreinSpace") -> bool:
-        return self.dim == other.dim and np.allclose(self.J, other.J, atol=1e-12)
+        return self.dim == other.dim and np.allclose(self.J, other.J, rtol=0.0, atol=1e-12)
 
 
 def make_krein(J) -> KreinSpace:
@@ -49,9 +49,10 @@ def make_krein(J) -> KreinSpace:
     n = J.shape[0]
     if J.shape[1] != n:
         raise NotAFundamentalSymmetryError("J must be square")
-    if not np.allclose(J, J.conj().T, atol=1e-10 * (1 + np.linalg.norm(J))):
+    if not np.allclose(J, J.conj().T, rtol=0.0, atol=1e-10 * (1 + np.linalg.norm(J))):
         raise NotAFundamentalSymmetryError("J is not Hermitian")
-    if not np.allclose(J @ J, np.eye(n), atol=1e-10 * (1 + np.linalg.norm(J)) ** 2):
+    if not np.allclose(J @ J, np.eye(n), rtol=0.0,
+                       atol=1e-10 * (1 + np.linalg.norm(J)) ** 2):
         raise NotAFundamentalSymmetryError("J is not an involution")
     eig = np.linalg.eigvalsh(J)
     p = int(np.sum(eig > 0))
@@ -116,9 +117,12 @@ def ortho_companion(space: KreinSpace, a: Subspace,
     return sub.complement(sub.image(space.J, a, tol))
 
 
-def is_neutral(space: KreinSpace, a: Subspace) -> bool:
-    g = indefinite_gram(space, a, a)
+def _gram_is_neutral(g: np.ndarray, a: Subspace) -> bool:
     return float(np.abs(g).max(initial=0.0)) <= NEUTRAL_TOL * (1.0 + np.linalg.norm(a.frame))
+
+
+def is_neutral(space: KreinSpace, a: Subspace) -> bool:
+    return _gram_is_neutral(indefinite_gram(space, a, a), a)
 
 
 def classify(space: KreinSpace, a: Subspace) -> str:
@@ -129,7 +133,7 @@ def classify(space: KreinSpace, a: Subspace) -> str:
     plus a nontrivial isotropic part).
     """
     g = indefinite_gram(space, a, a)
-    if a.dim == 0 or is_neutral(space, a):
+    if _gram_is_neutral(g, a):
         return "neutral"
     eig = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
     cut = NEUTRAL_TOL * (1.0 + float(np.abs(eig).max()))

@@ -105,7 +105,8 @@ def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationPart
 
 
 def is_operator(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return parts(t, tol).mul.dim == 0
+    """mul T = D(ker E) is trivial; D is an isometry on ker E."""
+    return sub.kernel(t.blocks()[0], t.dim, tol).dim == 0
 
 
 def inverse(t: LinearRelation) -> LinearRelation:
@@ -241,20 +242,19 @@ def eigenspace(t: LinearRelation, z: complex,
 def graph_eigenspace(t: LinearRelation, z: complex,
                      tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     """The graph zI ∩ T over the eigenspace at z."""
-    ns = eigenspace(t, z, tol)
-    cols = np.vstack([ns.frame, z * ns.frame])
-    return LinearRelation(t.src, t.tgt, sub.span(cols, tol))
+    f = eigenspace(t, z, tol).frame
+    cols = np.vstack([f, z * f]) / np.sqrt(1.0 + abs(z) ** 2)
+    return LinearRelation(t.src, t.tgt, Subspace(t.graph.ambient_dim, cols))
 
 
 def spectral_probe(t: LinearRelation, z: complex,
                    tol: TolerancePolicy = DEFAULT_TOL) -> dict:
-    """Point classification; ranges are closed in finite dimension."""
-    eig = eigenspace(t, z, tol).dim > 0
+    """Point classification from the nullity of D - zE, which is dim ker(T - z)
+    (E is a multiple of an isometry there) and t.dim - dim ran(T - z)."""
     e, d = t.blocks()
-    ran_dim = sub.span(d - z * e, tol).dim
-    regular_type = not eig
-    regular = regular_type and ran_dim == t.src.dim
-    return {"eigenvalue": eig, "regular_type": regular_type, "regular": regular}
+    regular_type = sub.kernel(d - z * e, t.dim, tol).dim == 0
+    regular = regular_type and t.dim == t.src.dim
+    return {"eigenvalue": not regular_type, "regular_type": regular_type, "regular": regular}
 
 
 def resolvent_matrix(t: LinearRelation, z: complex,

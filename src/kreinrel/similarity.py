@@ -377,8 +377,8 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex,
     direct = sub.equal(ma, mb, tol)
 
     s_cap = sub.intersect(s_graph, vinv_z, tol).dim == 0
-    s_eig = rel.eigenspace(pa.kernel, z, tol).dim == 0
-    sp_eig = rel.eigenspace(pb.kernel, z, tol).dim == 0
+    s_eig = rel.spectral_probe(pa.kernel, z, tol)["regular_type"]
+    sp_eig = rel.spectral_probe(pb.kernel, z, tol)["regular_type"]
     hypotheses_ok = s_cap and s_eig and sp_eig
     return CriterionResult(criterion, direct, hypotheses_ok,
                            {"s_cap_vinv_trivial": s_cap,
@@ -430,17 +430,13 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         if disc > 1e-6:
             return {"status": "witness", "z": z, "discrepancy": disc}
 
-    na, nb = triple_a.space.dim, triple_b.space.dim
-    span_a = sub.span(np.hstack([rel.eigenspace(triple_a.tplus, z, tol).frame
-                                 for z in omega]), tol)
-    span_b = sub.span(np.hstack([rel.eigenspace(triple_b.tplus, z, tol).frame
-                                 for z in omega]), tol)
-    if span_a.dim < na or span_b.dim < nb:
-        return {"status": "hypothesis-violation",
-                "reason": "defect subspaces over the grid are not minimal"}
-
+    # gamma(z) maps L onto N_z(T+) for z in rho(T0): minimality reads its columns.
     g_cols = np.hstack([gamma_field(triple_a, z, tol) for z in omega])
     gp_cols = np.hstack([gamma_field(triple_b, z, tol) for z in omega])
+    if (sub.span(g_cols, tol).dim < triple_a.space.dim
+            or sub.span(gp_cols, tol).dim < triple_b.space.dim):
+        return {"status": "hypothesis-violation",
+                "reason": "defect subspaces over the grid are not minimal"}
     u = gp_cols @ np.linalg.pinv(g_cols)
     solve_res = float(np.abs(u @ g_cols - gp_cols).max())
     if solve_res > 1e-7 * (1 + np.abs(gp_cols).max()):
@@ -513,7 +509,7 @@ def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     ksrc = doubled(triple_a.space).krein
     reports = []
     pts = [complex(z) for z in grid if complex(z).imag != 0
-           and rel.eigenspace(triple_a.parent, complex(z), tol).dim == 0]
+           and rel.spectral_probe(triple_a.parent, complex(z), tol)["regular_type"]]
     for v in vs:
         v_rel = _as_v_relation(v, triple_a, triple_b, tol)
         w_rel = rel.compose(rel.from_operator(ut_inv, v_rel.tgt, ksrc, tol), v_rel, tol)

@@ -202,8 +202,8 @@ def suite_o(report: Report, k: int, tseed: int, tol: TolerancePolicy):
                 report.fail(tseed, "equality on O fails", z=z)
             if orthogonal:
                 point = lhs.dim > 0
-                split = (in_o and (rel.eigenspace(g, z, tol).dim > 0
-                                   or rel.eigenspace(h, z, tol).dim > 0)) or not in_o
+                split = not in_o or (rel.spectral_probe(g, z, tol)["eigenvalue"]
+                                     or rel.spectral_probe(h, z, tol)["eigenvalue"])
                 if point != split:
                     report.fail(tseed, "point-spectrum split fails", z=z)
 

@@ -31,6 +31,17 @@ def test_make_krein_rejects_non_involution():
         kr.make_krein(np.array([[0, 1], [0, 1]], dtype=float))
 
 
+def test_symmetry_tolerances_are_absolute():
+    # numpy's default rtol=1e-5 would let each of these defects through
+    with pytest.raises(krein.NotAFundamentalSymmetryError, match="Hermitian"):
+        kr.make_krein(np.diag([1 + 1e-7j, -1.0]))
+    with pytest.raises(krein.NotAFundamentalSymmetryError, match="involution"):
+        kr.make_krein(np.diag([1 + 1e-6, -1.0]))
+    space = kr.make_krein(np.diag([1.0, -1.0]))
+    nudged = krein.KreinSpace(2, space.J + np.diag([1e-7, 0.0]), (1, 1))
+    assert not space.same_as(nudged)
+
+
 def test_indefinite_inner_small():
     space = kr.make_krein(np.diag([1.0, -1.0]))
     assert krein.indefinite_inner(space, [1, 0], [1, 0]) == pytest.approx(1)

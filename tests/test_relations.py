@@ -197,6 +197,9 @@ def test_eigenspace_c4(c4):
         graph_nz = rel.graph_eigenspace(tplus, z)
         assert graph_nz.dim == 3
         assert sub.contains(tplus.graph, graph_nz.graph)
+        f = graph_nz.graph.frame
+        assert np.abs(f.conj().T @ f - np.eye(3)).max() <= 1e-12
+        assert sub.equal(graph_nz.graph, sub.span(np.vstack([nz.frame, z * nz.frame])))
 
 
 def test_spectral_probe_consistency(c4):
@@ -205,6 +208,42 @@ def test_spectral_probe_consistency(c4):
     # T1 in the worked example has every point as an eigenvalue
     probe1 = rel.spectral_probe(c4["triple"].t1, 1j)
     assert probe1["eigenvalue"] and not probe1["regular"]
+
+
+def _probe_by_frames(t, z):
+    """spectral_probe through the eigenspace and range frames it no longer builds."""
+    e, d = t.blocks()
+    eig = rel.eigenspace(t, z).dim > 0
+    ran_full = sub.span(d - z * e).dim == t.src.dim
+    return {"eigenvalue": eig, "regular_type": not eig, "regular": not eig and ran_full}
+
+
+def test_spectral_probe_matches_the_frame_route(c4):
+    h3 = krein.hilbert_space(3)
+    planted = rel.from_operator(np.diag([0.5 + 0.5j, 2.0, 3.0]), h3, h3)
+    thin = random_relation(41, random_space(41, 3), 2)
+    zero = rel.zero_relation(h3, h3)
+    cases = [(planted, 0.5 + 0.5j, (True, False, False)),
+             (thin, 0.3 + 0.4j, (False, True, False)),
+             (c4["triple"].t0, 1j, (False, True, True)),
+             (c4["triple"].t0, 2 - 1j, (False, True, True)),
+             (zero, 1j, (False, True, False))]
+    for t, z, (eig, rtype, regular) in cases:
+        probe = rel.spectral_probe(t, z)
+        assert probe == {"eigenvalue": eig, "regular_type": rtype, "regular": regular}
+        assert probe == _probe_by_frames(t, z)
+
+
+def test_is_operator_counts_the_multivalued_part(c4):
+    tplus = rel.adjoint(c4["T"], "krein")
+    assert rel.parts(tplus).mul.dim == 3 and not rel.is_operator(tplus)
+    seen = set()
+    for seed in range(12):
+        space = random_space(seed + 50, 3)
+        t = random_relation(seed + 50, space, 1 + seed % 6)
+        assert rel.is_operator(t) == (rel.parts(t).mul.dim == 0)
+        seen.add(rel.is_operator(t))
+    assert seen == {True, False}
 
 
 def test_operator_part_reassembles():

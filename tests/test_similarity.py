@@ -283,6 +283,23 @@ def test_reconstruct_planted(pair44):
         assert out["w_diag_gap"] < 1e-8
 
 
+def test_reconstruct_rejects_a_non_simple_parent():
+    # T = T2 ⊕ 0.7 with the self-adjoint part on a positive C^1, which no
+    # defect subspace reaches, so the grid's defect subspaces miss it
+    t2 = gen_symmetric(InstanceSpec(5, 2, (1, 1), 1))
+    j = np.eye(3, dtype=np.complex128)
+    j[:2, :2] = t2.src.J
+    space = kr.make_krein(j)
+    e, d = t2.blocks()
+    cols = np.zeros((6, 2), dtype=np.complex128)
+    cols[:2, :1], cols[3:5, :1] = e, d
+    cols[2, 1], cols[5, 1] = 1.0, 0.7
+    tri = gen_triple(kr.relation(space, space, cols), 11)
+    out = sim.reconstruct_similarity(tri, tri)
+    assert out == {"status": "hypothesis-violation",
+                   "reason": "defect subspaces over the grid are not minimal"}
+
+
 def test_reconstruct_witness_on_scaled(pair44):
     t, tri, _ = pair44
     for kappa in (2.0, 3.0):
