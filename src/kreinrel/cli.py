@@ -73,7 +73,7 @@ def cmd_relation(args) -> int:
         print(f"operator: {rel.is_operator(t, tol)}")
     elif args.action == "adjoint":
         tp = rel.adjoint(t, args.metric, tol)
-        print(json.dumps(kio.document_for(doc["space"], tp), indent=1))
+        print(json.dumps(kio.document_for(tp.src, tp), indent=1))
     elif args.action == "parts":
         p = rel.parts(t, tol)
         for name in ("dom", "ran", "ker", "mul"):

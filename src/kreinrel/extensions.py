@@ -50,9 +50,13 @@ class SigmaDecomposition:
 
 def defect_subspace(t: LinearRelation, z: complex,
                     tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """ker(JT* - z) computed from the Krein adjoint of T."""
-    tstar = rel.hilbertize(rel.adjoint(t, "krein", tol), tol)
-    return rel.eigenspace(tstar, z, tol)
+    """N_z = ker(JT+ - z) = {g : (g, zJg) in T+}.
+
+    With J^2 = I the Green form of `rel.adjoint` at (g, zJg) reads
+    (D^H J - z E^H) g = 0 on the graph frame [E; D] of T.
+    """
+    e, d = t.blocks()
+    return sub.kernel(d.conj().T @ t.src.J - z * e.conj().T, t.src.dim, tol)
 
 
 def defect_numbers(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, int]:
@@ -121,20 +125,20 @@ def sigma_decompose(t: LinearRelation, t0: LinearRelation,
     sigma = sub.intersect(tplus.graph, sub.complement(t.graph), tol)
     jhat = doubled(t.src).J_hat
     jn = sub.image(jhat, n.graph, tol)
+    ni = defect_subspace(t, 1j, tol)
+    nmi = defect_subspace(t, -1j, tol)
+    fp, fm = ni.frame, nmi.frame
     hil = hilbert_space(t.src.dim)
-    tstar = rel.hilbertize(tplus, tol)
-    mhat_i = rel.graph_eigenspace(tstar, 1j, tol)
-    mhat_mi = rel.graph_eigenspace(tstar, -1j, tol)
-    m_hat, _ = rel.cw_sum(mhat_i, mhat_mi, tol)
-    m_space = rel.parts(m_hat, tol).dom
+    m_hat = rel.relation(hil, hil, np.vstack([np.hstack([fp, fm]),
+                                              np.hstack([1j * fp, -1j * fm])]), tol)
     return SigmaDecomposition(
         sigma=sigma,
         n_part=n.graph,
         jn_part=jn,
         m_hat=m_hat,
-        m_space=m_space,
-        defect_plus_frame=defect_subspace(t, 1j, tol).frame,
-        defect_minus_frame=defect_subspace(t, -1j, tol).frame,
+        m_space=sub.sum_(ni, nmi, tol),
+        defect_plus_frame=fp,
+        defect_minus_frame=fm,
     )
 
 

@@ -185,34 +185,22 @@ def mul_part_relation(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> 
 # adjoints
 
 
-def _flip_map(n_src: int, n_tgt: int) -> np.ndarray:
-    """(a, b) -> (b, -a) from C^(n_src+n_tgt) to C^(n_tgt+n_src)."""
-    m = np.zeros((n_tgt + n_src, n_src + n_tgt), dtype=np.complex128)
-    m[: n_tgt, n_src :] = np.eye(n_tgt)
-    m[n_tgt :, : n_src] = -np.eye(n_src)
-    return m
-
-
 def adjoint(t: LinearRelation, metric: str = "krein",
             tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     """Hilbert adjoint T* or Krein adjoint T+ = J1 T* J2.
 
-    The Hilbert adjoint of R: H1 -> H2 is the image of the Euclidean
-    graph complement under (a, b) -> (b, -a); for the Krein variant the
-    host symmetries are applied on both sides, which for endorelations
-    reproduces the indefinite-orthogonal companion of the graph.
+    (g, g') lies in T+ iff [f', g]_2 = [f, g']_1 for every (f, f') in T.
+    On the graph frame [E; D] that is D^H J2 g - E^H J1 g' = 0, so the
+    adjoint graph is one kernel of the Green form; J = I gives T*.
     """
     if metric not in ("krein", "hilbert"):
         raise ValueError("metric must be 'krein' or 'hilbert'")
-    comp = sub.complement(t.graph)
-    star = sub.image(_flip_map(t.src.dim, t.tgt.dim), comp, tol)
+    src, tgt = t.src, t.tgt
     if metric == "hilbert":
-        return LinearRelation(hilbert_space(t.tgt.dim), hilbert_space(t.src.dim), star)
-    n2, n1 = t.tgt.dim, t.src.dim
-    d = np.zeros((n2 + n1, n2 + n1), dtype=np.complex128)
-    d[:n2, :n2] = t.tgt.J
-    d[n2:, n2:] = t.src.J
-    return LinearRelation(t.tgt, t.src, sub.image(d, star, tol))
+        src, tgt = hilbert_space(src.dim), hilbert_space(tgt.dim)
+    e, d = t.blocks()
+    green = np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
+    return LinearRelation(tgt, src, sub.kernel(green, tgt.dim + src.dim, tol))
 
 
 def is_symmetric(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

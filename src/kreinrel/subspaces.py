@@ -58,7 +58,7 @@ def _orth(columns: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
 def span(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Linear hull of the given ambient vectors (list or column matrix)."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = as_matrix(vectors)
+        cols = vectors
     else:
         vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
         if not vecs:
@@ -68,6 +68,7 @@ def span(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
             if v.shape[0] != n:
                 raise DimensionMismatchError("vectors of mixed ambient dimension")
         cols = np.column_stack(vecs)
+    cols = as_matrix(cols)
     return Subspace(cols.shape[0], _orth(cols, tol))
 
 

@@ -48,7 +48,7 @@ def as_matrix(entries, rows=None, cols=None) -> np.ndarray:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if rows is not None and m.shape[0] != rows:
         raise DimensionMismatchError(f"expected {rows} rows, got {m.shape[0]}")

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: exact rational
 Gaussian elimination for ranks, cross-Gram SVD for principal angles,
-raw SVD null spaces, and hand-rolled graph joins for compositions.
+raw SVD null spaces, hand-rolled graph joins for compositions, and the
+complement-and-flip route for adjoints.
 """
 
 from fractions import Fraction
@@ -117,9 +118,36 @@ def graph_join(inner_frame: np.ndarray, outer_frame: np.ndarray,
     return q[:, keep]
 
 
-def green_pairing(j: np.ndarray, fhat: np.ndarray, ghat: np.ndarray) -> complex:
-    """[f, g'] - [f', g] evaluated literally on doubled vectors."""
-    n = j.shape[0]
-    f, fp = fhat[:n], fhat[n:]
-    g, gp = ghat[:n], ghat[n:]
-    return complex(f.conj() @ j @ gp - fp.conj() @ j @ g)
+def green_pairing(j: np.ndarray, fhat: np.ndarray, ghat: np.ndarray,
+                  j_tgt: np.ndarray | None = None) -> complex:
+    """[f, g']_1 - [f', g]_2 evaluated literally on doubled vectors.
+
+    (f, f') lies in H1 x H2 with symmetries j and j_tgt (j_tgt defaults
+    to j), and (g, g') in H2 x H1.
+    """
+    j_tgt = j if j_tgt is None else j_tgt
+    n1, n2 = j.shape[0], j_tgt.shape[0]
+    f, fp = fhat[:n1], fhat[n1:]
+    g, gp = ghat[:n2], ghat[n2:]
+    return complex(f.conj() @ j @ gp - fp.conj() @ j_tgt @ g)
+
+
+def adjoint_by_complement(t, metric: str = "krein"):
+    """Adjoint of a relation by the three-step route.
+
+    T* is the image of the Euclidean graph complement under the flip
+    (a, b) -> (b, -a); T+ is the image of T* under diag(J2, J1).
+    """
+    from kreinrel import krein, relations as rel, subspaces as sub
+
+    n1, n2 = t.src.dim, t.tgt.dim
+    flip = np.zeros((n2 + n1, n1 + n2), dtype=np.complex128)
+    flip[:n2, n1:] = np.eye(n2)
+    flip[n2:, :n1] = -np.eye(n1)
+    star = sub.image(flip, sub.complement(t.graph))
+    if metric == "hilbert":
+        return rel.LinearRelation(krein.hilbert_space(n2), krein.hilbert_space(n1), star)
+    jj = np.zeros((n2 + n1, n2 + n1), dtype=np.complex128)
+    jj[:n2, :n2] = t.tgt.J
+    jj[n2:, n2:] = t.src.J
+    return rel.LinearRelation(t.tgt, t.src, sub.image(jj, star))

@@ -108,6 +108,12 @@ def test_sigma_decomposition_c4(c4):
     assert dec.sigma.dim == 6
     assert sub.equal(dec.sigma, sub.sum_(dec.n_part, dec.jn_part))
     assert dec.m_hat.dim == 6
+    # M_hat and M against the eigenspace route through JT+
+    tstar = rel.hilbertize(rel.adjoint(t, "krein"))
+    m_hat, _ = rel.cw_sum(rel.graph_eigenspace(tstar, 1j), rel.graph_eigenspace(tstar, -1j))
+    assert dec.m_hat.src.same_as(m_hat.src) and dec.m_hat.tgt.same_as(m_hat.tgt)
+    assert sub.equal(dec.m_hat.graph, m_hat.graph)
+    assert sub.equal(dec.m_space, rel.parts(m_hat).dom)
     # dimension ledger of the proposition: d + n = dim H
     d_plus, _ = ext.defect_numbers(t)
     n_plus, _ = ext.defect_numbers(kr.relation(t.src, t.src, dec.n_part))
@@ -208,6 +214,21 @@ def test_defect_dimension_at_regular_points():
         for z in DEFAULT_GRID:
             if rel.spectral_probe(w.t0, complex(z))["regular"]:
                 assert rel.eigenspace(tplus, complex(z)).dim == 2
+
+
+@pytest.mark.parametrize("case", ["n3", "n6", "n16", "c4", "zero"])
+def test_defect_subspace_matches_adjoint_eigenspace(case, c4):
+    if case == "c4":
+        t = c4["T"]
+    elif case == "zero":
+        space = krein.make_krein(np.diag([1, -1, 1]).astype(np.complex128))
+        t = rel.zero_relation(space, space)
+    else:
+        n = int(case[1:])
+        t = gen_symmetric(InstanceSpec(810 + n, n, (n // 2 + 1, n - n // 2 - 1), n // 3))
+    for z in (1j, -1j, 0.5 + 2j, 2.0):
+        ref = rel.eigenspace(rel.hilbertize(rel.adjoint(t, "krein")), z)
+        assert sub.equal(ext.defect_subspace(t, z), ref)
 
 
 def test_has_property_p(c4):

@@ -75,6 +75,19 @@ def test_cli_relation_parts_and_adjoint(capsys):
     assert len(doc["relation"]["graph"]) == 7
 
 
+@pytest.mark.parametrize("metric", ["krein", "hilbert"])
+def test_cli_adjoint_document_hosts_the_adjoint(metric, capsys):
+    from kreinrel import relations as rel, subspaces as sub
+    t = kio.load_document(FIXTURE)["relation"]
+    assert main(["relation", "adjoint", "--metric", metric, FIXTURE]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expected_j = np.eye(4) if metric == "hilbert" else t.src.J
+    assert np.array_equal(kio.decode_matrix(doc["space"]["J"]), expected_j)
+    again = kio.load_document(doc)["relation"]
+    assert sub.equal(rel.adjoint(again, metric).graph, t.graph)
+    assert sub.equal(rel.adjoint(again, "krein").graph, t.graph)
+
+
 def test_cli_similar_positive_and_negative(tmp_path, capsys):
     out = kio.load_document(FIXTURE)
     tri = out["triple"]

@@ -6,7 +6,7 @@ from kreinrel import krein, relations as rel, subspaces as sub
 from kreinrel.generators import (InstanceSpec, gen_symmetric, random_complex,
                                  random_signature_symmetry, rng_for, sample_witness)
 
-from oracles import graph_join, green_pairing
+from oracles import adjoint_by_complement, graph_join, green_pairing
 
 
 def random_space(seed, n):
@@ -90,6 +90,29 @@ def test_krein_adjoint_is_indefinite_companion():
         via_adjoint = rel.adjoint(t, "krein").graph
         via_companion = krein.ortho_companion(krein.doubled(space).krein, t.graph)
         assert sub.equal(via_adjoint, via_companion)
+
+
+@pytest.mark.parametrize("metric", ["krein", "hilbert"])
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_cross_space_adjoint_matches_complement_route(metric, k):
+    # T from (C^3, J1) with signature (2, 1) to (C^5, J2) with (1, 4);
+    # k = 0 is the zero relation and k = 8 the full graph
+    rng = np.random.default_rng(60 + k)
+    src = kr.make_krein(random_signature_symmetry(rng, 2, 1))
+    tgt = kr.make_krein(random_signature_symmetry(rng, 1, 4))
+    t = kr.relation(src, tgt, sub.span(random_complex(rng, 8, k)))
+    adj = rel.adjoint(t, metric)
+    ref = adjoint_by_complement(t, metric)
+    assert adj.dim == 8 - k
+    assert adj.src.same_as(ref.src) and adj.tgt.same_as(ref.tgt)
+    assert sub.equal(adj.graph, ref.graph)
+    j1, j2 = adj.tgt.J, adj.src.J  # the adjoint's hosts carry the metric
+    pairing = [abs(green_pairing(j1, fhat, ghat, j2))
+               for fhat in t.graph.frame.T for ghat in adj.graph.frame.T]
+    assert max(pairing, default=0.0) < 1e-12
+    again = rel.adjoint(adj, metric)
+    assert again.src.same_as(adj.tgt) and again.tgt.same_as(adj.src)
+    assert sub.equal(again.graph, t.graph)
 
 
 def test_krein_vs_hilbert_adjoint_conjugation():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kreinrel import subspaces as sub
-from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy
+from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
 
 from oracles import exact_rank, intersection_by_join, principal_angles_arccos, svd_nullspace
 
@@ -50,6 +50,19 @@ def test_span_rank_matches_exact_oracle():
 def test_span_mixed_dims_rejected():
     with pytest.raises(DimensionMismatchError):
         sub.span([[1, 0], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("bad", [complex(np.inf, 0), complex(0, np.nan), complex(1, np.inf)],
+                         ids=["inf-real", "nan-imag", "1+inf-j"])
+def test_non_finite_entries_rejected(bad):
+    m = np.eye(2, dtype=np.complex128)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        as_matrix(m)
+    with pytest.raises(ValueError, match="finite"):
+        sub.span(m)
+    with pytest.raises(ValueError, match="finite"):
+        sub.span([m[:, 0]])
 
 
 def test_intersect_idempotent():
