@@ -55,8 +55,11 @@ def defect_subspace(t: LinearRelation, z: complex,
     With J^2 = I the Green form of `rel.adjoint` at (g, zJg) reads
     (D^H J - z E^H) g = 0 on the graph frame [E; D] of T.
     """
-    e, d = t.blocks()
-    return sub.kernel(d.conj().T @ t.src.J - z * e.conj().T, t.src.dim, tol)
+    def compute() -> Subspace:
+        e, d = t.blocks()
+        return sub.kernel(d.conj().T @ t.src.J - z * e.conj().T, t.src.dim, tol)
+
+    return t._memoized(("defect", complex(z), tol), compute)
 
 
 def defect_numbers(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, int]:
@@ -120,7 +123,12 @@ def reduce(t: LinearRelation, t0: LinearRelation,
 def sigma_decompose(t: LinearRelation, t0: LinearRelation,
                     tol: TolerancePolicy = DEFAULT_TOL) -> SigmaDecomposition:
     """Σ = T+ ∩ T-perp with its N ⊕ J_hat(N) split and the defect pairing."""
-    n = reduce(t, t0, tol)
+    return _sigma_parts(t, reduce(t, t0, tol), tol)
+
+
+def _sigma_parts(t: LinearRelation, n: LinearRelation,
+                 tol: TolerancePolicy) -> SigmaDecomposition:
+    """`sigma_decompose` for an N that has passed `n_class_check`."""
     tplus = rel.adjoint(t, "krein", tol)
     sigma = sub.intersect(tplus.graph, sub.complement(t.graph), tol)
     jhat = doubled(t.src).J_hat
@@ -180,7 +188,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
     dim_h = t.src.dim
     d_plus, d_minus = defect_numbers(t, tol)
     n_plus, n_minus = defect_numbers(n, tol)
-    dec = sigma_decompose(t, t0, tol)
+    dec = _sigma_parts(t, n, tol)
     formulas = dom_n_formulas(t, t0, tol)
     dom_n = rel.parts(n, tol).dom
     pair_dists = {

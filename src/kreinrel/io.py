@@ -45,7 +45,7 @@ def decode_matrix(rows) -> np.ndarray:
     try:
         return np.array([[decode_complex(z) for z in row] for row in rows],
                         dtype=np.complex128)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise DocumentError(f"malformed matrix: {exc}") from exc
 
 

@@ -40,12 +40,14 @@ class KreinSpace:
         return self.signature[1] == 0
 
     def same_as(self, other: "KreinSpace") -> bool:
-        return self.dim == other.dim and np.allclose(self.J, other.J, rtol=0.0, atol=1e-12)
+        return self is other or (
+            self.dim == other.dim and np.allclose(self.J, other.J, rtol=0.0, atol=1e-12))
 
 
 def make_krein(J) -> KreinSpace:
     """Build a KreinSpace from a fundamental symmetry, validating J=J^H, J^2=I."""
-    J = as_matrix(J)
+    J = as_matrix(J).copy()
+    J.flags.writeable = False
     n = J.shape[0]
     if J.shape[1] != n:
         raise NotAFundamentalSymmetryError("J must be square")
@@ -61,7 +63,9 @@ def make_krein(J) -> KreinSpace:
 
 
 def hilbert_space(dim: int) -> KreinSpace:
-    return KreinSpace(dim, np.eye(dim, dtype=np.complex128), (dim, 0))
+    eye = np.eye(dim, dtype=np.complex128)
+    eye.flags.writeable = False
+    return KreinSpace(dim, eye, (dim, 0))
 
 
 @dataclass(frozen=True)

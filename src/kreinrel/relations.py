@@ -31,6 +31,10 @@ class LinearRelation:
     src: KreinSpace
     tgt: KreinSpace
     graph: Subspace = field(repr=False)
+    # Derived structure (adjoints, defect subspaces) by (kind, argument, tol).
+    # Graph frames and J are read-only, so an entry never goes stale; threads
+    # that miss together compute equal values and the first one stored is kept.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.graph.ambient_dim != self.src.dim + self.tgt.dim:
@@ -43,6 +47,12 @@ class LinearRelation:
     @property
     def is_endo(self) -> bool:
         return self.src.same_as(self.tgt)
+
+    def _memoized(self, key: tuple, compute):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, compute())
+        return value
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Domain-side and range-side blocks of the graph frame."""
@@ -195,12 +205,16 @@ def adjoint(t: LinearRelation, metric: str = "krein",
     """
     if metric not in ("krein", "hilbert"):
         raise ValueError("metric must be 'krein' or 'hilbert'")
-    src, tgt = t.src, t.tgt
-    if metric == "hilbert":
-        src, tgt = hilbert_space(src.dim), hilbert_space(tgt.dim)
-    e, d = t.blocks()
-    green = np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
-    return LinearRelation(tgt, src, sub.kernel(green, tgt.dim + src.dim, tol))
+
+    def compute() -> LinearRelation:
+        src, tgt = t.src, t.tgt
+        if metric == "hilbert":
+            src, tgt = hilbert_space(src.dim), hilbert_space(tgt.dim)
+        e, d = t.blocks()
+        green = np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
+        return LinearRelation(tgt, src, sub.kernel(green, tgt.dim + src.dim, tol))
+
+    return t._memoized(("adjoint", metric, tol), compute)
 
 
 def is_symmetric(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

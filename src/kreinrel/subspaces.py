@@ -3,6 +3,9 @@
 Every subspace is stored as an orthonormal column frame obtained from an
 SVD; the trivial subspace is a zero-column frame.  All comparisons are
 quantitative: equality and containment reduce to principal angles.
+Frames are read-only.  A caller's frame is copied and its Gram checked;
+frames this module computes from an SVD are orthonormal to roundoff and
+skip that check.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ class Subspace:
     frame: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        f = as_matrix(self.frame, rows=self.ambient_dim)
+        f = as_matrix(self.frame, rows=self.ambient_dim).copy()
+        f.flags.writeable = False
         object.__setattr__(self, "frame", f)
         if f.shape[1] > self.ambient_dim:
             raise ValueError("frame has more columns than the ambient dimension")
@@ -44,6 +48,15 @@ class Subspace:
 
     def contains_vector(self, v, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         return contains(self, span([v], tol), tol)
+
+
+def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
+    """A Subspace around an orthonormal frame computed here, unchecked."""
+    frame.flags.writeable = False
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", ambient_dim)
+    object.__setattr__(s, "frame", frame)
+    return s
 
 
 def _orth(columns: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
@@ -69,7 +82,7 @@ def span(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
                 raise DimensionMismatchError("vectors of mixed ambient dimension")
         cols = np.column_stack(vecs)
     cols = as_matrix(cols)
-    return Subspace(cols.shape[0], _orth(cols, tol))
+    return _trusted(cols.shape[0], _orth(cols, tol))
 
 
 def trivial(ambient_dim: int) -> Subspace:
@@ -92,12 +105,12 @@ def complement(a: Subspace) -> Subspace:
     if r == 0:
         return full(n)
     u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
-    return Subspace(n, u[:, r:])
+    return _trusted(n, u[:, r:])
 
 
 def sum_(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace(a.ambient_dim, _orth(np.hstack([a.frame, b.frame]), tol))
+    return _trusted(a.ambient_dim, _orth(np.hstack([a.frame, b.frame]), tol))
 
 
 def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -111,7 +124,7 @@ def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> S
     _check_same_ambient(a, b)
     k = kernel(np.hstack([a.frame, -b.frame]), a.dim + b.dim, tol).frame
     f = a.frame @ k[: a.dim] + b.frame @ k[a.dim :]
-    return Subspace(a.ambient_dim, f / np.linalg.norm(f, axis=0))
+    return _trusted(a.ambient_dim, f / np.linalg.norm(f, axis=0))
 
 
 def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -124,13 +137,13 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) 
         return full(n)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = int(np.sum(s > tol.rank_cut(s[0])))
-    return Subspace(n, vh[rank:].conj().T)
+    return _trusted(n, vh[rank:].conj().T)
 
 
 def image(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Image M(A) of a subspace under a linear map."""
     m = as_matrix(m, cols=a.ambient_dim)
-    return Subspace(m.shape[0], _orth(m @ a.frame, tol))
+    return _trusted(m.shape[0], _orth(m @ a.frame, tol))
 
 
 def preimage(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:

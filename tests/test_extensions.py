@@ -236,3 +236,68 @@ def test_has_property_p(c4):
     space = krein.hilbert_space(2)
     t = kr.relation(space, space, [[1, 0, 0, 1]])
     assert ext.has_property_p(t)
+
+
+def test_adjoint_and_defect_subspace_are_memoized():
+    t = gen_symmetric(InstanceSpec(5, 4, (2, 2), 2))
+    loose = kr.TolerancePolicy(rank_rel=1e-3)
+    for metric in ("krein", "hilbert"):
+        assert rel.adjoint(t, metric) is rel.adjoint(t, metric, kr.DEFAULT_TOL)
+    assert rel.adjoint(t, "krein") is not rel.adjoint(t, "hilbert")
+    assert rel.adjoint(t, "krein") is not rel.adjoint(t, "krein", loose)
+    assert ext.defect_subspace(t, 1j) is ext.defect_subspace(t, complex(0, 1))
+    assert ext.defect_subspace(t, 1j) is not ext.defect_subspace(t, -1j)
+    assert ext.defect_subspace(t, 1j) is not ext.defect_subspace(t, 1j, loose)
+    # a relation with the same graph starts with nothing remembered
+    twin = rel.LinearRelation(t.src, t.tgt, t.graph)
+    assert twin == t and rel.adjoint(twin) is not rel.adjoint(t)
+    assert sub.equal(rel.adjoint(twin).graph, rel.adjoint(t).graph)
+
+
+def test_graph_frames_are_read_only():
+    t = gen_symmetric(InstanceSpec(6, 3, (2, 1), 1))
+    for frame in (t.graph.frame, t.blocks()[1], rel.adjoint(t).graph.frame,
+                  ext.defect_subspace(t, 1j).frame):
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0] = 1.0
+
+
+def test_memo_shared_across_threads():
+    # more threads than cores start together on relations with empty memos and
+    # switch often; every caller must get the one stored value, equal to a lone
+    # caller's, which a lost update between two racing misses would break
+    import sys
+    import threading
+    t = gen_symmetric(InstanceSpec(8, 5, (3, 2), 2))
+    keys = [("adjoint", "krein"), ("adjoint", "hilbert"),
+            ("defect", 1j), ("defect", -1j), ("defect", 2 + 1j)]
+
+    def lookup(r, kind, arg):
+        return rel.adjoint(r, arg).graph if kind == "adjoint" else ext.defect_subspace(r, arg)
+
+    shared = [rel.LinearRelation(t.src, t.tgt, t.graph) for _ in range(30)]
+    seen = [[] for _ in range(6)]
+    start = threading.Barrier(len(seen), timeout=60)
+
+    def worker(out):
+        for r in shared:
+            start.wait()
+            out.extend((r, key, lookup(r, *key)) for key in keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    want = {key: lookup(t, *key) for key in keys}
+    for out in seen:
+        assert len(out) == len(shared) * len(keys)
+        for r, key, got in out:
+            assert got is lookup(r, *key)
+            assert sub.equal(got, want[key])

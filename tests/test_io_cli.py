@@ -40,6 +40,14 @@ def test_malformed_document_rejected(tmp_path):
         kio.load_document(str(bad))
 
 
+def test_ragged_gamma_rejected():
+    with open(FIXTURE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["triple"]["gamma"][1] = doc["triple"]["gamma"][1][:-1]
+    with pytest.raises(kio.DocumentError, match="malformed matrix"):
+        kio.load_document(doc)
+
+
 def test_cli_validate_golden(capsys):
     code = main(["triple", "validate", FIXTURE])
     out = capsys.readouterr().out

@@ -31,6 +31,17 @@ def test_make_krein_rejects_non_involution():
         kr.make_krein(np.array([[0, 1], [0, 1]], dtype=float))
 
 
+def test_space_holds_a_read_only_copy_of_j():
+    # relations remember adjoints computed from J, so J must not change under them
+    j = np.diag([1.0, -1.0]).astype(np.complex128)
+    space = krein.make_krein(j)
+    j[1, 1] = 1.0
+    assert space.signature == (1, 1) and space.J[1, 1] == -1.0
+    for s in (space, krein.hilbert_space(2)):
+        with pytest.raises(ValueError, match="read-only"):
+            s.J[0, 0] = 2.0
+
+
 def test_symmetry_tolerances_are_absolute():
     # numpy's default rtol=1e-5 would let each of these defects through
     with pytest.raises(krein.NotAFundamentalSymmetryError, match="Hermitian"):

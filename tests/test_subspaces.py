@@ -86,6 +86,11 @@ def test_intersect_matches_join_oracle():
             assert sub.equal(got, sub.span(want))
 
 
+def gram_defect(s: sub.Subspace) -> float:
+    f = s.frame
+    return float(np.abs(f.conj().T @ f - np.eye(f.shape[1])).max(initial=0.0))
+
+
 def test_intersect_under_a_loose_rank_cut():
     # a near-intersection kept by the cut still yields an orthonormal frame
     loose = TolerancePolicy(rank_rel=1e-2)
@@ -94,6 +99,7 @@ def test_intersect_under_a_loose_rank_cut():
     b = sub.span(np.hstack([a.frame[:, :2] + 1e-3 * rand_cols(rng, 6, 2), rand_cols(rng, 6, 1)]))
     got = sub.intersect(a, b, loose)
     assert got.dim == 2
+    assert gram_defect(got) <= 1e-12
     assert sub.contains(a, got, TolerancePolicy(angle_tol=1e-2))
     assert sub.contains(b, got, TolerancePolicy(angle_tol=1e-2))
 
@@ -213,3 +219,37 @@ def test_span_idempotent_on_frames():
     s = sub.span(rand_cols(rng, 6, 3))
     again = sub.span(s.frame)
     assert sub.equal(s, again) and sub.distance(s, again) < 1e-12
+
+
+LOOSE = TolerancePolicy(rank_rel=1e-3, rank_abs=1e-6, angle_tol=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 32), st.booleans(),
+       st.sampled_from([1e-6, 1.0, 1e6]), st.integers(2, 12))
+def test_computed_frames_are_orthonormal(seed, n, loose, scale, angle_exp):
+    # frames built from an SVD skip the constructor's Gram check, so check it here:
+    # ill-scaled columns, near-intersections at angle 10^-angle_exp, both policies
+    tol = LOOSE if loose else DEFAULT_TOL
+    rng = np.random.default_rng(seed)
+    ka, kb = int(rng.integers(0, n + 1)), int(rng.integers(1, n + 1))
+    scales = scale ** rng.choice([-1.0, 1.0], size=ka)
+    a = sub.span(rand_cols(rng, n, ka) * scales, tol)
+    near = a.frame[:, : kb // 2] + 10.0 ** -angle_exp * rand_cols(rng, n, min(a.dim, kb // 2))
+    b = sub.span(np.hstack([near, rand_cols(rng, n, kb - near.shape[1])]) * scale, tol)
+    m = rand_cols(rng, int(rng.integers(1, n + 1)), n) * scale ** rng.choice([-1.0, 1.0], size=n)
+    built = [a, b, sub.sum_(a, b, tol), sub.intersect(a, b, tol), sub.kernel(m, n, tol),
+             sub.complement(a), sub.image(m, a, tol), sub.preimage(m.conj().T, a, tol)]
+    assert max(gram_defect(s) for s in built) <= 1e-12
+
+
+def test_frames_are_read_only_copies():
+    cols = np.eye(3, 2, dtype=np.complex128)
+    s = sub.Subspace(3, cols)
+    cols[0, 0] = 5.0
+    assert s.frame[0, 0] == 1.0
+    for built in (s, sub.span(cols), sub.kernel(cols.T), sub.complement(s)):
+        with pytest.raises(ValueError, match="read-only"):
+            built.frame[0, 0] = 2.0
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(3, cols)
