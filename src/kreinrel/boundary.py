@@ -263,23 +263,25 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation,
 # isometric boundary pairs
 
 
+def gamma_relation(triple: BoundaryTriple,
+                   tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+    """The boundary map as a relation K -> K_circ: the span of [basis; gamma]."""
+    graph = sub.span(np.vstack([triple.basis, triple.gamma]), tol)
+    return LinearRelation(doubled(triple.space).krein,
+                          boundary_doubled(triple.boundary_dim).krein, graph)
+
+
 def pair_from_triple(triple: BoundaryTriple, domain: Subspace | None = None,
                      tol: TolerancePolicy = DEFAULT_TOL) -> IsometricBoundaryPair:
     """The boundary map as a relation K -> K_circ, optionally domain-restricted."""
     space = triple.space
-    d = triple.boundary_dim
-    ksrc = doubled(space).krein
-    ktgt = boundary_doubled(d).krein
-    cols = np.vstack([triple.basis, triple.gamma])
-    graph = sub.span(cols, tol)
+    gamma_rel = gamma_relation(triple, tol)
     if domain is not None:
-        cage = sub.product(domain, sub.full(2 * d))
-        graph = sub.intersect(graph, cage, tol)
-    gamma_rel = LinearRelation(ksrc, ktgt, graph)
+        gamma_rel = rel.restrict(gamma_rel, domain, tol)
     p = rel.parts(gamma_rel, tol)
     a_star = LinearRelation(space, space, p.dom)
     kern = LinearRelation(space, space, p.ker)
-    return IsometricBoundaryPair(d, gamma_rel, a_star, kern)
+    return IsometricBoundaryPair(triple.boundary_dim, gamma_rel, a_star, kern)
 
 
 def pair_isometry_check(pair: IsometricBoundaryPair,

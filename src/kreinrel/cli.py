@@ -167,7 +167,7 @@ def cmd_similar(args) -> int:
         raise kio.DocumentError("both documents need triple blocks")
     out = sim.reconstruct_similarity(ta, tb, _parse_grid(args.grid), tol)
     if out["status"] == "unitary":
-        _print_matrix(out["U_total"], "U =")
+        _print_matrix(out["U"], "U =")
         print(f"boundary identity residual: {out['gamma_residual']:.3e}")
         return EXIT_OK
     if out["status"] == "witness":

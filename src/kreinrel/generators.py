@@ -17,6 +17,7 @@ from . import relations as rel
 from . import subspaces as sub
 from .krein import KreinSpace, doubled, make_krein
 from .relations import LinearRelation
+from .similarity import _utilde
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -198,10 +199,7 @@ def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
                            tgt: KreinSpace,
                            tol: TolerancePolicy = DEFAULT_TOL) -> bnd.BoundaryTriple:
     """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}."""
-    n_t = tgt.dim
-    ut = np.zeros((2 * n_t, 2 * triple.space.dim), dtype=np.complex128)
-    ut[:n_t, : triple.space.dim] = u
-    ut[n_t:, triple.space.dim :] = u
+    ut = _utilde(u)
     t_prime = LinearRelation(tgt, tgt, sub.image(ut, triple.parent.graph, tol))
     basis = ut @ triple.basis
     return bnd.validate_triple(t_prime, triple.gamma, basis, tol)

@@ -26,9 +26,16 @@ class NotAFundamentalSymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class KreinSpace:
+    """C^dim with fundamental symmetry J, held as a read-only copy."""
+
     dim: int
     J: np.ndarray = field(repr=False)
     signature: tuple[int, int]
+
+    def __post_init__(self):
+        j = np.array(self.J)
+        j.flags.writeable = False
+        object.__setattr__(self, "J", j)
 
     @property
     def neg_index(self) -> int:
@@ -46,8 +53,7 @@ class KreinSpace:
 
 def make_krein(J) -> KreinSpace:
     """Build a KreinSpace from a fundamental symmetry, validating J=J^H, J^2=I."""
-    J = as_matrix(J).copy()
-    J.flags.writeable = False
+    J = as_matrix(J)
     n = J.shape[0]
     if J.shape[1] != n:
         raise NotAFundamentalSymmetryError("J must be square")
@@ -63,9 +69,7 @@ def make_krein(J) -> KreinSpace:
 
 
 def hilbert_space(dim: int) -> KreinSpace:
-    eye = np.eye(dim, dtype=np.complex128)
-    eye.flags.writeable = False
-    return KreinSpace(dim, eye, (dim, 0))
+    return KreinSpace(dim, np.eye(dim, dtype=np.complex128), (dim, 0))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from . import relations as rel
 from . import subspaces as sub
 from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair,
-                       gamma_field, pair_from_triple, weyl)
+                       gamma_field, gamma_relation, pair_from_triple, weyl)
 from .krein import KreinSpace, doubled, hilbert_space
 from .relations import LinearRelation
 from .subspaces import Subspace
@@ -104,6 +104,13 @@ def v0(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     return LinearRelation(ksrc, ktgt, sub.span(cols, tol))
 
 
+def _boundary_transfer(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
+    """Gamma'^{-1} Gamma on T+ by the inverse-boundary formula, zero off T+."""
+    formula = (triple_b.g0inv @ triple_a.gamma0
+               + triple_b.g1inv @ (triple_a.gamma1 - triple_b.beta @ triple_a.gamma0))
+    return formula @ triple_a.basis_pinv
+
+
 def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                      tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """(V0)_s as a matrix on T+ (zero on the Euclidean complement).
@@ -112,9 +119,7 @@ def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     inverse-boundary formula; the two routes must agree.
     """
     _check_compatible(triple_a, triple_b)
-    formula = (triple_b.g0inv @ triple_a.gamma0
-               + triple_b.g1inv @ (triple_a.gamma1 - triple_b.beta @ triple_a.gamma0))
-    full = formula @ triple_a.basis_pinv
+    full = _boundary_transfer(triple_a, triple_b)
 
     v0_rel = v0(triple_a, triple_b, tol)
     vs = rel.operator_part(v0_rel, tol)
@@ -141,9 +146,7 @@ def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     jb = doubled(triple_b.space).J_hat
     img = vs @ sa
     gram_res = float(np.abs(img.conj().T @ jb @ img - sa.conj().T @ ja @ sa).max(initial=0.0))
-    inv_formula = (triple_a.g0inv @ triple_b.gamma0
-                   + triple_a.g1inv @ (triple_b.gamma1 - triple_a.beta @ triple_b.gamma0))
-    inv_full = inv_formula @ triple_b.basis_pinv
+    inv_full = _boundary_transfer(triple_b, triple_a)
     roundtrip = float(np.abs(inv_full @ img - sa).max(initial=0.0))
     scale = 1 + np.abs(sa).max(initial=0.0)
     return {"gram_residual": gram_res, "inverse_residual": roundtrip,
@@ -173,10 +176,6 @@ def w_maps(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
 # ---------------------------------------------------------------------------
 # membership
-
-
-def gamma_relation(triple: BoundaryTriple, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    return pair_from_triple(triple, None, tol).gamma_rel
 
 
 def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
@@ -245,7 +244,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         raise BuildError("no homeomorphism between graphs of different dimension")
     dt = dt_a
     tau = as_matrix(tau, rows=dt, cols=dt) if dt else np.zeros((0, 0), np.complex128)
-    if dt and abs(np.linalg.det(tau)) < 1e-12:
+    if sub.kernel(tau, tol=tol).dim:
         raise BuildError("tau is not a homeomorphism")
     theta = (np.zeros((dt, dt), np.complex128) if theta is None
              else as_matrix(theta, rows=dt, cols=dt))
@@ -266,7 +265,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     b_coords[:dt, :dt] = tau.conj().T
     b_coords[dt:, :dt] = sigma.conj().T
     b_coords[dt:, dt:] = np.linalg.inv(w0) if d else w0
-    if abs(np.linalg.det(b_coords)) < 1e-12:
+    if sub.kernel(b_coords, tol=tol).dim:
         raise BuildError("assembled B block is singular")
     e_coords = np.zeros((n, n), dtype=np.complex128)
     e_coords[:dt, :dt] = theta
@@ -391,11 +390,17 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex,
 
 
 def _utilde(u: np.ndarray) -> np.ndarray:
+    """U-tilde = diag(U, U) between the doubled spaces."""
     n_t, n_s = u.shape
     out = np.zeros((2 * n_t, 2 * n_s), dtype=np.complex128)
     out[:n_t, :n_s] = u
     out[n_t:, n_s:] = u
     return out
+
+
+def _u_inverse(u, src: KreinSpace, tgt: KreinSpace) -> np.ndarray:
+    """U^{-1} = J U^* J' for a standard unitary U: (H, J) -> (H', J')."""
+    return src.J @ np.asarray(u).conj().T @ tgt.J
 
 
 def _standard_unitary_residual(u: np.ndarray, src: KreinSpace, tgt: KreinSpace) -> float:
@@ -406,9 +411,10 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                            grid=DEFAULT_GRID, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """Recover a standard unitary realizing the similarity, or a witness.
 
-    Returns a dict with status 'unitary' (carrying U_total, the extracted
-    diagonal correction K and residuals), 'witness' (a grid point with
-    distinct Weyl values) or 'hypothesis-violation'.
+    Returns a dict with status 'unitary' (carrying U, the standard unitary
+    V built from U-tilde's blocks, and residuals), 'witness' (a grid point
+    where the Weyl values differ, with their largest principal angle in
+    radians as the discrepancy) or 'hypothesis-violation'.
     """
     _check_compatible(triple_a, triple_b)
     pts = [complex(z) for z in grid if complex(z).imag != 0]
@@ -420,15 +426,11 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                 "reason": "no common regular grid point for the distinguished extensions"}
 
     for z in pts:
-        ma = weyl(triple_a, z, tol)
-        mb = weyl(triple_b, z, tol)
-        if ma.operator_form is not None and mb.operator_form is not None:
-            disc = float(np.abs(ma.operator_form - mb.operator_form).max())
-        else:
-            disc = sub.distance(ma.relation_in_L.graph, mb.relation_in_L.graph)
-            disc = float(disc) if np.isfinite(disc) else np.pi / 2
-        if disc > 1e-6:
-            return {"status": "witness", "z": z, "discrepancy": disc}
+        ma = weyl(triple_a, z, tol).relation_in_L.graph
+        mb = weyl(triple_b, z, tol).relation_in_L.graph
+        if not sub.equal(ma, mb, tol):
+            return {"status": "witness", "z": z,
+                    "discrepancy": min(sub.distance(ma, mb), np.pi / 2)}
 
     # gamma(z) maps L onto N_z(T+) for z in rho(T0): minimality reads its columns.
     g_cols = np.hstack([gamma_field(triple_a, z, tol) for z in omega])
@@ -462,38 +464,24 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     yb = np.hstack([triple_b.ft, triple_b.fn])
     v11 = xb.conj().T @ (ut @ xa)
     v21 = yb.conj().T @ (ut @ xa)
-    d = triple_a.boundary_dim
-    theta_c = np.zeros((dt, dt), dtype=np.complex128)
-    coupling_c = np.zeros((dt, d), dtype=np.complex128)
-    if abs(np.linalg.det(v11)) > 1e-12:
+    theta_c = coupling_c = None
+    if sub.kernel(v11, tol=tol).dim == 0:
         e_cand = -1j * (v21 @ np.linalg.inv(v11))
         e_cand = (e_cand + e_cand.conj().T) / 2.0
-        theta_c = e_cand[:dt, :dt]
-        coupling_c = e_cand[:dt, dt:]
+        theta_c, coupling_c = e_cand[:dt, :dt], e_cand[:dt, dt:]
     v = build_standard_V(triple_a, triple_b, tau_c, theta_c, sigma_c, coupling_c, tol)
 
-    u_inv = triple_a.space.J @ u.conj().T @ triple_b.space.J
-    w = _utilde(u_inv) @ v.full_matrix()
+    w = _utilde(_u_inverse(u, triple_a.space, triple_b.space)) @ v.full_matrix()
     w_blocks = block_unitary_from_matrix(w, triple_a.space, triple_a.space)
     off_diag = float(max(np.abs(w_blocks.b).max(initial=0.0),
                          np.abs(w_blocks.c).max(initial=0.0)))
     diag_gap = float(np.abs(w_blocks.a - w_blocks.d).max(initial=0.0))
-    k = w_blocks.a
-    u_total = u @ k
-    ut_total = _utilde(u_total)
-    composed = rel.compose(gamma_relation(triple_a, tol),
-                           rel.from_operator(np.linalg.inv(ut_total),
-                                             doubled(triple_b.space).krein,
-                                             doubled(triple_a.space).krein, tol), tol)
+    ut_rel = rel.from_operator(ut, doubled(triple_a.space).krein,
+                               doubled(triple_b.space).krein, tol)
+    composed = rel.compose(gamma_relation(triple_a, tol), rel.inverse(ut_rel), tol)
     final_dist = sub.distance(composed.graph, gamma_relation(triple_b, tol).graph)
-    result = {
-        "status": "unitary",
-        "U": u, "K": k, "U_total": u_total, "V": v,
-        "w_offdiag": off_diag, "w_diag_gap": diag_gap,
-        "gamma_residual": final_dist,
-        "unitary_residual": _standard_unitary_residual(
-            u_total, triple_a.space, triple_b.space),
-    }
+    result = {"status": "unitary", "U": u, "V": v, "w_offdiag": off_diag,
+              "w_diag_gap": diag_gap, "gamma_residual": final_dist, "unitary_residual": unit_res}
     if not np.isfinite(final_dist) or final_dist > 1e-7:
         result["status"] = "hypothesis-violation"
         result["reason"] = f"final boundary identity off by {final_dist:.3e}"
@@ -504,8 +492,7 @@ def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                        u: np.ndarray, vs, grid=DEFAULT_GRID,
                        tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """Invariance W(T) = T and W(defect graphs) = same, for each supplied V."""
-    u_inv = triple_a.space.J @ np.asarray(u).conj().T @ triple_b.space.J
-    ut_inv = _utilde(u_inv)
+    ut_inv = _utilde(_u_inverse(u, triple_a.space, triple_b.space))
     ksrc = doubled(triple_a.space).krein
     reports = []
     pts = [complex(z) for z in grid if complex(z).imag != 0

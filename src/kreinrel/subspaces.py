@@ -39,9 +39,6 @@ class Subspace:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
-
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Frame coordinates of ambient vectors (columns)."""
         return self.frame.conj().T @ vectors
@@ -162,33 +159,29 @@ def product(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(n1 + n2, f)
 
 
-def distance(a: Subspace, b: Subspace) -> float:
-    """Largest principal angle when dims match, +inf sentinel otherwise.
+def _angle(a: Subspace, b: Subspace) -> float:
+    """Largest principal angle from B to A: arcsin ||F_B - P_A F_B||_2.
 
-    Computed from the gap metric ||P_A - P_B||_2 = sin(theta_max), which
-    stays accurate for very small angles (unlike arccos of a cross-Gram
-    singular value).
+    The residual is what the projector onto A leaves of B's frame; its
+    sine form stays accurate for very small angles (unlike arccos of a
+    cross-Gram singular value).
     """
+    residual = b.frame - a.frame @ a.coords(b.frame)
+    return float(np.arcsin(min(1.0, np.linalg.norm(residual, ord=2))))
+
+
+def distance(a: Subspace, b: Subspace) -> float:
+    """Largest principal angle when dims match, +inf sentinel otherwise."""
     _check_same_ambient(a, b)
-    if a.dim != b.dim:
-        return np.inf
-    if a.dim == 0:
-        return 0.0
-    gap = np.linalg.norm(a.projector() - b.projector(), ord=2)
-    return float(np.arcsin(min(1.0, gap)))
+    return _angle(a, b) if a.dim == b.dim else np.inf
 
 
 def equal(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     _check_same_ambient(a, b)
-    return a.dim == b.dim and distance(a, b) <= tol.angle_tol
+    return a.dim == b.dim and _angle(a, b) <= tol.angle_tol
 
 
 def contains(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Whether B is a subset of A, by the same angle rule as `equal`.
-
-    The largest principal angle from B to A is arcsin ||F_B - P_A F_B||_2,
-    the norm of what the projector onto A leaves of B's frame.
-    """
+    """Whether B is a subset of A, by the same angle rule as `equal`."""
     _check_same_ambient(a, b)
-    residual = b.frame - a.frame @ a.coords(b.frame)
-    return float(np.arcsin(min(1.0, np.linalg.norm(residual, ord=2)))) <= tol.angle_tol
+    return _angle(a, b) <= tol.angle_tol

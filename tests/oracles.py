@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's own code paths: exact rational
-Gaussian elimination for ranks, cross-Gram SVD for principal angles,
+Gaussian elimination for ranks, cross-Gram SVD and the projector gap
+for principal angles,
 raw SVD null spaces, hand-rolled graph joins for compositions, and the
 complement-and-flip route for adjoints.
 """
@@ -79,6 +80,13 @@ def principal_angles_arccos(frame_a: np.ndarray, frame_b: np.ndarray) -> np.ndar
         return np.zeros(0)
     s = np.linalg.svd(frame_a.conj().T @ frame_b, compute_uv=False)
     return np.arccos(np.clip(s, -1.0, 1.0))
+
+
+def projector_gap_angle(frame_a: np.ndarray, frame_b: np.ndarray) -> float:
+    """Largest principal angle from the gap metric ||P_A - P_B||_2 = sin(theta)."""
+    pa = frame_a @ frame_a.conj().T
+    pb = frame_b @ frame_b.conj().T
+    return float(np.arcsin(min(1.0, np.linalg.norm(pa - pb, ord=2))))
 
 
 def svd_nullspace(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -42,6 +42,18 @@ def test_space_holds_a_read_only_copy_of_j():
             s.J[0, 0] = 2.0
 
 
+def test_every_krein_space_holds_a_read_only_j():
+    # doubled spaces and spaces built directly copy and freeze J as well
+    j = np.diag([1.0, -1.0]).astype(np.complex128)
+    direct = krein.KreinSpace(2, j, (1, 1))
+    j[0, 0] = -1.0
+    assert direct.J[0, 0] == 1.0
+    for s in (direct, krein.doubled(direct).krein):
+        assert not s.J.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.J[0, 0] = 2.0
+
+
 def test_symmetry_tolerances_are_absolute():
     # numpy's default rtol=1e-5 would let each of these defects through
     with pytest.raises(krein.NotAFundamentalSymmetryError, match="Hermitian"):

@@ -268,7 +268,7 @@ def test_reconstruct_identity(pair44):
     t, tri, _ = pair44
     out = sim.reconstruct_similarity(tri, tri)
     assert out["status"] == "unitary"
-    assert np.abs(out["U_total"] - np.eye(t.src.dim)).max() < 1e-8
+    assert np.abs(out["U"] - np.eye(t.src.dim)).max() < 1e-8
 
 
 def test_reconstruct_planted(pair44):
@@ -281,6 +281,35 @@ def test_reconstruct_planted(pair44):
         assert out["gamma_residual"] < 1e-7
         assert out["w_offdiag"] < 1e-8
         assert out["w_diag_gap"] < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_reconstruct_at_benchmark_scale(n):
+    # the pipeline-large instances: d = n/4, a random signature
+    p = int(rng_for(n, 7).integers(0, n + 1))
+    t = gen_symmetric(InstanceSpec(n, n, (p, n - p), n // 4))
+    tri = gen_triple(t, n)
+    u = gen_standard_unitary(n, t.src, t.src)
+    out = sim.reconstruct_similarity(tri, planted_similar_triple(tri, u, t.src))
+    assert out["status"] == "unitary", out
+    assert np.abs(out["U"] - u).max() < 1e-9
+    assert out["gamma_residual"] < 1e-7
+    out = sim.reconstruct_similarity(tri, scaled_triple(tri, 2.0))
+    assert out["status"] == "witness"
+    assert out["discrepancy"] > 1e-3
+
+
+def test_tau_invertibility_is_a_rank_decision():
+    # det(0.5 I) = 5.7e-14 at dim T = 44, yet tau is perfectly conditioned
+    t = gen_symmetric(InstanceSpec(48, 48, (24, 24), 4))
+    tri = gen_triple(t, 48)
+    assert t.dim == 44
+    v = sim.build_standard_V(tri, tri, 0.5 * np.eye(t.dim))
+    assert v.vabcd_residual() < 1e-9
+    tau = np.eye(t.dim)
+    tau[0, 0] = 1e-14
+    with pytest.raises(sim.BuildError, match="homeomorphism"):
+        sim.build_standard_V(tri, tri, tau)
 
 
 def test_reconstruct_rejects_a_non_simple_parent():

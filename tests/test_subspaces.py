@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from kreinrel import subspaces as sub
 from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
 
-from oracles import exact_rank, intersection_by_join, principal_angles_arccos, svd_nullspace
+from oracles import exact_rank, intersection_by_join, principal_angles_arccos, \
+    projector_gap_angle, svd_nullspace
 
 
 def rand_cols(rng, n, k):
@@ -179,6 +180,16 @@ def test_tiny_angles_resolved():
     b = sub.span([[1, eps, 0]])
     d = sub.distance(a, b)
     assert abs(d - eps) < 1e-13
+    # n = 96, k = 48: one frame column turned by theta out of A
+    q, _ = np.linalg.qr(rand_cols(np.random.default_rng(96), 96, 49))
+    a = sub.Subspace(96, q[:, :48])
+    for theta in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+        fb = q[:, :48].copy()
+        fb[:, 0] = np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, 48]
+        b = sub.Subspace(96, fb)
+        d = sub.distance(a, b)
+        assert abs(d - theta) < 1e-13 + 1e-9 * theta
+        assert abs(d - projector_gap_angle(a.frame, b.frame)) < 1e-13 + 1e-9 * theta
 
 
 @settings(max_examples=40, deadline=None)
