@@ -121,10 +121,10 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     m = basis.shape[1]
     if gamma.shape[1] != m:
         raise TripleValidationError("gamma columns must match the basis size")
-    if np.linalg.matrix_rank(basis) < m or not sub.equal(
-            sub.span(basis, tol), tplus.graph, tol):
+    basis_span = sub.span(basis, tol)
+    if basis_span.dim < m or not sub.equal(basis_span, tplus.graph, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
-    if np.linalg.matrix_rank(gamma) < 2 * d:
+    if sub.kernel(gamma.conj().T, tol=tol).dim:
         raise TripleValidationError("boundary map is not surjective")
     res = green_residual(t.src, basis, gamma)
     scale = 1e-10 * (1.0 + np.linalg.norm(gamma, 2)) * (1.0 + np.linalg.norm(basis, 2) ** 2)
@@ -157,12 +157,12 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 
     a0 = gamma[:d, :] @ (basis_pinv @ fjn)
     a1 = gamma[d:, :] @ (basis_pinv @ fn)
-    if (d and (np.linalg.matrix_rank(a0) < d or np.linalg.matrix_rank(a1) < d)):
+    if sub.kernel(a0, tol=tol).dim or sub.kernel(a1, tol=tol).dim:
         raise TripleValidationError("restricted boundary block is singular")
-    g0inv = fjn @ np.linalg.inv(a0) if d else np.zeros((2 * space.dim, 0))
-    g1inv = fn @ np.linalg.inv(a1) if d else np.zeros((2 * space.dim, 0))
-    beta = gamma[d:, :] @ (basis_pinv @ g0inv) if d else np.zeros((0, 0))
-    if d and np.linalg.norm(beta - beta.conj().T) > 1e-8 * (1 + np.linalg.norm(beta)):
+    g0inv = fjn @ np.linalg.inv(a0)
+    g1inv = fn @ np.linalg.inv(a1)
+    beta = gamma[d:, :] @ (basis_pinv @ g0inv)
+    if np.linalg.norm(beta - beta.conj().T) > 1e-8 * (1 + np.linalg.norm(beta)):
         raise TripleValidationError("beta came out non-Hermitian")
 
     return BoundaryTriple(parent=t, tplus=tplus, boundary_dim=d, gamma=gamma,
@@ -175,34 +175,35 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 # Weyl family and gamma-field
 
 
+def _defect_solve(triple: BoundaryTriple, z: complex, tol: TolerancePolicy):
+    """Boundary values of the defect graph N_z(T+), then the solver
+    (Gamma0 on N_z)^{-1} and M(z) = Gamma1 (Gamma0 on N_z)^{-1}.  The one
+    regularity rule: dim N_z = d and Gamma0 on N_z is invertible under the
+    policy; otherwise the last two are None."""
+    d = triple.boundary_dim
+    frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
+    bvals = triple.apply(frame)
+    if frame.shape[1] != d or sub.kernel(bvals[:d, :], tol=tol).dim:
+        return bvals, None, None
+    inv0 = np.linalg.inv(bvals[:d, :])
+    return bvals, frame @ inv0, bvals[d:, :] @ inv0
+
+
 def weyl(triple: BoundaryTriple, z: complex,
          tol: TolerancePolicy = DEFAULT_TOL) -> WeylValue:
-    """M(z) as a relation in L, with its matrix form when it is one."""
-    d = triple.boundary_dim
-    nz = rel.graph_eigenspace(triple.tplus, z, tol)
+    """M(z) as a relation in L, with its matrix form where gamma(z) exists."""
+    bvals, _, operator_form = _defect_solve(triple, z, tol)
     lspace = triple.boundary_space
-    if nz.dim == 0:
-        return WeylValue(z, rel.zero_relation(lspace, lspace), None)
-    bvals = triple.apply(nz.graph.frame)
-    graph = sub.span(bvals, tol)
-    relation = LinearRelation(lspace, lspace, graph)
-    operator_form = None
-    l0, l1 = bvals[:d, :], bvals[d:, :]
-    if np.linalg.matrix_rank(l0) == d and rel.is_operator(relation, tol):
-        operator_form = l1 @ np.linalg.pinv(l0)
-    return WeylValue(z, relation, operator_form)
+    return WeylValue(z, LinearRelation(lspace, lspace, sub.span(bvals, tol)), operator_form)
 
 
 def gamma_field_hat(triple: BoundaryTriple, z: complex,
                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """The full defect-graph solver (Gamma0 restricted to zI)^{-1}: L -> K."""
-    d = triple.boundary_dim
-    nz = rel.graph_eigenspace(triple.tplus, z, tol)
-    frame = nz.graph.frame
-    l0 = triple.apply(frame)[:d, :]
-    if nz.dim != d or np.linalg.matrix_rank(l0) < d:
+    ghat = _defect_solve(triple, z, tol)[1]
+    if ghat is None:
         raise rel.NotRegularError(f"gamma-field undefined at z={z}")
-    return frame @ np.linalg.inv(l0)
+    return ghat
 
 
 def gamma_field(triple: BoundaryTriple, z: complex,
@@ -273,15 +274,20 @@ def gamma_relation(triple: BoundaryTriple,
 
 def pair_from_triple(triple: BoundaryTriple, domain: Subspace | None = None,
                      tol: TolerancePolicy = DEFAULT_TOL) -> IsometricBoundaryPair:
-    """The boundary map as a relation K -> K_circ, optionally domain-restricted."""
+    """The boundary map as a relation K -> K_circ, optionally domain-restricted.
+
+    dom Gamma = T+ and ker Gamma = T come from the triple; a domain cuts
+    both down with Gamma itself.
+    """
     space = triple.space
     gamma_rel = gamma_relation(triple, tol)
+    dom, kern = triple.tplus.graph, triple.parent.graph
     if domain is not None:
         gamma_rel = rel.restrict(gamma_rel, domain, tol)
-    p = rel.parts(gamma_rel, tol)
-    a_star = LinearRelation(space, space, p.dom)
-    kern = LinearRelation(space, space, p.ker)
-    return IsometricBoundaryPair(triple.boundary_dim, gamma_rel, a_star, kern)
+        dom, kern = sub.intersect(dom, domain, tol), sub.intersect(kern, domain, tol)
+    return IsometricBoundaryPair(triple.boundary_dim, gamma_rel,
+                                 LinearRelation(space, space, dom),
+                                 LinearRelation(space, space, kern))
 
 
 def pair_isometry_check(pair: IsometricBoundaryPair,
@@ -325,22 +331,17 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
 def weyl_symmetry_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
                         tol: TolerancePolicy = DEFAULT_TOL) -> dict:
-    """M(z)^* = M(conj z) at conjugate pairs; real points are skipped."""
-    results, skipped = {}, []
-    for z in grid:
-        z = complex(z)
-        if z.imag == 0:
-            skipped.append(z)
-            continue
-        mz = weyl(triple, z, tol)
-        mzbar = weyl(triple, np.conj(z), tol)
-        if mz.operator_form is not None and mzbar.operator_form is not None:
-            res = float(np.abs(mz.operator_form.conj().T - mzbar.operator_form).max())
-        else:
-            adj = rel.adjoint(mz.relation_in_L, "hilbert", tol)
-            res = sub.distance(adj.graph, mzbar.relation_in_L.graph)
-        results[z] = res
-    return {"residuals": results, "skipped": skipped,
+    """M(z)^* = M(conj z) as relations in L, by their largest principal angle
+    in radians (capped at pi/2); real points are skipped."""
+    pts = [complex(z) for z in grid if complex(z).imag != 0]
+    m = {z: weyl(triple, z, tol).relation_in_L
+         for z in {*pts, *(np.conj(z) for z in pts)}}
+    results = {}
+    for z in pts:
+        adj = rel.adjoint(m[z], "hilbert", tol)
+        results[z] = min(sub.distance(adj.graph, m[np.conj(z)].graph), np.pi / 2)
+    return {"residuals": results,
+            "skipped": [complex(z) for z in grid if complex(z).imag == 0],
             "max_residual": max(results.values(), default=0.0)}
 
 
@@ -354,25 +355,23 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
            if complex(z).imag != 0 and rel.spectral_probe(triple.t0, complex(z), tol)["regular"]]
     report = {"points": pts, "gamma_diff": {}, "pairing": {}, "krein_naimark": {},
               "skipped": [complex(z) for z in grid if complex(z) not in pts]}
-    gammas = {z: gamma_field(triple, z, tol) for z in pts}
-    weyls = {z: weyl(triple, z, tol).operator_form for z in pts}
+    gammas, weyls = {}, {}
+    for z in pts:  # one defect solve per point: M(z) = Gamma1 gamma_hat(z)
+        ghat = gamma_field_hat(triple, z, tol)
+        gammas[z], weyls[z] = ghat[: space.dim, :], triple.apply(ghat)[triple.boundary_dim:, :]
     for z in pts:
-        if weyls[z] is None:
-            continue
         r0 = rel.resolvent_matrix(triple.t0, z, tol)
         for z0 in pts:
-            if weyls[z0] is None:
-                continue
             lhs = gammas[z] - gammas[z0]
             rhs = (z - z0) * (r0 @ gammas[z0])
-            report["gamma_diff"][(z, z0)] = float(np.abs(lhs - rhs).max())
-            if np.conj(z) not in pts or weyls[np.conj(z)] is None:
+            report["gamma_diff"][(z, z0)] = float(np.abs(lhs - rhs).max(initial=0.0))
+            if np.conj(z) not in pts:
                 continue
             pair_lhs = (np.conj(z) - z0) * (gammas[z].conj().T @ j @ gammas[z0])
             pair_rhs = weyls[np.conj(z)] - weyls[z0]
-            report["pairing"][(z, z0)] = float(np.abs(pair_lhs - pair_rhs).max())
+            report["pairing"][(z, z0)] = float(np.abs(pair_lhs - pair_rhs).max(initial=0.0))
         mz = weyls[z]
-        if (np.linalg.matrix_rank(mz) == triple.boundary_dim
+        if (not sub.kernel(mz, tol=tol).dim
                 and rel.spectral_probe(triple.t1, z, tol)["regular"]
                 and np.conj(z) in pts):
             r1 = rel.resolvent_matrix(triple.t1, z, tol)

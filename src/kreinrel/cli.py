@@ -54,15 +54,9 @@ def _print_subspace(name: str, s):
     print(f"{name}: dim {s.dim} of C^{s.ambient_dim}")
 
 
-def _load(path: str, tol: TolerancePolicy) -> dict:
-    if not os.path.exists(path):
-        raise kio.DocumentError(f"no such file: {path}")
-    return kio.load_document(path, tol)
-
-
 def cmd_relation(args) -> int:
     tol = _policy(args)
-    doc = _load(args.file, tol)
+    doc = kio.load_document(args.file, tol)
     t = doc["relation"]
     if t is None:
         raise kio.DocumentError("document has no relation block")
@@ -83,16 +77,18 @@ def cmd_relation(args) -> int:
 
 def cmd_ext(args) -> int:
     tol = _policy(args)
-    doc = _load(args.file, tol)
+    doc = kio.load_document(args.file, tol)
     t = doc["relation"]
     if t is None:
         raise kio.DocumentError("document has no relation block")
+    if args.action in ("nclass", "extend", "reduce") and args.second is None:
+        raise kio.DocumentError(f"ext {args.action} needs a second document")
     if args.action == "defects":
         d = ext.defect_numbers(t, tol)
         print(f"defect numbers: {d}")
         return EXIT_OK
     if args.action == "nclass":
-        other = _load(args.second, tol)["relation"]
+        other = kio.load_document(args.second, tol)["relation"]
         try:
             ext.n_class_check(t, other, tol)
             print("accepted")
@@ -101,12 +97,12 @@ def cmd_ext(args) -> int:
             print(f"rejected: {exc.reason}")
             return EXIT_REJECT
     if args.action == "extend":
-        other = _load(args.second, tol)["relation"]
+        other = kio.load_document(args.second, tol)["relation"]
         t0 = ext.extend(t, other, tol)
         print(json.dumps(kio.document_for(doc["space"], t0), indent=1))
         return EXIT_OK
     if args.action == "reduce":
-        other = _load(args.second, tol)["relation"]
+        other = kio.load_document(args.second, tol)["relation"]
         n = ext.reduce(t, other, tol)
         print(json.dumps(kio.document_for(doc["space"], n), indent=1))
         return EXIT_OK
@@ -120,7 +116,7 @@ def cmd_ext(args) -> int:
 
 def cmd_triple(args) -> int:
     tol = _policy(args)
-    doc = _load(args.file, tol)
+    doc = kio.load_document(args.file, tol)
     triple = doc["triple"]
     if triple is None:
         raise kio.DocumentError("document has no triple block")
@@ -144,6 +140,8 @@ def cmd_triple(args) -> int:
         _print_matrix(triple.g1inv, "Gamma1^(-1) =")
         _print_matrix(triple.beta, "beta =")
     elif args.action == "transform":
+        if args.matrix is None:
+            raise kio.DocumentError("transform needs --matrix")
         x = kio.decode_matrix(json.loads(args.matrix))
         new = bnd.transform(triple, x, tol)
         print(json.dumps(kio.document_for(doc["space"], new.parent, new), indent=1))
@@ -161,8 +159,8 @@ def _parse_grid(text: str):
 
 def cmd_similar(args) -> int:
     tol = _policy(args)
-    ta = _load(args.file_a, tol)["triple"]
-    tb = _load(args.file_b, tol)["triple"]
+    ta = kio.load_document(args.file_a, tol)["triple"]
+    tb = kio.load_document(args.file_b, tol)["triple"]
     if ta is None or tb is None:
         raise kio.DocumentError("both documents need triple blocks")
     out = sim.reconstruct_similarity(ta, tb, _parse_grid(args.grid), tol)
@@ -211,6 +209,10 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    try:
+        seed = int(os.environ.get("KREINREL_SEED", "7"))
+    except ValueError as exc:
+        raise kio.DocumentError(f"KREINREL_SEED is not an integer: {exc}") from exc
     parser = argparse.ArgumentParser(prog="kreinrel",
                                      description="linear relations in Krein spaces")
     parser.add_argument("--tol-rank-rel", type=float, default=1e-10)
@@ -229,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "reduce", "audit"])
     p_ext.add_argument("file")
     p_ext.add_argument("second", nargs="?")
-    p_ext.add_argument("--seed", type=int,
-                       default=int(os.environ.get("KREINREL_SEED", "7")))
+    p_ext.add_argument("--seed", type=int, default=seed)
     p_ext.set_defaults(func=cmd_ext)
 
     p_tri = sub_parsers.add_parser("triple")
@@ -251,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub_parsers.add_parser("verify")
     p_ver.add_argument("--suite", default="all", choices=[*st.SUITES, "all"])
     p_ver.add_argument("--trials", type=int, default=50)
-    p_ver.add_argument("--seed", type=int,
-                       default=int(os.environ.get("KREINREL_SEED", "7")))
+    p_ver.add_argument("--seed", type=int, default=seed)
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
     p_ver.add_argument("--out", help="also write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
@@ -265,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (kio.DocumentError, DimensionMismatchError, json.JSONDecodeError) as exc:
+    except (kio.DocumentError, DimensionMismatchError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (bnd.TripleValidationError, ext.NClassRejection, sim.BuildError,

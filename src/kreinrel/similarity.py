@@ -216,7 +216,7 @@ def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau,
     dt_b = triple_b.parent.dim
     tau = as_matrix(tau, rows=dt_b, cols=dt_a) if dt_a and dt_b else \
         np.zeros((dt_b, dt_a), dtype=np.complex128)
-    if np.linalg.matrix_rank(tau) < dt_b:
+    if sub.kernel(tau.conj().T, tol=tol).dim:
         raise BuildError("tau is not surjective onto T'")
     vs_full = v0_operator_part(triple_a, triple_b, tol)
     m = vs_full + triple_b.ft @ tau @ triple_a.ft.conj().T

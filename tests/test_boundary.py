@@ -5,6 +5,7 @@ import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, krein, relations as rel, \
     subspaces as sub
 from kreinrel.generators import InstanceSpec, gen_symmetric, gen_triple, rng_for
+from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 from conftest import c4_weyl_matrix
 
@@ -113,6 +114,23 @@ def test_gamma_field_c4(c4):
     # values populate the defect subspace
     nz = rel.eigenspace(tri.tplus, z)
     assert sub.equal(sub.span(g), nz)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)])
+def test_weyl_and_gamma_field_share_the_regularity_rule(tol):
+    # just off a real eigenvalue of T0, where a loose rank cut calls the
+    # restriction of Gamma0 to the defect graph singular
+    tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243)
+    e, d = tri.t0.blocks()
+    lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
+    assert abs(lam.imag) < 1e-9
+    z = lam.real + 1e-5j
+    try:
+        bnd.gamma_field_hat(tri, z, tol)
+        raised = False
+    except rel.NotRegularError:
+        raised = True
+    assert (bnd.weyl(tri, z, tol).operator_form is None) == raised
 
 
 def test_inverse_boundary_c4(c4):

@@ -109,7 +109,16 @@ def test_custom_policy_reaches_every_rank_cut(monkeypatch):
         seen.append(self)
         return rank_cut(self, largest_sv)
 
+    bypasses = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def recording_rank(a, *args, **kwargs):
+        bypasses.append(np.shape(a))
+        return matrix_rank(a, *args, **kwargs)
+
     monkeypatch.setattr(TolerancePolicy, "rank_cut", recording)
+    monkeypatch.setattr(np.linalg, "matrix_rank", recording_rank)
     st.run_suites("all", 3, 11, custom)
     assert seen
     assert DEFAULT_TOL not in seen
+    assert not bypasses, f"numpy's own rank cut decided {len(bypasses)} ranks"

@@ -137,6 +137,21 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["relation", "check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv, env_seed", [
+    (["report", "missing.json"], None),
+    (["triple", "transform", FIXTURE], None),
+    (["ext", "nclass", FIXTURE], None),
+    (["verify", "--trials", "1"], "seven"),
+], ids=["report-missing-file", "transform-without-matrix", "nclass-without-second",
+        "non-integer-env-seed"])
+def test_cli_usage_errors_are_input_errors(argv, env_seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is not None:
+        monkeypatch.setenv("KREINREL_SEED", env_seed)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_extend_reduce(tmp_path, capsys, c4):
     space, tri = c4["space"], c4["triple"]
     t_doc = tmp_path / "t.json"
