@@ -239,7 +239,7 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     phi = np.hstack([fp, fm])
     if d1 + d2 == 0:
         return {"dom_n_hyper_maximal": dom_n.dim == 0, "m_degenerate": False}
-    if sub.kernel(phi, tol=tol).dim:
+    if np.linalg.matrix_rank(phi, rtol=tol.rank_rel) < d1 + d2:
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
     lift = np.linalg.pinv(phi) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)

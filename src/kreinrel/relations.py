@@ -291,7 +291,7 @@ def cayley(t0: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     e, d = t0.blocks()
     top = d + 1j * e
     bottom = d - 1j * e
-    if t0.dim != t0.src.dim or sub.kernel(top, tol=tol).dim:
+    if t0.dim != t0.src.dim or np.linalg.matrix_rank(top, rtol=tol.rank_rel) < t0.src.dim:
         raise NotRegularError("graph does not parametrize a unitary")
     return bottom @ np.linalg.inv(top)
 

@@ -19,7 +19,7 @@ class TolerancePolicy:
 
     rank_rel: relative singular-value cutoff (scaled by the largest
         singular value), must stay at or above machine epsilon.
-    rank_abs: absolute singular-value floor.
+    rank_abs: absolute singular-value floor of spans and kernels.
     angle_tol: largest principal angle, in radians, at which two
         subspaces still count as equal.
     """

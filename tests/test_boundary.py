@@ -294,6 +294,23 @@ def test_resolvent_identities_generated():
     assert evaluated, "Krein-Naimark never fired across generated instances"
 
 
+def test_resolvent_identities_skip_points_without_a_defect_solve(monkeypatch):
+    # where the probe of T0 says regular but the defect solve finds no
+    # gamma(z), the point is skipped rather than raising
+    tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
+    solve = bnd._defect_solve
+
+    def singular_at_i(triple, z, tol):
+        return (solve(triple, z, tol)[0], None, None) if z == 1j else solve(triple, z, tol)
+
+    monkeypatch.setattr(bnd, "_defect_solve", singular_at_i)
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    assert rel.spectral_probe(tri.t0, 1j, loose)["regular"]
+    out = bnd.resolvent_identities_check(tri, bnd.DEFAULT_GRID, loose)
+    assert 1j in out["skipped"] and 1j not in out["points"]
+    assert out["points"] and out["max_gamma_diff"] < 1e-8
+
+
 def test_ddttp_check_planted(c4):
     tri = c4["triple"]
     rng = np.random.default_rng(4)

@@ -109,11 +109,11 @@ def test_custom_policy_reaches_every_rank_cut(monkeypatch):
         seen.append(self)
         return rank_cut(self, largest_sv)
 
-    bypasses = []
+    rank_calls = []
     matrix_rank = np.linalg.matrix_rank
 
     def recording_rank(a, *args, **kwargs):
-        bypasses.append(np.shape(a))
+        rank_calls.append((args, kwargs))
         return matrix_rank(a, *args, **kwargs)
 
     monkeypatch.setattr(TolerancePolicy, "rank_cut", recording)
@@ -121,4 +121,8 @@ def test_custom_policy_reaches_every_rank_cut(monkeypatch):
     st.run_suites("all", 3, 11, custom)
     assert seen
     assert DEFAULT_TOL not in seen
-    assert not bypasses, f"numpy's own rank cut decided {len(bypasses)} ranks"
+    # matrix ranks are decided relative to the largest singular value, by
+    # the policy's rank_rel, never by numpy's own cut
+    assert rank_calls
+    bypasses = [call for call in rank_calls if call != ((), {"rtol": custom.rank_rel})]
+    assert not bypasses, f"{len(bypasses)} of {len(rank_calls)} ranks bypass the policy"

@@ -7,6 +7,7 @@ from kreinrel import boundary as bnd, relations as rel, similarity as sim, \
 from kreinrel.generators import (InstanceSpec, gen_standard_unitary, gen_symmetric,
                                  gen_triple, planted_similar_triple, random_unitary,
                                  rng_for, scaled_triple)
+from kreinrel.tolerances import TolerancePolicy
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +311,18 @@ def test_tau_invertibility_is_a_rank_decision():
     tau[0, 0] = 1e-14
     with pytest.raises(sim.BuildError, match="homeomorphism"):
         sim.build_standard_V(tri, tri, tau)
+
+
+def test_rank_decisions_are_scale_invariant(pair44):
+    # a rank is cut relative to the largest singular value, so a surjective
+    # tau far below the loose policy's absolute floor of 1e-6 stays surjective
+    t, tri_a, tri_b = pair44
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    v = sim.build_V_from_tau(tri_a, tri_b, 1e-7 * np.eye(t.dim), loose)
+    assert v.dim == tri_a.tplus.dim
+    # the same triple in basis coordinates scaled by 1e-5 still validates
+    scaled = bnd.validate_triple(t, 1e-5 * tri_a.gamma, 1e-5 * tri_a.basis, loose)
+    assert sub.equal(scaled.t0.graph, tri_a.t0.graph, loose)
 
 
 def test_reconstruct_rejects_a_non_simple_parent():
