@@ -198,6 +198,8 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
+        raise kio.DocumentError(f"{args.file} is not a verify report (a list of suite objects)")
     if args.format == "json":
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:

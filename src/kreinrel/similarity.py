@@ -72,13 +72,11 @@ def block_unitary_from_matrix(m, src: KreinSpace, tgt: KreinSpace) -> BlockUnita
 
 def _as_v_relation(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                    tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    ksrc = doubled(triple_a.space).krein
-    ktgt = doubled(triple_b.space).krein
     if isinstance(v, LinearRelation):
         return v
-    if isinstance(v, BlockUnitary):
-        return v.as_relation(tol)
-    return rel.from_operator(v, ksrc, ktgt, tol)
+    if not isinstance(v, BlockUnitary):
+        v = block_unitary_from_matrix(v, triple_a.space, triple_b.space)
+    return v.as_relation(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -104,32 +102,14 @@ def v0(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     return LinearRelation(ksrc, ktgt, sub.span(cols, tol))
 
 
-def _boundary_transfer(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
-    """Gamma'^{-1} Gamma on T+ by the inverse-boundary formula, zero off T+."""
+def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
+                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """(V0)_s = Gamma'^{-1} Gamma by the inverse-boundary formula, as a
+    matrix on T+ (zero on the Euclidean complement); tol is unused."""
+    _check_compatible(triple_a, triple_b)
     formula = (triple_b.g0inv @ triple_a.gamma0
                + triple_b.g1inv @ (triple_a.gamma1 - triple_b.beta @ triple_a.gamma0))
     return formula @ triple_a.basis_pinv
-
-
-def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """(V0)_s as a matrix on T+ (zero on the Euclidean complement).
-
-    Computed both from the canonical operator part of V0 and from the
-    inverse-boundary formula; the two routes must agree.
-    """
-    _check_compatible(triple_a, triple_b)
-    full = _boundary_transfer(triple_a, triple_b)
-
-    v0_rel = v0(triple_a, triple_b, tol)
-    vs = rel.operator_part(v0_rel, tol)
-    e, dd = vs.blocks()
-    frame = triple_a.tplus.graph.frame
-    canon = (dd @ np.linalg.pinv(e)) @ frame
-    diff = np.abs(canon - full @ frame).max(initial=0.0)
-    if diff > 1e-8 * (1.0 + np.abs(full).max(initial=0.0)):
-        raise BuildError(f"operator-part routes disagree: {diff:.3e}")
-    return full
 
 
 def sigma_frames(triple: BoundaryTriple) -> np.ndarray:
@@ -146,7 +126,7 @@ def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     jb = doubled(triple_b.space).J_hat
     img = vs @ sa
     gram_res = float(np.abs(img.conj().T @ jb @ img - sa.conj().T @ ja @ sa).max(initial=0.0))
-    inv_full = _boundary_transfer(triple_b, triple_a)
+    inv_full = v0_operator_part(triple_b, triple_a, tol)
     roundtrip = float(np.abs(inv_full @ img - sa).max(initial=0.0))
     scale = 1 + np.abs(sa).max(initial=0.0)
     return {"gram_residual": gram_res, "inverse_residual": roundtrip,
@@ -182,14 +162,16 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                      tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """Whether Gamma' = Gamma V^{-1} holds, as a relation identity.
 
-    For operator inputs whose domain covers ker Gamma the displayed
-    range criterion is evaluated as well and the two routes compared.
+    "angle" is the largest principal angle between the graphs of Gamma V^{-1}
+    and Gamma' (+inf when their dimensions differ); "member" is angle <=
+    angle_tol.  For operator inputs whose domain covers ker Gamma the
+    displayed range criterion is evaluated as well and the two routes compared.
     """
     v_rel = _as_v_relation(v, triple_a, triple_b, tol)
     composed = rel.compose(gamma_relation(triple_a, tol), rel.inverse(v_rel), tol)
-    target = gamma_relation(triple_b, tol)
-    member = sub.equal(composed.graph, target.graph, tol)
-    report = {"member": member, "lemma_e": None, "routes_agree": None}
+    angle = sub.distance(composed.graph, gamma_relation(triple_b, tol).graph)
+    member = angle <= tol.angle_tol
+    report = {"member": member, "angle": angle, "lemma_e": None, "routes_agree": None}
     if not isinstance(v, LinearRelation):
         vm = v.full_matrix() if isinstance(v, BlockUnitary) else as_matrix(v)
         vs_full = v0_operator_part(triple_a, triple_b, tol)
@@ -286,8 +268,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     res = out.vabcd_residual()
     if res > 1e-9 * (1 + np.abs(v_full).max() ** 2):
         raise BuildError(f"block identities violated: residual {res:.3e}")
-    check = membership_check(out, triple_a, triple_b, tol)
-    if not check["member"]:
+    if not membership_check(out.as_relation(tol), triple_a, triple_b, tol)["member"]:
         raise BuildError("constructed V failed the membership identity")
     return out
 
@@ -417,22 +398,21 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     radians as the discrepancy) or 'hypothesis-violation'.
     """
     _check_compatible(triple_a, triple_b)
-    pts = [complex(z) for z in grid if complex(z).imag != 0]
-    omega = [z for z in pts
-             if rel.spectral_probe(triple_a.t0, z, tol)["regular"]
-             and rel.spectral_probe(triple_b.t0, z, tol)["regular"]]
+    # omega: the points where both Weyl values have an operator form, which
+    # is exactly where gamma(z) is defined for both triples.
+    omega = []
+    for z in (complex(z) for z in grid if complex(z).imag != 0):
+        wa, wb = weyl(triple_a, z, tol), weyl(triple_b, z, tol)
+        gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
+        if gap > tol.angle_tol:
+            return {"status": "witness", "z": z, "discrepancy": min(gap, np.pi / 2)}
+        if wa.operator_form is not None and wb.operator_form is not None:
+            omega.append(z)
     if not omega:
         return {"status": "hypothesis-violation",
                 "reason": "no common regular grid point for the distinguished extensions"}
 
-    for z in pts:
-        ma = weyl(triple_a, z, tol).relation_in_L.graph
-        mb = weyl(triple_b, z, tol).relation_in_L.graph
-        if not sub.equal(ma, mb, tol):
-            return {"status": "witness", "z": z,
-                    "discrepancy": min(sub.distance(ma, mb), np.pi / 2)}
-
-    # gamma(z) maps L onto N_z(T+) for z in rho(T0): minimality reads its columns.
+    # gamma(z) maps L onto N_z(T+) for z in omega: minimality reads its columns.
     g_cols = np.hstack([gamma_field(triple_a, z, tol) for z in omega])
     gp_cols = np.hstack([gamma_field(triple_b, z, tol) for z in omega])
     if (sub.span(g_cols, tol).dim < triple_a.space.dim
@@ -453,6 +433,11 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                      triple_b.parent.graph, tol):
         return {"status": "hypothesis-violation",
                 "reason": "assembled map does not carry T onto T'"}
+    final = membership_check(_as_v_relation(ut, triple_a, triple_b, tol),
+                             triple_a, triple_b, tol)
+    if not final["member"]:
+        return {"status": "hypothesis-violation",
+                "reason": f"final boundary identity off by {final['angle']:.3e}"}
 
     # Theorem-l extraction: read (tau, sigma, Theta) off U-tilde, build the
     # standard unitary V they parametrize and peel off W = U~^{-1} V.
@@ -476,16 +461,9 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     off_diag = float(max(np.abs(w_blocks.b).max(initial=0.0),
                          np.abs(w_blocks.c).max(initial=0.0)))
     diag_gap = float(np.abs(w_blocks.a - w_blocks.d).max(initial=0.0))
-    ut_rel = rel.from_operator(ut, doubled(triple_a.space).krein,
-                               doubled(triple_b.space).krein, tol)
-    composed = rel.compose(gamma_relation(triple_a, tol), rel.inverse(ut_rel), tol)
-    final_dist = sub.distance(composed.graph, gamma_relation(triple_b, tol).graph)
-    result = {"status": "unitary", "U": u, "V": v, "w_offdiag": off_diag,
-              "w_diag_gap": diag_gap, "gamma_residual": final_dist, "unitary_residual": unit_res}
-    if not np.isfinite(final_dist) or final_dist > 1e-7:
-        result["status"] = "hypothesis-violation"
-        result["reason"] = f"final boundary identity off by {final_dist:.3e}"
-    return result
+    return {"status": "unitary", "U": u, "V": v, "w_offdiag": off_diag,
+            "w_diag_gap": diag_gap, "gamma_residual": final["angle"],
+            "unitary_residual": unit_res}
 
 
 def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,

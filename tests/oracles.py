@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: exact rational
 Gaussian elimination for ranks, cross-Gram SVD and the projector gap
 for principal angles,
-raw SVD null spaces, hand-rolled graph joins for compositions, and the
-complement-and-flip route for adjoints.
+raw SVD null spaces, hand-rolled graph joins for compositions, the
+complement-and-flip route for adjoints and the canonical operator part
+of V0 for (V0)_s.
 """
 
 from fractions import Fraction
@@ -159,3 +160,12 @@ def adjoint_by_complement(t, metric: str = "krein"):
     jj[:n2, :n2] = t.tgt.J
     jj[n2:, n2:] = t.src.J
     return rel.LinearRelation(t.tgt, t.src, sub.image(jj, star))
+
+
+def v0_operator_part_by_relation(triple_a, triple_b):
+    """(V0)_s by the canonical route: the operator part of the relation V0,
+    read off its graph frame [E; D] as D pinv(E), which vanishes off T+."""
+    from kreinrel import relations as rel, similarity as sim
+
+    e, d = rel.operator_part(sim.v0(triple_a, triple_b)).blocks()
+    return d @ np.linalg.pinv(e)

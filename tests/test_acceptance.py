@@ -14,6 +14,7 @@ from kreinrel import boundary as bnd, extensions as ext, generators as gen, \
     relations as rel, similarity as sim, subspaces as sub, suites as st
 
 from conftest import c4_weyl_matrix
+from oracles import v0_operator_part_by_relation
 
 MASTER_SEED = 20240811
 
@@ -167,12 +168,11 @@ def test_criterion_5_lemma_vos():
             tri_b = gen.gen_triple(t2, MASTER_SEED + 560000 + k)
         else:
             tri_b = gen.gen_triple(t, MASTER_SEED + 500000 + k)
-        # the operator-part cross-validation is built into this call
+        # the inverse-boundary formula against the canonical operator part of V0
         vs = sim.v0_operator_part(tri_a, tri_b)
+        canon = v0_operator_part_by_relation(tri_a, tri_b)
         frame = tri_a.tplus.graph.frame
-        formula = (tri_b.g0inv @ tri_a.gamma0 + tri_b.g1inv
-                   @ (tri_a.gamma1 - tri_b.beta @ tri_a.gamma0)) @ tri_a.basis_pinv
-        part_worst = max(part_worst, float(np.abs((vs - formula) @ frame).max()))
+        part_worst = max(part_worst, float(np.abs((vs - canon) @ frame).max()))
         sc = sim.sigma_unitary_check(tri_a, tri_b)
         gram_worst = max(gram_worst, sc["gram_residual"])
         wm = sim.w_maps(tri_a, tri_b)

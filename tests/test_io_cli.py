@@ -142,10 +142,13 @@ def test_cli_input_errors(tmp_path, capsys):
     (["triple", "transform", FIXTURE], None),
     (["ext", "nclass", FIXTURE], None),
     (["verify", "--trials", "1"], "seven"),
+    (["report", FIXTURE, "--format", "json"], None),
+    (["report", "numbers.json"], None),
 ], ids=["report-missing-file", "transform-without-matrix", "nclass-without-second",
-        "non-integer-env-seed"])
+        "non-integer-env-seed", "report-not-a-report", "report-list-of-numbers"])
 def test_cli_usage_errors_are_input_errors(argv, env_seed, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "numbers.json").write_text("[1, 2]")
     if env_seed is not None:
         monkeypatch.setenv("KREINREL_SEED", env_seed)
     assert main(argv) == 2

@@ -7,13 +7,20 @@ from kreinrel import boundary as bnd, relations as rel, similarity as sim, \
 from kreinrel.generators import (InstanceSpec, gen_standard_unitary, gen_symmetric,
                                  gen_triple, planted_similar_triple, random_unitary,
                                  rng_for, scaled_triple)
-from kreinrel.tolerances import TolerancePolicy
+from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
+from oracles import v0_operator_part_by_relation
 
 
 @pytest.fixture(scope="module")
 def pair44():
     t = gen_symmetric(InstanceSpec(31, 4, (2, 2), 2))
     return t, gen_triple(t, 32), gen_triple(t, 33)
+
+
+def _assert_formula_matches_oracle(vs, tri_a, tri_b):
+    frame = tri_a.tplus.graph.frame
+    canon = v0_operator_part_by_relation(tri_a, tri_b)
+    assert np.abs((vs - canon) @ frame).max() < 1e-9
 
 
 def test_v0_same_triple_identity(pair44):
@@ -31,6 +38,7 @@ def test_v0_same_triple_identity(pair44):
     sigma = sim.sigma_frames(tri)
     proj = sigma @ sigma.conj().T
     assert np.abs(vs @ frame - proj @ frame).max() < 1e-10
+    _assert_formula_matches_oracle(vs, tri, tri)
 
 
 def test_v0_structure(pair44):
@@ -72,6 +80,7 @@ def test_v0_beta_shift_case(pair44):
     assert np.abs(wm["w0"] - np.eye(2)).max() < 1e-9
     assert np.abs(wm["w1"] - np.eye(2)).max() < 1e-9
     assert np.abs(got - want).max() < 1e-9
+    _assert_formula_matches_oracle(vs, tri, shifted)
 
 
 def test_v0_kappa_scaled(pair44):
@@ -84,9 +93,28 @@ def test_v0_kappa_scaled(pair44):
     want = (p_n / kappa + kappa * p_jn)
     frame = tri.tplus.graph.frame
     assert np.abs(vs @ frame - want @ frame).max() < 1e-9
+    _assert_formula_matches_oracle(vs, tri, scaled)
     wm = sim.w_maps(tri, scaled)
     assert np.abs(wm["w0"] - kappa * np.eye(2)).max() < 1e-9
     assert np.abs(wm["w1"] - np.eye(2) / kappa).max() < 1e-9
+
+
+def test_one_route_layer_never_forms_v0(pair44, monkeypatch):
+    # (V0)_s comes from the inverse-boundary formula alone: neither the
+    # relation V0 nor its canonical operator part is formed on the way
+    t, tri_a, tri_b = pair44
+    planted = planted_similar_triple(tri_a, gen_standard_unitary(1, t.src, t.src), t.src)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the canonical operator-part route ran")
+
+    monkeypatch.setattr(sim, "v0", forbidden)
+    monkeypatch.setattr(rel, "operator_part", forbidden)
+    vs = sim.v0_operator_part(tri_a, tri_b)
+    assert vs.shape == (2 * t.src.dim, 2 * t.src.dim)
+    assert sim.sigma_unitary_check(tri_a, tri_b)["ok"]
+    assert sim.build_standard_V(tri_a, tri_b, np.eye(t.dim)).vabcd_residual() < 1e-9
+    assert sim.reconstruct_similarity(tri_a, planted)["status"] == "unitary"
 
 
 def test_w_maps_identity_and_llp(pair44):
@@ -111,6 +139,7 @@ def test_membership_of_v0_operator_part(pair44):
     v = sim.build_V_from_tau(tri_a, tri_b, np.eye(t.dim))
     out = sim.membership_check(v, tri_a, tri_b)
     assert out["member"]
+    assert out["member"] == (out["angle"] <= DEFAULT_TOL.angle_tol)
 
 
 def test_membership_perturbation_detected(pair44):
@@ -119,10 +148,12 @@ def test_membership_perturbation_detected(pair44):
     v = sim.build_standard_V(tri_a, tri_b, random_unitary(rng, t.dim))
     out = sim.membership_check(v, tri_a, tri_b)
     assert out["member"] and out["lemma_e"] and out["routes_agree"]
+    assert out["member"] == (out["angle"] <= DEFAULT_TOL.angle_tol)
     bad = v.full_matrix().copy()
     bad[0, 0] += 1e-3
     out = sim.membership_check(bad, tri_a, tri_b)
     assert not out["member"] and out["routes_agree"]
+    assert out["member"] == (out["angle"] <= DEFAULT_TOL.angle_tol)
 
 
 def test_build_v_from_tau_rejects_non_surjective(pair44):
@@ -282,6 +313,9 @@ def test_reconstruct_planted(pair44):
         assert out["gamma_residual"] < 1e-7
         assert out["w_offdiag"] < 1e-8
         assert out["w_diag_gap"] < 1e-8
+        ut = sim.block_unitary_from_matrix(sim._utilde(out["U"]), t.src, t.src)
+        final = sim.membership_check(ut.as_relation(), tri, planted)
+        assert out["gamma_residual"] == final["angle"]
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])
@@ -298,6 +332,37 @@ def test_reconstruct_at_benchmark_scale(n):
     out = sim.reconstruct_similarity(tri, scaled_triple(tri, 2.0))
     assert out["status"] == "witness"
     assert out["discrepancy"] > 1e-3
+
+
+def test_omega_is_where_both_weyl_values_are_operators(monkeypatch):
+    # a grid hugging the real eigenvalue of T0 near 2.9113: the loose rank cut
+    # cannot tell T0 - z from singular there, yet Gamma0 stays invertible on
+    # each defect graph, so both Weyl values have operator forms and gamma(z)
+    # is evaluated at every point
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    t = gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2))
+    tri = gen_triple(t, 4243)
+    planted = planted_similar_triple(tri, gen_standard_unitary(4244, t.src, t.src), t.src)
+    e, d = tri.t0.blocks()
+    eigs = np.linalg.eigvals(d @ np.linalg.inv(e))
+    lam = eigs[np.argmin(np.abs(eigs - 2.9113))]
+    assert abs(lam - 2.9113) < 1e-3
+    grid = [lam.real + 0.03j, lam.real - 0.03j, lam.real + 0.04j, lam.real - 0.04j]
+    seen = []
+    gamma_field = sim.gamma_field
+
+    def recording(triple, z, tol):
+        seen.append(z)
+        return gamma_field(triple, z, tol)
+
+    monkeypatch.setattr(sim, "gamma_field", recording)
+    out = sim.reconstruct_similarity(tri, planted, grid, loose)
+    both = [z for z in grid if bnd.weyl(tri, z, loose).operator_form is not None
+            and bnd.weyl(planted, z, loose).operator_form is not None]
+    assert both == grid
+    assert set(seen) == set(both)
+    assert out == {"status": "hypothesis-violation",
+                   "reason": "defect subspaces over the grid are not minimal"}
 
 
 def test_tau_invertibility_is_a_rank_decision():
