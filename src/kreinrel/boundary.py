@@ -47,6 +47,11 @@ class BoundaryTriple:
     g0inv: np.ndarray = field(repr=False)
     g1inv: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
+    # The defect solve of the last point asked, as ((z, tol), (bvals, ghat, M)),
+    # so M(z) and gamma(z) asked back to back share one solve.  It is replaced
+    # as one tuple, so a concurrent reader sees a key only with its own value.
+    _last_solve: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def space(self) -> KreinSpace:
@@ -179,14 +184,25 @@ def _defect_solve(triple: BoundaryTriple, z: complex, tol: TolerancePolicy):
     """Boundary values of the defect graph N_z(T+), then the solver
     (Gamma0 on N_z)^{-1} and M(z) = Gamma1 (Gamma0 on N_z)^{-1}.  The one
     regularity rule: dim N_z = d and Gamma0 on N_z is invertible under the
-    policy; otherwise the last two are None."""
+    policy; otherwise the last two are None.  The arrays are read-only; a
+    repeat of the triple's last (z, tol) returns the same ones."""
+    key = (complex(z), tol)
+    last = triple._last_solve
+    if last is not None and last[0] == key:
+        return last[1]
     d = triple.boundary_dim
     frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
     bvals = triple.apply(frame)
     if frame.shape[1] != d or np.linalg.matrix_rank(bvals[:d, :], rtol=tol.rank_rel) < d:
-        return bvals, None, None
-    inv0 = np.linalg.inv(bvals[:d, :])
-    return bvals, frame @ inv0, bvals[d:, :] @ inv0
+        solve = (bvals, None, None)
+    else:
+        inv0 = np.linalg.inv(bvals[:d, :])
+        solve = (bvals, frame @ inv0, bvals[d:, :] @ inv0)
+    for a in solve:
+        if a is not None:
+            a.flags.writeable = False
+    object.__setattr__(triple, "_last_solve", (key, solve))
+    return solve
 
 
 def weyl(triple: BoundaryTriple, z: complex,

@@ -200,6 +200,13 @@ def cmd_report(args) -> int:
         payload = json.load(fh)
     if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
         raise kio.DocumentError(f"{args.file} is not a verify report (a list of suite objects)")
+    for r in payload:
+        for key, kinds, kind_name in (("max_residual", (int, float), "a real number"),
+                                      ("trials", int, "an integer")):
+            value = r.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise kio.DocumentError(f"suite {r.get('suite', '?')!r}: {key} is "
+                                        f"{value!r}, not {kind_name}")
     if args.format == "json":
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:

@@ -399,22 +399,23 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     """
     _check_compatible(triple_a, triple_b)
     # omega: the points where both Weyl values have an operator form, which
-    # is exactly where gamma(z) is defined for both triples.
-    omega = []
+    # is exactly where gamma(z) is defined for both triples.  gamma(z) is
+    # asked right after M(z), so each triple solves each point once.
+    g_blocks, gp_blocks = [], []
     for z in (complex(z) for z in grid if complex(z).imag != 0):
         wa, wb = weyl(triple_a, z, tol), weyl(triple_b, z, tol)
         gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
         if gap > tol.angle_tol:
             return {"status": "witness", "z": z, "discrepancy": min(gap, np.pi / 2)}
         if wa.operator_form is not None and wb.operator_form is not None:
-            omega.append(z)
-    if not omega:
+            g_blocks.append(gamma_field(triple_a, z, tol))
+            gp_blocks.append(gamma_field(triple_b, z, tol))
+    if not g_blocks:
         return {"status": "hypothesis-violation",
                 "reason": "no common regular grid point for the distinguished extensions"}
 
     # gamma(z) maps L onto N_z(T+) for z in omega: minimality reads its columns.
-    g_cols = np.hstack([gamma_field(triple_a, z, tol) for z in omega])
-    gp_cols = np.hstack([gamma_field(triple_b, z, tol) for z in omega])
+    g_cols, gp_cols = np.hstack(g_blocks), np.hstack(gp_blocks)
     if (sub.span(g_cols, tol).dim < triple_a.space.dim
             or sub.span(gp_cols, tol).dim < triple_b.space.dim):
         return {"status": "hypothesis-violation",
@@ -473,16 +474,17 @@ def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     ut_inv = _utilde(_u_inverse(u, triple_a.space, triple_b.space))
     ksrc = doubled(triple_a.space).krein
     reports = []
-    pts = [complex(z) for z in grid if complex(z).imag != 0
-           and rel.spectral_probe(triple_a.parent, complex(z), tol)["regular_type"]]
+    defect_graphs = {}
+    for z in map(complex, grid):
+        if z.imag != 0 and rel.spectral_probe(triple_a.parent, z, tol)["regular_type"]:
+            defect_graphs[z] = rel.graph_eigenspace(triple_a.tplus, z, tol).graph
     for v in vs:
         v_rel = _as_v_relation(v, triple_a, triple_b, tol)
         w_rel = rel.compose(rel.from_operator(ut_inv, v_rel.tgt, ksrc, tol), v_rel, tol)
         t_img = rel.parts(rel.restrict(w_rel, triple_a.parent.graph, tol), tol).ran
         entry = {"t_invariant": sub.equal(t_img, triple_a.parent.graph, tol),
                  "defect_invariant": {}}
-        for z in pts:
-            nz = rel.graph_eigenspace(triple_a.tplus, z, tol).graph
+        for z, nz in defect_graphs.items():
             img = rel.parts(rel.restrict(w_rel, nz, tol), tol).ran
             entry["defect_invariant"][z] = sub.equal(img, nz, tol)
         entry["ok"] = entry["t_invariant"] and all(entry["defect_invariant"].values())

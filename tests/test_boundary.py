@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,78 @@ def test_weyl_and_gamma_field_share_the_regularity_rule(tol):
     except rel.NotRegularError:
         raised = True
     assert (bnd.weyl(tri, z, tol).operator_form is None) == raised
+
+
+def test_weyl_then_gamma_field_share_one_defect_solve(monkeypatch):
+    tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
+    calls = []
+    graph_eigenspace = rel.graph_eigenspace
+
+    def counting(t, z, tol=DEFAULT_TOL):
+        calls.append(z)
+        return graph_eigenspace(t, z, tol)
+
+    monkeypatch.setattr(rel, "graph_eigenspace", counting)
+    z = 0.37 + 1.21j
+    assert bnd.weyl(tri, z).operator_form is not None
+    bnd.gamma_field(tri, z)
+    assert calls == [z]
+
+
+def _same(x, y):
+    return (x is None and y is None) or np.array_equal(x, y)
+
+
+def test_defect_solve_slot_never_goes_stale():
+    # near a real eigenvalue of T0 the loose policy finds no gamma(z) while
+    # the default one does, so a slot keyed by z alone would answer wrongly
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243)
+    other = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
+    e, d = tri.t0.blocks()
+    lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
+    z1, z2 = lam.real + 1e-5j, -1 + 1j
+    steps = [(tri, z1, DEFAULT_TOL), (tri, z2, DEFAULT_TOL), (tri, z1, DEFAULT_TOL),
+             (tri, z1, loose), (other, z1, DEFAULT_TOL), (tri, z1, loose),
+             (tri, z1, DEFAULT_TOL)]
+    forms = []
+    for t, z, tol in steps:
+        fresh = bnd.validate_triple(t.parent, t.gamma, t.basis)
+        for a, b in ((t, fresh), (fresh, t)):
+            wa, wb = bnd.weyl(a, z, tol), bnd.weyl(b, z, tol)
+            assert _same(wa.operator_form, wb.operator_form)
+            assert np.array_equal(wa.relation_in_L.graph.frame, wb.relation_in_L.graph.frame)
+            if wa.operator_form is not None:
+                assert np.array_equal(bnd.gamma_field_hat(a, z, tol),
+                                      bnd.gamma_field_hat(b, z, tol))
+        forms.append(bnd.weyl(t, z, tol).operator_form)
+    assert forms[2] is not None and forms[3] is None
+
+
+def test_defect_solve_arrays_are_read_only():
+    tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
+    m = bnd.weyl(tri, 1j).operator_form
+    g = bnd.gamma_field(tri, 1j)
+    with pytest.raises(ValueError):
+        m[0, 0] = 0
+    with pytest.raises(ValueError):
+        g[0, 0] = 0
+
+
+def test_shared_triple_across_threads():
+    tri = gen_triple(gen_symmetric(InstanceSpec(77, 16, (8, 8), 4)), 78)
+    pts = [complex(x, s * y) for s in (1, -1) for y in (0.5, 2.0) for x in (-1.0, 0.0, 1.0)]
+    serial = {z: (bnd.weyl(tri, z).operator_form, bnd.gamma_field(tri, z)) for z in pts}
+
+    def worker(zs):
+        for _ in range(20):
+            for z in zs:
+                m, g = bnd.weyl(tri, z).operator_form, bnd.gamma_field(tri, z)
+                assert np.array_equal(m, serial[z][0]) and np.array_equal(g, serial[z][1])
+        return True
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert all(pool.map(worker, [pts[::2], pts[1::2]]))
 
 
 def test_inverse_boundary_c4(c4):

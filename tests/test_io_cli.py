@@ -144,15 +144,23 @@ def test_cli_input_errors(tmp_path, capsys):
     (["verify", "--trials", "1"], "seven"),
     (["report", FIXTURE, "--format", "json"], None),
     (["report", "numbers.json"], None),
+    (["report", "null-residual.json"], None),
+    (["report", "text-residual.json"], None),
 ], ids=["report-missing-file", "transform-without-matrix", "nclass-without-second",
-        "non-integer-env-seed", "report-not-a-report", "report-list-of-numbers"])
+        "non-integer-env-seed", "report-not-a-report", "report-list-of-numbers",
+        "report-null-residual", "report-text-residual"])
 def test_cli_usage_errors_are_input_errors(argv, env_seed, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "numbers.json").write_text("[1, 2]")
+    (tmp_path / "null-residual.json").write_text('[{"suite": "x", "max_residual": null}]')
+    (tmp_path / "text-residual.json").write_text('[{"suite": "x", "max_residual": "big"}]')
     if env_seed is not None:
         monkeypatch.setenv("KREINREL_SEED", env_seed)
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    if argv[-1].endswith("-residual.json"):
+        assert "suite 'x': max_residual" in err
 
 
 def test_cli_extend_reduce(tmp_path, capsys, c4):

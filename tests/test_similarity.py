@@ -319,13 +319,24 @@ def test_reconstruct_planted(pair44):
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])
-def test_reconstruct_at_benchmark_scale(n):
+def test_reconstruct_at_benchmark_scale(n, monkeypatch):
     # the pipeline-large instances: d = n/4, a random signature
     p = int(rng_for(n, 7).integers(0, n + 1))
     t = gen_symmetric(InstanceSpec(n, n, (p, n - p), n // 4))
     tri = gen_triple(t, n)
     u = gen_standard_unitary(n, t.src, t.src)
-    out = sim.reconstruct_similarity(tri, planted_similar_triple(tri, u, t.src))
+    planted = planted_similar_triple(tri, u, t.src)
+    calls = []
+    graph_eigenspace = rel.graph_eigenspace
+
+    def counting(t, z, tol=DEFAULT_TOL):
+        calls.append(z)
+        return graph_eigenspace(t, z, tol)
+
+    monkeypatch.setattr(rel, "graph_eigenspace", counting)
+    out = sim.reconstruct_similarity(tri, planted)
+    # one defect solve per (triple, grid point): M(z) and gamma(z) share it
+    assert len(calls) == 2 * len(bnd.DEFAULT_GRID)
     assert out["status"] == "unitary", out
     assert np.abs(out["U"] - u).max() < 1e-9
     assert out["gamma_residual"] < 1e-7
