@@ -150,7 +150,8 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
             raise TripleValidationError(f"{name} is not self-adjoint")
     if not sub.equal(sub.intersect(t0.graph, t1.graph, tol), t.graph, tol):
         raise TripleValidationError("kernels are not disjoint down to T")
-    if not sub.equal(sub.sum_(t0.graph, t1.graph, tol), tplus.graph, tol):
+    # T0 + T1 lies in span(basis) = T+, and its rank cut is the intersection's
+    if t0.dim + t1.dim - t.dim != tplus.dim:
         raise TripleValidationError("kernels are not transversal")
 
     n_rel = ext.reduce(t, t0, tol)
@@ -270,10 +271,7 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation,
         raise ValueError("Theta must be a relation in the boundary space")
     coords = sub.preimage(triple.gamma, theta.graph, tol)
     space = triple.space
-    out = LinearRelation(space, space, sub.span(triple.basis @ coords.frame, tol))
-    if rel.is_selfadjoint(theta, tol) and not rel.is_selfadjoint(out, tol):
-        raise TripleValidationError("self-adjoint Theta produced a non-self-adjoint extension")
-    return out
+    return LinearRelation(space, space, sub.span(triple.basis @ coords.frame, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +346,16 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 def weyl_symmetry_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
                         tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """M(z)^* = M(conj z) as relations in L, by their largest principal angle
-    in radians (capped at pi/2); real points are skipped."""
+    in radians (capped at pi/2); real points are skipped.  "weyl" holds the
+    WeylValue of every point evaluated, the conjugates included."""
     pts = [complex(z) for z in grid if complex(z).imag != 0]
-    m = {z: weyl(triple, z, tol).relation_in_L
-         for z in {*pts, *(np.conj(z) for z in pts)}}
+    m = {z: weyl(triple, z, tol) for z in {*pts, *(np.conj(z) for z in pts)}}
     results = {}
     for z in pts:
-        adj = rel.adjoint(m[z], "hilbert", tol)
-        results[z] = min(sub.distance(adj.graph, m[np.conj(z)].graph), np.pi / 2)
-    return {"residuals": results,
+        adj = rel.adjoint(m[z].relation_in_L, "hilbert", tol)
+        results[z] = min(sub.distance(adj.graph, m[np.conj(z)].relation_in_L.graph),
+                         np.pi / 2)
+    return {"residuals": results, "weyl": m,
             "skipped": [complex(z) for z in grid if complex(z).imag == 0],
             "max_residual": max(results.values(), default=0.0)}
 

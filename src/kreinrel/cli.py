@@ -21,7 +21,7 @@ from . import io as kio
 from . import relations as rel
 from . import similarity as sim
 from . import suites as st
-from .tolerances import DimensionMismatchError, TolerancePolicy
+from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -224,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         raise kio.DocumentError(f"KREINREL_SEED is not an integer: {exc}") from exc
     parser = argparse.ArgumentParser(prog="kreinrel",
                                      description="linear relations in Krein spaces")
-    parser.add_argument("--tol-rank-rel", type=float, default=1e-10)
-    parser.add_argument("--tol-rank-abs", type=float, default=1e-12)
-    parser.add_argument("--tol-angle", type=float, default=1e-8)
+    parser.add_argument("--tol-rank-rel", type=float, default=DEFAULT_TOL.rank_rel)
+    parser.add_argument("--tol-rank-abs", type=float, default=DEFAULT_TOL.rank_abs)
+    parser.add_argument("--tol-angle", type=float, default=DEFAULT_TOL.angle_tol)
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 
     p_rel = sub_parsers.add_parser("relation")

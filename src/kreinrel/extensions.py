@@ -74,9 +74,9 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
                   tol: TolerancePolicy = DEFAULT_TOL) -> NWitness:
     """Verify N-class membership and return the witness bundling T0.
 
-    Checks (a) N ⊆ T+ ∩ T-perp, (b) ran(JN ± i) equals the respective
-    defect subspace, and cross-checks hyper-maximal neutrality of the
-    orthogonal sum in the doubled space.
+    Decides the defining conditions only: (a) N ⊆ T+ ∩ T-perp and (b)
+    ran(JN ± i) equals the respective defect subspace.  These make
+    T0 = T ⊕ N self-adjoint; `prop_n_audit` re-derives that claim.
     """
     if not t.src.same_as(n.src) or not t.tgt.same_as(n.tgt):
         raise NClassRejection("host mismatch")
@@ -91,14 +91,7 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
         ran_shifted = sub.span(d + z * e, tol)
         if not sub.equal(ran_shifted, defect_subspace(t, z, tol), tol):
             raise NClassRejection(f"range condition fails at z={z}")
-    t0, orthogonal = rel.cw_sum(t, n, tol)
-    if not orthogonal:
-        raise NClassRejection("T and N are not orthogonal")
-    flags = neutrality_rank(doubled(t.src).krein, t0.graph)
-    if not flags["hyper_maximal"]:
-        raise NClassRejection("T ⊕ N is not hyper-maximal neutral")
-    if not rel.is_selfadjoint(t0, tol):
-        raise NClassRejection("T ⊕ N is not self-adjoint")
+    t0, _ = rel.cw_sum(t, n, tol)
     return NWitness(n, t, t0)
 
 
@@ -109,15 +102,14 @@ def extend(t: LinearRelation, n: LinearRelation,
 
 def reduce(t: LinearRelation, t0: LinearRelation,
            tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """N = T0 ∩ T-perp for a canonical self-adjoint extension T0."""
+    """N = T0 ∩ T-perp for a canonical self-adjoint extension T0.  Checks the
+    hypotheses only; `prop_n_audit` re-derives that N is in the N-class."""
     if not rel.is_selfadjoint(t0, tol):
         raise ValueError("reduce needs a self-adjoint extension")
     if not sub.contains(t0.graph, t.graph, tol):
         raise ValueError("T0 does not extend T")
     n_graph = sub.intersect(t0.graph, sub.complement(t.graph), tol)
-    n = LinearRelation(t.src, t.tgt, n_graph)
-    n_class_check(t, n, tol)
-    return n
+    return LinearRelation(t.src, t.tgt, n_graph)
 
 
 def sigma_decompose(t: LinearRelation, t0: LinearRelation,
@@ -128,7 +120,8 @@ def sigma_decompose(t: LinearRelation, t0: LinearRelation,
 
 def _sigma_parts(t: LinearRelation, n: LinearRelation,
                  tol: TolerancePolicy) -> SigmaDecomposition:
-    """`sigma_decompose` for an N that has passed `n_class_check`."""
+    """`sigma_decompose` for an N in the N-class of T (from `reduce` or
+    accepted by `n_class_check`); N is not checked again here."""
     tplus = rel.adjoint(t, "krein", tol)
     sigma = sub.intersect(tplus.graph, sub.complement(t.graph), tol)
     jhat = doubled(t.src).J_hat
@@ -211,6 +204,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
         "counts_ok": d_plus == d_minus and n_plus == n_minus
                      and d_plus + n_plus == dim_h
                      and n.dim == d_plus and t.dim == n_plus,
+        "t0_selfadjoint": rel.is_selfadjoint(t0, tol),
         "adjoint_splits": sub.equal(t_sum_sigma.graph, tplus.graph, tol) and orth,
         "sigma_split": sub.equal(dec.sigma, sub.sum_(dec.n_part, dec.jn_part, tol), tol),
         "sigma_is_j_mhat": sub.equal(dec.sigma, j_mhat, tol),
@@ -218,7 +212,8 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
         "dom_formulas_ok": all(v <= tol.angle_tol for v in pair_dists.values()),
     }
     report.update(_dom_n_neutrality(dec, dom_n, tol))
-    report["ok"] = (report["counts_ok"] and report["adjoint_splits"]
+    report["ok"] = (report["counts_ok"] and report["t0_selfadjoint"]
+                    and report["adjoint_splits"]
                     and report["sigma_split"] and report["sigma_is_j_mhat"]
                     and report["dom_formulas_ok"]
                     and report["dom_n_hyper_maximal"] is not False)

@@ -318,14 +318,14 @@ def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     t, _ = _draw_pair(tseed, tol)
     triple = gen.gen_triple(t, tseed, tol)
     report.record(bnd.green_residual(t.src, triple.basis, triple.gamma))
-    report.record(bnd.weyl_symmetry_check(triple, bnd.DEFAULT_GRID, tol)["max_residual"])
+    sym = bnd.weyl_symmetry_check(triple, bnd.DEFAULT_GRID, tol)
+    report.record(sym["max_residual"])
     shifted = bnd.beta_shift(triple, tol=tol)
-    for z in bnd.DEFAULT_GRID:
-        mz = bnd.weyl(triple, complex(z), tol).operator_form
-        mzb = bnd.weyl(shifted, complex(z), tol).operator_form
-        if mz is None or mzb is None:
+    for z, value in sym["weyl"].items():
+        mzb = bnd.weyl(shifted, z, tol).operator_form
+        if value.operator_form is None or mzb is None:
             continue
-        report.record(np.abs(mzb - (mz - triple.beta)).max())
+        report.record(np.abs(mzb - (value.operator_form - triple.beta)).max())
     res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID, tol)
     for key in ("max_gamma_diff", "max_pairing", "max_krein_naimark"):
         report.record(res[key])
@@ -357,7 +357,7 @@ def suite_similarity(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     sc = sim.sigma_unitary_check(triple_a, triple_b, tol)
     report.record(sc["gram_residual"])
     report.record(sc["inverse_residual"])
-    wm = sim.w_maps(triple_a, triple_b, tol)
+    wm = sim.w_maps(triple_a, triple_b)
     report.record(wm["inverse_residual"])
     report.record(wm["llp_residual"])
 

@@ -6,7 +6,8 @@ import pytest
 import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, krein, relations as rel, \
     subspaces as sub
-from kreinrel.generators import InstanceSpec, gen_symmetric, gen_triple, rng_for
+from kreinrel.generators import InstanceSpec, gen_symmetric, gen_triple, rng_for, \
+    sample_witness
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 from conftest import c4_weyl_matrix
@@ -47,6 +48,7 @@ def test_generated_triples_validate():
         t = gen_symmetric(InstanceSpec(800 + k, n, (p, n - p), d))
         tri = gen_triple(t, 900 + k)
         assert bnd.green_residual(t.src, tri.basis, tri.gamma) < 1e-10
+        ext.n_class_check(t, tri.n_rel)
 
 
 def test_gen_triple_rejects_selfadjoint(c4):
@@ -393,3 +395,50 @@ def test_ddttp_check_planted(c4):
     out = bnd.ddTTp_check(tri, other)
     assert out["omega"]
     assert out["ok"], out
+
+
+# ---------------------------------------------------------------------------
+# each builder checks its hypotheses once; settled facts are not re-decided
+
+
+def _hermitian_theta(tri):
+    h = np.random.default_rng(6).standard_normal((tri.boundary_dim,) * 2)
+    lspace = tri.boundary_space
+    return rel.from_operator((h + h.T) / 2, lspace, lspace)
+
+
+_BUILDERS = {
+    "validate_triple": lambda t, tri: bnd.validate_triple(t, tri.gamma, tri.basis),
+    "sample_witness": lambda t, tri: sample_witness(t, 5),
+    "n_class_check": lambda t, tri: ext.n_class_check(t, tri.n_rel),
+    "extend": lambda t, tri: ext.extend(t, tri.n_rel),
+    "t_theta": lambda t, tri: bnd.t_theta(tri, _hermitian_theta(tri)),
+}
+
+
+@pytest.fixture(scope="module")
+def generated41():
+    t = gen_symmetric(InstanceSpec(41, 4, (2, 2), 2))
+    return t, gen_triple(t, 42)
+
+
+@pytest.mark.parametrize("route, builder", [
+    ("ext.n_class_check", "validate_triple"),
+    ("ext.n_class_check", "sample_witness"),
+    ("sub.sum_", "validate_triple"),
+    ("rel.is_selfadjoint", "n_class_check"),
+    ("rel.is_selfadjoint", "extend"),
+    ("ext.neutrality_rank", "n_class_check"),
+    ("ext.neutrality_rank", "extend"),
+    ("rel.is_selfadjoint", "t_theta"),
+])
+def test_builders_do_not_re_decide_settled_facts(c4, generated41, monkeypatch,
+                                                 route, builder):
+    owner, name = route.split(".")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{builder} re-decided a fact through {route}")
+
+    monkeypatch.setattr({"ext": ext, "rel": rel, "sub": sub}[owner], name, forbidden)
+    for parent, tri in ((c4["T"], c4["triple"]), generated41):
+        assert _BUILDERS[builder](parent, tri) is not None

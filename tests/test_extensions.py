@@ -100,6 +100,7 @@ def test_roundtrip_random_instances():
         assert sub.distance(t0.graph, w.t0.graph) < 1e-8
         back = ext.reduce(t, t0)
         assert sub.distance(back.graph, w.N.graph) < 1e-8
+        ext.n_class_check(t, back)
 
 
 def test_sigma_decomposition_c4(c4):
@@ -124,6 +125,7 @@ def test_sigma_decomposition_c4(c4):
 def test_prop_n_audit_c4(c4):
     report = ext.prop_n_audit(c4["T"], c4["triple"].n_rel)
     assert report["ok"], report
+    assert report["t0_selfadjoint"] is True
     assert report["defects"] == (3, 3)
     assert report["n_defects"] == (1, 1)
     # the worked example has intersecting defect subspaces, so the
@@ -136,6 +138,7 @@ def test_prop_n_audit_random_nondegenerate():
     w = sample_witness(t, 78)
     report = ext.prop_n_audit(t, w.N)
     assert report["ok"], report
+    assert report["t0_selfadjoint"] is True
     assert report["m_degenerate"] is False
     assert report["dom_n_hyper_maximal"] is True
 

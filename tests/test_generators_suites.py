@@ -100,6 +100,22 @@ def test_suites_clean_on_small_runs(name):
         assert report.ok, report.to_dict()
 
 
+@pytest.mark.parametrize("seed", [1, 7, 20240811])
+def test_boundary_trial_solves_each_triple_point_once_per_check(seed, monkeypatch):
+    # the beta-shift loop reads M(z) from the symmetry check and solves only
+    # the shifted triple; resolvent_identities_check walks the grid once more
+    calls = []
+    graph_eigenspace = rel.graph_eigenspace
+
+    def counting(t, z, tol=DEFAULT_TOL):
+        calls.append(z)
+        return graph_eigenspace(t, z, tol)
+
+    monkeypatch.setattr(rel, "graph_eigenspace", counting)
+    assert st.suite_boundary(1, seed).ok
+    assert len(calls) == 3 * len(bnd.DEFAULT_GRID)
+
+
 def test_custom_policy_reaches_every_rank_cut(monkeypatch):
     custom = TolerancePolicy(rank_rel=2e-10, rank_abs=2e-12, angle_tol=2e-8)
     seen = []

@@ -7,6 +7,7 @@ import pytest
 import kreinrel as kr
 from kreinrel import boundary as bnd, generators as gen, io as kio
 from kreinrel.cli import main
+from kreinrel.tolerances import DEFAULT_TOL
 
 FIXTURE = os.path.join(os.path.dirname(kio.__file__), "data", "ex4.json")
 
@@ -226,6 +227,7 @@ def test_cli_mathematical_rejection(tmp_path, capsys):
 
 def test_cli_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KREINREL_SEED", "31")
-    from kreinrel.cli import build_parser
+    from kreinrel.cli import _policy, build_parser
     args = build_parser().parse_args(["verify", "--trials", "1"])
     assert args.seed == 31
+    assert _policy(args) == DEFAULT_TOL

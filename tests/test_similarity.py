@@ -318,6 +318,33 @@ def test_reconstruct_planted(pair44):
         assert out["gamma_residual"] == final["angle"]
 
 
+@pytest.mark.parametrize("perturb, reason", [
+    ("rotate", "final boundary identity off by"),
+    ("scale", "assembled map is not standard unitary"),
+])
+def test_perturbed_reconstruction_still_fails(pair44, monkeypatch, perturb, reason):
+    # gamma'(z) no longer matches the planted triple's Weyl family: rotated
+    # everywhere by a second standard unitary, or rescaled at one grid point
+    t, tri, _ = pair44
+    planted = planted_similar_triple(tri, gen_standard_unitary(1, t.src, t.src), t.src)
+    assert sim.reconstruct_similarity(tri, planted)["status"] == "unitary"
+    w = gen_standard_unitary(5, t.src, t.src)
+    gamma_field = sim.gamma_field
+
+    def perturbed(triple, z, tol=DEFAULT_TOL):
+        g = gamma_field(triple, z, tol)
+        if triple is not planted:
+            return g
+        if perturb == "rotate":
+            return w @ g
+        return g * (1 + 1e-3) if z == bnd.DEFAULT_GRID[0] else g
+
+    monkeypatch.setattr(sim, "gamma_field", perturbed)
+    out = sim.reconstruct_similarity(tri, planted)
+    assert out["status"] == "hypothesis-violation", out
+    assert out["reason"].startswith(reason), out["reason"]
+
+
 @pytest.mark.parametrize("n", [16, 32, 48])
 def test_reconstruct_at_benchmark_scale(n, monkeypatch):
     # the pipeline-large instances: d = n/4, a random signature
