@@ -74,9 +74,8 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
                   tol: TolerancePolicy = DEFAULT_TOL) -> NWitness:
     """Verify N-class membership and return the witness bundling T0.
 
-    Decides the defining conditions only: (a) N ⊆ T+ ∩ T-perp and (b)
-    ran(JN ± i) equals the respective defect subspace.  These make
-    T0 = T ⊕ N self-adjoint; `prop_n_audit` re-derives that claim.
+    Decides (a) N ⊆ T+ ∩ T-perp, (b) ran(JN ± i) = N_{±i} and (c) T0 = T ⊕ N
+    hyper-maximal neutral, i.e. self-adjoint; Σ itself passes (a) and (b).
     """
     if not t.src.same_as(n.src) or not t.tgt.same_as(n.tgt):
         raise NClassRejection("host mismatch")
@@ -92,6 +91,8 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
         if not sub.equal(ran_shifted, defect_subspace(t, z, tol), tol):
             raise NClassRejection(f"range condition fails at z={z}")
     t0, _ = rel.cw_sum(t, n, tol)
+    if not neutrality_rank(doubled(t.src).krein, t0.graph)["hyper_maximal"]:
+        raise NClassRejection("T ⊕ N is not hyper-maximal neutral")
     return NWitness(n, t, t0)
 
 

@@ -115,8 +115,7 @@ def sigma_frames(triple: BoundaryTriple) -> np.ndarray:
     return np.hstack([triple.fn, triple.fjn])
 
 
-def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """Gram preservation of (V0)_s between the two Sigma subspaces, plus
     the displayed inverse composing to the identity."""
     vs = v0_operator_part(triple_a, triple_b)

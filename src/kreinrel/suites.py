@@ -354,7 +354,7 @@ def suite_similarity(report: Report, k: int, tseed: int, tol: TolerancePolicy):
         triple_b = gen.gen_triple(t2, tseed + 7, tol)
     else:
         triple_b = gen.gen_triple(t, tseed + 7, tol)
-    sc = sim.sigma_unitary_check(triple_a, triple_b, tol)
+    sc = sim.sigma_unitary_check(triple_a, triple_b)
     report.record(sc["gram_residual"])
     report.record(sc["inverse_residual"])
     wm = sim.w_maps(triple_a, triple_b)

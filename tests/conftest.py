@@ -27,6 +27,23 @@ def c4():
     return {"space": space, "T": t, "triple": triple, "basis": basis, "gamma": gamma}
 
 
+@pytest.fixture(scope="session")
+def c4_false_n(c4):
+    """Candidates for the N-class of the c4 T that lie in T+ ∩ T-perp and meet
+    both range conditions at ±i, yet T ⊕ N is not self-adjoint: Σ itself, and
+    the graph {f + 2f'} joining the defect subspaces by a non-isometric map."""
+    from kreinrel import extensions as ext, subspaces as sub
+    space, t, tri = c4["space"], c4["T"], c4["triple"]
+    fp = ext.defect_subspace(t, 1j).frame
+    fm = ext.defect_subspace(t, -1j).frame
+    w = 2.0 * np.eye(fp.shape[1])
+    graph = np.vstack([fp + fm @ w, space.J @ (1j * fp - 1j * fm @ w)])
+    return {
+        "sigma": kr.relation(space, space, sub.span(np.hstack([tri.fn, tri.fjn]))),
+        "non-isometric": kr.relation(space, space, sub.span(graph)),
+    }
+
+
 def c4_weyl_matrix(z: complex) -> np.ndarray:
     """Brute-force image of the defect frame under the displayed boundary map."""
     z = complex(z)

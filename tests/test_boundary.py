@@ -428,8 +428,6 @@ def generated41():
     ("sub.sum_", "validate_triple"),
     ("rel.is_selfadjoint", "n_class_check"),
     ("rel.is_selfadjoint", "extend"),
-    ("ext.neutrality_rank", "n_class_check"),
-    ("ext.neutrality_rank", "extend"),
     ("rel.is_selfadjoint", "t_theta"),
 ])
 def test_builders_do_not_re_decide_settled_facts(c4, generated41, monkeypatch,

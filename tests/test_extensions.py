@@ -54,7 +54,7 @@ def test_n_class_accepts_jn_as_other_kernel(c4):
     assert sub.equal(w.t0.graph, c4["triple"].t1.graph)
 
 
-def test_n_class_rejects_bad_candidates(c4):
+def test_n_class_rejects_bad_candidates(c4, c4_false_n):
     tri = c4["triple"]
     # too small: the sum cannot be hyper-maximal
     small = kr.relation(c4["space"], c4["space"], sub.span(tri.fn[:, :2]))
@@ -65,6 +65,20 @@ def test_n_class_rejects_bad_candidates(c4):
                         sub.span(np.hstack([tri.fn[:, :2], tri.fjn[:, :1]])))
     with pytest.raises(ext.NClassRejection):
         ext.n_class_check(c4["T"], mixed)
+    # N ⊆ T+ ∩ T-perp and ran(JN ± i) = N_±i hold, so only the
+    # self-adjointness of T ⊕ N tells these apart from the N-class
+    t = c4["T"]
+    for n in c4_false_n.values():
+        assert sub.contains(rel.adjoint(t, "krein").graph, n.graph)
+        assert sub.contains(sub.complement(t.graph), n.graph)
+        e, d = rel.hilbertize(n).blocks()
+        for z in (1j, -1j):
+            assert sub.equal(sub.span(d + z * e), ext.defect_subspace(t, z))
+        assert not rel.is_selfadjoint(rel.cw_sum(t, n)[0])
+        for build in (ext.n_class_check, ext.extend):
+            with pytest.raises(ext.NClassRejection, match="not hyper-maximal neutral"):
+                build(t, n)
+
 
 
 def test_extend_reduce_roundtrip_c4(c4):

@@ -215,7 +215,7 @@ def test_cli_triple_inverse(capsys):
         assert np.abs(np.array(got) - want).max() < 1e-9
 
 
-def test_cli_mathematical_rejection(tmp_path, capsys):
+def test_cli_mathematical_rejection(tmp_path, capsys, c4, c4_false_n):
     # a symmetric-but-wrong candidate for the N-class is a rejection, not a crash
     out = kio.load_document(FIXTURE)
     space, t = out["space"], out["relation"]
@@ -223,6 +223,16 @@ def test_cli_mathematical_rejection(tmp_path, capsys):
     kio.save_document(str(doc_t), kio.document_for(space, t))
     assert main(["ext", "nclass", str(doc_t), str(doc_t)]) == 1
     assert "rejected" in capsys.readouterr().out
+    # candidates that meet the range conditions but do not give a
+    # self-adjoint T ⊕ N
+    kio.save_document(str(doc_t), kio.document_for(c4["space"], c4["T"]))
+    doc_n = tmp_path / "n.json"
+    for n in c4_false_n.values():
+        kio.save_document(str(doc_n), kio.document_for(c4["space"], n))
+        for command in ("nclass", "extend"):
+            assert main(["ext", command, str(doc_t), str(doc_n)]) == 1
+            out = capsys.readouterr()
+            assert "rejected: T ⊕ N is not hyper-maximal neutral" in out.out + out.err
 
 
 def test_cli_env_seed(tmp_path, monkeypatch, capsys):
