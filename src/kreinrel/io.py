@@ -3,9 +3,12 @@
 One document type covers all fixtures: a `space` block (dim plus the
 fundamental symmetry), an optional `relation` block (graph basis
 vectors) and an optional `triple` block (boundary dim, gamma matrix and
-a basis of the adjoint's graph).  Complex scalars are two-element
-[re, im] arrays and matrices are row-major nested lists, which keeps
-golden files human-diffable.
+a basis of the adjoint's graph).  Matrices are row-major nested lists
+and vector lists hold one list per vector, which keeps golden files
+human-diffable.  A block's scalars are either all [re, im] pairs or all
+bare reals; a block that mixes the two is rejected.  Each block crosses
+the JSON boundary in one numpy conversion, and encoding then decoding
+gives back every bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -25,40 +28,35 @@ class DocumentError(ValueError):
     pass
 
 
-def encode_complex(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def decode_complex(item) -> complex:
-    if isinstance(item, (int, float)):
-        return complex(item)
-    if isinstance(item, (list, tuple)) and len(item) == 2:
-        return complex(item[0], item[1])
-    raise DocumentError(f"not a complex scalar: {item!r}")
-
-
 def encode_matrix(m: np.ndarray) -> list:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def decode_matrix(rows) -> np.ndarray:
+    """A block of [re, im] pairs, shape (rows, cols, 2), or of bare reals,
+    shape (rows, cols), as an exact complex array."""
     try:
-        return np.array([[decode_complex(z) for z in row] for row in rows],
-                        dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as exc:
+        a = np.asarray(rows)
+    except ValueError as exc:
         raise DocumentError(f"malformed matrix: {exc}") from exc
+    if a.dtype.kind not in "iuf" or a.ndim not in (2, 3) or a.shape[2:] not in ((), (2,)):
+        raise DocumentError(f"malformed matrix: a {a.dtype} block of shape {a.shape} is "
+                            "neither all [re, im] pairs nor all bare reals")
+    if a.ndim == 2:
+        return a.astype(np.complex128)
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def encode_vectors(cols: np.ndarray) -> list:
-    return [[encode_complex(z) for z in col] for col in np.asarray(cols).T]
+    return encode_matrix(np.asarray(cols).T)
 
 
 def decode_vectors(items, dim: int) -> np.ndarray:
-    vecs = [np.array([decode_complex(z) for z in v], dtype=np.complex128) for v in items]
-    for v in vecs:
-        if v.shape[0] != dim:
-            raise DocumentError(f"vector length {v.shape[0]} does not match dim {dim}")
-    return np.column_stack(vecs) if vecs else np.zeros((dim, 0), dtype=np.complex128)
+    vecs = decode_matrix(items) if items != [] else np.zeros((0, dim), dtype=np.complex128)
+    if vecs.shape[1] != dim:
+        raise DocumentError(f"vector length {vecs.shape[1]} does not match dim {dim}")
+    return np.ascontiguousarray(vecs.T)
 
 
 def document_for(space: KreinSpace, relation: LinearRelation | None = None,

@@ -44,6 +44,22 @@ def c4_false_n(c4):
     }
 
 
+@pytest.fixture(scope="session")
+def t2_plus_point():
+    """A triple for T = T2 ⊕ 0.7: a generated symmetric T2 on C^2 and the
+    self-adjoint 0.7 on a positive C^1, which no defect subspace reaches."""
+    from kreinrel.generators import InstanceSpec, gen_symmetric, gen_triple
+    t2 = gen_symmetric(InstanceSpec(5, 2, (1, 1), 1))
+    j = np.eye(3, dtype=np.complex128)
+    j[:2, :2] = t2.src.J
+    space = kr.make_krein(j)
+    e, d = t2.blocks()
+    cols = np.zeros((6, 2), dtype=np.complex128)
+    cols[:2, :1], cols[3:5, :1] = e, d
+    cols[2, 1], cols[5, 1] = 1.0, 0.7
+    return gen_triple(kr.relation(space, space, cols), 11)
+
+
 def c4_weyl_matrix(z: complex) -> np.ndarray:
     """Brute-force image of the defect frame under the displayed boundary map."""
     z = complex(z)

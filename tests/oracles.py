@@ -169,3 +169,46 @@ def v0_operator_part_by_relation(triple_a, triple_b):
 
     e, d = rel.operator_part(sim.v0(triple_a, triple_b)).blocks()
     return d @ np.linalg.pinv(e)
+
+
+def encode_complex(z: complex) -> list:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def decode_complex(item) -> complex:
+    if isinstance(item, (int, float)):
+        return complex(item)
+    if isinstance(item, (list, tuple)) and len(item) == 2:
+        return complex(item[0], item[1])
+    raise ValueError(f"not a complex scalar: {item!r}")
+
+
+def encode_matrix_by_scalar(m) -> list:
+    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
+
+
+def decode_matrix_by_scalar(rows) -> np.ndarray:
+    return np.array([[decode_complex(z) for z in row] for row in rows],
+                    dtype=np.complex128)
+
+
+def encode_vectors_by_scalar(cols) -> list:
+    return encode_matrix_by_scalar(np.asarray(cols).T)
+
+
+def decode_vectors_by_scalar(items, dim: int) -> np.ndarray:
+    if not items:
+        return np.zeros((dim, 0), dtype=np.complex128)
+    return np.column_stack([decode_matrix_by_scalar([v])[0] for v in items])
+
+
+def document_by_scalar(space, relation=None, triple=None) -> dict:
+    """The JSON document of `kreinrel.io.document_for`, one scalar at a time."""
+    doc = {"space": {"dim": space.dim, "J": encode_matrix_by_scalar(space.J)}}
+    if relation is not None:
+        doc["relation"] = {"graph": encode_vectors_by_scalar(relation.graph.frame)}
+    if triple is not None:
+        doc["triple"] = {"boundary_dim": triple.boundary_dim,
+                         "gamma": encode_matrix_by_scalar(triple.gamma),
+                         "tplus_basis": encode_vectors_by_scalar(triple.basis)}
+    return doc

@@ -387,6 +387,37 @@ def test_resolvent_identities_skip_points_without_a_defect_solve(monkeypatch):
     assert out["points"] and out["max_gamma_diff"] < 1e-8
 
 
+LOOSE = TolerancePolicy(1e-3, 1e-6, 1e-4)
+
+
+@pytest.mark.parametrize("z", [0.7 + 1e-3j, 0.7 + 1e-4j, 0.7 + 1e-6j])
+def test_loose_cut_near_an_eigenvalue_of_t_is_irregular(t2_plus_point, z):
+    # the 1e-3 cut keeps a near-null direction of T+ - z about one cut off
+    # T+, so the defect frame has d + 1 columns: z is irregular, not an error
+    tri = t2_plus_point
+    value = bnd.weyl(tri, z, LOOSE)
+    assert value.operator_form is None
+    assert value.relation_in_L.dim == tri.boundary_dim
+    with pytest.raises(rel.NotRegularError):
+        bnd.gamma_field(tri, z, LOOSE)
+    assert bnd.weyl_symmetry_check(tri, (z,), LOOSE)["max_residual"] < 1e-8
+
+
+def test_loose_cut_further_from_an_eigenvalue_of_t_still_solves(t2_plus_point):
+    tri, z = t2_plus_point, 0.7 + 3e-3j
+    m = bnd.weyl(tri, z, LOOSE).operator_form
+    assert np.abs(m - bnd.weyl(tri, z).operator_form).max() < 1e-12
+    assert bnd.gamma_field(tri, z, LOOSE).shape == (3, 1)
+
+
+def test_defect_solve_still_checks_caller_vectors(t2_plus_point):
+    tri = t2_plus_point
+    off = np.zeros((6, 1), dtype=np.complex128)
+    off[2, 0] = 1.0
+    with pytest.raises(ValueError, match="not inside the adjoint's graph"):
+        tri.apply(off)
+
+
 def test_ddttp_check_planted(c4):
     tri = c4["triple"]
     rng = np.random.default_rng(4)

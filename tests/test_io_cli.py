@@ -191,6 +191,17 @@ def test_cli_triple_transform(capsys):
     bad = np.eye(6) * 2
     assert main(["triple", "transform", FIXTURE, "--matrix",
                  json.dumps(bad.tolist())]) == 1
+    capsys.readouterr()
+    # the identity as [re, im] pairs keeps gamma; a block mixing pairs and
+    # bare reals is an input error
+    assert main(["triple", "transform", FIXTURE, "--matrix",
+                 json.dumps(kio.encode_matrix(np.eye(6)))]) == 0
+    same = kio.load_document(json.loads(capsys.readouterr().out))["triple"]
+    assert np.array_equal(same.gamma, kio.load_document(FIXTURE)["triple"].gamma)
+    mixed = np.eye(6).tolist()
+    mixed[0][0] = [1.0, 0.0]
+    assert main(["triple", "transform", FIXTURE, "--matrix", json.dumps(mixed)]) == 2
+    assert "malformed matrix" in capsys.readouterr().err
 
 
 def test_cli_triple_gamma(capsys):
@@ -213,6 +224,18 @@ def test_cli_triple_inverse(capsys):
     for got, want in zip(printed.values(), (tri.g0inv, tri.g1inv, tri.beta)):
         assert np.array(got).shape == want.shape
         assert np.abs(np.array(got) - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("z", ["0.7+1e-3i", "0.7+1e-4i", "0.7+1e-6i"])
+def test_cli_loose_policy_near_an_eigenvalue_of_t(z, tmp_path, capsys, t2_plus_point):
+    tri = t2_plus_point
+    path = tmp_path / "t2p.json"
+    kio.save_document(str(path), kio.document_for(tri.space, tri.parent, tri))
+    loose = ["--tol-rank-rel", "1e-3", "--tol-rank-abs", "1e-6", "--tol-angle", "1e-4"]
+    assert main(loose + ["triple", "weyl", "--z", z, str(path)]) == 0
+    assert "no operator form" in capsys.readouterr().out
+    assert main(loose + ["triple", "gamma", "--z", z, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("rejected: gamma-field undefined")
 
 
 def test_cli_mathematical_rejection(tmp_path, capsys, c4, c4_false_n):

@@ -428,18 +428,9 @@ def test_rank_decisions_are_scale_invariant(pair44):
     assert sub.equal(scaled.t0.graph, tri_a.t0.graph, loose)
 
 
-def test_reconstruct_rejects_a_non_simple_parent():
-    # T = T2 ⊕ 0.7 with the self-adjoint part on a positive C^1, which no
-    # defect subspace reaches, so the grid's defect subspaces miss it
-    t2 = gen_symmetric(InstanceSpec(5, 2, (1, 1), 1))
-    j = np.eye(3, dtype=np.complex128)
-    j[:2, :2] = t2.src.J
-    space = kr.make_krein(j)
-    e, d = t2.blocks()
-    cols = np.zeros((6, 2), dtype=np.complex128)
-    cols[:2, :1], cols[3:5, :1] = e, d
-    cols[2, 1], cols[5, 1] = 1.0, 0.7
-    tri = gen_triple(kr.relation(space, space, cols), 11)
+def test_reconstruct_rejects_a_non_simple_parent(t2_plus_point):
+    # T = T2 ⊕ 0.7: the grid's defect subspaces miss the self-adjoint part
+    tri = t2_plus_point
     out = sim.reconstruct_similarity(tri, tri)
     assert out == {"status": "hypothesis-violation",
                    "reason": "defect subspaces over the grid are not minimal"}
