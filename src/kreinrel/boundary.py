@@ -193,7 +193,7 @@ def _defect_solve(triple: BoundaryTriple, z: complex, tol: TolerancePolicy):
         return last[1]
     d = triple.boundary_dim
     frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
-    # dim first: a loose cut can keep a direction about one cut off T+, so project
+    # a frame of the wrong dim (a loose cut's extra direction, off T+) is projected unchecked
     x = triple.coords(frame) if frame.shape[1] == d else triple.basis_pinv @ frame
     bvals = triple.gamma @ x
     if frame.shape[1] != d or np.linalg.matrix_rank(bvals[:d, :], rtol=tol.rank_rel) < d:

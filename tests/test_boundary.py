@@ -410,12 +410,15 @@ def test_loose_cut_further_from_an_eigenvalue_of_t_still_solves(t2_plus_point):
     assert bnd.gamma_field(tri, z, LOOSE).shape == (3, 1)
 
 
-def test_defect_solve_still_checks_caller_vectors(t2_plus_point):
+def test_apply_rejects_vectors_off_tplus(t2_plus_point):
+    # caller vectors 1e-5 off T+ fail the 1e-7 membership check, whatever
+    # the policy of the defect solve
     tri = t2_plus_point
     off = np.zeros((6, 1), dtype=np.complex128)
-    off[2, 0] = 1.0
+    off[2, 0] = 1e-5
+    tri.apply(tri.basis[:, :1])
     with pytest.raises(ValueError, match="not inside the adjoint's graph"):
-        tri.apply(off)
+        tri.apply(tri.basis[:, :1] + off)
 
 
 def test_ddttp_check_planted(c4):

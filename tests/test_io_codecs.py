@@ -44,20 +44,15 @@ def _same_document(doc: dict, oracle_doc: dict) -> str:
 
 
 def _decodes_like_the_oracle(doc: dict):
-    dim = doc["space"]["dim"]
-    blocks = [(kio.decode_matrix, oracles.decode_matrix_by_scalar, doc["space"]["J"])]
-    if "relation" in doc:
-        blocks.append((lambda b: kio.decode_vectors(b, 2 * dim),
-                       lambda b: oracles.decode_vectors_by_scalar(b, 2 * dim),
-                       doc["relation"]["graph"]))
-    if "triple" in doc:
-        blocks.append((kio.decode_matrix, oracles.decode_matrix_by_scalar,
-                       doc["triple"]["gamma"]))
-        blocks.append((lambda b: kio.decode_vectors(b, 2 * dim),
-                       lambda b: oracles.decode_vectors_by_scalar(b, 2 * dim),
-                       doc["triple"]["tplus_basis"]))
-    for decode, oracle, block in blocks:
-        assert _bits(decode(block)) == _bits(oracle(block))
+    n2 = 2 * doc["space"]["dim"]
+    matrices = [doc["space"]["J"]] + ([doc["triple"]["gamma"]] if "triple" in doc else [])
+    vectors = [doc[block][key] for block, key in (("relation", "graph"), ("triple", "tplus_basis"))
+               if block in doc]
+    for rows in matrices:
+        assert _bits(kio.decode_matrix(rows)) == _bits(oracles.decode_matrix_by_scalar(rows))
+    for items in vectors:
+        assert (_bits(kio.decode_vectors(items, n2))
+                == _bits(oracles.decode_vectors_by_scalar(items, n2)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,8 +114,8 @@ def test_pipeline_scale_documents_match_the_oracle():
     u = gen.gen_standard_unitary(5, t.src, t.src)
     planted = gen.planted_similar_triple(triple, u, t.src)
     for args in ((t.src, t, triple), (t.src, planted.parent, planted), (t.src, t)):
-        doc = json.loads(_same_document(kio.document_for(*args), oracles.document_by_scalar(*args)))
-        _decodes_like_the_oracle(doc)
+        text = _same_document(kio.document_for(*args), oracles.document_by_scalar(*args))
+        _decodes_like_the_oracle(json.loads(text))
 
 
 @pytest.mark.parametrize("block", [
