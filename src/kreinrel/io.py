@@ -78,8 +78,11 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     else:
         with open(path_or_dict, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    if "space" not in doc:
-        raise DocumentError("document lacks a 'space' block")
+    if not isinstance(doc, dict) or "space" not in doc:
+        raise DocumentError("document is not a JSON object with a 'space' block")
+    for key in ("space", "relation", "triple"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DocumentError(f"the '{key}' block is not a JSON object")
     sdoc = doc["space"]
     try:
         dim = int(sdoc["dim"])

@@ -2,10 +2,12 @@
 
 Every subspace is stored as an orthonormal column frame obtained from an
 SVD; the trivial subspace is a zero-column frame.  All comparisons are
-quantitative: equality and containment reduce to principal angles.
-Frames are read-only.  A caller's frame is copied and its Gram checked;
-frames this module computes from an SVD are orthonormal to roundoff and
-skip that check.
+quantitative: equality, containment and intersection read principal
+angles off projection residuals F_A - F_B F_B^H F_A (`intersect` keeps
+the smaller frame's directions with sin θ <= rank_cut(1.0)).  Frames are
+read-only.  A caller's frame is copied, Gram-checked (defect <= 1e-8) and
+orthonormalized past roundoff; frames this module computes from an SVD
+are orthonormal to roundoff and skip that check.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
+
+_ROUNDOFF = 16 * float(np.finfo(np.float64).eps)  # Gram defect per column, orthonormal frames
 
 
 @dataclass(frozen=True)
@@ -26,14 +30,18 @@ class Subspace:
 
     def __post_init__(self):
         f = as_matrix(self.frame, rows=self.ambient_dim).copy()
-        f.flags.writeable = False
-        object.__setattr__(self, "frame", f)
         if f.shape[1] > self.ambient_dim:
             raise ValueError("frame has more columns than the ambient dimension")
         if f.shape[1]:
             gram = f.conj().T @ f
-            if np.abs(gram - np.eye(f.shape[1])).max() > 1e-8:
+            defect = np.abs(gram - np.eye(f.shape[1])).max()
+            if defect > 1e-8:
                 raise ValueError("frame columns are not orthonormal")
+            if defect > _ROUNDOFF * f.shape[1]:
+                # f <- f L^-H with gram = L L^H: orthonormal to roundoff, same span
+                f = np.linalg.solve(np.linalg.cholesky(gram), f.conj().T).conj().T
+        f.flags.writeable = False
+        object.__setattr__(self, "frame", f)
 
     @property
     def dim(self) -> int:
@@ -111,17 +119,17 @@ def sum_(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspa
 
 
 def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """A ∩ B from the kernel of [F_A, -F_B], one SVD.
+    """A ∩ B from one reduced SVD of the smaller frame's projection residual.
 
-    A kernel frame [X; Y] has F_A X = F_B Y up to the singular values
-    sigma dropped below the rank cut, so both halves span the
-    intersection.  Their sum F_A X + F_B Y has orthogonal columns of norm
-    sqrt(2 - sigma^2); normalizing them gives the frame.
+    R = F_A - F_B F_B^H F_A has the sines of A's principal angles to B as
+    singular values.  The directions F_A v with sin θ <= tol.rank_cut(1.0),
+    a rule on the angle alone, span A ∩ B, orthonormally since F_A is.
     """
     _check_same_ambient(a, b)
-    k = kernel(np.hstack([a.frame, -b.frame]), a.dim + b.dim, tol).frame
-    f = a.frame @ k[: a.dim] + b.frame @ k[a.dim :]
-    return _trusted(a.ambient_dim, f / np.linalg.norm(f, axis=0))
+    a, b = (a, b) if a.dim <= b.dim else (b, a)
+    _, s, vh = np.linalg.svd(a.frame - b.frame @ b.coords(a.frame), full_matrices=False)
+    apart = int(np.sum(s > tol.rank_cut(1.0)))
+    return _trusted(a.ambient_dim, a.frame @ vh[apart:].conj().T)
 
 
 def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:

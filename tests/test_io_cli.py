@@ -138,6 +138,23 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["relation", "check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("block", ["space", "relation", "triple", "document"])
+def test_cli_block_that_is_not_an_object_is_an_input_error(block, tmp_path, capsys):
+    with open(FIXTURE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if block == "space":
+        doc = {"space": []}
+    elif block == "document":
+        doc = ["space"]
+    else:
+        doc[block] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["relation", "check", str(bad)]) == 2
+    what = "document is not" if block == "document" else f"the '{block}' block is not"
+    assert capsys.readouterr().err.startswith(f"input error: {what} a JSON object")
+
+
 @pytest.mark.parametrize("argv, env_seed", [
     (["report", "missing.json"], None),
     (["triple", "transform", FIXTURE], None),

@@ -24,6 +24,8 @@ def rand_pair(rng, n, ka, kb, nested):
 EDGE_PAIRS = [(4, 0, 2, False), (4, 4, 2, False), (5, 2, 1, True), (5, 3, 4, False),
               (32, 12, 25, False)]
 
+LOOSE = TolerancePolicy(rank_rel=1e-3, rank_abs=1e-6, angle_tol=1e-4)
+
 
 def test_span_collinear():
     s = sub.span([[1, 0], [2, 0]])
@@ -72,6 +74,22 @@ def test_intersect_idempotent():
     assert sub.equal(sub.intersect(a, a), a)
 
 
+def benchmark_scale_pairs(rng):
+    """Pairs the size of pipeline-large's: random and nested pairs at N = 96
+    and 192, graph ∩ product(X, full) cages, and T0 ∩ T-perp at n = 48, d = 12."""
+    from kreinrel import generators as gen
+    pairs = [rand_pair(rng, *case) for case in
+             [(96, 40, 70, False), (96, 30, 50, True), (192, 90, 120, False),
+              (192, 60, 100, True)]]
+    for n in (48, 96):
+        graph = sub.span(np.vstack([np.eye(n), rand_cols(rng, n, n)]))
+        cage = sub.product(sub.span(rand_cols(rng, n, n // 3)), sub.full(n))
+        pairs.append((graph, cage))
+    t = gen.gen_symmetric(gen.InstanceSpec(48, 48, (20, 28), 12))
+    pairs.append((gen.gen_triple(t, 48).t0.graph, sub.complement(t.graph)))
+    return pairs
+
+
 def test_intersect_matches_join_oracle():
     rng = np.random.default_rng(1)
     pairs = [rand_pair(rng, *case) for case in EDGE_PAIRS]
@@ -79,12 +97,56 @@ def test_intersect_matches_join_oracle():
         a = sub.span(rand_cols(rng, 6, 3))
         b_cols = np.hstack([a.frame[:, :1] + a.frame[:, 1:2], rand_cols(rng, 6, 2)])
         pairs.append((a, sub.span(b_cols)))
+    pairs += benchmark_scale_pairs(rng)
     for a, b in pairs:
-        got = sub.intersect(a, b)
         want = intersection_by_join(a.frame, b.frame)
-        assert got.dim == want.shape[1]
-        if want.shape[1]:
-            assert sub.equal(got, sub.span(want))
+        for got in (sub.intersect(a, b), sub.intersect(b, a)):
+            assert got.dim == want.shape[1]
+            assert gram_defect(got) <= 1e-12
+            if want.shape[1]:
+                assert sub.equal(got, sub.span(want))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+def test_intersect_keeps_a_direction_iff_its_sine_is_under_the_cut(tol):
+    # A = span q0..q2; B turns the shared q1 by theta towards q4 and adds q5, q6
+    cut = tol.rank_cut(1.0)
+    thetas = sorted({1e-12, 5e-11, 3e-10, 1e-9, 1e-8, 1e-6, cut / 3, 0.9 * cut, 1.5 * cut,
+                     3 * cut})
+    q, _ = np.linalg.qr(rand_cols(np.random.default_rng(7), 8, 8))
+    a = sub.Subspace(8, q[:, :3])
+    dims = []
+    for theta in thetas:
+        turned = np.cos(theta) * q[:, 1] + np.sin(theta) * q[:, 4]
+        b = sub.Subspace(8, np.column_stack([q[:, 0], turned, q[:, 5], q[:, 6]]))
+        dims.append(sub.intersect(a, b, tol).dim)
+        assert sub.intersect(b, a, tol).dim == dims[-1]
+    assert dims == [2 if np.sin(theta) <= cut else 1 for theta in thetas]
+    assert sum(x != y for x, y in zip(dims, dims[1:])) == 1
+
+
+@pytest.mark.parametrize("defect", [1e-12, 2e-10, 2e-9])
+def test_caller_frames_off_orthonormal_are_stored_orthonormal(defect):
+    # frames whose Gram misses I by `defect` (accepted below the 1e-8 check);
+    # A and B share a 2-dim subspace that no frame column lies in
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rand_cols(rng, 10, 10))
+
+    def caller_frame(cols):
+        f = q[:, cols] @ np.linalg.qr(rand_cols(rng, len(cols), len(cols)))[0]
+        h = rand_cols(rng, len(cols), len(cols))
+        h = (h + h.conj().T) / np.abs(h + h.conj().T).max()
+        return f @ (np.eye(len(cols)) + defect / 2 * h)
+
+    fa, fb = caller_frame([0, 1, 2, 3]), caller_frame([0, 1, 4, 5, 6])
+    for f in (fa, fb):
+        assert 0.5 * defect < np.abs(f.conj().T @ f - np.eye(f.shape[1])).max() < 2 * defect
+    a, b = sub.Subspace(10, fa), sub.Subspace(10, fb)
+    assert max(gram_defect(a), gram_defect(b)) <= 1e-14
+    assert sub.distance(a, sub.span(fa)) < 1e-14
+    want = intersection_by_join(fa, fb).shape[1]
+    assert want == 2
+    assert sub.intersect(a, b).dim == sub.intersect(b, a).dim == want
 
 
 def gram_defect(s: sub.Subspace) -> float:
@@ -230,9 +292,6 @@ def test_span_idempotent_on_frames():
     s = sub.span(rand_cols(rng, 6, 3))
     again = sub.span(s.frame)
     assert sub.equal(s, again) and sub.distance(s, again) < 1e-12
-
-
-LOOSE = TolerancePolicy(rank_rel=1e-3, rank_abs=1e-6, angle_tol=1e-4)
 
 
 @settings(max_examples=60, deadline=None)
