@@ -345,57 +345,55 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 # identity checks over grids
 
 
-def weyl_symmetry_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> dict:
-    """M(z)^* = M(conj z) as relations in L, by their largest principal angle
-    in radians (capped at pi/2); real points are skipped.  "weyl" holds the
-    WeylValue of every point evaluated, the conjugates included."""
-    pts = [complex(z) for z in grid if complex(z).imag != 0]
-    m = {z: weyl(triple, z, tol) for z in {*pts, *(np.conj(z) for z in pts)}}
-    results = {}
-    for z in pts:
-        adj = rel.adjoint(m[z].relation_in_L, "hilbert", tol)
-        results[z] = min(sub.distance(adj.graph, m[np.conj(z)].relation_in_L.graph),
-                         np.pi / 2)
-    return {"residuals": results, "weyl": m,
-            "skipped": [complex(z) for z in grid if complex(z).imag == 0],
-            "max_residual": max(results.values(), default=0.0)}
-
-
 def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
                                tol: TolerancePolicy = DEFAULT_TOL) -> dict:
-    """Gamma-field difference identity, the Step-3 pairing identity and the
-    Krein-Naimark formula, each evaluated at the non-real points where T0 is
-    regular and the defect solve gives gamma(z) and M(z); the rest are skipped."""
-    space = triple.space
-    j = space.J
-    solves = {z: _defect_solve(triple, z, tol)[1:] for z in map(complex, grid)
-              if z.imag != 0 and rel.spectral_probe(triple.t0, z, tol)["regular"]}
-    pts = [z for z in solves if solves[z][0] is not None]
-    gammas = {z: solves[z][0][: space.dim, :] for z in pts}
-    weyls = {z: solves[z][1] for z in pts}
-    report = {"points": pts, "gamma_diff": {}, "pairing": {}, "krein_naimark": {},
-              "skipped": [complex(z) for z in grid if complex(z) not in pts]}
+    """The identities of one Weyl family, from one walk over the non-real grid
+    points and their conjugates with one defect solve per point.
+
+    "symmetry" holds, at every walked point, the largest principal angle in
+    radians (capped at pi/2) between M(z)^* and M(conj z) as relations in L;
+    "weyl" holds the WeylValue of every walked point.  The gamma-field
+    difference identity, the Step-3 pairing identity and the Krein-Naimark
+    formula are evaluated at the walked points where gamma(z) exists and T0
+    is regular ("points"); the grid points outside them are "skipped"."""
+    j = triple.space.J
+    nonreal = [complex(z) for z in grid if complex(z).imag != 0]
+    weyls, gammas, r0 = {}, {}, {}
+    for z in dict.fromkeys([*nonreal, *(z.conjugate() for z in nonreal)]):
+        weyls[z] = weyl(triple, z, tol)
+        try:
+            gammas[z] = gamma_field(triple, z, tol)
+            r0[z] = rel.resolvent_matrix(triple.t0, z, tol)
+        except rel.NotRegularError:
+            pass
+    pts = list(r0)
+    report = {"weyl": weyls, "points": pts, "symmetry": {}, "gamma_diff": {},
+              "pairing": {}, "krein_naimark": {},
+              "skipped": [complex(z) for z in grid if complex(z) not in r0]}
+    for z, value in weyls.items():
+        adj = rel.adjoint(value.relation_in_L, "hilbert", tol)
+        report["symmetry"][z] = min(
+            sub.distance(adj.graph, weyls[z.conjugate()].relation_in_L.graph), np.pi / 2)
     for z in pts:
-        r0 = rel.resolvent_matrix(triple.t0, z, tol)
+        zbar = z.conjugate()
         for z0 in pts:
             lhs = gammas[z] - gammas[z0]
-            rhs = (z - z0) * (r0 @ gammas[z0])
+            rhs = (z - z0) * (r0[z] @ gammas[z0])
             report["gamma_diff"][(z, z0)] = float(np.abs(lhs - rhs).max(initial=0.0))
-            if np.conj(z) not in pts:
+            if zbar not in r0:
                 continue
-            pair_lhs = (np.conj(z) - z0) * (gammas[z].conj().T @ j @ gammas[z0])
-            pair_rhs = weyls[np.conj(z)] - weyls[z0]
+            pair_lhs = (zbar - z0) * (gammas[z].conj().T @ j @ gammas[z0])
+            pair_rhs = weyls[zbar].operator_form - weyls[z0].operator_form
             report["pairing"][(z, z0)] = float(np.abs(pair_lhs - pair_rhs).max(initial=0.0))
-        mz = weyls[z]
-        if (np.linalg.matrix_rank(mz, rtol=tol.rank_rel) == triple.boundary_dim
-                and rel.spectral_probe(triple.t1, z, tol)["regular"]
-                and np.conj(z) in pts):
-            r1 = rel.resolvent_matrix(triple.t1, z, tol)
-            gzbar_plus = gammas[np.conj(z)].conj().T @ j
-            rhs = r0 - gammas[z] @ np.linalg.inv(mz) @ gzbar_plus
+        mz = weyls[z].operator_form
+        if zbar in r0 and np.linalg.matrix_rank(mz, rtol=tol.rank_rel) == triple.boundary_dim:
+            try:
+                r1 = rel.resolvent_matrix(triple.t1, z, tol)
+            except rel.NotRegularError:
+                continue
+            rhs = r0[z] - gammas[z] @ np.linalg.inv(mz) @ (gammas[zbar].conj().T @ j)
             report["krein_naimark"][z] = float(np.abs(r1 - rhs).max())
-    for key in ("gamma_diff", "pairing", "krein_naimark"):
+    for key in ("symmetry", "gamma_diff", "pairing", "krein_naimark"):
         report[f"max_{key}"] = max(report[key].values(), default=0.0)
     return report
 

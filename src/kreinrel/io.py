@@ -87,7 +87,7 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     try:
         dim = int(sdoc["dim"])
         space = make_krein(decode_matrix(sdoc["J"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad space block: {exc}") from exc
     if space.dim != dim:
         raise DocumentError("declared dim does not match J")
@@ -102,9 +102,9 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         try:
             gamma = decode_matrix(tdoc["gamma"])
             basis = decode_vectors(tdoc["tplus_basis"], 2 * dim)
-        except KeyError as exc:
+            declared = int(tdoc.get("boundary_dim", gamma.shape[0] // 2))
+        except (KeyError, TypeError) as exc:
             raise DocumentError(f"bad triple block: {exc}") from exc
-        declared = int(tdoc.get("boundary_dim", gamma.shape[0] // 2))
         if gamma.shape[0] != 2 * declared:
             raise DocumentError("gamma rows do not match boundary_dim")
         out["triple"] = bnd.validate_triple(out["relation"], gamma, basis, tol)

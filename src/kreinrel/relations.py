@@ -261,15 +261,14 @@ def spectral_probe(t: LinearRelation, z: complex,
 
 def resolvent_matrix(t: LinearRelation, z: complex,
                      tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """(T - z)^{-1} materialized as a matrix; requires z regular."""
-    if not spectral_probe(t, z, tol)["regular"]:
-        raise NotRegularError(f"z={z} is not a regular point")
+    """(T - z)^{-1} = E (D - zE)^{-1} = E V S^{-1} U^H from one SVD of D - zE,
+    which also decides regularity by `spectral_probe`'s rule: t.dim = n and
+    the smallest singular value above tol.rank_cut of the largest."""
     e, d = t.blocks()
-    x1 = d - z * e
-    r = e @ np.linalg.pinv(x1)
-    if np.linalg.norm(r @ x1 - e) > 1e-8 * (1.0 + np.linalg.norm(e)):
-        raise NotRegularError("resolvent extraction failed the consistency check")
-    return r
+    u, s, vh = np.linalg.svd(d - z * e)
+    if t.dim != t.src.dim or (s.size and s[-1] <= tol.rank_cut(s[0])):
+        raise NotRegularError(f"z={z} is not a regular point")
+    return e @ (vh.conj().T / s) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

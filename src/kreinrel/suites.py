@@ -318,17 +318,15 @@ def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     t, _ = _draw_pair(tseed, tol)
     triple = gen.gen_triple(t, tseed, tol)
     report.record(bnd.green_residual(t.src, triple.basis, triple.gamma))
-    sym = bnd.weyl_symmetry_check(triple, bnd.DEFAULT_GRID, tol)
-    report.record(sym["max_residual"])
+    res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID, tol)
+    for key in ("max_symmetry", "max_gamma_diff", "max_pairing", "max_krein_naimark"):
+        report.record(res[key])
     shifted = bnd.beta_shift(triple, tol=tol)
-    for z, value in sym["weyl"].items():
+    for z, value in res["weyl"].items():
         mzb = bnd.weyl(shifted, z, tol).operator_form
         if value.operator_form is None or mzb is None:
             continue
         report.record(np.abs(mzb - (value.operator_form - triple.beta)).max())
-    res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID, tol)
-    for key in ("max_gamma_diff", "max_pairing", "max_krein_naimark"):
-        report.record(res[key])
     flags = bnd.pair_isometry_check(bnd.pair_from_triple(triple, None, tol), tol)
     if not flags["unitary"]:
         report.fail(tseed, "validated triple is not a unitary pair")

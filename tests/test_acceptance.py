@@ -134,7 +134,7 @@ def test_criterion_4_green_weyl():
         green_worst = max(green_worst,
                           bnd.green_residual(t.src, tri.basis, tri.gamma))
         ju_worst = max(ju_worst,
-                       bnd.weyl_symmetry_check(tri)["max_residual"])
+                       bnd.resolvent_identities_check(tri)["max_symmetry"])
         shifted = bnd.beta_shift(tri)
         for z in bnd.DEFAULT_GRID:
             m = bnd.weyl(tri, complex(z)).operator_form

@@ -102,8 +102,8 @@ def test_suites_clean_on_small_runs(name):
 
 @pytest.mark.parametrize("seed", [1, 7, 20240811])
 def test_boundary_trial_solves_each_triple_point_once_per_check(seed, monkeypatch):
-    # the beta-shift loop reads M(z) from the symmetry check and solves only
-    # the shifted triple; resolvent_identities_check walks the grid once more
+    # resolvent_identities_check walks the grid once and the beta-shift loop
+    # reads M(z) from its report, so only the shifted triple is solved again
     calls = []
     graph_eigenspace = rel.graph_eigenspace
 
@@ -113,7 +113,7 @@ def test_boundary_trial_solves_each_triple_point_once_per_check(seed, monkeypatc
 
     monkeypatch.setattr(rel, "graph_eigenspace", counting)
     assert st.suite_boundary(1, seed).ok
-    assert len(calls) == 3 * len(bnd.DEFAULT_GRID)
+    assert len(calls) == 2 * len(bnd.DEFAULT_GRID)
 
 
 def test_custom_policy_reaches_every_rank_cut(monkeypatch):

@@ -155,6 +155,19 @@ def test_cli_block_that_is_not_an_object_is_an_input_error(block, tmp_path, caps
     assert capsys.readouterr().err.startswith(f"input error: {what} a JSON object")
 
 
+@pytest.mark.parametrize("block, key", [("space", "dim"), ("triple", "boundary_dim")])
+@pytest.mark.parametrize("value", [None, [2]], ids=["null", "list"])
+def test_cli_dimension_that_is_not_a_number_is_an_input_error(block, key, value, tmp_path,
+                                                              capsys):
+    with open(FIXTURE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[block][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["relation", "check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: bad {block} block")
+
+
 @pytest.mark.parametrize("argv, env_seed", [
     (["report", "missing.json"], None),
     (["triple", "transform", FIXTURE], None),

@@ -3,8 +3,9 @@ import pytest
 
 import kreinrel as kr
 from kreinrel import krein, relations as rel, subspaces as sub
-from kreinrel.generators import (InstanceSpec, gen_symmetric, random_complex,
+from kreinrel.generators import (InstanceSpec, gen_symmetric, gen_triple, random_complex,
                                  random_signature_symmetry, rng_for, sample_witness)
+from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 from oracles import adjoint_by_complement, graph_join, green_pairing
 
@@ -293,6 +294,31 @@ def test_resolvent_matrix_against_solve():
     assert np.abs(got - want).max() < 1e-10
     with pytest.raises(rel.NotRegularError):
         rel.resolvent_matrix(t, np.linalg.eigvalsh(h)[0])
+
+
+@pytest.mark.parametrize("tol, n_regular", [(DEFAULT_TOL, 6),
+                                             (TolerancePolicy(1e-3, 1e-6, 1e-4), 0)],
+                         ids=["default", "loose"])
+def test_resolvent_matrix_is_regular_exactly_where_the_probe_says(tol, n_regular):
+    # z = lam + i eps approaches the real eigenvalue lam ~ 11.8814 of T0; at
+    # eps = 1e-7, sigma_min/sigma_max of D - zE is 7e-10, regular by the default cut
+    t0 = gen_triple(gen_symmetric(InstanceSpec(990, 4, (4, 0), 2)), 991).t0
+    e, d = t0.blocks()
+    lam = np.linalg.eigvals(d @ np.linalg.inv(e)).real.max()
+    assert abs(lam - 11.8814) < 1e-4
+    regular = []
+    for eps in 10.0 ** -np.arange(2, 12):
+        z = lam + 1j * eps
+        regular.append(rel.spectral_probe(t0, z, tol)["regular"])
+        if not regular[-1]:
+            with pytest.raises(rel.NotRegularError):
+                rel.resolvent_matrix(t0, z, tol)
+            continue
+        want = e @ np.linalg.solve(d - z * e, np.eye(4))
+        # relative, since the condition number of D - zE reaches 1.4e9
+        got = rel.resolvent_matrix(t0, z, tol)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    assert regular.count(True) == n_regular
 
 
 def test_cayley_zero_operator():
