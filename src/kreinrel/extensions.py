@@ -103,14 +103,18 @@ def extend(t: LinearRelation, n: LinearRelation,
 
 def reduce(t: LinearRelation, t0: LinearRelation,
            tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """N = T0 ∩ T-perp for a canonical self-adjoint extension T0.  Checks the
-    hypotheses only; `prop_n_audit` re-derives that N is in the N-class."""
+    """N = T0 ∩ T-perp for a canonical self-adjoint extension T0: checks the
+    hypotheses, then calls `_n_part`; `prop_n_audit` re-derives the N-class."""
     if not rel.is_selfadjoint(t0, tol):
         raise ValueError("reduce needs a self-adjoint extension")
     if not sub.contains(t0.graph, t.graph, tol):
         raise ValueError("T0 does not extend T")
-    n_graph = sub.intersect(t0.graph, sub.complement(t.graph), tol)
-    return LinearRelation(t.src, t.tgt, n_graph)
+    return _n_part(t, t0, tol)
+
+
+def _n_part(t: LinearRelation, t0: LinearRelation, tol: TolerancePolicy) -> LinearRelation:
+    """`reduce` unchecked, for a T0 that is self-adjoint and extends T by construction."""
+    return LinearRelation(t.src, t.tgt, sub.intersect(t0.graph, sub.complement(t.graph), tol))
 
 
 def sigma_decompose(t: LinearRelation, t0: LinearRelation,

@@ -117,7 +117,8 @@ def sample_witness(t: LinearRelation, seed: int,
 
     A random Euclidean unitary between the defect subspaces closes the
     Cayley transform of JT to a unitary; pulling back gives a Hilbert
-    self-adjoint extension, then T0 = J T0_hilbert and N = T0 ∩ T-perp.
+    self-adjoint extension, then T0 = J T0_hilbert and N = T0 ∩ T-perp,
+    unchecked: T0 is self-adjoint and extends T by construction.
     """
     rng = rng_for(seed, 2)
     space = t.src
@@ -137,8 +138,7 @@ def sample_witness(t: LinearRelation, seed: int,
     frak_t0 = rel.inverse_cayley(c_full, tol)
     e0, d0 = frak_t0.blocks()
     t0 = LinearRelation(space, space, sub.span(np.vstack([e0, space.J @ d0]), tol))
-    n_rel = ext.reduce(t, t0, tol)
-    return ext.NWitness(n_rel, t, t0)
+    return ext.NWitness(ext._n_part(t, t0, tol), t, t0)
 
 
 def gen_triple(t: LinearRelation, seed: int,

@@ -85,7 +85,9 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
             raise DocumentError(f"the '{key}' block is not a JSON object")
     sdoc = doc["space"]
     try:
-        dim = int(sdoc["dim"])
+        dim = sdoc["dim"]
+        if type(dim) is not int:  # not a bool, float or string that int() would take
+            raise TypeError(f"dim {dim!r} is not an integer")
         space = make_krein(decode_matrix(sdoc["J"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad space block: {exc}") from exc
@@ -102,7 +104,9 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         try:
             gamma = decode_matrix(tdoc["gamma"])
             basis = decode_vectors(tdoc["tplus_basis"], 2 * dim)
-            declared = int(tdoc.get("boundary_dim", gamma.shape[0] // 2))
+            declared = tdoc.get("boundary_dim", gamma.shape[0] // 2)
+            if type(declared) is not int:
+                raise TypeError(f"boundary_dim {declared!r} is not an integer")
         except (KeyError, TypeError) as exc:
             raise DocumentError(f"bad triple block: {exc}") from exc
         if gamma.shape[0] != 2 * declared:

@@ -330,9 +330,7 @@ def angular_operator(t0: LinearRelation, t: LinearRelation,
 
     Returned as the coordinate matrix K with graph(T0) spanned by
     kplus_frame + kminus_frame @ K; it equals minus the Cayley transform
-    of JT0 and is a Euclidean isometry K+ -> K-.
+    of JT0 (`cayley` decides that JT0, hence T0, is self-adjoint) and is a
+    Euclidean isometry K+ -> K-.
     """
-    if not is_selfadjoint(t0, tol):
-        raise ValueError("angular operator needs a self-adjoint relation")
-    c = cayley(hilbertize(t0, tol), tol)
-    return -c
+    return -cayley(hilbertize(t0, tol), tol)

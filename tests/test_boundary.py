@@ -1,3 +1,4 @@
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, krein, relations as rel, \
-    subspaces as sub
+    subspaces as sub, suites as st
 from kreinrel.generators import InstanceSpec, gen_symmetric, gen_triple, rng_for, \
     sample_witness
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
@@ -460,6 +461,8 @@ def generated41():
     ("ext.n_class_check", "validate_triple"),
     ("ext.n_class_check", "sample_witness"),
     ("sub.sum_", "validate_triple"),
+    ("rel.is_selfadjoint", "validate_triple"),
+    ("rel.is_selfadjoint", "sample_witness"),
     ("rel.is_selfadjoint", "n_class_check"),
     ("rel.is_selfadjoint", "extend"),
     ("rel.is_selfadjoint", "t_theta"),
@@ -474,3 +477,19 @@ def test_builders_do_not_re_decide_settled_facts(c4, generated41, monkeypatch,
     monkeypatch.setattr({"ext": ext, "rel": rel, "sub": sub}[owner], name, forbidden)
     for parent, tri in ((c4["T"], c4["triple"]), generated41):
         assert _BUILDERS[builder](parent, tri) is not None
+
+
+def test_boundary_suite_proves_the_kernel_theorem(monkeypatch):
+    # validate_triple leaves the kernel theorem to the boundary suite, so a
+    # triple whose t1 is its t0 (self-adjoint, and spanning T+ by dimension
+    # count alone) must fail there by name
+    build = st.gen.gen_triple
+
+    def t1_is_t0(t, seed, tol=DEFAULT_TOL):
+        tri = build(t, seed, tol)
+        return dataclasses.replace(tri, t1=tri.t0)
+
+    assert st.suite_boundary(1, 3).ok
+    monkeypatch.setattr(st.gen, "gen_triple", t1_is_t0)
+    report = st.suite_boundary(1, 3)
+    assert [f["what"] for f in report.failures] == ["ker Gamma0 and ker Gamma1 do not meet in T"]

@@ -156,7 +156,8 @@ def test_cli_block_that_is_not_an_object_is_an_input_error(block, tmp_path, caps
 
 
 @pytest.mark.parametrize("block, key", [("space", "dim"), ("triple", "boundary_dim")])
-@pytest.mark.parametrize("value", [None, [2]], ids=["null", "list"])
+@pytest.mark.parametrize("value", [None, [2], 4.7, "4", "3", 3.0, True],
+                         ids=["null", "list", "4.7", "'4'", "'3'", "3.0", "true"])
 def test_cli_dimension_that_is_not_a_number_is_an_input_error(block, key, value, tmp_path,
                                                               capsys):
     with open(FIXTURE, encoding="utf-8") as fh:
