@@ -10,6 +10,7 @@ everywhere defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,43 +32,47 @@ class TripleValidationError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryTriple:
+    """Gamma acting on coordinates of `basis`, a basis of T+ for the parent T,
+    under `tol`.  The constructor checks nothing: `validate_triple` checks the
+    definition, `transform` that X is boundary-unitary."""
     parent: LinearRelation
-    tplus: LinearRelation
-    boundary_dim: int
     gamma: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
-    basis_pinv: np.ndarray = field(repr=False)
-    t0: LinearRelation = field(repr=False)
-    t1: LinearRelation = field(repr=False)
-    n_rel: LinearRelation = field(repr=False)
-    ft: np.ndarray = field(repr=False)
-    fn: np.ndarray = field(repr=False)
-    fjn: np.ndarray = field(repr=False)
-    fjt: np.ndarray = field(repr=False)
-    g0inv: np.ndarray = field(repr=False)
-    g1inv: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
+    tol: TolerancePolicy = field(repr=False)
     # The defect solve of the last point asked, as ((z, tol), (bvals, ghat, M)),
     # so M(z) and gamma(z) asked back to back share one solve.  It is replaced
     # as one tuple, so a concurrent reader sees a key only with its own value.
     _last_solve: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
-    @property
-    def space(self) -> KreinSpace:
-        return self.parent.src
+    # Read through on every access.
+    boundary_dim = property(lambda self: self.gamma.shape[0] // 2)
+    space = property(lambda self: self.parent.src)
+    boundary_space = property(lambda self: hilbert_space(self.boundary_dim))
+    gamma0 = property(lambda self: self.gamma[: self.boundary_dim, :])
+    gamma1 = property(lambda self: self.gamma[self.boundary_dim :, :])
 
-    @property
-    def boundary_space(self) -> KreinSpace:
-        return hilbert_space(self.boundary_dim)
+    def _kernel_of(self, g: np.ndarray) -> LinearRelation:
+        coords = sub.kernel(g, self.basis.shape[1], self.tol).frame
+        return LinearRelation(self.space, self.space, sub.span(self.basis @ coords, self.tol))
 
-    @property
-    def gamma0(self) -> np.ndarray:
-        return self.gamma[: self.boundary_dim, :]
-
-    @property
-    def gamma1(self) -> np.ndarray:
-        return self.gamma[self.boundary_dim :, :]
+    # Derived on first read and kept.  N = ker Gamma0 ∩ T-perp is unchecked,
+    # as ker Gamma0 is self-adjoint and extends T; a0 and a1 are Gamma0 on
+    # J_hat(N) and Gamma1 on N, and g0inv and g1inv their inverses into T+.
+    tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein", self.tol))
+    basis_pinv = cached_property(lambda self: np.linalg.pinv(self.basis))
+    t0 = cached_property(lambda self: self._kernel_of(self.gamma0))
+    t1 = cached_property(lambda self: self._kernel_of(self.gamma1))
+    n_rel = cached_property(lambda self: ext._n_part(self.parent, self.t0, self.tol))
+    ft = cached_property(lambda self: self.parent.graph.frame)
+    fn = cached_property(lambda self: self.n_rel.graph.frame)
+    fjn = cached_property(lambda self: doubled(self.space).J_hat @ self.fn)
+    fjt = cached_property(lambda self: doubled(self.space).J_hat @ self.ft)
+    _a0 = cached_property(lambda self: self.gamma0 @ (self.basis_pinv @ self.fjn))
+    _a1 = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.fn))
+    g0inv = cached_property(lambda self: self.fjn @ np.linalg.inv(self._a0))
+    g1inv = cached_property(lambda self: self.fn @ np.linalg.inv(self._a1))
+    beta = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.g0inv))
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Basis coordinates of columns that lie in T+."""
@@ -107,7 +112,7 @@ def green_residual(space: KreinSpace, basis: np.ndarray, gamma: np.ndarray) -> f
 
 def validate_triple(t: LinearRelation, gamma, basis=None,
                     tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
-    """Check a candidate boundary map and cache the induced structure.
+    """Check a candidate boundary map and build its triple.
 
     Checks the definition (T symmetric, a basis of T+, Gamma surjective, the
     Green identity), the a0/a1 ranks and beta Hermitian.  That the kernels are
@@ -119,15 +124,15 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     d = gamma.shape[0] // 2
     if not rel.is_symmetric(t, tol):
         raise TripleValidationError("parent relation is not symmetric")
-    tplus = rel.adjoint(t, "krein", tol)
     if basis is None:
-        basis = tplus.graph.frame
+        basis = rel.adjoint(t, "krein", tol).graph.frame
     basis = as_matrix(basis, rows=2 * t.src.dim)
     m = basis.shape[1]
     if gamma.shape[1] != m:
         raise TripleValidationError("gamma columns must match the basis size")
+    triple = BoundaryTriple(t, gamma, basis, tol)
     basis_span = sub.span(basis, tol)
-    if basis_span.dim < m or not sub.equal(basis_span, tplus.graph, tol):
+    if basis_span.dim < m or not sub.equal(basis_span, triple.tplus.graph, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
     if np.linalg.matrix_rank(gamma, rtol=tol.rank_rel) < 2 * d:
         raise TripleValidationError("boundary map is not surjective")
@@ -136,30 +141,13 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     if res > scale:
         raise TripleValidationError(f"Green identity violated: residual {res:.3e}")
 
-    basis_pinv = np.linalg.pinv(basis)
-    t0, t1 = (LinearRelation(t.src, t.src, sub.span(basis @ sub.kernel(g, m, tol).frame, tol))
-              for g in (gamma[:d, :], gamma[d:, :]))
-    n_rel = ext._n_part(t, t0, tol)
-    jhat = doubled(t.src).J_hat
-    ft = t.graph.frame
-    fn = n_rel.graph.frame
-    fjn = jhat @ fn
-    fjt = jhat @ ft
-
-    a0 = gamma[:d, :] @ (basis_pinv @ fjn)
-    a1 = gamma[d:, :] @ (basis_pinv @ fn)
-    if n_rel.dim != d or min(np.linalg.matrix_rank(a, rtol=tol.rank_rel) for a in (a0, a1)) < d:
+    if triple.n_rel.dim != d or min(np.linalg.matrix_rank(a, rtol=tol.rank_rel)
+                                    for a in (triple._a0, triple._a1)) < d:
         raise TripleValidationError("restricted boundary block is singular")
-    g0inv = fjn @ np.linalg.inv(a0)
-    g1inv = fn @ np.linalg.inv(a1)
-    beta = gamma[d:, :] @ (basis_pinv @ g0inv)
+    beta = triple.beta
     if np.linalg.norm(beta - beta.conj().T) > 1e-8 * (1 + np.linalg.norm(beta)):
         raise TripleValidationError("beta came out non-Hermitian")
-
-    return BoundaryTriple(parent=t, tplus=tplus, boundary_dim=d, gamma=gamma,
-                          basis=basis, basis_pinv=basis_pinv, t0=t0, t1=t1,
-                          n_rel=n_rel, ft=ft, fn=fn, fjn=fjn, fjt=fjt,
-                          g0inv=g0inv, g1inv=g1inv, beta=beta)
+    return triple
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +210,14 @@ def gamma_field(triple: BoundaryTriple, z: complex,
 
 def transform(triple: BoundaryTriple, x,
               tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
-    """New triple with gamma replaced by X @ gamma for boundary-unitary X."""
+    """New triple with gamma replaced by X @ gamma for boundary-unitary X, which
+    alone is checked: by the transformation lemma (T, X Gamma) is a boundary triple."""
     d = triple.boundary_dim
     x = as_matrix(x, rows=2 * d, cols=2 * d)
     jo = boundary_doubled(d).J_hat
     if np.linalg.norm(x.conj().T @ jo @ x - jo) > 1e-9 * (1 + np.linalg.norm(x) ** 2):
         raise TripleValidationError("transform matrix is not boundary-unitary")
-    return validate_triple(triple.parent, x @ triple.gamma, triple.basis, tol)
+    return BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, tol)
 
 
 def beta_shift(triple: BoundaryTriple, beta=None,
@@ -236,18 +225,13 @@ def beta_shift(triple: BoundaryTriple, beta=None,
     """The shifted triple (Gamma0, Gamma1 - beta Gamma0); defaults to beta(triple)."""
     d = triple.boundary_dim
     b = triple.beta if beta is None else as_matrix(beta, rows=d, cols=d)
-    x = np.eye(2 * d, dtype=np.complex128)
-    x[d:, :d] = -b
-    return transform(triple, x, tol)
+    return transform(triple, np.block([[np.eye(d), np.zeros((d, d))], [-b, np.eye(d)]]), tol)
 
 
 def transpose_triple(triple: BoundaryTriple,
                      tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
-    d = triple.boundary_dim
-    x = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    x[:d, d:] = np.eye(d)
-    x[d:, :d] = -np.eye(d)
-    return transform(triple, x, tol)
+    eye, zero = np.eye(triple.boundary_dim), np.zeros((triple.boundary_dim,) * 2)
+    return transform(triple, np.block([[zero, eye], [-eye, zero]]), tol)
 
 
 def t_theta(triple: BoundaryTriple, theta: LinearRelation,
@@ -319,8 +303,8 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     beta0 = triple_b.apply(triple_a.g0inv)[d:, :]
     k = triple_a.beta - beta0
     lhs = triple_b.apply(triple_a.basis)[d:, :]
-    rhs = (triple_a.apply(triple_a.basis)[d:, :]
-           - k @ triple_a.apply(triple_a.basis)[:d, :])
+    bvals_a = triple_a.apply(triple_a.basis)
+    rhs = bvals_a[d:, :] - k @ bvals_a[:d, :]
     cond_a = np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(lhs))
     return {"exists_k": cond_a, "agrees_on_n": cond_b, "k": k,
             "equivalent": cond_a == cond_b}

@@ -81,14 +81,17 @@ def cmd_ext(args) -> int:
     t = doc["relation"]
     if t is None:
         raise kio.DocumentError("document has no relation block")
-    if args.action in ("nclass", "extend", "reduce") and args.second is None:
-        raise kio.DocumentError(f"ext {args.action} needs a second document")
+    if args.action in ("nclass", "extend", "reduce"):
+        if args.second is None:
+            raise kio.DocumentError(f"ext {args.action} needs a second document")
+        other = kio.load_document(args.second, tol)["relation"]
+        if other is None:
+            raise kio.DocumentError("document has no relation block")
     if args.action == "defects":
         d = ext.defect_numbers(t, tol)
         print(f"defect numbers: {d}")
         return EXIT_OK
     if args.action == "nclass":
-        other = kio.load_document(args.second, tol)["relation"]
         try:
             ext.n_class_check(t, other, tol)
             print("accepted")
@@ -97,12 +100,10 @@ def cmd_ext(args) -> int:
             print(f"rejected: {exc.reason}")
             return EXIT_REJECT
     if args.action == "extend":
-        other = kio.load_document(args.second, tol)["relation"]
         t0 = ext.extend(t, other, tol)
         print(json.dumps(kio.document_for(doc["space"], t0), indent=1))
         return EXIT_OK
     if args.action == "reduce":
-        other = kio.load_document(args.second, tol)["relation"]
         n = ext.reduce(t, other, tol)
         print(json.dumps(kio.document_for(doc["space"], n), indent=1))
         return EXIT_OK
@@ -189,9 +190,7 @@ def cmd_verify(args) -> int:
                   f"max_residual={r['max_residual']:.3e} "
                   f"failures={len(r['failures'])} [{status}]")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        kio.save_document(args.out, payload)
     return EXIT_OK if all(r["ok"] for r in payload) else EXIT_REJECT
 
 

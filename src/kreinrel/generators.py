@@ -17,7 +17,7 @@ from . import relations as rel
 from . import subspaces as sub
 from .krein import KreinSpace, doubled, make_krein
 from .relations import LinearRelation
-from .similarity import _utilde
+from .similarity import _standard_unitary_residual, _utilde
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -189,27 +189,30 @@ def gen_standard_unitary(seed: int, src: KreinSpace, tgt: KreinSpace) -> np.ndar
         _, vec_t = np.linalg.eigh(tgt.J)
         pi = vec_t @ vec_s.conj().T
         u = pi @ c
-        res = np.abs(u.conj().T @ tgt.J @ u - src.J).max()
-        if res < 1e-10 * (1 + np.abs(u).max() ** 2):
+        if _is_standard_unitary(u, src, tgt):
             return u
     raise SamplingExhaustedError("could not draw a standard unitary")
+
+
+def _is_standard_unitary(u: np.ndarray, src: KreinSpace, tgt: KreinSpace) -> bool:
+    """U^H J' U = J to the scale `gen_standard_unitary` draws under."""
+    return _standard_unitary_residual(u, src, tgt) < 1e-10 * (1 + np.abs(u).max() ** 2)
 
 
 def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
                            tgt: KreinSpace,
                            tol: TolerancePolicy = DEFAULT_TOL) -> bnd.BoundaryTriple:
-    """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}."""
+    """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}.  Only U is checked:
+    by the transformation lemma a standard unitary carries a triple to a triple."""
+    if not _is_standard_unitary(u, triple.space, tgt):
+        raise bnd.TripleValidationError("planting matrix is not standard unitary")
     ut = _utilde(u)
     t_prime = LinearRelation(tgt, tgt, sub.image(ut, triple.parent.graph, tol))
-    basis = ut @ triple.basis
-    return bnd.validate_triple(t_prime, triple.gamma, basis, tol)
+    return bnd.BoundaryTriple(t_prime, triple.gamma, ut @ triple.basis, tol)
 
 
 def scaled_triple(triple: bnd.BoundaryTriple, kappa: float,
                   tol: TolerancePolicy = DEFAULT_TOL) -> bnd.BoundaryTriple:
     """The diag(1/kappa, kappa)-rescaled triple (real kappa keeps Green)."""
-    d = triple.boundary_dim
-    x = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    x[:d, :d] = np.eye(d) / kappa
-    x[d:, d:] = np.eye(d) * kappa
+    x = np.diag(np.repeat([1 / kappa, kappa], triple.boundary_dim))
     return bnd.transform(triple, x, tol)

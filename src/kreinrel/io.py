@@ -115,7 +115,7 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     return out
 
 
-def save_document(path: str, doc: dict):
+def save_document(path: str, doc: dict | list):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

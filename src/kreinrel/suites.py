@@ -314,21 +314,23 @@ def suite_extensions(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 
 @_suite("boundary")
 def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
-    """Green residuals, kernel theorem, Weyl symmetry, beta-shift law, resolvent identities."""
+    """Green residuals and the kernel theorem for a triple and its beta shift,
+    Weyl symmetry, the beta-shift law and the resolvent identities."""
     t, _ = _draw_pair(tseed, tol)
     triple = gen.gen_triple(t, tseed, tol)
-    report.record(bnd.green_residual(t.src, triple.basis, triple.gamma))
-    for name, tk in (("ker Gamma0", triple.t0), ("ker Gamma1", triple.t1)):
-        if not rel.is_selfadjoint(tk, tol):
-            report.fail(tseed, f"{name} is not self-adjoint")
-    if not sub.equal(sub.intersect(triple.t0.graph, triple.t1.graph, tol), t.graph, tol):
-        report.fail(tseed, "ker Gamma0 and ker Gamma1 do not meet in T")
-    if triple.t0.dim + triple.t1.dim - t.dim != triple.tplus.dim:
-        report.fail(tseed, "ker Gamma0 and ker Gamma1 do not span T+")
+    shifted = bnd.beta_shift(triple, tol=tol)
+    for label, tri in (("", triple), ("beta-shifted triple: ", shifted)):
+        report.record(bnd.green_residual(t.src, tri.basis, tri.gamma))
+        for name, tk in (("ker Gamma0", tri.t0), ("ker Gamma1", tri.t1)):
+            if not rel.is_selfadjoint(tk, tol):
+                report.fail(tseed, f"{label}{name} is not self-adjoint")
+        if not sub.equal(sub.intersect(tri.t0.graph, tri.t1.graph, tol), t.graph, tol):
+            report.fail(tseed, f"{label}ker Gamma0 and ker Gamma1 do not meet in T")
+        if tri.t0.dim + tri.t1.dim - t.dim != tri.tplus.dim:
+            report.fail(tseed, f"{label}ker Gamma0 and ker Gamma1 do not span T+")
     res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID, tol)
     for key in ("max_symmetry", "max_gamma_diff", "max_pairing", "max_krein_naimark"):
         report.record(res[key])
-    shifted = bnd.beta_shift(triple, tol=tol)
     for z, value in res["weyl"].items():
         mzb = bnd.weyl(shifted, z, tol).operator_form
         if value.operator_form is None or mzb is None:

@@ -1,4 +1,6 @@
-import dataclasses
+import cProfile
+import pstats
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, krein, relations as rel, \
     subspaces as sub, suites as st
-from kreinrel.generators import InstanceSpec, gen_symmetric, gen_triple, rng_for, \
-    sample_witness
+from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetric, \
+    gen_triple, planted_similar_triple, rng_for, sample_witness
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 from conftest import c4_weyl_matrix
@@ -208,6 +210,28 @@ def test_shared_triple_across_threads():
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert all(pool.map(worker, [pts[::2], pts[1::2]]))
+
+
+def test_derived_values_shared_across_threads():
+    # threads that miss a derived value of one triple at once compute equal values
+    tri = gen_triple(gen_symmetric(InstanceSpec(77, 8, (4, 4), 2)), 78)
+    names = ("t0", "t1", "n_rel", "g0inv", "g1inv", "beta")
+
+    def derive(shared):
+        values = [getattr(shared, n) for n in names]
+        return [v.graph.frame if isinstance(v, rel.LinearRelation) else v for v in values]
+
+    want = derive(bnd.beta_shift(tri))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(10):
+                shared = bnd.beta_shift(tri)
+                for got in pool.map(lambda _: derive(shared), range(4), timeout=60):
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_inverse_boundary_c4(c4):
@@ -448,6 +472,9 @@ _BUILDERS = {
     "n_class_check": lambda t, tri: ext.n_class_check(t, tri.n_rel),
     "extend": lambda t, tri: ext.extend(t, tri.n_rel),
     "t_theta": lambda t, tri: bnd.t_theta(tri, _hermitian_theta(tri)),
+    "transform": lambda t, tri: bnd.beta_shift(tri),
+    "planted_similar_triple": lambda t, tri: planted_similar_triple(
+        tri, gen_standard_unitary(5, tri.space, tri.space), tri.space),
 }
 
 
@@ -466,6 +493,8 @@ def generated41():
     ("rel.is_selfadjoint", "n_class_check"),
     ("rel.is_selfadjoint", "extend"),
     ("rel.is_selfadjoint", "t_theta"),
+    ("rel.is_symmetric", "transform"),
+    ("rel.is_symmetric", "planted_similar_triple"),
 ])
 def test_builders_do_not_re_decide_settled_facts(c4, generated41, monkeypatch,
                                                  route, builder):
@@ -479,17 +508,61 @@ def test_builders_do_not_re_decide_settled_facts(c4, generated41, monkeypatch,
         assert _BUILDERS[builder](parent, tri) is not None
 
 
+def _t1_is_t0(tri):
+    # plant t1 = t0 over the value derived from gamma: self-adjoint, and
+    # spanning T+ by dimension count alone, but meeting t1 in t0, not in T
+    object.__setattr__(tri, "t1", tri.t0)
+    return tri
+
+
 def test_boundary_suite_proves_the_kernel_theorem(monkeypatch):
     # validate_triple leaves the kernel theorem to the boundary suite, so a
-    # triple whose t1 is its t0 (self-adjoint, and spanning T+ by dimension
-    # count alone) must fail there by name
+    # triple whose t1 is its t0 must fail there by name
     build = st.gen.gen_triple
-
-    def t1_is_t0(t, seed, tol=DEFAULT_TOL):
-        tri = build(t, seed, tol)
-        return dataclasses.replace(tri, t1=tri.t0)
-
     assert st.suite_boundary(1, 3).ok
-    monkeypatch.setattr(st.gen, "gen_triple", t1_is_t0)
+    monkeypatch.setattr(st.gen, "gen_triple",
+                        lambda t, seed, tol=DEFAULT_TOL: _t1_is_t0(build(t, seed, tol)))
     report = st.suite_boundary(1, 3)
     assert [f["what"] for f in report.failures] == ["ker Gamma0 and ker Gamma1 do not meet in T"]
+
+
+def test_boundary_suite_proves_the_kernel_theorem_for_the_beta_shift(monkeypatch):
+    # transform does not validate, so the suite's proof is what checks the
+    # shifted triple; a fault in it alone is named for that triple
+    shift = st.bnd.beta_shift
+    monkeypatch.setattr(st.bnd, "beta_shift",
+                        lambda tri, beta=None, tol=DEFAULT_TOL:
+                        _t1_is_t0(shift(tri, beta, tol)))
+    report = st.suite_boundary(1, 3)
+    assert [f["what"] for f in report.failures] == [
+        "beta-shifted triple: ker Gamma0 and ker Gamma1 do not meet in T"]
+
+
+def _svd_calls(fn):
+    prof = cProfile.Profile()
+    out = prof.runcall(fn)
+    stats = pstats.Stats(prof).stats
+    return out, sum(v[1] for k, v in stats.items() if k[2] == "svd" and "linalg" in k[0])
+
+
+def test_transformed_triples_derive_on_first_read(generated41):
+    t, tri = generated41
+    u = gen_standard_unitary(5, tri.space, tri.space)
+    shifted, shift_svds = _svd_calls(lambda: bnd.beta_shift(tri))
+    planted, plant_svds = _svd_calls(lambda: planted_similar_triple(tri, u, tri.space))
+    # transform multiplies gamma; planting maps T by U~, one SVD for T's image
+    assert (shift_svds, plant_svds) == (0, 1)
+    assert not {"t0", "t1", "beta"} & (vars(shifted).keys() | vars(planted).keys())
+    for built in (shifted, planted):
+        checked = bnd.validate_triple(built.parent, built.gamma, built.basis)
+        for name in ("t0", "t1"):
+            assert np.array_equal(getattr(built, name).graph.frame,
+                                  getattr(checked, name).graph.frame)
+        assert np.array_equal(built.beta, checked.beta)
+
+
+def test_planted_similar_triple_checks_u(generated41):
+    _, tri = generated41
+    u = gen_standard_unitary(5, tri.space, tri.space)
+    with pytest.raises(bnd.TripleValidationError):
+        planted_similar_triple(tri, 2 * u, tri.space)

@@ -178,11 +178,17 @@ def test_cli_dimension_that_is_not_a_number_is_an_input_error(block, key, value,
     (["report", "numbers.json"], None),
     (["report", "null-residual.json"], None),
     (["report", "text-residual.json"], None),
+    (["ext", "extend", FIXTURE, "space-only.json"], None),
+    (["ext", "reduce", FIXTURE, "space-only.json"], None),
+    (["ext", "nclass", FIXTURE, "space-only.json"], None),
 ], ids=["report-missing-file", "transform-without-matrix", "nclass-without-second",
         "non-integer-env-seed", "report-not-a-report", "report-list-of-numbers",
-        "report-null-residual", "report-text-residual"])
+        "report-null-residual", "report-text-residual", "extend-second-without-relation",
+        "reduce-second-without-relation", "nclass-second-without-relation"])
 def test_cli_usage_errors_are_input_errors(argv, env_seed, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    with open(FIXTURE, encoding="utf-8") as fh:
+        (tmp_path / "space-only.json").write_text(json.dumps({"space": json.load(fh)["space"]}))
     (tmp_path / "numbers.json").write_text("[1, 2]")
     (tmp_path / "null-residual.json").write_text('[{"suite": "x", "max_residual": null}]')
     (tmp_path / "text-residual.json").write_text('[{"suite": "x", "max_residual": "big"}]')
@@ -193,6 +199,8 @@ def test_cli_usage_errors_are_input_errors(argv, env_seed, tmp_path, monkeypatch
     assert err.startswith("input error: ")
     if argv[-1].endswith("-residual.json"):
         assert "suite 'x': max_residual" in err
+    if argv[-1] == "space-only.json":
+        assert err == "input error: document has no relation block\n"
 
 
 def test_cli_extend_reduce(tmp_path, capsys, c4):
