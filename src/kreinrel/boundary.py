@@ -166,9 +166,9 @@ def _defect_solve(triple: BoundaryTriple, z: complex, tol: TolerancePolicy):
         return last[1]
     d = triple.boundary_dim
     frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
-    # a frame of the wrong dim (a loose cut's extra direction, off T+) is projected unchecked
-    x = triple.coords(frame) if frame.shape[1] == d else triple.basis_pinv @ frame
-    bvals = triple.gamma @ x
+    # N_z(T+) lies in T+, so its coordinates are read unchecked; a frame of the
+    # wrong dim (a loose cut's extra direction) only makes z irregular below
+    bvals = triple.gamma @ (triple.basis_pinv @ frame)
     if frame.shape[1] != d or np.linalg.matrix_rank(bvals[:d, :], rtol=tol.rank_rel) < d:
         solve = (bvals, None, None)
     else:

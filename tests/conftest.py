@@ -64,3 +64,15 @@ def c4_weyl_matrix(z: complex) -> np.ndarray:
     """Brute-force image of the defect frame under the displayed boundary map."""
     z = complex(z)
     return np.array([[0, 0, z], [0, 0, z * z], [z, z * z, 0]], dtype=np.complex128)
+
+
+def svd_calls(monkeypatch) -> list:
+    """Record (shape, compute_uv) of every np.linalg.svd call from here on."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls

@@ -2,10 +2,9 @@
 
 These deliberately avoid the library's own code paths: exact rational
 Gaussian elimination for ranks, cross-Gram SVD and the projector gap
-for principal angles,
-raw SVD null spaces, hand-rolled graph joins for compositions, the
-complement-and-flip route for adjoints and the canonical operator part
-of V0 for (V0)_s.
+for principal angles, raw SVD null spaces and the Weyl values read off
+them, hand-rolled graph joins for compositions, the complement-and-flip
+route for adjoints and the canonical operator part of V0 for (V0)_s.
 """
 
 from fractions import Fraction
@@ -94,6 +93,18 @@ def svd_nullspace(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
     return vh[rank:].conj().T
+
+
+def weyl_gamma_by_svd(triple, z: complex):
+    """M(z) and gamma(z) from a raw SVD null space of D+ - zE+, where [E+; D+]
+    is the adjoint's graph frame: its kernel k gives the defect graph columns
+    frame k, whose boundary values Gamma0 and Gamma1 fix both values."""
+    frame = triple.tplus.graph.frame
+    n, d = triple.space.dim, triple.boundary_dim
+    cols = frame @ svd_nullspace(frame[n:] - z * frame[:n])
+    bvals = triple.gamma @ np.linalg.lstsq(triple.basis, cols, rcond=None)[0]
+    inv0 = np.linalg.inv(bvals[:d])
+    return bvals[d:] @ inv0, (cols @ inv0)[:n]
 
 
 def intersection_by_join(frame_a: np.ndarray, frame_b: np.ndarray,

@@ -13,7 +13,8 @@ from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetri
     gen_triple, planted_similar_triple, rng_for, sample_witness
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
-from conftest import c4_weyl_matrix
+from conftest import c4_weyl_matrix, svd_calls
+from oracles import weyl_gamma_by_svd
 
 
 def test_validate_c4(c4):
@@ -154,6 +155,31 @@ def test_weyl_then_gamma_field_share_one_defect_solve(monkeypatch):
     assert bnd.weyl(tri, z).operator_form is not None
     bnd.gamma_field(tri, z)
     assert calls == [z]
+
+
+def test_weyl_and_gamma_field_take_no_singular_vectors_of_the_defect_block(monkeypatch):
+    # N_z(T+) = ker(D+ - zE+), an n x (n + d) block, comes from a QR of its
+    # conjugate transpose and the singular values of the square factor
+    n, d = 32, 8
+    tri = gen_triple(gen_symmetric(InstanceSpec(3232, n, (n // 2, n // 2), d)), 3233)
+    tri.tplus, tri.basis_pinv  # derived before counting
+    calls = svd_calls(monkeypatch)
+    for z in (0.3 + 1.1j, -2 - 0.5j):
+        assert bnd.weyl(tri, z).operator_form is not None
+        bnd.gamma_field(tri, z)
+    assert ((n, n + d), True) not in calls
+    assert calls.count(((n, n), False)) == 2
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_weyl_and_gamma_field_match_the_svd_route(n):
+    d = n // 4
+    tri = gen_triple(gen_symmetric(InstanceSpec(n + 500, n, (n // 2, n // 2), d)), n + 501)
+    for z in (1j, 0.5 - 1.5j, -1 + 1j, 3 + 0.01j):
+        want_m, want_g = weyl_gamma_by_svd(tri, z)
+        got_m, got_g = bnd.weyl(tri, z).operator_form, bnd.gamma_field(tri, z)
+        assert np.linalg.norm(got_m - want_m) <= 1e-10 * np.linalg.norm(want_m)
+        assert np.linalg.norm(got_g - want_g) <= 1e-10 * np.linalg.norm(want_g)
 
 
 def _same(x, y):

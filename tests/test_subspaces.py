@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from kreinrel import subspaces as sub
 from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
 
+from conftest import svd_calls
 from oracles import exact_rank, intersection_by_join, principal_angles_arccos, \
     projector_gap_angle, svd_nullspace
 
@@ -181,6 +182,71 @@ def test_preimage_of_zero_is_kernel():
     want = svd_nullspace(m)
     assert got.dim == want.shape[1]
     assert sub.equal(got, sub.span(want))
+
+
+def with_singular_values(rng, rows, cols, s):
+    """A rows x cols matrix U diag(s) V^H with random unitary U and V."""
+    u = np.linalg.qr(rand_cols(rng, rows, rows))[0][:, : len(s)]
+    v = np.linalg.qr(rand_cols(rng, cols, cols))[0][:, : len(s)]
+    return (u * s) @ v.conj().T
+
+
+@pytest.mark.parametrize("rows", [16, 24, 40, 64])
+def test_wide_full_rank_kernel_by_qr_matches_svd_oracle(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    calls = svd_calls(monkeypatch)
+    for cols, scale in [(rows + 1, 1.0), (rows + rows // 4, 1e-6), (2 * rows, 1e6)]:
+        m = rand_cols(rng, rows, cols) * scale
+        calls.clear()
+        got = sub.kernel(m)
+        assert calls == [((rows, rows), False)]
+        want = svd_nullspace(m)
+        assert got.dim == cols - rows == want.shape[1]
+        assert projector_gap_angle(got.frame, want) <= 1e-12
+        assert np.linalg.norm(m @ got.frame, 2) <= 1e-12 * np.linalg.norm(m, 2)
+        assert gram_defect(got) <= 1e-12
+
+
+def test_wide_rank_deficient_kernel_falls_back_to_the_svd(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = rand_cols(rng, 20, 15) @ rand_cols(rng, 15, 30)
+    calls = svd_calls(monkeypatch)
+    got = sub.kernel(m)
+    assert calls == [((20, 20), False), ((20, 30), True)]
+    want = svd_nullspace(m)
+    assert got.dim == 15 == want.shape[1]
+    assert projector_gap_angle(got.frame, want) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("top", [1.0, 1e-4])
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_wide_kernel_dim_at_the_cut_follows_the_svd_rule(tol, top, factor):
+    # sigma_min at (1 +- 1e-3) * cut; with top = 1e-4 the absolute floor
+    # sets the cut under both policies
+    rng = np.random.default_rng(6)
+    cut = tol.rank_cut(top)
+    s = np.concatenate([[top], np.geomspace(top / 2, 4 * cut, 18), [factor * cut]])
+    m = with_singular_values(rng, 20, 30, s)
+    sv = np.linalg.svd(m, compute_uv=False)
+    want = 30 - int(np.sum(sv > tol.rank_cut(sv[0])))
+    assert want == (10 if factor > 1 else 11)
+    assert sub.kernel(m, 30, tol).dim == want
+
+
+@pytest.mark.parametrize("shape", [(15, 30), (12, 15), (20, 20), (30, 20), (64, 48)])
+def test_kernels_off_the_qr_route_keep_the_svd_frame(monkeypatch, shape):
+    # fewer than 16 rows, square or tall
+    rng = np.random.default_rng(shape[0])
+    m = rand_cols(rng, *shape)
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("kernel took the QR route")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.sum(s > DEFAULT_TOL.rank_cut(s[0])))
+    assert np.array_equal(sub.kernel(m).frame, vh[rank:].conj().T)
 
 
 def test_image_under_flip(c4):
