@@ -4,7 +4,9 @@ The boundary map is stored as a matrix acting on coordinates of an
 explicit basis of T+, with the first block of rows feeding the abstract
 Green identity's primary side.  Weyl values are relations in the
 boundary space first and matrices only when single-valued and
-everywhere defined.
+everywhere defined.  A triple carries its tolerance policy, and every
+function of a triple or pair decides under `triple.tol` (`pair.tol`);
+only `validate_triple`, which builds a triple, takes a policy.
 """
 
 from __future__ import annotations
@@ -30,18 +32,29 @@ class TripleValidationError(ValueError):
     pass
 
 
+class PolicyMismatchError(ValueError):
+    """Two triples or pairs of one computation carry different policies."""
+
+
+def shared_tol(a, b) -> TolerancePolicy:
+    """The one policy of two triples or pairs; never a pick between two."""
+    if a.tol != b.tol:
+        raise PolicyMismatchError(f"different tolerance policies: {a.tol} and {b.tol}")
+    return a.tol
+
+
 @dataclass(frozen=True)
 class BoundaryTriple:
-    """Gamma acting on coordinates of `basis`, a basis of T+ for the parent T,
-    under `tol`.  The constructor checks nothing: `validate_triple` checks the
-    definition, `transform` that X is boundary-unitary."""
+    """Gamma on coordinates of `basis`, a basis of T+ for the parent T.  Every
+    derived value and function of the triple decides under `tol`.  Unchecked:
+    `validate_triple` checks the definition, `transform` that X is boundary-unitary."""
     parent: LinearRelation
     gamma: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
-    # The defect solve of the last point asked, as ((z, tol), (bvals, ghat, M)),
-    # so M(z) and gamma(z) asked back to back share one solve.  It is replaced
-    # as one tuple, so a concurrent reader sees a key only with its own value.
+    # (z, (bvals, ghat, M)): the defect solve of the last z asked, keyed by z
+    # alone as `tol` decides every solve, so M(z) and gamma(z) share one solve.
+    # Replaced as one tuple: a concurrent reader sees a key with its own value.
     _last_solve: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -95,10 +108,12 @@ class WeylValue:
 
 @dataclass(frozen=True)
 class IsometricBoundaryPair:
+    """The boundary map as a relation, deciding under `tol` like a triple."""
     boundary_dim: int
     gamma_rel: LinearRelation
     a_star: LinearRelation
     kernel: LinearRelation
+    tol: TolerancePolicy = field(repr=False)
 
 
 def green_residual(space: KreinSpace, basis: np.ndarray, gamma: np.ndarray) -> float:
@@ -154,17 +169,17 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 # Weyl family and gamma-field
 
 
-def _defect_solve(triple: BoundaryTriple, z: complex, tol: TolerancePolicy):
+def _defect_solve(triple: BoundaryTriple, z: complex):
     """Boundary values of the defect graph N_z(T+), then the solver
     (Gamma0 on N_z)^{-1} and M(z) = Gamma1 (Gamma0 on N_z)^{-1}.  The one
     regularity rule: dim N_z = d and Gamma0 on N_z is invertible under the
-    policy; otherwise the last two are None.  The arrays are read-only; a
-    repeat of the triple's last (z, tol) returns the same ones."""
-    key = (complex(z), tol)
+    triple's policy; otherwise the last two are None.  The arrays are
+    read-only; a repeat of the triple's last z returns the same ones."""
+    z = complex(z)
     last = triple._last_solve
-    if last is not None and last[0] == key:
+    if last is not None and last[0] == z:
         return last[1]
-    d = triple.boundary_dim
+    d, tol = triple.boundary_dim, triple.tol
     frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
     # N_z(T+) lies in T+, so its coordinates are read unchecked; a frame of the
     # wrong dim (a loose cut's extra direction) only makes z irregular below
@@ -177,39 +192,35 @@ def _defect_solve(triple: BoundaryTriple, z: complex, tol: TolerancePolicy):
     for a in solve:
         if a is not None:
             a.flags.writeable = False
-    object.__setattr__(triple, "_last_solve", (key, solve))
+    object.__setattr__(triple, "_last_solve", (z, solve))
     return solve
 
 
-def weyl(triple: BoundaryTriple, z: complex,
-         tol: TolerancePolicy = DEFAULT_TOL) -> WeylValue:
+def weyl(triple: BoundaryTriple, z: complex) -> WeylValue:
     """M(z) as a relation in L, with its matrix form where gamma(z) exists."""
-    bvals, _, operator_form = _defect_solve(triple, z, tol)
-    lspace = triple.boundary_space
+    bvals, _, operator_form = _defect_solve(triple, z)
+    lspace, tol = triple.boundary_space, triple.tol
     return WeylValue(z, LinearRelation(lspace, lspace, sub.span(bvals, tol)), operator_form)
 
 
-def gamma_field_hat(triple: BoundaryTriple, z: complex,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gamma_field_hat(triple: BoundaryTriple, z: complex) -> np.ndarray:
     """The full defect-graph solver (Gamma0 restricted to zI)^{-1}: L -> K."""
-    ghat = _defect_solve(triple, z, tol)[1]
+    ghat = _defect_solve(triple, z)[1]
     if ghat is None:
         raise rel.NotRegularError(f"gamma-field undefined at z={z}")
     return ghat
 
 
-def gamma_field(triple: BoundaryTriple, z: complex,
-                tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gamma_field(triple: BoundaryTriple, z: complex) -> np.ndarray:
     """gamma(z): L -> H, first component of the defect-graph solver."""
-    return gamma_field_hat(triple, z, tol)[: triple.space.dim, :]
+    return gamma_field_hat(triple, z)[: triple.space.dim, :]
 
 
 # ---------------------------------------------------------------------------
 # transforms
 
 
-def transform(triple: BoundaryTriple, x,
-              tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
+def transform(triple: BoundaryTriple, x) -> BoundaryTriple:
     """New triple with gamma replaced by X @ gamma for boundary-unitary X, which
     alone is checked: by the transformation lemma (T, X Gamma) is a boundary triple."""
     d = triple.boundary_dim
@@ -217,68 +228,63 @@ def transform(triple: BoundaryTriple, x,
     jo = boundary_doubled(d).J_hat
     if np.linalg.norm(x.conj().T @ jo @ x - jo) > 1e-9 * (1 + np.linalg.norm(x) ** 2):
         raise TripleValidationError("transform matrix is not boundary-unitary")
-    return BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, tol)
+    return BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, triple.tol)
 
 
-def beta_shift(triple: BoundaryTriple, beta=None,
-               tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
+def beta_shift(triple: BoundaryTriple, beta=None) -> BoundaryTriple:
     """The shifted triple (Gamma0, Gamma1 - beta Gamma0); defaults to beta(triple)."""
     d = triple.boundary_dim
     b = triple.beta if beta is None else as_matrix(beta, rows=d, cols=d)
-    return transform(triple, np.block([[np.eye(d), np.zeros((d, d))], [-b, np.eye(d)]]), tol)
+    return transform(triple, np.block([[np.eye(d), np.zeros((d, d))], [-b, np.eye(d)]]))
 
 
-def transpose_triple(triple: BoundaryTriple,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
+def transpose_triple(triple: BoundaryTriple) -> BoundaryTriple:
     eye, zero = np.eye(triple.boundary_dim), np.zeros((triple.boundary_dim,) * 2)
-    return transform(triple, np.block([[zero, eye], [-eye, zero]]), tol)
+    return transform(triple, np.block([[zero, eye], [-eye, zero]]))
 
 
-def t_theta(triple: BoundaryTriple, theta: LinearRelation,
-            tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
     """The extension Gamma^{-1}(Theta); self-adjoint iff Theta is."""
     d = triple.boundary_dim
     if theta.src.dim != d or theta.tgt.dim != d:
         raise ValueError("Theta must be a relation in the boundary space")
-    coords = sub.preimage(triple.gamma, theta.graph, tol)
+    coords = sub.preimage(triple.gamma, theta.graph, triple.tol)
     space = triple.space
-    return LinearRelation(space, space, sub.span(triple.basis @ coords.frame, tol))
+    return LinearRelation(space, space, sub.span(triple.basis @ coords.frame, triple.tol))
 
 
 # ---------------------------------------------------------------------------
 # isometric boundary pairs
 
 
-def gamma_relation(triple: BoundaryTriple,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def gamma_relation(triple: BoundaryTriple) -> LinearRelation:
     """The boundary map as a relation K -> K_circ: the span of [basis; gamma]."""
-    graph = sub.span(np.vstack([triple.basis, triple.gamma]), tol)
+    graph = sub.span(np.vstack([triple.basis, triple.gamma]), triple.tol)
     return LinearRelation(doubled(triple.space).krein,
                           boundary_doubled(triple.boundary_dim).krein, graph)
 
 
-def pair_from_triple(triple: BoundaryTriple, domain: Subspace | None = None,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> IsometricBoundaryPair:
+def pair_from_triple(triple: BoundaryTriple,
+                     domain: Subspace | None = None) -> IsometricBoundaryPair:
     """The boundary map as a relation K -> K_circ, optionally domain-restricted.
 
     dom Gamma = T+ and ker Gamma = T come from the triple; a domain cuts
     both down with Gamma itself.
     """
-    space = triple.space
-    gamma_rel = gamma_relation(triple, tol)
+    space, tol = triple.space, triple.tol
+    gamma_rel = gamma_relation(triple)
     dom, kern = triple.tplus.graph, triple.parent.graph
     if domain is not None:
         gamma_rel = rel.restrict(gamma_rel, domain, tol)
         dom, kern = sub.intersect(dom, domain, tol), sub.intersect(kern, domain, tol)
     return IsometricBoundaryPair(triple.boundary_dim, gamma_rel,
                                  LinearRelation(space, space, dom),
-                                 LinearRelation(space, space, kern))
+                                 LinearRelation(space, space, kern), tol)
 
 
-def pair_isometry_check(pair: IsometricBoundaryPair,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+def pair_isometry_check(pair: IsometricBoundaryPair) -> dict:
     """Flags {isometric, unitary} via the cross-space Krein adjoint."""
-    g = pair.gamma_rel
+    g, tol = pair.gamma_rel, pair.tol
     ginv = rel.inverse(g)
     gplus = rel.adjoint(g, "krein", tol)
     isometric = sub.contains(gplus.graph, ginv.graph, tol)
@@ -286,15 +292,14 @@ def pair_isometry_check(pair: IsometricBoundaryPair,
     return {"isometric": isometric, "unitary": unitary}
 
 
-def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """Equivalence of the two shift conditions between triples for one T+.
 
     Condition (a): some bounded K solves Gamma'_1 = Gamma_1 - K Gamma_0 on
     all of T+.  Condition (b): Gamma'_1 agrees with Gamma_1 on N.  The K
     candidate is beta(A) - Gamma'_1 Gamma_0^{(-1)}.
     """
-    if not sub.equal(triple_a.tplus.graph, triple_b.tplus.graph, tol):
+    if not sub.equal(triple_a.tplus.graph, triple_b.tplus.graph, shared_tol(triple_a, triple_b)):
         raise ValueError("triples must share the adjoint")
     d = triple_a.boundary_dim
     g1a_on_n = triple_a.apply(triple_a.fn)[d:, :]
@@ -314,8 +319,7 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 # identity checks over grids
 
 
-def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
-                               tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dict:
     """The identities of one Weyl family, from one walk over the non-real grid
     points and their conjugates with one defect solve per point.
 
@@ -324,14 +328,15 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
     "weyl" holds the WeylValue of every walked point.  The gamma-field
     difference identity, the Step-3 pairing identity and the Krein-Naimark
     formula are evaluated at the walked points where gamma(z) exists and T0
-    is regular ("points"); the grid points outside them are "skipped"."""
-    j = triple.space.J
+    is regular ("points"); the grid points outside them are "skipped".  Each
+    "max_" entry is the largest of its residuals, NaN if any of them is."""
+    j, tol = triple.space.J, triple.tol
     nonreal = [complex(z) for z in grid if complex(z).imag != 0]
     weyls, gammas, r0 = {}, {}, {}
     for z in dict.fromkeys([*nonreal, *(z.conjugate() for z in nonreal)]):
-        weyls[z] = weyl(triple, z, tol)
+        weyls[z] = weyl(triple, z)
         try:
-            gammas[z] = gamma_field(triple, z, tol)
+            gammas[z] = gamma_field(triple, z)
             r0[z] = rel.resolvent_matrix(triple.t0, z, tol)
         except rel.NotRegularError:
             pass
@@ -363,18 +368,18 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID,
             rhs = r0[z] - gammas[z] @ np.linalg.inv(mz) @ (gammas[zbar].conj().T @ j)
             report["krein_naimark"][z] = float(np.abs(r1 - rhs).max())
     for key in ("symmetry", "gamma_diff", "pairing", "krein_naimark"):
-        report[f"max_{key}"] = max(report[key].values(), default=0.0)
+        report[f"max_{key}"] = float(np.max([*report[key].values()], initial=0.0))
     return report
 
 
-def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                grid=DEFAULT_GRID, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple, grid=DEFAULT_GRID) -> dict:
     """Regular-point transfer between triples with matching Weyl families."""
+    tol = shared_tol(triple_a, triple_b)
     pts = [complex(z) for z in grid if complex(z).imag != 0]
     weyl_equal = {}
     for z in pts:
-        ma = weyl(triple_a, z, tol).relation_in_L
-        mb = weyl(triple_b, z, tol).relation_in_L
+        ma = weyl(triple_a, z).relation_in_L
+        mb = weyl(triple_b, z).relation_in_L
         weyl_equal[z] = sub.equal(ma.graph, mb.graph, tol)
     omega = [z for z in pts if weyl_equal[z] and weyl_equal.get(np.conj(z), False)]
     report = {"weyl_equal": weyl_equal, "omega": omega, "transfers": {}}

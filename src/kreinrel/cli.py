@@ -116,8 +116,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    tol = _policy(args)
-    doc = kio.load_document(args.file, tol)
+    doc = kio.load_document(args.file, _policy(args))
     triple = doc["triple"]
     if triple is None:
         raise kio.DocumentError("document has no triple block")
@@ -127,15 +126,14 @@ def cmd_triple(args) -> int:
         _print_subspace("T1 = ker Gamma1", triple.t1.graph)
         _print_matrix(triple.beta, "beta =")
     elif args.action == "weyl":
-        value = bnd.weyl(triple, _parse_z(args.z), tol)
+        value = bnd.weyl(triple, _parse_z(args.z))
         if value.operator_form is not None:
             _print_matrix(value.operator_form, f"M({args.z}) =")
         else:
             print(f"M({args.z}) is a genuine relation "
                   f"(dim {value.relation_in_L.dim}); no operator form")
     elif args.action == "gamma":
-        _print_matrix(bnd.gamma_field(triple, _parse_z(args.z), tol),
-                      f"gamma({args.z}) =")
+        _print_matrix(bnd.gamma_field(triple, _parse_z(args.z)), f"gamma({args.z}) =")
     elif args.action == "inverse":
         _print_matrix(triple.g0inv, "Gamma0^(-1) =")
         _print_matrix(triple.g1inv, "Gamma1^(-1) =")
@@ -144,7 +142,7 @@ def cmd_triple(args) -> int:
         if args.matrix is None:
             raise kio.DocumentError("transform needs --matrix")
         x = kio.decode_matrix(json.loads(args.matrix))
-        new = bnd.transform(triple, x, tol)
+        new = bnd.transform(triple, x)
         print(json.dumps(kio.document_for(doc["space"], new.parent, new), indent=1))
     return EXIT_OK
 
@@ -164,7 +162,7 @@ def cmd_similar(args) -> int:
     tb = kio.load_document(args.file_b, tol)["triple"]
     if ta is None or tb is None:
         raise kio.DocumentError("both documents need triple blocks")
-    out = sim.reconstruct_similarity(ta, tb, _parse_grid(args.grid), tol)
+    out = sim.reconstruct_similarity(ta, tb, _parse_grid(args.grid))
     if out["status"] == "unitary":
         _print_matrix(out["U"], "U =")
         print(f"boundary identity residual: {out['gamma_residual']:.3e}")

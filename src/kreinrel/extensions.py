@@ -287,6 +287,7 @@ def delta0_estimate(t: LinearRelation, witnesses, grid,
     The true set intersects over all of the (uncountable) N-class; only
     the supplied witnesses are consulted, hence the explicit marker.
     """
+    witnesses = list(witnesses)
     points = []
     for z in grid:
         z = complex(z)
@@ -299,7 +300,7 @@ def delta0_estimate(t: LinearRelation, witnesses, grid,
                 break
         if ok:
             points.append(z)
-    return {"points": points, "approximate": True, "witnesses": len(list(witnesses))}
+    return {"points": points, "approximate": True, "witnesses": len(witnesses)}
 
 
 def simple_check(t: LinearRelation, grid,

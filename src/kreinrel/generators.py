@@ -200,19 +200,18 @@ def _is_standard_unitary(u: np.ndarray, src: KreinSpace, tgt: KreinSpace) -> boo
 
 
 def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
-                           tgt: KreinSpace,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> bnd.BoundaryTriple:
-    """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}.  Only U is checked:
-    by the transformation lemma a standard unitary carries a triple to a triple."""
+                           tgt: KreinSpace) -> bnd.BoundaryTriple:
+    """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}, under the triple's
+    policy.  Only U is checked: by the transformation lemma a standard unitary
+    carries a triple to a triple."""
     if not _is_standard_unitary(u, triple.space, tgt):
         raise bnd.TripleValidationError("planting matrix is not standard unitary")
     ut = _utilde(u)
-    t_prime = LinearRelation(tgt, tgt, sub.image(ut, triple.parent.graph, tol))
-    return bnd.BoundaryTriple(t_prime, triple.gamma, ut @ triple.basis, tol)
+    t_prime = LinearRelation(tgt, tgt, sub.image(ut, triple.parent.graph, triple.tol))
+    return bnd.BoundaryTriple(t_prime, triple.gamma, ut @ triple.basis, triple.tol)
 
 
-def scaled_triple(triple: bnd.BoundaryTriple, kappa: float,
-                  tol: TolerancePolicy = DEFAULT_TOL) -> bnd.BoundaryTriple:
+def scaled_triple(triple: bnd.BoundaryTriple, kappa: float) -> bnd.BoundaryTriple:
     """The diag(1/kappa, kappa)-rescaled triple (real kappa keeps Green)."""
     x = np.diag(np.repeat([1 / kappa, kappa], triple.boundary_dim))
-    return bnd.transform(triple, x, tol)
+    return bnd.transform(triple, x)

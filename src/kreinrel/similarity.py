@@ -5,7 +5,8 @@ triples over a shared boundary space together; standard-unitary
 solutions are assembled blockwise from a graph isomorphism tau, a free
 coupling sigma and a Hermitian parameter Theta, and the reconstruction
 recovers the similarity of two triples from matching Weyl families on a
-symmetric grid.
+symmetric grid.  Two triples decide under the policy they share; under
+different policies they raise `PolicyMismatchError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import relations as rel
 from . import subspaces as sub
 from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair,
-                       gamma_field, gamma_relation, pair_from_triple, weyl)
+                       gamma_field, gamma_relation, pair_from_triple, shared_tol, weyl)
 from .krein import KreinSpace, doubled, hilbert_space
 from .relations import LinearRelation
 from .subspaces import Subspace
@@ -70,28 +71,27 @@ def block_unitary_from_matrix(m, src: KreinSpace, tgt: KreinSpace) -> BlockUnita
     return BlockUnitary(m[:np_, :n], m[:np_, n:], m[np_:, :n], m[np_:, n:], src, tgt)
 
 
-def _as_v_relation(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def _as_v_relation(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> LinearRelation:
     if isinstance(v, LinearRelation):
         return v
     if not isinstance(v, BlockUnitary):
         v = block_unitary_from_matrix(v, triple_a.space, triple_b.space)
-    return v.as_relation(tol)
+    return v.as_relation(triple_a.tol)
 
 
 # ---------------------------------------------------------------------------
 # V0 and its operator part
 
 
-def _check_compatible(triple_a: BoundaryTriple, triple_b: BoundaryTriple):
+def _check_compatible(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> TolerancePolicy:
     if triple_a.boundary_dim != triple_b.boundary_dim:
         raise BuildError("triples do not share a boundary space")
+    return shared_tol(triple_a, triple_b)
 
 
-def v0(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-       tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def v0(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> LinearRelation:
     """The composition relation of the two boundary maps, K -> K'."""
-    _check_compatible(triple_a, triple_b)
+    tol = _check_compatible(triple_a, triple_b)
     ga, gb = triple_a.gamma, triple_b.gamma
     k = sub.kernel(np.hstack([ga, -gb]), ga.shape[1] + gb.shape[1], tol)
     x = k.frame[: ga.shape[1], :]
@@ -155,8 +155,7 @@ def w_maps(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
 # membership
 
 
-def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """Whether Gamma' = Gamma V^{-1} holds, as a relation identity.
 
     "angle" is the largest principal angle between the graphs of Gamma V^{-1}
@@ -164,9 +163,10 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     angle_tol.  For operator inputs whose domain covers ker Gamma the
     displayed range criterion is evaluated as well and the two routes compared.
     """
-    v_rel = _as_v_relation(v, triple_a, triple_b, tol)
-    composed = rel.compose(gamma_relation(triple_a, tol), rel.inverse(v_rel), tol)
-    angle = sub.distance(composed.graph, gamma_relation(triple_b, tol).graph)
+    tol = shared_tol(triple_a, triple_b)
+    v_rel = _as_v_relation(v, triple_a, triple_b)
+    composed = rel.compose(gamma_relation(triple_a), rel.inverse(v_rel), tol)
+    angle = sub.distance(composed.graph, gamma_relation(triple_b).graph)
     member = angle <= tol.angle_tol
     report = {"member": member, "angle": angle, "lemma_e": None, "routes_agree": None}
     if not isinstance(v, LinearRelation):
@@ -187,10 +187,9 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 # constructions of Theorem l
 
 
-def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau) -> LinearRelation:
     """Operator (V0)_s + tau P_T with domain T+ and free entries zero."""
-    _check_compatible(triple_a, triple_b)
+    tol = _check_compatible(triple_a, triple_b)
     dt_a = triple_a.parent.dim
     dt_b = triple_b.parent.dim
     tau = as_matrix(tau, rows=dt_b, cols=dt_a) if dt_a and dt_b else \
@@ -206,8 +205,7 @@ def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau,
 
 
 def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                     tau, theta=None, sigma=None, coupling=None,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> BlockUnitary:
+                     tau, theta=None, sigma=None, coupling=None) -> BlockUnitary:
     """Standard unitary solution from (tau, Theta, sigma) block data.
 
     tau: invertible dim T' x dim T coordinate matrix (graph frames);
@@ -216,7 +214,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     free J'(T') x J'(N') block of the Hermitian kernel parameter (its
     image stays inside T', so membership survives any choice).
     """
-    _check_compatible(triple_a, triple_b)
+    tol = _check_compatible(triple_a, triple_b)
     d = triple_a.boundary_dim
     dt_a, dt_b = triple_a.parent.dim, triple_b.parent.dim
     if dt_a != dt_b:
@@ -265,7 +263,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     res = out.vabcd_residual()
     if res > 1e-9 * (1 + np.abs(v_full).max() ** 2):
         raise BuildError(f"block identities violated: residual {res:.3e}")
-    if not membership_check(out.as_relation(tol), triple_a, triple_b, tol)["member"]:
+    if not membership_check(out.as_relation(tol), triple_a, triple_b)["member"]:
         raise BuildError("constructed V failed the membership identity")
     return out
 
@@ -300,10 +298,9 @@ class CriterionResult:
         return self.criterion
 
 
-def _pair_weyl_relation(pair: IsometricBoundaryPair, z: complex,
-                        tol: TolerancePolicy) -> Subspace:
+def _pair_weyl_relation(pair: IsometricBoundaryPair, z: complex) -> Subspace:
     """Graph of Gamma(zI) in the boundary doubled space."""
-    g = pair.gamma_rel
+    g, tol = pair.gamma_rel, pair.tol
     n2 = g.src.dim // 2
     zgraph = rel.z_relation(hilbert_space(n2), z, tol)
     cage = sub.product(zgraph.graph, sub.full(g.tgt.dim))
@@ -311,14 +308,11 @@ def _pair_weyl_relation(pair: IsometricBoundaryPair, z: complex,
     return sub.span(hit.frame[g.src.dim :, :], tol)
 
 
-def _coerce_pair(obj, tol: TolerancePolicy) -> IsometricBoundaryPair:
-    if isinstance(obj, BoundaryTriple):
-        return pair_from_triple(obj, None, tol)
-    return obj
+def _coerce_pair(obj) -> IsometricBoundaryPair:
+    return pair_from_triple(obj) if isinstance(obj, BoundaryTriple) else obj
 
 
-def weyl_equality_criterion(pair_a, pair_b, v, z: complex,
-                            tol: TolerancePolicy = DEFAULT_TOL) -> CriterionResult:
+def weyl_equality_criterion(pair_a, pair_b, v, z: complex) -> CriterionResult:
     """Defect-inclusion criterion for Weyl-family equality at z.
 
     Evaluates the containment of the defect subspace of dom Gamma in the
@@ -326,8 +320,8 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex,
     the two Weyl values as relations; the two answers must agree when
     the sufficiency hypotheses hold.
     """
-    pa = _coerce_pair(pair_a, tol)
-    pb = _coerce_pair(pair_b, tol)
+    pa, pb = _coerce_pair(pair_a), _coerce_pair(pair_b)
+    tol = shared_tol(pa, pb)
     if isinstance(v, BlockUnitary):
         v_rel = v.as_relation(tol)
     elif isinstance(v, LinearRelation):
@@ -349,8 +343,8 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex,
     rhs_eig = rel.eigenspace(rhs_rel, z, tol)
     criterion = sub.contains(rhs_eig, lhs_eig, tol)
 
-    ma = _pair_weyl_relation(pa, z, tol)
-    mb = _pair_weyl_relation(pb, z, tol)
+    ma = _pair_weyl_relation(pa, z)
+    mb = _pair_weyl_relation(pb, z)
     direct = sub.equal(ma, mb, tol)
 
     s_cap = sub.intersect(s_graph, vinv_z, tol).dim == 0
@@ -386,7 +380,7 @@ def _standard_unitary_residual(u: np.ndarray, src: KreinSpace, tgt: KreinSpace) 
 
 
 def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                           grid=DEFAULT_GRID, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+                           grid=DEFAULT_GRID) -> dict:
     """Recover a standard unitary realizing the similarity, or a witness.
 
     Returns a dict with status 'unitary' (carrying U, the standard unitary
@@ -394,19 +388,19 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     where the Weyl values differ, with their largest principal angle in
     radians as the discrepancy) or 'hypothesis-violation'.
     """
-    _check_compatible(triple_a, triple_b)
+    tol = _check_compatible(triple_a, triple_b)
     # omega: the points where both Weyl values have an operator form, which
     # is exactly where gamma(z) is defined for both triples.  gamma(z) is
     # asked right after M(z), so each triple solves each point once.
     g_blocks, gp_blocks = [], []
     for z in (complex(z) for z in grid if complex(z).imag != 0):
-        wa, wb = weyl(triple_a, z, tol), weyl(triple_b, z, tol)
+        wa, wb = weyl(triple_a, z), weyl(triple_b, z)
         gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
         if gap > tol.angle_tol:
             return {"status": "witness", "z": z, "discrepancy": min(gap, np.pi / 2)}
         if wa.operator_form is not None and wb.operator_form is not None:
-            g_blocks.append(gamma_field(triple_a, z, tol))
-            gp_blocks.append(gamma_field(triple_b, z, tol))
+            g_blocks.append(gamma_field(triple_a, z))
+            gp_blocks.append(gamma_field(triple_b, z))
     if not g_blocks:
         return {"status": "hypothesis-violation",
                 "reason": "no common regular grid point for the distinguished extensions"}
@@ -425,8 +419,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     # The final identity settles the rest: equal relations have equal
     # kernels, so U~ T = T', and Gamma' U~ = Gamma gives U gamma(z) = gamma'(z).
     ut = _utilde(u)
-    final = membership_check(_as_v_relation(ut, triple_a, triple_b, tol),
-                             triple_a, triple_b, tol)
+    final = membership_check(_as_v_relation(ut, triple_a, triple_b), triple_a, triple_b)
     if not final["member"]:
         return {"status": "hypothesis-violation",
                 "reason": f"final boundary identity off by {final['angle']:.3e}"}
@@ -446,7 +439,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         e_cand = -1j * (v21 @ np.linalg.inv(v11))
         e_cand = (e_cand + e_cand.conj().T) / 2.0
         theta_c, coupling_c = e_cand[:dt, :dt], e_cand[:dt, dt:]
-    v = build_standard_V(triple_a, triple_b, tau_c, theta_c, sigma_c, coupling_c, tol)
+    v = build_standard_V(triple_a, triple_b, tau_c, theta_c, sigma_c, coupling_c)
 
     w = _utilde(_u_inverse(u, triple_a.space, triple_b.space)) @ v.full_matrix()
     w_blocks = block_unitary_from_matrix(w, triple_a.space, triple_a.space)
@@ -459,9 +452,9 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
 
 def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                       u: np.ndarray, vs, grid=DEFAULT_GRID,
-                       tol: TolerancePolicy = DEFAULT_TOL) -> dict:
+                       u: np.ndarray, vs, grid=DEFAULT_GRID) -> dict:
     """Invariance W(T) = T and W(defect graphs) = same, for each supplied V."""
+    tol = shared_tol(triple_a, triple_b)
     ut_inv = _utilde(_u_inverse(u, triple_a.space, triple_b.space))
     ksrc = doubled(triple_a.space).krein
     reports = []
@@ -470,7 +463,7 @@ def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         if z.imag != 0 and rel.spectral_probe(triple_a.parent, z, tol)["regular_type"]:
             defect_graphs[z] = rel.graph_eigenspace(triple_a.tplus, z, tol).graph
     for v in vs:
-        v_rel = _as_v_relation(v, triple_a, triple_b, tol)
+        v_rel = _as_v_relation(v, triple_a, triple_b)
         w_rel = rel.compose(rel.from_operator(ut_inv, v_rel.tgt, ksrc, tol), v_rel, tol)
         t_img = rel.parts(rel.restrict(w_rel, triple_a.parent.graph, tol), tol).ran
         entry = {"t_invariant": sub.equal(t_img, triple_a.parent.graph, tol),

@@ -66,6 +66,11 @@ def c4_weyl_matrix(z: complex) -> np.ndarray:
     return np.array([[0, 0, z], [0, 0, z * z], [z, z * z, 0]], dtype=np.complex128)
 
 
+def under(tri, tol):
+    """The same boundary map, validated as a triple that decides under `tol`."""
+    return bnd.validate_triple(tri.parent, tri.gamma, tri.basis, tol)
+
+
 def svd_calls(monkeypatch) -> list:
     """Record (shape, compute_uv) of every np.linalg.svd call from here on."""
     calls, svd = [], np.linalg.svd

@@ -1,4 +1,5 @@
 import cProfile
+import inspect
 import pstats
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 import kreinrel as kr
-from kreinrel import boundary as bnd, extensions as ext, krein, relations as rel, \
-    subspaces as sub, suites as st
+from kreinrel import boundary as bnd, extensions as ext, generators as gen, krein, \
+    relations as rel, similarity as sim, subspaces as sub, suites as st
 from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetric, \
     gen_triple, planted_similar_triple, rng_for, sample_witness
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
-from conftest import c4_weyl_matrix, svd_calls
+from conftest import c4_weyl_matrix, svd_calls, under
 from oracles import weyl_gamma_by_svd
 
 
@@ -128,17 +129,54 @@ def test_gamma_field_c4(c4):
 def test_weyl_and_gamma_field_share_the_regularity_rule(tol):
     # just off a real eigenvalue of T0, where a loose rank cut calls the
     # restriction of Gamma0 to the defect graph singular
-    tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243)
+    tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243, tol)
     e, d = tri.t0.blocks()
     lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
     assert abs(lam.imag) < 1e-9
     z = lam.real + 1e-5j
     try:
-        bnd.gamma_field_hat(tri, z, tol)
+        bnd.gamma_field_hat(tri, z)
         raised = False
     except rel.NotRegularError:
         raised = True
-    assert (bnd.weyl(tri, z, tol).operator_form is None) == raised
+    assert (bnd.weyl(tri, z).operator_form is None) == raised
+
+
+def test_a_loose_triple_decides_the_weyl_family_under_its_own_policy():
+    # the loose cut calls Gamma0 on the defect graph singular just off the
+    # real eigenvalue of T0 near 2.9113, where the default cut still solves
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243, loose)
+    assert tri.tol == loose
+    e, d = tri.t0.blocks()
+    lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
+    z = lam.real + 1e-5j
+    assert bnd.weyl(tri, z).operator_form is None
+    with pytest.raises(rel.NotRegularError):
+        bnd.gamma_field(tri, z)
+    assert bnd.weyl(under(tri, DEFAULT_TOL), z).operator_form is not None
+
+
+_OF_A_TRIPLE = {"triple", "triple_a", "triple_b", "pair", "pair_a", "pair_b"}
+
+
+def test_functions_of_a_triple_or_pair_take_no_policy():
+    # the builders take the policy the triple then carries
+    exempt = {"validate_triple", "gen_triple"}
+    seen = set()
+    for mod in (bnd, sim, gen):
+        for name, f in vars(mod).items():
+            if (name.startswith("_") or name in exempt or not inspect.isfunction(f)
+                    or f.__module__ != mod.__name__):
+                continue
+            params = inspect.signature(f).parameters
+            if any(p in _OF_A_TRIPLE or "BoundaryTriple" in str(v.annotation)
+                   or "IsometricBoundaryPair" in str(v.annotation)
+                   for p, v in params.items()):
+                seen.add(name)
+                assert "tol" not in params, f"{mod.__name__}.{name} takes a policy"
+    assert {"weyl", "gamma_field", "pair_isometry_check", "reconstruct_similarity",
+            "weyl_equality_criterion", "planted_similar_triple", "scaled_triple"} <= seen
 
 
 def test_weyl_then_gamma_field_share_one_defect_solve(monkeypatch):
@@ -188,27 +226,26 @@ def _same(x, y):
 
 def test_defect_solve_slot_never_goes_stale():
     # near a real eigenvalue of T0 the loose policy finds no gamma(z) while
-    # the default one does, so a slot keyed by z alone would answer wrongly
-    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    # the default one does: the same boundary map under the two policies
+    # answers each under its own, whatever the other's slot holds
     tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243)
+    loose = under(tri, TolerancePolicy(1e-3, 1e-6, 1e-4))
     other = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
     e, d = tri.t0.blocks()
     lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
     z1, z2 = lam.real + 1e-5j, -1 + 1j
-    steps = [(tri, z1, DEFAULT_TOL), (tri, z2, DEFAULT_TOL), (tri, z1, DEFAULT_TOL),
-             (tri, z1, loose), (other, z1, DEFAULT_TOL), (tri, z1, loose),
-             (tri, z1, DEFAULT_TOL)]
+    steps = [(tri, z1), (tri, z2), (tri, z1), (loose, z1), (other, z1), (loose, z1),
+             (tri, z1)]
     forms = []
-    for t, z, tol in steps:
-        fresh = bnd.validate_triple(t.parent, t.gamma, t.basis)
+    for t, z in steps:
+        fresh = under(t, t.tol)
         for a, b in ((t, fresh), (fresh, t)):
-            wa, wb = bnd.weyl(a, z, tol), bnd.weyl(b, z, tol)
+            wa, wb = bnd.weyl(a, z), bnd.weyl(b, z)
             assert _same(wa.operator_form, wb.operator_form)
             assert np.array_equal(wa.relation_in_L.graph.frame, wb.relation_in_L.graph.frame)
             if wa.operator_form is not None:
-                assert np.array_equal(bnd.gamma_field_hat(a, z, tol),
-                                      bnd.gamma_field_hat(b, z, tol))
-        forms.append(bnd.weyl(t, z, tol).operator_form)
+                assert np.array_equal(bnd.gamma_field_hat(a, z), bnd.gamma_field_hat(b, z))
+        forms.append(bnd.weyl(t, z).operator_form)
     assert forms[2] is not None and forms[3] is None
 
 
@@ -372,7 +409,7 @@ def test_pair_isometry_flags(c4):
         kr.relation(krein.doubled(tri.space).krein, krein.boundary_doubled(3).krein,
                     sub.span(np.vstack([tri.basis,
                                         np.vstack([tri.gamma[:3] * 0, tri.gamma[3:]])]))),
-        full.a_star, full.kernel)
+        full.a_star, full.kernel, full.tol)
     flags = bnd.pair_isometry_check(broken)
     assert not flags["isometric"]
 
@@ -421,19 +458,35 @@ def test_resolvent_identities_generated():
     assert evaluated, "Krein-Naimark never fired across generated instances"
 
 
+def test_resolvent_identities_propagate_a_nan_residual(monkeypatch):
+    # a NaN angle at the second symmetry point reaches max_symmetry, so the
+    # boundary suite's report fails on it
+    tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
+    distance, calls = sub.distance, []
+
+    def nan_second(a, b):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else distance(a, b)
+
+    monkeypatch.setattr(sub, "distance", nan_second)
+    out = bnd.resolvent_identities_check(tri)
+    assert np.isnan(out["max_symmetry"])
+    assert out["max_gamma_diff"] < 1e-8
+
+
 def test_resolvent_identities_skip_points_without_a_defect_solve(monkeypatch):
     # where the probe of T0 says regular but the defect solve finds no
     # gamma(z), the point is skipped rather than raising
-    tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991, loose)
     solve = bnd._defect_solve
 
-    def singular_at_i(triple, z, tol):
-        return (solve(triple, z, tol)[0], None, None) if z == 1j else solve(triple, z, tol)
+    def singular_at_i(triple, z):
+        return (solve(triple, z)[0], None, None) if z == 1j else solve(triple, z)
 
     monkeypatch.setattr(bnd, "_defect_solve", singular_at_i)
-    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
     assert rel.spectral_probe(tri.t0, 1j, loose)["regular"]
-    out = bnd.resolvent_identities_check(tri, bnd.DEFAULT_GRID, loose)
+    out = bnd.resolvent_identities_check(tri, bnd.DEFAULT_GRID)
     assert 1j in out["skipped"] and 1j not in out["points"]
     assert out["points"] and out["max_gamma_diff"] < 1e-8
 
@@ -445,20 +498,20 @@ LOOSE = TolerancePolicy(1e-3, 1e-6, 1e-4)
 def test_loose_cut_near_an_eigenvalue_of_t_is_irregular(t2_plus_point, z):
     # the 1e-3 cut keeps a near-null direction of T+ - z about one cut off
     # T+, so the defect frame has d + 1 columns: z is irregular, not an error
-    tri = t2_plus_point
-    value = bnd.weyl(tri, z, LOOSE)
+    tri = under(t2_plus_point, LOOSE)
+    value = bnd.weyl(tri, z)
     assert value.operator_form is None
     assert value.relation_in_L.dim == tri.boundary_dim
     with pytest.raises(rel.NotRegularError):
-        bnd.gamma_field(tri, z, LOOSE)
-    assert bnd.resolvent_identities_check(tri, (z,), LOOSE)["max_symmetry"] < 1e-8
+        bnd.gamma_field(tri, z)
+    assert bnd.resolvent_identities_check(tri, (z,))["max_symmetry"] < 1e-8
 
 
 def test_loose_cut_further_from_an_eigenvalue_of_t_still_solves(t2_plus_point):
-    tri, z = t2_plus_point, 0.7 + 3e-3j
-    m = bnd.weyl(tri, z, LOOSE).operator_form
-    assert np.abs(m - bnd.weyl(tri, z).operator_form).max() < 1e-12
-    assert bnd.gamma_field(tri, z, LOOSE).shape == (3, 1)
+    tri, z = under(t2_plus_point, LOOSE), 0.7 + 3e-3j
+    m = bnd.weyl(tri, z).operator_form
+    assert np.abs(m - bnd.weyl(t2_plus_point, z).operator_form).max() < 1e-12
+    assert bnd.gamma_field(tri, z).shape == (3, 1)
 
 
 def test_apply_rejects_vectors_off_tplus(t2_plus_point):
@@ -557,8 +610,7 @@ def test_boundary_suite_proves_the_kernel_theorem_for_the_beta_shift(monkeypatch
     # shifted triple; a fault in it alone is named for that triple
     shift = st.bnd.beta_shift
     monkeypatch.setattr(st.bnd, "beta_shift",
-                        lambda tri, beta=None, tol=DEFAULT_TOL:
-                        _t1_is_t0(shift(tri, beta, tol)))
+                        lambda tri, beta=None: _t1_is_t0(shift(tri, beta)))
     report = st.suite_boundary(1, 3)
     assert [f["what"] for f in report.failures] == [
         "beta-shifted triple: ker Gamma0 and ker Gamma1 do not meet in T"]

@@ -194,6 +194,16 @@ def test_delta0_estimate_marks_approximate(c4):
     assert est["points"]  # the simple example leaves the whole grid
 
 
+def test_delta0_estimate_reads_an_iterator_of_witnesses_once():
+    # every grid point is checked against every witness, however they come
+    t = gen_symmetric(InstanceSpec(1, 4, (2, 2), 2))
+    witnesses = [sample_witness(t, seed) for seed in (1, 2, 3)]
+    grid = [0, 1, -1, 0.5, 2, *DEFAULT_GRID]
+    want = ext.delta0_estimate(t, witnesses, grid)
+    assert want["witnesses"] == 3
+    assert ext.delta0_estimate(t, iter(witnesses), grid) == want
+
+
 def test_simple_check(c4):
     assert ext.simple_check(c4["T"], [1j, -1j, 1 + 1j, -1 - 2j])
     t0 = c4["triple"].t0

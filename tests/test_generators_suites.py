@@ -94,6 +94,16 @@ def test_suites_deterministic():
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_residual_fails_the_report(bad):
+    report = st.Report("x", 1)
+    report.record(1e-12)
+    report.record(bad)
+    report.record(1e-12)
+    assert not report.ok
+    assert not np.isfinite(report.max_residual)
+
+
 @pytest.mark.parametrize("name", ["appendix", "extensions", "boundary", "similarity"])
 def test_suites_clean_on_small_runs(name):
     for report in st.run_suites(name, 6, 2024):

@@ -8,6 +8,7 @@ from kreinrel.generators import (InstanceSpec, gen_standard_unitary, gen_symmetr
                                  gen_triple, planted_similar_triple, random_unitary,
                                  rng_for, scaled_triple)
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
+from conftest import under
 from oracles import v0_operator_part_by_relation
 
 
@@ -331,8 +332,8 @@ def test_perturbed_reconstruction_still_fails(pair44, monkeypatch, perturb, reas
     w = gen_standard_unitary(5, t.src, t.src)
     gamma_field = sim.gamma_field
 
-    def perturbed(triple, z, tol=DEFAULT_TOL):
-        g = gamma_field(triple, z, tol)
+    def perturbed(triple, z):
+        g = gamma_field(triple, z)
         if triple is not planted:
             return g
         if perturb == "rotate":
@@ -379,7 +380,7 @@ def test_omega_is_where_both_weyl_values_are_operators(monkeypatch):
     # is evaluated at every point
     loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
     t = gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2))
-    tri = gen_triple(t, 4243)
+    tri = gen_triple(t, 4243, loose)
     planted = planted_similar_triple(tri, gen_standard_unitary(4244, t.src, t.src), t.src)
     e, d = tri.t0.blocks()
     eigs = np.linalg.eigvals(d @ np.linalg.inv(e))
@@ -389,14 +390,14 @@ def test_omega_is_where_both_weyl_values_are_operators(monkeypatch):
     seen = []
     gamma_field = sim.gamma_field
 
-    def recording(triple, z, tol):
+    def recording(triple, z):
         seen.append(z)
-        return gamma_field(triple, z, tol)
+        return gamma_field(triple, z)
 
     monkeypatch.setattr(sim, "gamma_field", recording)
-    out = sim.reconstruct_similarity(tri, planted, grid, loose)
-    both = [z for z in grid if bnd.weyl(tri, z, loose).operator_form is not None
-            and bnd.weyl(planted, z, loose).operator_form is not None]
+    out = sim.reconstruct_similarity(tri, planted, grid)
+    both = [z for z in grid if bnd.weyl(tri, z).operator_form is not None
+            and bnd.weyl(planted, z).operator_form is not None]
     assert both == grid
     assert set(seen) == set(both)
     assert out == {"status": "hypothesis-violation",
@@ -421,11 +422,25 @@ def test_rank_decisions_are_scale_invariant(pair44):
     # tau far below the loose policy's absolute floor of 1e-6 stays surjective
     t, tri_a, tri_b = pair44
     loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
-    v = sim.build_V_from_tau(tri_a, tri_b, 1e-7 * np.eye(t.dim), loose)
+    v = sim.build_V_from_tau(under(tri_a, loose), under(tri_b, loose), 1e-7 * np.eye(t.dim))
     assert v.dim == tri_a.tplus.dim
     # the same triple in basis coordinates scaled by 1e-5 still validates
     scaled = bnd.validate_triple(t, 1e-5 * tri_a.gamma, 1e-5 * tri_a.basis, loose)
     assert sub.equal(scaled.t0.graph, tri_a.t0.graph, loose)
+
+
+def test_two_triples_under_different_policies_are_rejected(pair44):
+    t, tri_a, tri_b = pair44
+    loose_b = under(tri_b, TolerancePolicy(1e-3, 1e-6, 1e-4))
+    v = sim.build_standard_V(tri_a, tri_b, np.eye(t.dim))
+    with pytest.raises(bnd.PolicyMismatchError):
+        sim.reconstruct_similarity(tri_a, loose_b)
+    with pytest.raises(bnd.PolicyMismatchError):
+        sim.membership_check(v, tri_a, loose_b)
+    with pytest.raises(bnd.PolicyMismatchError):
+        sim.weyl_equality_criterion(bnd.pair_from_triple(tri_a),
+                                    bnd.pair_from_triple(loose_b), v, 0.5 + 1.5j)
+    assert sim.membership_check(v, tri_a, tri_b)["member"]
 
 
 def test_reconstruct_rejects_a_non_simple_parent(t2_plus_point):
