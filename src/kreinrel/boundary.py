@@ -90,7 +90,8 @@ class BoundaryTriple:
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Basis coordinates of columns that lie in T+."""
         x = self.basis_pinv @ vectors
-        if np.linalg.norm(self.basis @ x - vectors) > 1e-7 * (1 + np.linalg.norm(vectors)):
+        if not self.tol.negligible(np.linalg.norm(self.basis @ x - vectors),
+                                   1 + np.linalg.norm(vectors)):
             raise ValueError("vectors are not inside the adjoint's graph")
         return x
 
@@ -152,15 +153,15 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     if np.linalg.matrix_rank(gamma, rtol=tol.rank_rel) < 2 * d:
         raise TripleValidationError("boundary map is not surjective")
     res = green_residual(t.src, basis, gamma)
-    scale = 1e-10 * (1.0 + np.linalg.norm(gamma, 2)) * (1.0 + np.linalg.norm(basis, 2) ** 2)
-    if res > scale:
+    if not tol.negligible(res, (1.0 + np.linalg.norm(gamma, 2))
+                          * (1.0 + np.linalg.norm(basis, 2) ** 2)):
         raise TripleValidationError(f"Green identity violated: residual {res:.3e}")
 
     if triple.n_rel.dim != d or min(np.linalg.matrix_rank(a, rtol=tol.rank_rel)
                                     for a in (triple._a0, triple._a1)) < d:
         raise TripleValidationError("restricted boundary block is singular")
     beta = triple.beta
-    if np.linalg.norm(beta - beta.conj().T) > 1e-8 * (1 + np.linalg.norm(beta)):
+    if not tol.negligible(np.linalg.norm(beta - beta.conj().T), 1 + np.linalg.norm(beta)):
         raise TripleValidationError("beta came out non-Hermitian")
     return triple
 
@@ -226,7 +227,8 @@ def transform(triple: BoundaryTriple, x) -> BoundaryTriple:
     d = triple.boundary_dim
     x = as_matrix(x, rows=2 * d, cols=2 * d)
     jo = boundary_doubled(d).J_hat
-    if np.linalg.norm(x.conj().T @ jo @ x - jo) > 1e-9 * (1 + np.linalg.norm(x) ** 2):
+    if not triple.tol.negligible(np.linalg.norm(x.conj().T @ jo @ x - jo),
+                                 1 + np.linalg.norm(x) ** 2):
         raise TripleValidationError("transform matrix is not boundary-unitary")
     return BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, triple.tol)
 
@@ -299,18 +301,19 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
     all of T+.  Condition (b): Gamma'_1 agrees with Gamma_1 on N.  The K
     candidate is beta(A) - Gamma'_1 Gamma_0^{(-1)}.
     """
-    if not sub.equal(triple_a.tplus.graph, triple_b.tplus.graph, shared_tol(triple_a, triple_b)):
+    tol = shared_tol(triple_a, triple_b)
+    if not sub.equal(triple_a.tplus.graph, triple_b.tplus.graph, tol):
         raise ValueError("triples must share the adjoint")
     d = triple_a.boundary_dim
     g1a_on_n = triple_a.apply(triple_a.fn)[d:, :]
     g1b_on_n = triple_b.apply(triple_a.fn)[d:, :]
-    cond_b = np.linalg.norm(g1a_on_n - g1b_on_n) <= 1e-8 * (1 + np.linalg.norm(g1a_on_n))
+    cond_b = tol.negligible(np.linalg.norm(g1a_on_n - g1b_on_n), 1 + np.linalg.norm(g1a_on_n))
     beta0 = triple_b.apply(triple_a.g0inv)[d:, :]
     k = triple_a.beta - beta0
     lhs = triple_b.apply(triple_a.basis)[d:, :]
     bvals_a = triple_a.apply(triple_a.basis)
     rhs = bvals_a[d:, :] - k @ bvals_a[:d, :]
-    cond_a = np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(lhs))
+    cond_a = tol.negligible(np.linalg.norm(lhs - rhs), 1 + np.linalg.norm(lhs))
     return {"exists_k": cond_a, "agrees_on_n": cond_b, "k": k,
             "equivalent": cond_a == cond_b}
 
@@ -331,7 +334,8 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dic
     is regular ("points"); the grid points outside them are "skipped".  Each
     "max_" entry is the largest of its residuals, NaN if any of them is."""
     j, tol = triple.space.J, triple.tol
-    nonreal = [complex(z) for z in grid if complex(z).imag != 0]
+    grid = [complex(z) for z in grid]
+    nonreal = [z for z in grid if z.imag != 0]
     weyls, gammas, r0 = {}, {}, {}
     for z in dict.fromkeys([*nonreal, *(z.conjugate() for z in nonreal)]):
         weyls[z] = weyl(triple, z)
@@ -343,7 +347,7 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dic
     pts = list(r0)
     report = {"weyl": weyls, "points": pts, "symmetry": {}, "gamma_diff": {},
               "pairing": {}, "krein_naimark": {},
-              "skipped": [complex(z) for z in grid if complex(z) not in r0]}
+              "skipped": [z for z in grid if z not in r0]}
     for z, value in weyls.items():
         adj = rel.adjoint(value.relation_in_L, "hilbert", tol)
         report["symmetry"][z] = min(

@@ -54,12 +54,16 @@ def _print_subspace(name: str, s):
     print(f"{name}: dim {s.dim} of C^{s.ambient_dim}")
 
 
+def _block(path: str, tol: TolerancePolicy, key: str):
+    value = kio.load_document(path, tol)[key]
+    if value is None:
+        raise kio.DocumentError(f"document has no {key} block")
+    return value
+
+
 def cmd_relation(args) -> int:
     tol = _policy(args)
-    doc = kio.load_document(args.file, tol)
-    t = doc["relation"]
-    if t is None:
-        raise kio.DocumentError("document has no relation block")
+    t = _block(args.file, tol, "relation")
     if args.action == "check":
         print(f"graph dim {t.dim} in C^{t.graph.ambient_dim}")
         print(f"symmetric: {rel.is_symmetric(t, tol)}")
@@ -77,16 +81,11 @@ def cmd_relation(args) -> int:
 
 def cmd_ext(args) -> int:
     tol = _policy(args)
-    doc = kio.load_document(args.file, tol)
-    t = doc["relation"]
-    if t is None:
-        raise kio.DocumentError("document has no relation block")
+    t = _block(args.file, tol, "relation")
     if args.action in ("nclass", "extend", "reduce"):
         if args.second is None:
             raise kio.DocumentError(f"ext {args.action} needs a second document")
-        other = kio.load_document(args.second, tol)["relation"]
-        if other is None:
-            raise kio.DocumentError("document has no relation block")
+        other = _block(args.second, tol, "relation")
     if args.action == "defects":
         d = ext.defect_numbers(t, tol)
         print(f"defect numbers: {d}")
@@ -101,11 +100,11 @@ def cmd_ext(args) -> int:
             return EXIT_REJECT
     if args.action == "extend":
         t0 = ext.extend(t, other, tol)
-        print(json.dumps(kio.document_for(doc["space"], t0), indent=1))
+        print(json.dumps(kio.document_for(t.src, t0), indent=1))
         return EXIT_OK
     if args.action == "reduce":
         n = ext.reduce(t, other, tol)
-        print(json.dumps(kio.document_for(doc["space"], n), indent=1))
+        print(json.dumps(kio.document_for(t.src, n), indent=1))
         return EXIT_OK
     if args.action == "audit":
         w = gen.sample_witness(t, args.seed, tol)
@@ -116,10 +115,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    doc = kio.load_document(args.file, _policy(args))
-    triple = doc["triple"]
-    if triple is None:
-        raise kio.DocumentError("document has no triple block")
+    triple = _block(args.file, _policy(args), "triple")
     if args.action == "validate":
         print(f"valid boundary triple, boundary dim {triple.boundary_dim}")
         _print_subspace("T0 = ker Gamma0", triple.t0.graph)
@@ -143,7 +139,7 @@ def cmd_triple(args) -> int:
             raise kio.DocumentError("transform needs --matrix")
         x = kio.decode_matrix(json.loads(args.matrix))
         new = bnd.transform(triple, x)
-        print(json.dumps(kio.document_for(doc["space"], new.parent, new), indent=1))
+        print(json.dumps(kio.document_for(new.space, new.parent, new), indent=1))
     return EXIT_OK
 
 
@@ -158,10 +154,8 @@ def _parse_grid(text: str):
 
 def cmd_similar(args) -> int:
     tol = _policy(args)
-    ta = kio.load_document(args.file_a, tol)["triple"]
-    tb = kio.load_document(args.file_b, tol)["triple"]
-    if ta is None or tb is None:
-        raise kio.DocumentError("both documents need triple blocks")
+    ta = _block(args.file_a, tol, "triple")
+    tb = _block(args.file_b, tol, "triple")
     out = sim.reconstruct_similarity(ta, tb, _parse_grid(args.grid))
     if out["status"] == "unitary":
         _print_matrix(out["U"], "U =")

@@ -91,7 +91,7 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
         if not sub.equal(ran_shifted, defect_subspace(t, z, tol), tol):
             raise NClassRejection(f"range condition fails at z={z}")
     t0, _ = rel.cw_sum(t, n, tol)
-    if not neutrality_rank(doubled(t.src).krein, t0.graph)["hyper_maximal"]:
+    if not neutrality_rank(doubled(t.src).krein, t0.graph, tol)["hyper_maximal"]:
         raise NClassRejection("T ⊕ N is not hyper-maximal neutral")
     return NWitness(n, t, t0)
 
@@ -237,14 +237,12 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     fp, fm = dec.defect_plus_frame, dec.defect_minus_frame
     d1, d2 = fp.shape[1], fm.shape[1]
     phi = np.hstack([fp, fm])
-    if d1 + d2 == 0:
-        return {"dom_n_hyper_maximal": dom_n.dim == 0, "m_degenerate": False}
     if np.linalg.matrix_rank(phi, rtol=tol.rank_rel) < d1 + d2:
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
     lift = np.linalg.pinv(phi) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
     pair_space = KreinSpace(d1 + d2, s, (d1, d2))
-    flags = neutrality_rank(pair_space, sub.span(lift, tol))
+    flags = neutrality_rank(pair_space, sub.span(lift, tol), tol)
     return {"dom_n_hyper_maximal": bool(flags["hyper_maximal"]), "m_degenerate": False}
 
 

@@ -189,14 +189,15 @@ def gen_standard_unitary(seed: int, src: KreinSpace, tgt: KreinSpace) -> np.ndar
         _, vec_t = np.linalg.eigh(tgt.J)
         pi = vec_t @ vec_s.conj().T
         u = pi @ c
-        if _is_standard_unitary(u, src, tgt):
+        if _is_standard_unitary(u, src, tgt, DEFAULT_TOL):
             return u
     raise SamplingExhaustedError("could not draw a standard unitary")
 
 
-def _is_standard_unitary(u: np.ndarray, src: KreinSpace, tgt: KreinSpace) -> bool:
-    """U^H J' U = J to the scale `gen_standard_unitary` draws under."""
-    return _standard_unitary_residual(u, src, tgt) < 1e-10 * (1 + np.abs(u).max() ** 2)
+def _is_standard_unitary(u: np.ndarray, src: KreinSpace, tgt: KreinSpace,
+                         tol: TolerancePolicy) -> bool:
+    """U^H J' U = J, relative to the scale of U, under `tol`."""
+    return tol.negligible(_standard_unitary_residual(u, src, tgt), 1 + np.abs(u).max() ** 2)
 
 
 def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
@@ -204,7 +205,7 @@ def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
     """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}, under the triple's
     policy.  Only U is checked: by the transformation lemma a standard unitary
     carries a triple to a triple."""
-    if not _is_standard_unitary(u, triple.space, tgt):
+    if not _is_standard_unitary(u, triple.space, tgt, triple.tol):
         raise bnd.TripleValidationError("planting matrix is not standard unitary")
     ut = _utilde(u)
     t_prime = LinearRelation(tgt, tgt, sub.image(ut, triple.parent.graph, triple.tol))

@@ -4,7 +4,8 @@ A Krein space here is C^n carrying a fundamental symmetry J (Hermitian
 involution); the indefinite inner product is [f, g] = <f, J g> with the
 Euclidean product conjugate-linear in the first factor.  The doubled space
 pairs H^2 with the block symmetry built from -iJ / iJ, under which graphs
-of relations acquire their indefinite geometry.
+of relations acquire their indefinite geometry.  Neutrality and sign classes
+are decided under a tolerance policy, like every rank decision.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from . import subspaces as sub
 from .subspaces import Subspace
 from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
-
-NEUTRAL_TOL = 1e-9
 
 
 class NotAFundamentalSymmetryError(ValueError):
@@ -125,15 +124,15 @@ def ortho_companion(space: KreinSpace, a: Subspace,
     return sub.complement(sub.image(space.J, a, tol))
 
 
-def _gram_is_neutral(g: np.ndarray, a: Subspace) -> bool:
-    return float(np.abs(g).max(initial=0.0)) <= NEUTRAL_TOL * (1.0 + np.linalg.norm(a.frame))
+def _gram_is_neutral(g: np.ndarray, a: Subspace, tol: TolerancePolicy) -> bool:
+    return tol.negligible(float(np.abs(g).max(initial=0.0)), 1.0 + np.linalg.norm(a.frame))
 
 
-def is_neutral(space: KreinSpace, a: Subspace) -> bool:
-    return _gram_is_neutral(indefinite_gram(space, a, a), a)
+def is_neutral(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    return _gram_is_neutral(indefinite_gram(space, a, a), a, tol)
 
 
-def classify(space: KreinSpace, a: Subspace) -> str:
+def classify(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> str:
     """Sign class of [.,.] restricted to A.
 
     Returns one of 'positive', 'negative', 'neutral', 'indefinite',
@@ -141,12 +140,12 @@ def classify(space: KreinSpace, a: Subspace) -> str:
     plus a nontrivial isotropic part).
     """
     g = indefinite_gram(space, a, a)
-    if _gram_is_neutral(g, a):
+    if _gram_is_neutral(g, a, tol):
         return "neutral"
     eig = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    cut = NEUTRAL_TOL * (1.0 + float(np.abs(eig).max()))
-    npos = int(np.sum(eig > cut))
-    nneg = int(np.sum(eig < -cut))
+    nonzero = eig[~tol.negligible(np.abs(eig), 1.0 + float(np.abs(eig).max()))]
+    npos = int(np.sum(nonzero > 0))
+    nneg = int(np.sum(nonzero < 0))
     nzero = a.dim - npos - nneg
     if npos and nneg:
         return "indefinite"
@@ -155,14 +154,14 @@ def classify(space: KreinSpace, a: Subspace) -> str:
     return "positive" if npos else "negative"
 
 
-def neutrality_rank(space: KreinSpace, a: Subspace) -> dict:
+def neutrality_rank(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """Neutrality flags by the finite-dimensional criterion.
 
     neutral: the Gram vanishes; maximal: neutral of dim min(p, q);
     hyper_maximal: neutral of dim p = q (forces a balanced signature).
     """
     p, q = space.signature
-    neutral = is_neutral(space, a)
+    neutral = is_neutral(space, a, tol)
     return {
         "neutral": neutral,
         "maximal": neutral and a.dim == min(p, q),

@@ -118,6 +118,7 @@ def sigma_frames(triple: BoundaryTriple) -> np.ndarray:
 def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """Gram preservation of (V0)_s between the two Sigma subspaces, plus
     the displayed inverse composing to the identity."""
+    tol = _check_compatible(triple_a, triple_b)
     vs = v0_operator_part(triple_a, triple_b)
     sa = sigma_frames(triple_a)
     ja = doubled(triple_a.space).J_hat
@@ -128,12 +129,12 @@ def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
     roundtrip = float(np.abs(inv_full @ img - sa).max(initial=0.0))
     scale = 1 + np.abs(sa).max(initial=0.0)
     return {"gram_residual": gram_res, "inverse_residual": roundtrip,
-            "ok": gram_res <= 1e-9 * scale and roundtrip <= 1e-8 * scale}
+            "ok": tol.negligible(gram_res, scale) and tol.negligible(roundtrip, scale)}
 
 
 def w_maps(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """The two graph homeomorphisms N -> N' in frame coordinates."""
-    _check_compatible(triple_a, triple_b)
+    tol = _check_compatible(triple_a, triple_b)
     d = triple_a.boundary_dim
     ja = doubled(triple_a.space).J_hat
     jb = doubled(triple_b.space).J_hat
@@ -145,10 +146,9 @@ def w_maps(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     llp_lhs = triple_a.g0inv.conj().T @ ja @ triple_a.g1inv
     llp_rhs = triple_b.g0inv.conj().T @ jb @ triple_b.g1inv
     llp_res = float(np.abs(llp_lhs - llp_rhs).max(initial=0.0))
-    llp_scale = 1.0 + float(np.abs(llp_lhs).max(initial=0.0))
     return {"w0": w0, "w1": w1, "inverse_residual": inv_res, "llp_residual": llp_res,
-            "ok": inv_res <= 1e-8 * (1 + np.abs(w0).max(initial=0.0))
-                  and llp_res <= 1e-9 * llp_scale}
+            "ok": tol.negligible(inv_res, 1 + np.abs(w0).max(initial=0.0))
+                  and tol.negligible(llp_res, 1.0 + float(np.abs(llp_lhs).max(initial=0.0)))}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         raise BuildError("tau is not a homeomorphism")
     theta = (np.zeros((dt, dt), np.complex128) if theta is None
              else as_matrix(theta, rows=dt, cols=dt))
-    if dt and np.linalg.norm(theta - theta.conj().T) > 1e-10 * (1 + np.linalg.norm(theta)):
+    if not tol.negligible(np.linalg.norm(theta - theta.conj().T), 1 + np.linalg.norm(theta)):
         raise BuildError("Theta is not self-adjoint")
     sigma = (np.zeros((dt, d), np.complex128) if sigma is None
              else as_matrix(sigma, rows=dt, cols=d))
@@ -261,7 +261,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     v_full = fb @ v_coords @ fa.conj().T
     out = block_unitary_from_matrix(v_full, triple_a.space, triple_b.space)
     res = out.vabcd_residual()
-    if res > 1e-9 * (1 + np.abs(v_full).max() ** 2):
+    if not tol.negligible(res, 1 + np.abs(v_full).max() ** 2):
         raise BuildError(f"block identities violated: residual {res:.3e}")
     if not membership_check(out.as_relation(tol), triple_a, triple_b)["member"]:
         raise BuildError("constructed V failed the membership identity")
@@ -271,8 +271,6 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 def _e0_coords(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
     """Coordinates of the symmetric kernel operator on J'(N')."""
     d = triple_a.boundary_dim
-    if d == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     a0_b = triple_b.apply(triple_b.fjn)[:d, :]
     delta = triple_a.beta - triple_b.beta
     return -1j * (triple_b.fn.conj().T @ (triple_b.g1inv @ (delta @ a0_b)))
@@ -413,7 +411,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                 "reason": "defect subspaces over the grid are not minimal"}
     u = gp_cols @ np.linalg.pinv(g_cols)
     unit_res = _standard_unitary_residual(u, triple_a.space, triple_b.space)
-    if unit_res > 1e-7 * (1 + np.abs(u).max() ** 2):
+    if not tol.negligible(unit_res, 1 + np.abs(u).max() ** 2):
         return {"status": "hypothesis-violation",
                 "reason": f"assembled map is not standard unitary ({unit_res:.3e})"}
     # The final identity settles the rest: equal relations have equal

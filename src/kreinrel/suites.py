@@ -397,5 +397,7 @@ def run_suites(which: str, trials: int, seed: int,
                tol: TolerancePolicy = DEFAULT_TOL) -> list[Report]:
     if which != "all" and which not in SUITES:
         raise ValueError(f"unknown suite {which!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     names = SUITES if which == "all" else (which,)
     return [suite(trials, seed, tol) for name in names for suite in SUITES[name]]

@@ -21,7 +21,8 @@ class TolerancePolicy:
         singular value), must stay at or above machine epsilon.
     rank_abs: absolute singular-value floor of spans and kernels.
     angle_tol: largest principal angle, in radians, at which two
-        subspaces still count as equal.
+        subspaces still count as equal; `negligible` applies the same cut to
+        the relative residual of every identity, neutrality included.
     """
 
     rank_rel: float = 1e-10
@@ -36,6 +37,9 @@ class TolerancePolicy:
 
     def rank_cut(self, largest_sv: float) -> float:
         return max(self.rank_abs, self.rank_rel * largest_sv)
+
+    def negligible(self, residual, scale=1.0):
+        return residual <= self.angle_tol * scale
 
 
 DEFAULT_TOL = TolerancePolicy()

@@ -491,6 +491,15 @@ def test_resolvent_identities_skip_points_without_a_defect_solve(monkeypatch):
     assert out["points"] and out["max_gamma_diff"] < 1e-8
 
 
+@pytest.mark.parametrize("walk", [tuple, iter])
+def test_resolvent_identities_read_the_grid_once(walk):
+    # an iterator grid reports its skipped points like the same tuple
+    tri = gen_triple(gen_symmetric(InstanceSpec(1, 4, (2, 2), 2)), 2)
+    out = bnd.resolvent_identities_check(tri, walk((0.5, 1j, -1j, 2 + 1j)))
+    assert out["skipped"] == [0.5]
+    assert set(out["points"]) == {1j, -1j, 2 + 1j, 2 - 1j}
+
+
 LOOSE = TolerancePolicy(1e-3, 1e-6, 1e-4)
 
 
@@ -515,8 +524,8 @@ def test_loose_cut_further_from_an_eigenvalue_of_t_still_solves(t2_plus_point):
 
 
 def test_apply_rejects_vectors_off_tplus(t2_plus_point):
-    # caller vectors 1e-5 off T+ fail the 1e-7 membership check, whatever
-    # the policy of the defect solve
+    # caller vectors 1e-5 off T+ leave a relative residual of about 1e-6,
+    # which fails the default policy's membership cut
     tri = t2_plus_point
     off = np.zeros((6, 1), dtype=np.complex128)
     off[2, 0] = 1e-5

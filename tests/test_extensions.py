@@ -157,6 +157,17 @@ def test_prop_n_audit_random_nondegenerate():
     assert report["dom_n_hyper_maximal"] is True
 
 
+def test_prop_n_audit_without_defect():
+    # a self-adjoint T has trivial defect subspaces and N = {0}, whose domain
+    # is hyper-maximal neutral in the empty defect-pair space
+    t = gen_symmetric(InstanceSpec(5, 3, (2, 1), 0))
+    report = ext.prop_n_audit(t, sample_witness(t, 7).N)
+    assert report["ok"], report
+    assert report["defects"] == (0, 0)
+    assert report["m_degenerate"] is False
+    assert report["dom_n_hyper_maximal"] is True
+
+
 def test_delta_membership_simple(c4):
     # simple T: every non-real point is of symmetric regular type
     for z in DEFAULT_GRID:

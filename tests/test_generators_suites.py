@@ -1,11 +1,13 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 import kreinrel as kr
-from kreinrel import boundary as bnd, extensions as ext, generators as gen, \
-    relations as rel, subspaces as sub, suites as st
+from kreinrel import boundary as bnd, extensions as ext, generators as gen, io as kio, \
+    krein, relations as rel, similarity as sim, subspaces as sub, suites as st
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -142,7 +144,20 @@ def test_custom_policy_reaches_every_rank_cut(monkeypatch):
         rank_calls.append((args, kwargs))
         return matrix_rank(a, *args, **kwargs)
 
+    # every identity residual is decided by the policy too; only
+    # gen_standard_unitary, which takes no policy, draws under the default
+    identity_calls = []
+    negligible = TolerancePolicy.negligible
+
+    def recording_negligible(self, residual, scale=1.0):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "gen_standard_unitary":
+            frame = frame.f_back
+        identity_calls.append((self, frame is not None))
+        return negligible(self, residual, scale)
+
     monkeypatch.setattr(TolerancePolicy, "rank_cut", recording)
+    monkeypatch.setattr(TolerancePolicy, "negligible", recording_negligible)
     monkeypatch.setattr(np.linalg, "matrix_rank", recording_rank)
     st.run_suites("all", 3, 11, custom)
     assert seen
@@ -152,3 +167,64 @@ def test_custom_policy_reaches_every_rank_cut(monkeypatch):
     assert rank_calls
     bypasses = [call for call in rank_calls if call != ((), {"rtol": custom.rank_rel})]
     assert not bypasses, f"{len(bypasses)} of {len(rank_calls)} ranks bypass the policy"
+    assert identity_calls
+    strays = [tol for tol, drawing in identity_calls if not drawing and tol != custom]
+    assert not strays, f"{len(strays)} of {len(identity_calls)} identities bypass the policy"
+
+
+def _green_off(tol):
+    # ex4 with Gamma's first row scaled by 1 + 1e-6
+    with open(os.path.join(os.path.dirname(kio.__file__), "data", "ex4.json")) as fh:
+        doc = json.load(fh)
+    gamma = kio.decode_matrix(doc["triple"]["gamma"])
+    gamma[0] *= 1 + 1e-6
+    doc["triple"]["gamma"] = kio.encode_matrix(gamma)
+    kio.load_document(doc, tol)
+
+
+def _pair(tol):
+    t = gen.gen_symmetric(gen.InstanceSpec(31, 4, (2, 2), 2))
+    return t, gen.gen_triple(t, 32, tol), gen.gen_triple(t, 33, tol)
+
+
+def _transform_off(tol):
+    _, tri, _ = _pair(tol)
+    bnd.transform(tri, np.eye(2 * tri.boundary_dim) * (1 + 1e-6))
+
+
+def _planting_off(tol):
+    t, tri, _ = _pair(tol)
+    gen.planted_similar_triple(tri, gen.gen_standard_unitary(1, t.src, t.src) * (1 + 1e-6),
+                               t.src)
+
+
+def _theta_off(tol):
+    t, tri_a, tri_b = _pair(tol)
+    theta = np.array([[1, 2j], [-2j, 3]]) + 1e-6 * np.array([[0, 1], [-1, 0]])
+    sim.build_standard_V(tri_a, tri_b, np.eye(t.dim), theta)
+
+
+def _neutrality_off(tol):
+    space = kr.make_krein(np.diag([1.0, -1.0]))
+    if not krein.neutrality_rank(space, sub.span([[1, 1 + 1e-6]]), tol)["neutral"]:
+        raise ValueError("not neutral")
+
+
+def _membership_off(tol):
+    _, tri, _ = _pair(tol)
+    tri.coords(tri.basis[:, :1] + 1e-6 * sub.complement(tri.tplus.graph).frame[:, :1])
+
+
+@pytest.mark.parametrize("plant, error", [
+    (_green_off, "Green identity violated"),
+    (_transform_off, "not boundary-unitary"),
+    (_planting_off, "not standard unitary"),
+    (_theta_off, "Theta is not self-adjoint"),
+    (_neutrality_off, "not neutral"),
+    (_membership_off, "not inside the adjoint's graph"),
+], ids=["green", "transform", "planted-unitary", "theta", "neutrality", "coords"])
+def test_identity_cut_follows_the_policy(plant, error):
+    # a relative residual near 1e-6 fails the default cut and passes a 1e-4 one
+    with pytest.raises(ValueError, match=error):
+        plant(DEFAULT_TOL)
+    plant(TolerancePolicy(angle_tol=1e-4))
