@@ -89,29 +89,25 @@ def cmd_ext(args) -> int:
     if args.action == "defects":
         d = ext.defect_numbers(t, tol)
         print(f"defect numbers: {d}")
-        return EXIT_OK
-    if args.action == "nclass":
+    elif args.action == "nclass":
         try:
             ext.n_class_check(t, other, tol)
             print("accepted")
-            return EXIT_OK
         except ext.NClassRejection as exc:
             print(f"rejected: {exc.reason}")
             return EXIT_REJECT
-    if args.action == "extend":
+    elif args.action == "extend":
         t0 = ext.extend(t, other, tol)
         print(json.dumps(kio.document_for(t.src, t0), indent=1))
-        return EXIT_OK
-    if args.action == "reduce":
+    elif args.action == "reduce":
         n = ext.reduce(t, other, tol)
         print(json.dumps(kio.document_for(t.src, n), indent=1))
-        return EXIT_OK
-    if args.action == "audit":
+    elif args.action == "audit":
         w = gen.sample_witness(t, args.seed, tol)
         report = ext.prop_n_audit(t, w.N, tol)
         print(json.dumps({k: str(v) for k, v in report.items()}, indent=1))
         return EXIT_OK if report["ok"] else EXIT_REJECT
-    raise kio.DocumentError(f"unknown ext action {args.action}")
+    return EXIT_OK
 
 
 def cmd_triple(args) -> int:

@@ -172,6 +172,10 @@ def gen_triple(t: LinearRelation, seed: int,
     return bnd.validate_triple(t, gamma, basis, tol)
 
 
+# a sampling bound like cond(I + a) <= 1e8, 100x inside the default identity cut
+_DRAW_TOL = TolerancePolicy(angle_tol=DEFAULT_TOL.angle_tol / 100)
+
+
 def gen_standard_unitary(seed: int, src: KreinSpace, tgt: KreinSpace) -> np.ndarray:
     """Standard unitary via the Krein-space Cayley transform of a random
     J-skew-adjoint matrix, composed with a signature-matching isometry."""
@@ -189,7 +193,7 @@ def gen_standard_unitary(seed: int, src: KreinSpace, tgt: KreinSpace) -> np.ndar
         _, vec_t = np.linalg.eigh(tgt.J)
         pi = vec_t @ vec_s.conj().T
         u = pi @ c
-        if _is_standard_unitary(u, src, tgt, DEFAULT_TOL):
+        if _is_standard_unitary(u, src, tgt, _DRAW_TOL):
             return u
     raise SamplingExhaustedError("could not draw a standard unitary")
 

@@ -4,8 +4,8 @@ A Krein space here is C^n carrying a fundamental symmetry J (Hermitian
 involution); the indefinite inner product is [f, g] = <f, J g> with the
 Euclidean product conjugate-linear in the first factor.  The doubled space
 pairs H^2 with the block symmetry built from -iJ / iJ, under which graphs
-of relations acquire their indefinite geometry.  Neutrality and sign classes
-are decided under a tolerance policy, like every rank decision.
+of relations acquire their indefinite geometry.  Neutrality is decided under
+a tolerance policy, like every rank decision; sign classes under the default.
 """
 
 from __future__ import annotations
@@ -132,18 +132,18 @@ def is_neutral(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TO
     return _gram_is_neutral(indefinite_gram(space, a, a), a, tol)
 
 
-def classify(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> str:
-    """Sign class of [.,.] restricted to A.
+def classify(space: KreinSpace, a: Subspace) -> str:
+    """Sign class of [.,.] restricted to A, decided under DEFAULT_TOL.
 
     Returns one of 'positive', 'negative', 'neutral', 'indefinite',
     'mixed'; 'mixed' covers the semi-definite cases (a one-signed part
     plus a nontrivial isotropic part).
     """
     g = indefinite_gram(space, a, a)
-    if _gram_is_neutral(g, a, tol):
+    if _gram_is_neutral(g, a, DEFAULT_TOL):
         return "neutral"
     eig = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    nonzero = eig[~tol.negligible(np.abs(eig), 1.0 + float(np.abs(eig).max()))]
+    nonzero = eig[~DEFAULT_TOL.negligible(np.abs(eig), 1.0 + float(np.abs(eig).max()))]
     npos = int(np.sum(nonzero > 0))
     nneg = int(np.sum(nonzero < 0))
     nzero = a.dim - npos - nneg

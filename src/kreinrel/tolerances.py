@@ -20,9 +20,9 @@ class TolerancePolicy:
     rank_rel: relative singular-value cutoff (scaled by the largest
         singular value), must stay at or above machine epsilon.
     rank_abs: absolute singular-value floor of spans and kernels.
-    angle_tol: largest principal angle, in radians, at which two
-        subspaces still count as equal; `negligible` applies the same cut to
-        the relative residual of every identity, neutrality included.
+    angle_tol: largest principal angle, in radians (at most pi/2), at which
+        two subspaces still count as equal; `negligible` applies the same
+        cut to the relative residual of every identity, neutrality included.
     """
 
     rank_rel: float = 1e-10
@@ -30,15 +30,15 @@ class TolerancePolicy:
     angle_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.rank_rel > 0 and self.rank_abs > 0 and self.angle_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.rank_rel < _EPS:
-            raise ValueError("rank_rel below machine epsilon")
+        if not all(0 < t < np.inf for t in (self.rank_rel, self.rank_abs, self.angle_tol)):
+            raise ValueError("tolerances must be strictly positive and finite")
+        if self.rank_rel < _EPS or self.angle_tol > np.pi / 2:
+            raise ValueError("rank_rel must be at least machine epsilon, angle_tol at most pi/2")
 
     def rank_cut(self, largest_sv: float) -> float:
         return max(self.rank_abs, self.rank_rel * largest_sv)
 
-    def negligible(self, residual, scale=1.0):
+    def negligible(self, residual, scale):
         return residual <= self.angle_tol * scale
 
 

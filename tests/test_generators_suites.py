@@ -149,7 +149,7 @@ def test_custom_policy_reaches_every_rank_cut(monkeypatch):
     identity_calls = []
     negligible = TolerancePolicy.negligible
 
-    def recording_negligible(self, residual, scale=1.0):
+    def recording_negligible(self, residual, scale):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name != "gen_standard_unitary":
             frame = frame.f_back

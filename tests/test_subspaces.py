@@ -69,6 +69,17 @@ def test_non_finite_entries_rejected(bad):
         sub.span([m[:, 0]])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rank_rel", np.inf), ("rank_abs", np.inf), ("angle_tol", np.inf), ("angle_tol", np.nan),
+    ("angle_tol", 2.0), ("rank_rel", 1e-20), ("rank_abs", 0.0)])
+def test_policy_rejects_tolerances_out_of_range(field, value):
+    # an infinite cut, or an angle past pi/2, would accept every identity;
+    # the largest principal angle itself is still a valid cut
+    with pytest.raises(ValueError):
+        TolerancePolicy(**{field: value})
+    TolerancePolicy(angle_tol=np.pi / 2)
+
+
 def test_intersect_idempotent():
     rng = np.random.default_rng(0)
     a = sub.span(rand_cols(rng, 5, 2))
