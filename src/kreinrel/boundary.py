@@ -240,11 +240,6 @@ def beta_shift(triple: BoundaryTriple, beta=None) -> BoundaryTriple:
     return transform(triple, np.block([[np.eye(d), np.zeros((d, d))], [-b, np.eye(d)]]))
 
 
-def transpose_triple(triple: BoundaryTriple) -> BoundaryTriple:
-    eye, zero = np.eye(triple.boundary_dim), np.zeros((triple.boundary_dim,) * 2)
-    return transform(triple, np.block([[zero, eye], [-eye, zero]]))
-
-
 def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
     """The extension Gamma^{-1}(Theta); self-adjoint iff Theta is."""
     d = triple.boundary_dim

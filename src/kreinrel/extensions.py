@@ -43,7 +43,6 @@ class SigmaDecomposition:
     n_part: Subspace
     jn_part: Subspace
     m_hat: LinearRelation
-    m_space: Subspace
     defect_plus_frame: np.ndarray = field(repr=False)
     defect_minus_frame: np.ndarray = field(repr=False)
 
@@ -117,16 +116,11 @@ def _n_part(t: LinearRelation, t0: LinearRelation, tol: TolerancePolicy) -> Line
     return LinearRelation(t.src, t.tgt, sub.intersect(t0.graph, sub.complement(t.graph), tol))
 
 
-def sigma_decompose(t: LinearRelation, t0: LinearRelation,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> SigmaDecomposition:
-    """Σ = T+ ∩ T-perp with its N ⊕ J_hat(N) split and the defect pairing."""
-    return _sigma_parts(t, reduce(t, t0, tol), tol)
-
-
 def _sigma_parts(t: LinearRelation, n: LinearRelation,
                  tol: TolerancePolicy) -> SigmaDecomposition:
-    """`sigma_decompose` for an N in the N-class of T (from `reduce` or
-    accepted by `n_class_check`); N is not checked again here."""
+    """Σ = T+ ∩ T-perp with its N ⊕ J_hat(N) split and the defect pairing, for
+    an N in the N-class of T (from `reduce` or accepted by `n_class_check`);
+    N is not checked again here."""
     tplus = rel.adjoint(t, "krein", tol)
     sigma = sub.intersect(tplus.graph, sub.complement(t.graph), tol)
     jhat = doubled(t.src).J_hat
@@ -142,7 +136,6 @@ def _sigma_parts(t: LinearRelation, n: LinearRelation,
         n_part=n.graph,
         jn_part=jn,
         m_hat=m_hat,
-        m_space=sub.sum_(ni, nmi, tol),
         defect_plus_frame=fp,
         defect_minus_frame=fm,
     )
@@ -276,29 +269,6 @@ def Os_membership(t: LinearRelation, n: LinearRelation, z: complex,
         return False
     return (O_membership(t, n, z, tol)
             and O_membership(t, n, np.conj(z), tol))
-
-
-def delta0_estimate(t: LinearRelation, witnesses, grid,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> dict:
-    """Sampled over-approximation of Delta_0(T) on the grid.
-
-    The true set intersects over all of the (uncountable) N-class; only
-    the supplied witnesses are consulted, hence the explicit marker.
-    """
-    witnesses = list(witnesses)
-    points = []
-    for z in grid:
-        z = complex(z)
-        ok = True
-        for w in witnesses:
-            if (not Os_membership(t, w.N, z, tol)
-                    or rel.spectral_probe(w.N, z, tol)["eigenvalue"]
-                    or rel.spectral_probe(w.N, np.conj(z), tol)["eigenvalue"]):
-                ok = False
-                break
-        if ok:
-            points.append(z)
-    return {"points": points, "approximate": True, "witnesses": len(witnesses)}
 
 
 def simple_check(t: LinearRelation, grid,

@@ -5,7 +5,7 @@ involution); the indefinite inner product is [f, g] = <f, J g> with the
 Euclidean product conjugate-linear in the first factor.  The doubled space
 pairs H^2 with the block symmetry built from -iJ / iJ, under which graphs
 of relations acquire their indefinite geometry.  Neutrality is decided under
-a tolerance policy, like every rank decision; sign classes under the default.
+a tolerance policy, like every rank decision.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import subspaces as sub
 from .subspaces import Subspace
 from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
 
@@ -35,11 +34,6 @@ class KreinSpace:
         j = np.array(self.J)
         j.flags.writeable = False
         object.__setattr__(self, "J", j)
-
-    @property
-    def neg_index(self) -> int:
-        # Pontryagin convention: the finite "negative index" is min(p, q).
-        return min(self.signature)
 
     @property
     def is_hilbert(self) -> bool:
@@ -100,15 +94,6 @@ def boundary_doubled(boundary_dim: int) -> DoubledKrein:
     return doubled(hilbert_space(boundary_dim))
 
 
-def indefinite_inner(space: KreinSpace, f, g) -> complex:
-    """[f, g] = <f, J g>, conjugate-linear in the first factor."""
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
-    g = np.asarray(g, dtype=np.complex128).reshape(-1)
-    if f.shape[0] != space.dim or g.shape[0] != space.dim:
-        raise DimensionMismatchError("vector does not live in this space")
-    return complex(f.conj() @ (space.J @ g))
-
-
 def indefinite_gram(space: KreinSpace, a: Subspace, b: Subspace) -> np.ndarray:
     """Gram matrix [a_k, b_l] over the two frames."""
     if a.ambient_dim != space.dim or b.ambient_dim != space.dim:
@@ -116,42 +101,9 @@ def indefinite_gram(space: KreinSpace, a: Subspace, b: Subspace) -> np.ndarray:
     return a.frame.conj().T @ space.J @ b.frame
 
 
-def ortho_companion(space: KreinSpace, a: Subspace,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """The [.,.]-orthogonal companion: Euclidean complement of J(A)."""
-    if a.ambient_dim != space.dim:
-        raise DimensionMismatchError("subspace does not live in this space")
-    return sub.complement(sub.image(space.J, a, tol))
-
-
-def _gram_is_neutral(g: np.ndarray, a: Subspace, tol: TolerancePolicy) -> bool:
-    return tol.negligible(float(np.abs(g).max(initial=0.0)), 1.0 + np.linalg.norm(a.frame))
-
-
 def is_neutral(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return _gram_is_neutral(indefinite_gram(space, a, a), a, tol)
-
-
-def classify(space: KreinSpace, a: Subspace) -> str:
-    """Sign class of [.,.] restricted to A, decided under DEFAULT_TOL.
-
-    Returns one of 'positive', 'negative', 'neutral', 'indefinite',
-    'mixed'; 'mixed' covers the semi-definite cases (a one-signed part
-    plus a nontrivial isotropic part).
-    """
     g = indefinite_gram(space, a, a)
-    if _gram_is_neutral(g, a, DEFAULT_TOL):
-        return "neutral"
-    eig = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    nonzero = eig[~DEFAULT_TOL.negligible(np.abs(eig), 1.0 + float(np.abs(eig).max()))]
-    npos = int(np.sum(nonzero > 0))
-    nneg = int(np.sum(nonzero < 0))
-    nzero = a.dim - npos - nneg
-    if npos and nneg:
-        return "indefinite"
-    if nzero:
-        return "mixed"
-    return "positive" if npos else "negative"
+    return tol.negligible(float(np.abs(g).max(initial=0.0)), 1.0 + np.linalg.norm(a.frame))
 
 
 def neutrality_rank(space: KreinSpace, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> dict:

@@ -186,11 +186,6 @@ def operator_part(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> Line
     return LinearRelation(t.src, t.tgt, sub.intersect(t.graph, cage, tol))
 
 
-def mul_part_relation(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    mul = parts(t, tol).mul
-    return LinearRelation(t.src, t.tgt, sub.product(sub.trivial(t.src.dim), mul))
-
-
 # ---------------------------------------------------------------------------
 # adjoints
 
@@ -272,7 +267,7 @@ def resolvent_matrix(t: LinearRelation, z: complex,
 
 
 # ---------------------------------------------------------------------------
-# Cayley transforms and the angular operator
+# Cayley transforms
 
 
 def hilbertize(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
@@ -303,34 +298,3 @@ def inverse_cayley(c, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
     cols = np.vstack([(eye - c) / 2j, (eye + c) / 2.0])
     h = hilbert_space(n)
     return LinearRelation(h, h, sub.span(cols, tol))
-
-
-def vz_operator(t0: LinearRelation, z: complex,
-                tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """V_z = I + 2z (T0 - z)^{-1} for a Hilbert self-adjoint relation."""
-    if z.imag == 0:
-        raise NotRegularError("V_z is defined off the real axis")
-    return np.eye(t0.src.dim, dtype=np.complex128) + 2 * z * resolvent_matrix(t0, z, tol)
-
-
-def kplus_frame(space: KreinSpace) -> np.ndarray:
-    """Canonical orthonormal frame of the positive component of (H^2, J_hat)."""
-    n = space.dim
-    return np.vstack([np.eye(n), 1j * space.J]).astype(np.complex128) / np.sqrt(2.0)
-
-
-def kminus_frame(space: KreinSpace) -> np.ndarray:
-    n = space.dim
-    return np.vstack([np.eye(n), -1j * space.J]).astype(np.complex128) / np.sqrt(2.0)
-
-
-def angular_operator(t0: LinearRelation, t: LinearRelation,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Angular operator of graph(T0) against the canonical K+/K- frames.
-
-    Returned as the coordinate matrix K with graph(T0) spanned by
-    kplus_frame + kminus_frame @ K; it equals minus the Cayley transform
-    of JT0 (`cayley` decides that JT0, hence T0, is self-adjoint) and is a
-    Euclidean isometry K+ -> K-.
-    """
-    return -cayley(hilbertize(t0, tol), tol)

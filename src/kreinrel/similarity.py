@@ -277,12 +277,7 @@ def _e0_coords(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Weyl-equality criterion (pencil route)
-
-
-def pencil(v: BlockUnitary, z: complex) -> np.ndarray:
-    """Quadratic pencil z^2 B + z(A - D) - C."""
-    return z * z * v.b + z * (v.a - v.d) - v.c
+# Weyl-equality criterion
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,6 @@ class Subspace:
         """Frame coordinates of ambient vectors (columns)."""
         return self.frame.conj().T @ vectors
 
-    def contains_vector(self, v, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        return contains(self, span([v], tol), tol)
-
 
 def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
     """A Subspace around an orthonormal frame computed here, unchecked."""

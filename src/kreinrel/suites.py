@@ -365,9 +365,13 @@ def suite_similarity(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     sc = sim.sigma_unitary_check(triple_a, triple_b)
     report.record(sc["gram_residual"])
     report.record(sc["inverse_residual"])
+    if not sc["ok"]:
+        report.fail(tseed, "(V0)_s is not unitary between the Sigma subspaces")
     wm = sim.w_maps(triple_a, triple_b)
     report.record(wm["inverse_residual"])
     report.record(wm["llp_residual"])
+    if not wm["ok"]:
+        report.fail(tseed, "w-map laws fail")
 
     u = gen.gen_standard_unitary(tseed, t.src, t.src)
     planted = gen.planted_similar_triple(triple_a, u, t.src)
@@ -384,12 +388,70 @@ def suite_similarity(report: Report, k: int, tseed: int, tol: TolerancePolicy):
         report.fail(tseed, "scaled triple not rejected", status=neg["status"])
 
 
+@_suite("laws")
+def suite_laws(report: Report, k: int, tseed: int, tol: TolerancePolicy):
+    """The boundary-triple laws (the k-shift equivalence; Gamma^{-1}(Theta) by
+    its displayed formula, self-adjoint iff Theta is), Theorem l's
+    tau-construction, W-invariance of the reconstructed V at one grid point
+    and lemma ExN; each law is decided under the policy by a flag or an
+    angle rule, and no raw residual is recorded.  Lemma ExN runs only on
+    draws with property (P), its hypothesis; a draw without it counts as
+    skipped."""
+    t, w = _draw_pair(tseed, tol)
+    triple = gen.gen_triple(t, tseed, tol)
+    rng = gen.rng_for(tseed, 40)
+    d = triple.boundary_dim
+    b, h = (gen.random_complex(rng, d, d) for _ in range(2))
+    b, h = (b + b.conj().T) / 2, (h + h.conj().T) / 2
+    # A generated triple has beta = 0, so it is shifted by a drawn Hermitian b:
+    # K = b exists and Gamma1 is kept on N.  Rescaling breaks both.
+    for label, other, holds in (("beta-shifted", bnd.beta_shift(triple, b), True),
+                                ("rescaled", gen.scaled_triple(triple, 2.0), False)):
+        ks = bnd.k_shift_equivalence(triple, other)
+        if not ks["equivalent"] or ks["exists_k"] != holds:
+            report.fail(tseed, f"k-shift equivalence fails for the {label} triple",
+                        exists_k=ks["exists_k"], agrees_on_n=ks["agrees_on_n"])
+
+    lspace = triple.boundary_space
+    for theta, hermitian in ((h, True), (h + 1j * np.eye(d), False)):
+        t_theta = bnd.t_theta(triple, rel.from_operator(theta, lspace, lspace, tol))
+        if rel.is_selfadjoint(t_theta, tol) != hermitian:
+            report.fail(tseed, "Gamma^-1(Theta) is self-adjoint iff Theta is fails",
+                        hermitian=hermitian)
+        # the displayed formula Gamma^{-1}(Theta) = T + ran(Gamma0^{-1} + Gamma1^{-1}(Theta - beta))
+        lift = triple.g0inv + triple.g1inv @ (theta - triple.beta)
+        if not sub.equal(t_theta.graph, sub.sum_(t.graph, sub.span(lift, tol), tol), tol):
+            report.fail(tseed, "Gamma^-1(Theta) misses its displayed formula", hermitian=hermitian)
+
+    other = gen.gen_triple(t, tseed + 7, tol)
+    v = sim.build_V_from_tau(triple, other, gen.random_unitary(rng, t.dim))
+    if not sim.membership_check(v, triple, other)["member"]:
+        report.fail(tseed, "the tau-construction misses Gamma' = Gamma V^-1")
+
+    u = gen.gen_standard_unitary(tseed, t.src, t.src)
+    planted = gen.planted_similar_triple(triple, u, t.src)
+    out = sim.reconstruct_similarity(triple, planted, bnd.DEFAULT_GRID)
+    if out["status"] != "unitary":
+        report.fail(tseed, "planted reconstruction failed", status=out["status"],
+                    reason=out.get("reason", ""))
+    else:
+        z = bnd.DEFAULT_GRID[k % len(bnd.DEFAULT_GRID)]
+        if not sim.w_invariance_audit(triple, planted, out["U"], [out["V"]], (z,))["ok"]:
+            report.fail(tseed, "W = U~^-1 V does not fix T and the defect graph", z=z)
+
+    if not ext.has_property_p(t, tol):
+        report.skipped += 1
+    elif not ext.lemma_exn_check(t, w.N, bnd.DEFAULT_GRID, tol)["ok"]:
+        report.fail(tseed, "N of a property-(P) draw is not an operator without eigenvalues")
+
+
 # CLI name -> suites it runs; "all" runs every entry in this order.
 SUITES = {
     "appendix": (suite_eqgh, suite_o, suite_sfn, suite_p3),
     "extensions": (suite_extensions,),
     "boundary": (suite_boundary,),
     "similarity": (suite_similarity,),
+    "laws": (suite_laws,),
 }
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: exact rational
 Gaussian elimination for ranks, cross-Gram SVD and the projector gap
 for principal angles, raw SVD null spaces and the Weyl values read off
-them, hand-rolled graph joins for compositions, the complement-and-flip
+them, hand-rolled graph joins for compositions, the literal indefinite
+inner product and the [.,.]-orthogonal companion, the complement-and-flip
 route for adjoints and the canonical operator part of V0 for (V0)_s.
 """
 
@@ -150,6 +151,20 @@ def green_pairing(j: np.ndarray, fhat: np.ndarray, ghat: np.ndarray,
     f, fp = fhat[:n1], fhat[n1:]
     g, gp = ghat[:n2], ghat[n2:]
     return complex(f.conj() @ j @ gp - fp.conj() @ j_tgt @ g)
+
+
+def indefinite_inner(space, f, g) -> complex:
+    """[f, g] = <f, J g> of two vectors, conjugate-linear in the first factor."""
+    f = np.asarray(f, dtype=np.complex128).reshape(-1)
+    g = np.asarray(g, dtype=np.complex128).reshape(-1)
+    return complex(f.conj() @ (space.J @ g))
+
+
+def ortho_companion(space, a):
+    """The [.,.]-orthogonal companion of a subspace: the Euclidean complement of J(A)."""
+    from kreinrel import subspaces as sub
+
+    return sub.complement(sub.image(space.J, a))
 
 
 def adjoint_by_complement(t, metric: str = "krein"):

@@ -81,11 +81,17 @@ def test_weyl_mul_part_matches_kernel_overlap(c4):
     assert sub.equal(mul, want)
 
 
+def _transposed(tri):
+    """The transposed triple (Gamma1, -Gamma0), by the boundary-unitary flip."""
+    eye, zero = np.eye(tri.boundary_dim), np.zeros((tri.boundary_dim,) * 2)
+    return bnd.transform(tri, np.block([[zero, eye], [-eye, zero]]))
+
+
 def test_transposed_weyl_inverse(c4):
     # M(z) of the worked example is singular, so the transposed family is a
     # genuine relation; the identity M^T(z) = -M(z)^{-1} holds graph-wise.
     tri = c4["triple"]
-    flipped = bnd.transpose_triple(tri)
+    flipped = _transposed(tri)
     neg = np.kron(np.diag([1.0, -1.0]), np.eye(3))
     for z in (1j, 1 + 1j):
         m = bnd.weyl(tri, z).relation_in_L
@@ -99,7 +105,7 @@ def test_transposed_weyl_inverse_operator_case():
     # appears as an honest matrix inverse
     t = gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2))
     tri = gen_triple(t, 4243)
-    flipped = bnd.transpose_triple(tri)
+    flipped = _transposed(tri)
     done = 0
     for z in (1j, 1 + 1j, 2j):
         m = bnd.weyl(tri, z).operator_form
@@ -327,7 +333,7 @@ def test_inverse_boundary_projection_identities(c4):
 
 def test_inverse_boundary_transposed_swaps_roles(c4):
     tri = c4["triple"]
-    flipped = bnd.transpose_triple(tri)
+    flipped = _transposed(tri)
     # N of the transposed triple is J_hat(N) of the original
     assert sub.equal(flipped.n_rel.graph, sub.span(tri.fjn))
     assert sub.equal(sub.span(flipped.fjn), tri.n_rel.graph)

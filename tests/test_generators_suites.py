@@ -106,7 +106,7 @@ def test_a_non_finite_residual_fails_the_report(bad):
     assert not np.isfinite(report.max_residual)
 
 
-@pytest.mark.parametrize("name", ["appendix", "extensions", "boundary", "similarity"])
+@pytest.mark.parametrize("name", ["appendix", "extensions", "boundary", "similarity", "laws"])
 def test_suites_clean_on_small_runs(name):
     for report in st.run_suites(name, 6, 2024):
         assert report.ok, report.to_dict()

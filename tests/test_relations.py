@@ -4,10 +4,10 @@ import pytest
 import kreinrel as kr
 from kreinrel import krein, relations as rel, subspaces as sub
 from kreinrel.generators import (InstanceSpec, gen_symmetric, gen_triple, random_complex,
-                                 random_signature_symmetry, rng_for, sample_witness)
+                                 random_signature_symmetry, rng_for)
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
-from oracles import adjoint_by_complement, graph_join, green_pairing
+from oracles import adjoint_by_complement, graph_join, green_pairing, ortho_companion
 
 
 def random_space(seed, n):
@@ -89,7 +89,7 @@ def test_krein_adjoint_is_indefinite_companion():
         space = random_space(seed + 40, 4)
         t = random_relation(seed + 40, space, 3)
         via_adjoint = rel.adjoint(t, "krein").graph
-        via_companion = krein.ortho_companion(krein.doubled(space).krein, t.graph)
+        via_companion = ortho_companion(krein.doubled(space).krein, t.graph)
         assert sub.equal(via_adjoint, via_companion)
 
 
@@ -275,7 +275,7 @@ def test_operator_part_reassembles():
         space = random_space(seed + 30, 4)
         t = random_relation(seed + 30, space, 4)
         op = rel.operator_part(t)
-        m = rel.mul_part_relation(t)
+        m = kr.relation(t.src, t.tgt, sub.product(sub.trivial(4), rel.parts(t).mul))
         total, orthogonal = rel.cw_sum(op, m)
         assert orthogonal
         assert sub.equal(total.graph, t.graph)
@@ -336,9 +336,11 @@ def test_cayley_vz_identities():
     t0 = rel.from_operator(h, space, space)
     c = rel.cayley(t0)
     assert np.abs(c.conj().T @ c - np.eye(4)).max() < 1e-10
-    assert np.abs(rel.vz_operator(t0, -1j) - c).max() < 1e-9
-    assert np.abs(rel.vz_operator(t0, 1j) - np.linalg.inv(c)).max() < 1e-9
-    assert np.abs(rel.vz_operator(t0, -1j) @ rel.vz_operator(t0, 1j) - np.eye(4)).max() < 1e-9
+    # V_z = I + 2z (T0 - z)^{-1} is C at z = -i and C^{-1} at z = i
+    vz = {z: np.eye(4) + 2 * z * rel.resolvent_matrix(t0, z) for z in (1j, -1j)}
+    assert np.abs(vz[-1j] - c).max() < 1e-9
+    assert np.abs(vz[1j] - np.linalg.inv(c)).max() < 1e-9
+    assert np.abs(vz[-1j] @ vz[1j] - np.eye(4)).max() < 1e-9
     roundtrip = rel.inverse_cayley(c)
     assert sub.equal(roundtrip.graph, t0.graph)
 
@@ -366,31 +368,5 @@ def test_defect_duality():
     for z in (1j, 1 - 1j):
         e, d = t.blocks()
         ran_shift = sub.span(d - z * e)
-        dual = krein.ortho_companion(t.src, rel.eigenspace(tplus, np.conj(z)))
+        dual = ortho_companion(t.src, rel.eigenspace(tplus, np.conj(z)))
         assert sub.contains(dual, ran_shift)
-
-
-def test_angular_operator_reconstructs_n(c4):
-    t = c4["T"]
-    tri = c4["triple"]
-    k = rel.angular_operator(tri.t0, t)
-    space = t.src
-    kp = rel.kplus_frame(space)
-    km = rel.kminus_frame(space)
-    # Euclidean isometry between the components
-    probe = np.random.default_rng(0).standard_normal((4, 3))
-    assert np.abs(np.linalg.norm(km @ (k @ probe), axis=0)
-                  - np.linalg.norm(kp @ probe, axis=0)).max() < 1e-10
-    from kreinrel.extensions import defect_subspace
-    ni = defect_subspace(t, 1j)
-    n_rec = sub.span((kp + km @ k) @ ni.frame)
-    assert sub.equal(n_rec, tri.n_rel.graph)
-
-
-def test_angular_operator_dim1():
-    space = krein.hilbert_space(1)
-    t = rel.zero_relation(space, space)
-    w = sample_witness(t, 5)
-    k = rel.angular_operator(w.t0, t)
-    assert k.shape == (1, 1)
-    assert abs(abs(k[0, 0]) - 1) < 1e-12

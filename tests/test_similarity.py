@@ -211,29 +211,6 @@ def test_final_example_block_structure(pair44):
         assert np.abs(zero).max() < 1e-9
 
 
-def test_pencil_diagonal_vanishes(pair44):
-    t, tri, _ = pair44
-    u = gen_standard_unitary(3, t.src, t.src)
-    v = sim.block_unitary_from_matrix(sim._utilde(u), t.src, t.src)
-    for z in (1j, 1 + 1j):
-        assert np.abs(sim.pencil(v, z)).max() < 1e-12
-
-
-def test_pencil_kernel_is_vinv_defect(pair44):
-    t, tri_a, tri_b = pair44
-    rng = rng_for(12, 0)
-    v = sim.build_standard_V(tri_a, tri_b, random_unitary(rng, t.dim))
-    v_rel = v.as_relation()
-    for z in (1j, 0.5 + 1.5j):
-        lhs = sub.kernel(sim.pencil(v, z), 2 * 2)
-        z_graph = rel.z_relation(t.src, z).graph
-        cage = sub.product(sub.full(2 * t.src.dim), z_graph)
-        hit = sub.intersect(v_rel.graph, cage)
-        vinv_z = sub.span(hit.frame[: 2 * t.src.dim, :]) if hit.dim else sub.trivial(8)
-        got = rel.eigenspace(kr.relation(t.src, t.src, vinv_z), z)
-        assert sub.equal(lhs, got)
-
-
 def test_weyl_criterion_planted_true(pair44):
     t, tri, _ = pair44
     u = gen_standard_unitary(21, t.src, t.src)

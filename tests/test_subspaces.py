@@ -31,7 +31,7 @@ LOOSE = TolerancePolicy(rank_rel=1e-3, rank_abs=1e-6, angle_tol=1e-4)
 def test_span_collinear():
     s = sub.span([[1, 0], [2, 0]])
     assert s.dim == 1
-    assert s.contains_vector([1, 0])
+    assert sub.contains(s, sub.span([[1, 0]]))
 
 
 def test_span_c4_graph_vector():
@@ -309,7 +309,8 @@ def test_contains_agrees_with_equal_near_the_cut(tol, factor, k):
             == (factor < 1))
     # the turned vector alone, at any length, follows the same angle rule
     v = q @ b_cols[:, k - 1]
-    assert a.contains_vector(v, tol) == a.contains_vector(10 * v, tol) == (factor < 1)
+    assert (sub.contains(a, sub.span([v], tol), tol)
+            == sub.contains(a, sub.span([10 * v], tol), tol) == (factor < 1))
 
 
 def test_tiny_angles_resolved():
