@@ -5,8 +5,8 @@ triples over a shared boundary space together; standard-unitary
 solutions are assembled blockwise from a graph isomorphism tau, a free
 coupling sigma and a Hermitian parameter Theta, and the reconstruction
 recovers the similarity of two triples from matching Weyl families on a
-symmetric grid.  Two triples decide under the policy they share; under
-different policies they raise `PolicyMismatchError`.
+symmetric grid and beside T0's poles.  Two triples decide under the policy
+they share; under different policies they raise `PolicyMismatchError`.
 """
 
 from __future__ import annotations
@@ -315,12 +315,9 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex) -> CriterionResult:
     """
     pa, pb = _coerce_pair(pair_a), _coerce_pair(pair_b)
     tol = shared_tol(pa, pb)
-    if isinstance(v, BlockUnitary):
-        v_rel = v.as_relation(tol)
-    elif isinstance(v, LinearRelation):
-        v_rel = v
-    else:
+    if not isinstance(v, (BlockUnitary, LinearRelation)):
         raise BuildError("V must be a BlockUnitary or a LinearRelation")
+    v_rel = v if isinstance(v, LinearRelation) else v.as_relation(tol)
     z = complex(z)
 
     na2 = v_rel.src.dim
@@ -377,45 +374,63 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     """Recover a standard unitary realizing the similarity, or a witness.
 
     Returns a dict with status 'unitary' (carrying U, the standard unitary
-    V built from U-tilde's blocks, and residuals), 'witness' (a grid point
-    where the Weyl values differ, with their largest principal angle in
-    radians as the discrepancy) or 'hypothesis-violation'.
+    V built from U-tilde's blocks, and residuals), 'witness' (a point of the
+    grid, or beside a pole of T0 where the grid's gamma columns span less than
+    H, at which the Weyl values differ; their largest principal angle in
+    radians is the discrepancy) or 'hypothesis-violation'.
     """
-    tol = _check_compatible(triple_a, triple_b)
+    tol, n = _check_compatible(triple_a, triple_b), triple_a.space.dim
+    violation = lambda reason: {"status": "hypothesis-violation", "reason": reason}
     # omega: the points where both Weyl values have an operator form, which
     # is exactly where gamma(z) is defined for both triples.  gamma(z) is
     # asked right after M(z), so each triple solves each point once.
-    g_blocks, gp_blocks = [], []
-    for z in (complex(z) for z in grid if complex(z).imag != 0):
-        wa, wb = weyl(triple_a, z), weyl(triple_b, z)
-        gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
-        if gap > tol.angle_tol:
-            return {"status": "witness", "z": z, "discrepancy": min(gap, np.pi / 2)}
-        if wa.operator_form is not None and wb.operator_form is not None:
-            g_blocks.append(gamma_field(triple_a, z))
-            gp_blocks.append(gamma_field(triple_b, z))
-    if not g_blocks:
-        return {"status": "hypothesis-violation",
-                "reason": "no common regular grid point for the distinguished extensions"}
+    omega, g_blocks, gp_blocks = [], [], []
 
-    # gamma(z) maps L onto N_z(T+) for z in omega: minimality reads its columns.
+    def walk(points):
+        for z, weight in points:
+            wa, wb = weyl(triple_a, z), weyl(triple_b, z)
+            gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
+            if gap > tol.angle_tol:
+                return {"status": "witness", "z": z, "discrepancy": min(gap, np.pi / 2)}
+            if wa.operator_form is not None and wb.operator_form is not None:
+                omega.append(z)
+                g_blocks.append(weight * gamma_field(triple_a, z))
+                gp_blocks.append(weight * gamma_field(triple_b, z))
+
+    found = walk((complex(z), 1.0) for z in grid if complex(z).imag != 0)
+    if found or not omega:
+        return found or violation("no common regular grid point for the distinguished extensions")
+    # gamma(z) maps L onto N_z(T+) for z in omega, so the source's columns decide
+    # minimality; unit_res and the final identity settle the planted side.
+    rank = sub.span(np.hstack(g_blocks), tol).dim
+    if rank < n:
+        # z0 + 1/(mu + delta) is beside the pole z0 + 1/mu; |delta| undoes gamma's growth there
+        try:
+            r0 = rel.resolvent_matrix(triple_a.t0, omega[0], tol)
+        except rel.NotRegularError:
+            return violation(f"T0 is not regular at z0 = {omega[0]}")
+        mu, scale = np.linalg.eigvals(r0), np.linalg.norm(r0)
+        gaps = np.abs(mu[:, None] - mu) + np.diag(np.full(n, np.inf))
+        size = np.minimum(0.1 * gaps.min(axis=1), np.abs(mu).max())
+        size = np.where(size > tol.rank_cut(scale), size, 0.1 * scale)
+        found = walk(zip(map(complex, omega[0] + 1 / (mu + size * np.exp(0.7j))), size))
+        rank = sub.span(np.hstack(g_blocks), tol).dim
+    if found or rank < n:
+        return found or violation("defect subspaces over the grid and beside T0's poles "
+                                  f"are not minimal (rank {rank} < {n})")
     g_cols, gp_cols = np.hstack(g_blocks), np.hstack(gp_blocks)
-    if (sub.span(g_cols, tol).dim < triple_a.space.dim
-            or sub.span(gp_cols, tol).dim < triple_b.space.dim):
-        return {"status": "hypothesis-violation",
-                "reason": "defect subspaces over the grid are not minimal"}
     u = gp_cols @ np.linalg.pinv(g_cols)
     unit_res = _standard_unitary_residual(u, triple_a.space, triple_b.space)
     if not tol.negligible(unit_res, 1 + np.abs(u).max() ** 2):
-        return {"status": "hypothesis-violation",
-                "reason": f"assembled map is not standard unitary ({unit_res:.3e})"}
-    # The final identity settles the rest: equal relations have equal
-    # kernels, so U~ T = T', and Gamma' U~ = Gamma gives U gamma(z) = gamma'(z).
+        return violation(f"assembled map is not standard unitary ({unit_res:.3e})")
+    # The final identity settles the rest (equal relations have equal kernels, so
+    # U~ T = T' and U gamma(z) = gamma'(z)) but N', read off triple_b's own cut.
     ut = _utilde(u)
     final = membership_check(_as_v_relation(ut, triple_a, triple_b), triple_a, triple_b)
     if not final["member"]:
-        return {"status": "hypothesis-violation",
-                "reason": f"final boundary identity off by {final['angle']:.3e}"}
+        return violation(f"final boundary identity off by {final['angle']:.3e}")
+    if triple_b.n_rel.dim != triple_a.n_rel.dim:
+        return violation(f"dim N' = {triple_b.n_rel.dim} differs from dim N = {triple_a.n_rel.dim}")
 
     # Theorem-l extraction: read (tau, sigma, Theta) off U-tilde, build the
     # standard unitary V they parametrize and peel off W = U~^{-1} V.

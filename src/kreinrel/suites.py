@@ -315,11 +315,15 @@ def suite_extensions(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 
 @_suite("boundary")
 def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
-    """Green residuals and the kernel theorem for a triple and its beta shift,
-    Weyl symmetry, the beta-shift law and the resolvent identities."""
+    """Green residuals and the kernel theorem for a triple and its shift by a
+    drawn Hermitian b (a generated triple has beta = 0, so its own shift is
+    itself), the shift law M_b(z) = M(z) - b, Weyl symmetry and the resolvent
+    identities."""
     t, _ = _draw_pair(tseed, tol)
     triple = gen.gen_triple(t, tseed, tol)
-    shifted = bnd.beta_shift(triple)
+    b = gen.random_complex(gen.rng_for(tseed, 31), triple.boundary_dim, triple.boundary_dim)
+    b = (b + b.conj().T) / 2
+    shifted = bnd.beta_shift(triple, b)
     for label, tri in (("", triple), ("beta-shifted triple: ", shifted)):
         report.record(bnd.green_residual(t.src, tri.basis, tri.gamma))
         for name, tk in (("ker Gamma0", tri.t0), ("ker Gamma1", tri.t1)):
@@ -336,7 +340,7 @@ def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
         mzb = bnd.weyl(shifted, z).operator_form
         if value.operator_form is None or mzb is None:
             continue
-        report.record(np.abs(mzb - (value.operator_form - triple.beta)).max())
+        report.record(np.abs(mzb - (value.operator_form - b)).max())
     flags = bnd.pair_isometry_check(bnd.pair_from_triple(triple))
     if not flags["unitary"]:
         report.fail(tseed, "validated triple is not a unitary pair")
@@ -392,7 +396,8 @@ def suite_similarity(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 def suite_laws(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """The boundary-triple laws (the k-shift equivalence; Gamma^{-1}(Theta) by
     its displayed formula, self-adjoint iff Theta is), Theorem l's
-    tau-construction, W-invariance of the reconstructed V at one grid point
+    tau-construction, lemma E's range criterion on the standard V built from
+    the same tau, W-invariance of the reconstructed V at one grid point
     and lemma ExN; each law is decided under the policy by a flag or an
     angle rule, and no raw residual is recorded.  Lemma ExN runs only on
     draws with property (P), its hypothesis; a draw without it counts as
@@ -424,9 +429,13 @@ def suite_laws(report: Report, k: int, tseed: int, tol: TolerancePolicy):
             report.fail(tseed, "Gamma^-1(Theta) misses its displayed formula", hermitian=hermitian)
 
     other = gen.gen_triple(t, tseed + 7, tol)
-    v = sim.build_V_from_tau(triple, other, gen.random_unitary(rng, t.dim))
-    if not sim.membership_check(v, triple, other)["member"]:
+    tau = gen.random_unitary(rng, t.dim)
+    if not sim.membership_check(sim.build_V_from_tau(triple, other, tau), triple, other)["member"]:
         report.fail(tseed, "the tau-construction misses Gamma' = Gamma V^-1")
+    check = sim.membership_check(sim.build_standard_V(triple, other, tau), triple, other)
+    if not (check["member"] and check["lemma_e"] and check["routes_agree"]):
+        report.fail(tseed, "lemma E's range criterion misses the standard V from tau",
+                    member=check["member"], lemma_e=check["lemma_e"])
 
     u = gen.gen_standard_unitary(tseed, t.src, t.src)
     planted = gen.planted_similar_triple(triple, u, t.src)
