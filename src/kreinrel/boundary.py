@@ -52,11 +52,11 @@ class BoundaryTriple:
     gamma: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
-    # (z, (bvals, ghat, M)): the defect solve of the last z asked, keyed by z
-    # alone as `tol` decides every solve, so M(z) and gamma(z) share one solve.
-    # Replaced as one tuple: a concurrent reader sees a key with its own value.
-    _last_solve: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    # {z: (graph of M(z), ghat, M)}: the defect solves of the last walk, or of
+    # the last single z asked, keyed by z alone as `tol` decides every solve,
+    # so M(z) and gamma(z) share one solve.  Replaced as a whole, never
+    # mutated: a concurrent reader sees a key with its own value.
+    _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # Read through on every access.
     boundary_dim = property(lambda self: self.gamma.shape[0] // 2)
@@ -86,6 +86,9 @@ class BoundaryTriple:
     g0inv = cached_property(lambda self: self.fjn @ np.linalg.inv(self._a0))
     g1inv = cached_property(lambda self: self.fn @ np.linalg.inv(self._a1))
     beta = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.g0inv))
+    # the graph of the boundary map, the span of [basis; Gamma]
+    gamma_graph = cached_property(
+        lambda self: sub.span(np.vstack([self.basis, self.gamma]), self.tol))
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Basis coordinates of columns that lie in T+."""
@@ -170,38 +173,73 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 # Weyl family and gamma-field
 
 
-def _defect_solve(triple: BoundaryTriple, z: complex):
-    """Boundary values of the defect graph N_z(T+), then the solver
-    (Gamma0 on N_z)^{-1} and M(z) = Gamma1 (Gamma0 on N_z)^{-1}.  The one
-    regularity rule: dim N_z = d and Gamma0 on N_z is invertible under the
-    triple's policy; otherwise the last two are None.  The arrays are
-    read-only; a repeat of the triple's last z returns the same ones."""
+def _defect_solve(triple: BoundaryTriple, z):
+    """The defect graph N_z(T+) and its boundary values, then M(z) as the
+    span of those values, the solver (Gamma0 on N_z)^{-1} and the matrix
+    M(z) = Gamma1 (Gamma0 on N_z)^{-1}.  The one regularity rule: dim N_z = d
+    and Gamma0 on N_z is invertible under the triple's policy; otherwise the
+    last two are None.  The arrays are read-only; a z in the triple's slot
+    returns the same ones.  A list of points is solved in one pass of
+    stacked calls (the points already in the slot are kept) and replaces the
+    slot with the walk's {z: solve}, which it returns."""
+    if isinstance(z, (list, tuple)):
+        return _solve_walk(triple, [complex(w) for w in z])
     z = complex(z)
-    last = triple._last_solve
-    if last is not None and last[0] == z:
-        return last[1]
+    hit = triple._solves.get(z)
+    if hit is not None:
+        return hit
     d, tol = triple.boundary_dim, triple.tol
     frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
     # N_z(T+) lies in T+, so its coordinates are read unchecked; a frame of the
     # wrong dim (a loose cut's extra direction) only makes z irregular below
     bvals = triple.gamma @ (triple.basis_pinv @ frame)
     if frame.shape[1] != d or np.linalg.matrix_rank(bvals[:d, :], rtol=tol.rank_rel) < d:
-        solve = (bvals, None, None)
+        solve = (sub.span(bvals, tol), None, None)
     else:
         inv0 = np.linalg.inv(bvals[:d, :])
-        solve = (bvals, frame @ inv0, bvals[d:, :] @ inv0)
-    for a in solve:
-        if a is not None:
-            a.flags.writeable = False
-    object.__setattr__(triple, "_last_solve", (z, solve))
+        solve = (sub.span(bvals, tol), _read_only(frame @ inv0),
+                 _read_only(bvals[d:, :] @ inv0))
+    object.__setattr__(triple, "_solves", {z: solve})
     return solve
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _solve_walk(triple: BoundaryTriple, walk: list) -> dict:
+    known = triple._solves
+    todo = [z for z in dict.fromkeys(walk) if z not in known]
+    solves = _solve_stacked(triple, todo) if todo else {}
+    solves = {z: known.get(z) or solves[z] for z in walk}
+    object.__setattr__(triple, "_solves", solves)
+    return solves
+
+
+def _solve_stacked(triple: BoundaryTriple, points: list) -> dict:
+    """`_defect_solve` at each of the points, one stacked call per step."""
+    d, tol = triple.boundary_dim, triple.tol
+    frames = [g.graph.frame for g in rel.graph_eigenspace(triple.tplus, points, tol)]
+    bvals = sub._stacked(lambda f: triple.gamma @ (triple.basis_pinv @ f), frames)
+    graphs = sub._stacked(lambda b: sub.span(b, tol), bvals)
+    solves = {z: (g, None, None) for z, g in zip(points, graphs)}
+    square = [i for i, f in enumerate(frames) if f.shape[1] == d]
+    b = np.stack([bvals[i] for i in square]) if square else np.zeros((0, 2 * d, d))
+    regular = np.linalg.matrix_rank(b[:, :d], rtol=tol.rank_rel) == d
+    square, b = [i for i, r in zip(square, regular) if r], b[regular]
+    inv0 = np.linalg.inv(b[:, :d])
+    ghat = np.stack([frames[i] for i in square]) @ inv0 if square else []
+    for i, g, m in zip(square, ghat, b[:, d:] @ inv0):
+        solves[points[i]] = (graphs[i], _read_only(g), _read_only(m))
+    return solves
 
 
 def weyl(triple: BoundaryTriple, z: complex) -> WeylValue:
     """M(z) as a relation in L, with its matrix form where gamma(z) exists."""
-    bvals, _, operator_form = _defect_solve(triple, z)
-    lspace, tol = triple.boundary_space, triple.tol
-    return WeylValue(z, LinearRelation(lspace, lspace, sub.span(bvals, tol)), operator_form)
+    graph, _, operator_form = _defect_solve(triple, z)
+    lspace = triple.boundary_space
+    return WeylValue(z, LinearRelation(lspace, lspace, graph), operator_form)
 
 
 def gamma_field_hat(triple: BoundaryTriple, z: complex) -> np.ndarray:
@@ -256,9 +294,8 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
 
 def gamma_relation(triple: BoundaryTriple) -> LinearRelation:
     """The boundary map as a relation K -> K_circ: the span of [basis; gamma]."""
-    graph = sub.span(np.vstack([triple.basis, triple.gamma]), triple.tol)
     return LinearRelation(doubled(triple.space).krein,
-                          boundary_doubled(triple.boundary_dim).krein, graph)
+                          boundary_doubled(triple.boundary_dim).krein, triple.gamma_graph)
 
 
 def pair_from_triple(triple: BoundaryTriple,
@@ -327,54 +364,85 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dic
     difference identity, the Step-3 pairing identity and the Krein-Naimark
     formula are evaluated at the walked points where gamma(z) exists and T0
     is regular ("points"); the grid points outside them are "skipped".  Each
-    "max_" entry is the largest of its residuals, NaN if any of them is."""
-    j, tol = triple.space.J, triple.tol
+    "max_" entry is the largest of its residuals, NaN if any of them is.  The
+    walk's solves, resolvents and Hilbert adjoints come from stacked calls,
+    and each residual is evaluated for all of its pairs of points at once."""
+    j, tol, d = triple.space.J, triple.tol, triple.boundary_dim
     grid = [complex(z) for z in grid]
     nonreal = [z for z in grid if z.imag != 0]
-    weyls, gammas, r0 = {}, {}, {}
-    for z in dict.fromkeys([*nonreal, *(z.conjugate() for z in nonreal)]):
+    walk = list(dict.fromkeys([*nonreal, *(z.conjugate() for z in nonreal)]))
+    _defect_solve(triple, walk)
+    weyls, gammas = {}, {}
+    for z in walk:
         weyls[z] = weyl(triple, z)
         try:
             gammas[z] = gamma_field(triple, z)
-            r0[z] = rel.resolvent_matrix(triple.t0, z, tol)
         except rel.NotRegularError:
             pass
+    r0 = {z: r for z, r in zip(gammas, rel.resolvent_matrix(triple.t0, list(gammas), tol))
+          if r is not None}
     pts = list(r0)
     report = {"weyl": weyls, "points": pts, "symmetry": {}, "gamma_diff": {},
               "pairing": {}, "krein_naimark": {},
               "skipped": [z for z in grid if z not in r0]}
-    for z, value in weyls.items():
-        adj = rel.adjoint(value.relation_in_L, "hilbert", tol)
+    # M(z)^* in L is ker [D^H, -E^H] on the frame [E; D] of M(z)'s graph
+    greens = [np.hstack([f[d:].conj().T, -f[:d].conj().T])
+              for f in (weyls[z].relation_in_L.graph.frame for z in walk)]
+    adjoints = sub._stacked(lambda g: sub.kernel(g, 2 * d, tol), greens)
+    for z, adj in zip(walk, adjoints):
         report["symmetry"][z] = min(
-            sub.distance(adj.graph, weyls[z.conjugate()].relation_in_L.graph), np.pi / 2)
-    for z in pts:
-        zbar = z.conjugate()
-        for z0 in pts:
-            lhs = gammas[z] - gammas[z0]
-            rhs = (z - z0) * (r0[z] @ gammas[z0])
-            report["gamma_diff"][(z, z0)] = float(np.abs(lhs - rhs).max(initial=0.0))
-            if zbar not in r0:
-                continue
-            pair_lhs = (zbar - z0) * (gammas[z].conj().T @ j @ gammas[z0])
-            pair_rhs = weyls[zbar].operator_form - weyls[z0].operator_form
-            report["pairing"][(z, z0)] = float(np.abs(pair_lhs - pair_rhs).max(initial=0.0))
-        mz = weyls[z].operator_form
-        if zbar in r0 and np.linalg.matrix_rank(mz, rtol=tol.rank_rel) == triple.boundary_dim:
-            try:
-                r1 = rel.resolvent_matrix(triple.t1, z, tol)
-            except rel.NotRegularError:
-                continue
-            rhs = r0[z] - gammas[z] @ np.linalg.inv(mz) @ (gammas[zbar].conj().T @ j)
-            report["krein_naimark"][z] = float(np.abs(r1 - rhs).max())
+            sub.distance(adj, weyls[z.conjugate()].relation_in_L.graph), np.pi / 2)
+    if pts:
+        _pair_identities(report, triple, pts, gammas, r0, weyls)
     for key in ("symmetry", "gamma_diff", "pairing", "krein_naimark"):
         report[f"max_{key}"] = float(np.max([*report[key].values()], initial=0.0))
     return report
+
+
+def _pair_identities(report: dict, triple: BoundaryTriple, pts: list, gammas: dict,
+                     r0: dict, weyls: dict):
+    """The gamma-difference, pairing and Krein-Naimark residuals of
+    `resolvent_identities_check` over all pairs (z, z0) of its points."""
+    j, tol, d = triple.space.J, triple.tol, triple.boundary_dim
+    zs = np.array(pts)
+    g = np.stack([gammas[z] for z in pts])
+    r = np.stack([r0[z] for z in pts])
+    m = np.stack([weyls[z].operator_form for z in pts])
+    # gamma(z) - gamma(z0) = (z - z0)(T0 - z)^{-1} gamma(z0)
+    rhs = (zs[:, None] - zs)[..., None, None] * (r[:, None] @ g)
+    diff = np.abs(g[:, None] - g - rhs).max(axis=(2, 3), initial=0.0)
+    report["gamma_diff"] = {(z, z0): float(diff[a, b])
+                            for a, z in enumerate(pts) for b, z0 in enumerate(pts)}
+    # (conj z - z0) gamma(z)^* J gamma(z0) = M(conj z) - M(z0), where conj z is a point
+    index = {z: a for a, z in enumerate(pts)}
+    rows = [a for a, z in enumerate(pts) if z.conjugate() in index]
+    if not rows:
+        return
+    bar = [index[pts[a].conjugate()] for a in rows]
+    gj = g.conj().transpose(0, 2, 1) @ j
+    lhs = (zs[bar][:, None] - zs)[..., None, None] * (gj[rows][:, None] @ g)
+    pairing = np.abs(lhs - (m[bar][:, None] - m)).max(axis=(2, 3), initial=0.0)
+    report["pairing"] = {(pts[a], z0): float(pairing[i, b])
+                         for i, a in enumerate(rows) for b, z0 in enumerate(pts)}
+    # (T1 - z)^{-1} = (T0 - z)^{-1} - gamma(z) M(z)^{-1} gamma(conj z)^* J
+    full = np.linalg.matrix_rank(m[rows], rtol=tol.rank_rel) == d
+    kn = [i for i, f in enumerate(full) if f]
+    r1 = rel.resolvent_matrix(triple.t1, [pts[rows[i]] for i in kn], tol)
+    kn = [(i, x) for i, x in zip(kn, r1) if x is not None]
+    if not kn:
+        return
+    at = [rows[i] for i, _ in kn]
+    rhs = r[at] - g[at] @ np.linalg.inv(m[at]) @ gj[[bar[i] for i, _ in kn]]
+    residual = np.abs(np.stack([x for _, x in kn]) - rhs).max(axis=(1, 2))
+    report["krein_naimark"] = {pts[a]: float(res) for a, res in zip(at, residual)}
 
 
 def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple, grid=DEFAULT_GRID) -> dict:
     """Regular-point transfer between triples with matching Weyl families."""
     tol = shared_tol(triple_a, triple_b)
     pts = [complex(z) for z in grid if complex(z).imag != 0]
+    _defect_solve(triple_a, pts)
+    _defect_solve(triple_b, pts)
     weyl_equal = {}
     for z in pts:
         ma = weyl(triple_a, z).relation_in_L

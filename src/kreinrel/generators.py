@@ -212,7 +212,10 @@ def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
     if not _is_standard_unitary(u, triple.space, tgt, triple.tol):
         raise bnd.TripleValidationError("planting matrix is not standard unitary")
     ut = _utilde(u)
-    t_prime = LinearRelation(tgt, tgt, sub.image(ut, triple.parent.graph, triple.tol))
+    # U~ is injective, so the image of T's orthonormal frame has full rank
+    # and a QR gives an orthonormal frame of it with no rank decision
+    frame = np.linalg.qr(ut @ triple.parent.graph.frame)[0]
+    t_prime = LinearRelation(tgt, tgt, sub.Subspace(2 * tgt.dim, frame))
     return bnd.BoundaryTriple(t_prime, triple.gamma, ut @ triple.basis, triple.tol)
 
 

@@ -228,17 +228,25 @@ def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> boo
 # spectra
 
 
-def eigenspace(t: LinearRelation, z: complex,
-               tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """ker(T - zI) = {f : (f, zf) in T}."""
+def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
+    """ker(T - zI) = {f : (f, zf) in T}.  A list of points gives the list
+    of their eigenspaces, from stacked kernels and spans."""
     e, d = t.blocks()
+    if isinstance(z, (list, tuple)):
+        ks = sub.kernel(d - np.asarray(z, dtype=np.complex128)[:, None, None] * e, t.dim, tol)
+        return sub._stacked(lambda s: sub.span(s, tol), [e @ k.frame for k in ks])
     k = sub.kernel(d - z * e, t.dim, tol)
     return sub.span(e @ k.frame, tol)
 
 
-def graph_eigenspace(t: LinearRelation, z: complex,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """The graph zI ∩ T over the eigenspace at z."""
+def graph_eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
+    """The graph zI ∩ T over the eigenspace at z; the list of the graphs at
+    each of a list of points, from stacked calls."""
+    if isinstance(z, (list, tuple)):
+        cols = [np.vstack([f.frame, w * f.frame]) / np.sqrt(1.0 + abs(w) ** 2)
+                for w, f in zip(z, eigenspace(t, z, tol))]
+        return [LinearRelation(t.src, t.tgt, g) for g in sub._stacked(
+            lambda c: sub._frames(t.graph.ambient_dim, c), cols)]
     f = eigenspace(t, z, tol).frame
     cols = np.vstack([f, z * f]) / np.sqrt(1.0 + abs(z) ** 2)
     return LinearRelation(t.src, t.tgt, Subspace(t.graph.ambient_dim, cols))
@@ -254,12 +262,25 @@ def spectral_probe(t: LinearRelation, z: complex,
     return {"eigenvalue": not regular_type, "regular_type": regular_type, "regular": regular}
 
 
-def resolvent_matrix(t: LinearRelation, z: complex,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def resolvent_matrix(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     """(T - z)^{-1} = E (D - zE)^{-1} = E V S^{-1} U^H from one SVD of D - zE,
     which also decides regularity by `spectral_probe`'s rule: t.dim = n and
-    the smallest singular value above tol.rank_cut of the largest."""
+    the smallest singular value above tol.rank_cut of the largest.  A
+    list of points gives the list of the resolvents from one stacked SVD,
+    None at each point that is not regular."""
     e, d = t.blocks()
+    if isinstance(z, (list, tuple)):
+        zs = np.asarray(z, dtype=np.complex128)
+        out = [None] * len(zs)
+        if t.dim != t.src.dim or not len(zs):
+            return out
+        u, s, vh = np.linalg.svd(d - zs[:, None, None] * e)
+        ok = [i for i, si in enumerate(s) if not (si.size and si[-1] <= tol.rank_cut(si[0]))]
+        if ok:
+            vs = vh[ok].conj().transpose(0, 2, 1) / s[ok, None, :]
+            for i, r in zip(ok, e @ vs @ u[ok].conj().transpose(0, 2, 1)):
+                out[i] = r
+        return out
     u, s, vh = np.linalg.svd(d - z * e)
     if t.dim != t.src.dim or (s.size and s[-1] <= tol.rank_cut(s[0])):
         raise NotRegularError(f"z={z} is not a regular point")

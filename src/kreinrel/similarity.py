@@ -17,7 +17,7 @@ import numpy as np
 
 from . import relations as rel
 from . import subspaces as sub
-from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair,
+from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair, _defect_solve,
                        gamma_field, gamma_relation, pair_from_triple, shared_tol, weyl)
 from .krein import KreinSpace, doubled, hilbert_space
 from .relations import LinearRelation
@@ -383,11 +383,16 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     violation = lambda reason: {"status": "hypothesis-violation", "reason": reason}
     # omega: the points where both Weyl values have an operator form, which
     # is exactly where gamma(z) is defined for both triples.  gamma(z) is
-    # asked right after M(z), so each triple solves each point once.
+    # asked right after M(z), so each triple solves each point once: the first
+    # point of a walk alone, so that a witness there costs one solve a side,
+    # and the rest in one stacked pass.
     omega, g_blocks, gp_blocks = [], [], []
 
     def walk(points):
-        for z, weight in points:
+        for i, (z, weight) in enumerate(points):
+            if i == 1:
+                _defect_solve(triple_a, [w for w, _ in points[1:]])
+                _defect_solve(triple_b, [w for w, _ in points[1:]])
             wa, wb = weyl(triple_a, z), weyl(triple_b, z)
             gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
             if gap > tol.angle_tol:
@@ -397,7 +402,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                 g_blocks.append(weight * gamma_field(triple_a, z))
                 gp_blocks.append(weight * gamma_field(triple_b, z))
 
-    found = walk((complex(z), 1.0) for z in grid if complex(z).imag != 0)
+    found = walk([(complex(z), 1.0) for z in grid if complex(z).imag != 0])
     if found or not omega:
         return found or violation("no common regular grid point for the distinguished extensions")
     # gamma(z) maps L onto N_z(T+) for z in omega, so the source's columns decide
@@ -413,7 +418,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         gaps = np.abs(mu[:, None] - mu) + np.diag(np.full(n, np.inf))
         size = np.minimum(0.1 * gaps.min(axis=1), np.abs(mu).max())
         size = np.where(size > tol.rank_cut(scale), size, 0.1 * scale)
-        found = walk(zip(map(complex, omega[0] + 1 / (mu + size * np.exp(0.7j))), size))
+        found = walk(list(zip(map(complex, omega[0] + 1 / (mu + size * np.exp(0.7j))), size)))
         rank = sub.span(np.hstack(g_blocks), tol).dim
     if found or rank < n:
         return found or violation("defect subspaces over the grid and beside T0's poles "

@@ -8,6 +8,11 @@ keeps the smaller frame's directions with sin θ <= rank_cut(1.0)).  Frames
 are read-only.  A caller's frame is copied, Gram-checked (defect <= 1e-8) and
 orthonormalized past roundoff; frames this module computes from an SVD
 or a Householder QR are orthonormal to roundoff and skip that check.
+
+`span` and `kernel` also take a stack (k, rows, cols) of matrices and return
+the list of the k subspaces from stacked LAPACK calls, each item decided by
+the rule and giving the frame of its own 2-D call; a 2-D matrix keeps the
+unstacked path.
 """
 
 from __future__ import annotations
@@ -67,17 +72,53 @@ def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
     return s
 
 
-def _orth(columns: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal basis of the column span, rank cut on singular values."""
+def _frames(ambient_dim: int, stack: np.ndarray) -> list[Subspace]:
+    """Subspace(ambient_dim, f) for each frame f of a stack, from one stacked
+    Gram check: a frame orthonormal to roundoff is kept as it is, any other
+    goes through the constructor."""
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    defect = np.abs(gram - np.eye(stack.shape[2])).max(axis=(1, 2), initial=0.0)
+    return [_trusted(ambient_dim, f) if e <= _ROUNDOFF * f.shape[1] else Subspace(ambient_dim, f)
+            for f, e in zip(stack, defect)]
+
+
+def _orth(columns: np.ndarray, tol: TolerancePolicy):
+    """Orthonormal basis of the column span, rank cut on singular values; the
+    list of the bases of each matrix of a stack."""
     if columns.size == 0:
-        return np.zeros((columns.shape[0], 0), dtype=np.complex128)
+        return np.zeros((*columns.shape[:-1], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > tol.rank_cut(s[0])))
-    return u[:, :rank]
+    if columns.ndim == 2:
+        return u[:, :int(np.sum(s > tol.rank_cut(s[0])))]
+    return [ui[:, :int(np.sum(si > tol.rank_cut(si[0])))] for ui, si in zip(u, s)]
 
 
-def span(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """Linear hull of the given ambient vectors (list or column matrix)."""
+def _as_stack(entries) -> np.ndarray:
+    """Validate and return a stack (k, rows, cols) of finite complex matrices."""
+    m = np.asarray(entries, dtype=np.complex128)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def _stacked(f, matrices: list) -> list:
+    """[f(m) for m in matrices] from one call of f per shape, on the stack of the
+    matrices of that shape; f maps a stack (k, rows, cols) to k results."""
+    out = [None] * len(matrices)
+    shapes: dict = {}
+    for i, m in enumerate(matrices):
+        shapes.setdefault(m.shape, []).append(i)
+    for items in shapes.values():
+        for i, value in zip(items, f(np.stack([matrices[i] for i in items]))):
+            out[i] = value
+    return out
+
+
+def span(vectors, tol: TolerancePolicy = DEFAULT_TOL):
+    """Linear hull of the given ambient vectors (list or column matrix); the
+    list of the hulls of each column matrix of a stack (k, rows, cols)."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 3:
+        return [_trusted(vectors.shape[1], f) for f in _orth(_as_stack(vectors), tol)]
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         cols = vectors
     else:
@@ -135,7 +176,7 @@ def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> S
     return _trusted(a.ambient_dim, a.frame @ vh[apart:].conj().T)
 
 
-def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     """Null space of a matrix as a Subspace of its column ambient.
 
     The rank is the number of singular values above tol.rank_cut of the
@@ -144,7 +185,12 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) 
     singular values of the square block R[:rows], and when all of them pass
     the cut, Q's trailing cols - rows columns span ker m.  A rank-deficient m
     and every other shape take the right singular vectors of a full SVD.
+    A stack (k, rows, cols) gives the list of the k null spaces: one stacked
+    QR and values-only SVD, then one stacked full SVD of the items that are
+    rank-deficient or take no QR.
     """
+    if isinstance(m, np.ndarray) and m.ndim == 3:
+        return _kernels(_as_stack(m), ambient_dim, tol)
     m = as_matrix(m) if m.size else np.asarray(m, dtype=np.complex128)
     n = m.shape[1] if m.ndim == 2 else (ambient_dim or 0)
     if ambient_dim is not None and n != ambient_dim:
@@ -160,6 +206,27 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL) 
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = int(np.sum(s > tol.rank_cut(s[0])))
     return _trusted(n, vh[rank:].conj().T)
+
+
+def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]:
+    k, rows, n = m.shape
+    if ambient_dim is not None and n != ambient_dim:
+        raise DimensionMismatchError("kernel ambient mismatch")
+    if m.size == 0:
+        return [full(n) for _ in range(k)]
+    out = [None] * k
+    if _QR_MIN_ROWS <= rows < n:
+        q, r = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="complete")
+        s = np.linalg.svd(r[:, :rows], compute_uv=False)
+        for i, si in enumerate(s):
+            if si[-1] > tol.rank_cut(si[0]):
+                out[i] = _trusted(n, q[i][:, rows:])
+    rest = [i for i, f in enumerate(out) if f is None]
+    if rest:
+        _, s, vh = np.linalg.svd(m[rest], full_matrices=True)
+        for i, si, vhi in zip(rest, s, vh):
+            out[i] = _trusted(n, vhi[int(np.sum(si > tol.rank_cut(si[0]))):].conj().T)
+    return out
 
 
 def image(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:

@@ -336,6 +336,7 @@ def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     res = bnd.resolvent_identities_check(triple, bnd.DEFAULT_GRID)
     for key in ("max_symmetry", "max_gamma_diff", "max_pairing", "max_krein_naimark"):
         report.record(res[key])
+    bnd._defect_solve(shifted, list(res["weyl"]))  # the shifted walk in one stacked pass
     for z, value in res["weyl"].items():
         mzb = bnd.weyl(shifted, z).operator_form
         if value.operator_form is None or mzb is None:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import kreinrel as kr
-from kreinrel import boundary as bnd
+from kreinrel import boundary as bnd, relations as rel
+from kreinrel.tolerances import DEFAULT_TOL
 
 
 @pytest.fixture(scope="session")
@@ -80,4 +81,17 @@ def svd_calls(monkeypatch) -> list:
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def solved_points(monkeypatch) -> list:
+    """Record each point whose defect graph is solved from here on: one entry
+    per point, also for the points of a stacked call."""
+    calls, graph_eigenspace = [], rel.graph_eigenspace
+
+    def counting(t, z, tol=DEFAULT_TOL):
+        calls.extend(z if np.ndim(z) else [z])
+        return graph_eigenspace(t, z, tol)
+
+    monkeypatch.setattr(rel, "graph_eigenspace", counting)
     return calls

@@ -255,6 +255,40 @@ def test_defect_solve_slot_never_goes_stale():
     assert forms[2] is not None and forms[3] is None
 
 
+def _rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)],
+                         ids=["default", "loose"])
+@pytest.mark.parametrize("seed, n, d", [(4242, 4, 2), (1616, 16, 4)])
+def test_a_walk_solves_each_point_like_the_scalar_call(tol, seed, n, d):
+    # the first point is beside a real eigenvalue of T0, where the loose cut
+    # finds no gamma(z) at n = 4; the walk is solved in one stacked pass and
+    # each point gets the scalar call's verdict, M(z) and gamma(z)
+    tri = gen_triple(gen_symmetric(InstanceSpec(seed, n, (n // 2, n // 2), d)), seed + 1, tol)
+    e, dd = tri.t0.blocks()
+    lam = min(np.linalg.eigvals(np.linalg.solve(e, dd)), key=lambda x: abs(x - 2.9113))
+    walk = [lam.real + 1e-5j, *bnd.DEFAULT_GRID, 3 + 0.01j]
+    solves = bnd._defect_solve(tri, walk)
+    assert list(solves) == walk
+    r0 = rel.resolvent_matrix(tri.t0, walk, tol)
+    for z, r in zip(walk, r0):
+        graph, ghat, m = solves[z]
+        want_graph, want_ghat, want_m = bnd._defect_solve(under(tri, tol), z)
+        assert graph.dim == want_graph.dim and sub.distance(graph, want_graph) < 1e-13
+        assert (m is None) == (want_m is None) == (ghat is None)
+        if m is not None:
+            assert _rel_gap(m, want_m) < 1e-13 and _rel_gap(ghat, want_ghat) < 1e-13
+            assert bnd.weyl(tri, z).operator_form is m and bnd.gamma_field_hat(tri, z) is ghat
+        try:
+            assert _rel_gap(r, rel.resolvent_matrix(tri.t0, z, tol)) < 1e-13
+        except rel.NotRegularError:
+            assert r is None
+    if n == 4:
+        assert (solves[walk[0]][2] is None) == (tol != DEFAULT_TOL)
+
+
 def test_defect_solve_arrays_are_read_only():
     tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
     m = bnd.weyl(tri, 1j).operator_form
@@ -643,8 +677,8 @@ def test_transformed_triples_derive_on_first_read(generated41):
     u = gen_standard_unitary(5, tri.space, tri.space)
     shifted, shift_svds = _svd_calls(lambda: bnd.beta_shift(tri))
     planted, plant_svds = _svd_calls(lambda: planted_similar_triple(tri, u, tri.space))
-    # transform multiplies gamma; planting maps T by U~, one SVD for T's image
-    assert (shift_svds, plant_svds) == (0, 1)
+    # transform multiplies gamma; planting maps T by U~, one QR for T's image
+    assert (shift_svds, plant_svds) == (0, 0)
     assert not {"t0", "t1", "beta"} & (vars(shifted).keys() | vars(planted).keys())
     for built in (shifted, planted):
         checked = bnd.validate_triple(built.parent, built.gamma, built.basis)
@@ -652,6 +686,14 @@ def test_transformed_triples_derive_on_first_read(generated41):
             assert np.array_equal(getattr(built, name).graph.frame,
                                   getattr(checked, name).graph.frame)
         assert np.array_equal(built.beta, checked.beta)
+
+
+def test_gamma_relation_spans_once_per_triple(generated41, monkeypatch):
+    _, tri = generated41
+    first = bnd.gamma_relation(tri)
+    calls = svd_calls(monkeypatch)
+    assert bnd.gamma_relation(tri).graph is first.graph
+    assert not calls
 
 
 def test_planted_similar_triple_checks_u(generated41):

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, generators as gen, io as kio, \
     krein, relations as rel, similarity as sim, subspaces as sub, suites as st
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
+
+from conftest import solved_points
 
 
 def test_instance_spec_validation():
@@ -116,16 +119,9 @@ def test_suites_clean_on_small_runs(name):
 def test_boundary_trial_solves_each_triple_point_once_per_check(seed, monkeypatch):
     # resolvent_identities_check walks the grid once and the beta-shift loop
     # reads M(z) from its report, so only the shifted triple is solved again
-    calls = []
-    graph_eigenspace = rel.graph_eigenspace
-
-    def counting(t, z, tol=DEFAULT_TOL):
-        calls.append(z)
-        return graph_eigenspace(t, z, tol)
-
-    monkeypatch.setattr(rel, "graph_eigenspace", counting)
+    calls = solved_points(monkeypatch)
     assert st.suite_boundary(1, seed).ok
-    assert len(calls) == 2 * len(bnd.DEFAULT_GRID)
+    assert Counter(calls) == Counter(2 * bnd.DEFAULT_GRID)
 
 
 def test_custom_policy_reaches_every_rank_cut(monkeypatch):

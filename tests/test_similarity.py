@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from kreinrel.generators import (InstanceSpec, gen_standard_unitary, gen_symmetr
                                  gen_triple, planted_similar_triple, random_unitary,
                                  rng_for, scaled_triple)
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
-from conftest import under
+from conftest import solved_points, under
 from oracles import v0_operator_part_by_relation
 
 
@@ -331,23 +333,20 @@ def test_reconstruct_at_benchmark_scale(n, monkeypatch):
     tri = gen_triple(t, n)
     u = gen_standard_unitary(n, t.src, t.src)
     planted = planted_similar_triple(tri, u, t.src)
-    calls = []
-    graph_eigenspace = rel.graph_eigenspace
-
-    def counting(t, z, tol=DEFAULT_TOL):
-        calls.append(z)
-        return graph_eigenspace(t, z, tol)
-
-    monkeypatch.setattr(rel, "graph_eigenspace", counting)
+    calls = solved_points(monkeypatch)
     out = sim.reconstruct_similarity(tri, planted)
     # one defect solve per (triple, grid point): M(z) and gamma(z) share it
-    assert len(calls) == 2 * len(bnd.DEFAULT_GRID)
+    assert Counter(calls) == Counter(2 * bnd.DEFAULT_GRID)
     assert out["status"] == "unitary", out
     assert np.abs(out["U"] - u).max() < 1e-9
     assert out["gamma_residual"] < 1e-7
+    calls.clear()
     out = sim.reconstruct_similarity(tri, scaled_triple(tri, 2.0))
     assert out["status"] == "witness"
     assert out["discrepancy"] > 1e-3
+    # the witness is at the first grid point, which each side solves alone
+    assert out["z"] == bnd.DEFAULT_GRID[0]
+    assert calls == [bnd.DEFAULT_GRID[0]] * 2
 
 
 @pytest.mark.parametrize("s", [101, 201])

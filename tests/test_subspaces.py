@@ -260,6 +260,28 @@ def test_kernels_off_the_qr_route_keep_the_svd_frame(monkeypatch, shape):
     assert np.array_equal(sub.kernel(m).frame, vh[rank:].conj().T)
 
 
+@pytest.mark.parametrize("rows, cols", [(6, 9), (12, 15), (20, 30), (32, 40), (20, 16)])
+def test_stacked_kernels_and_spans_give_each_items_frame(rows, cols):
+    # each item of a stack gets the frame of its own 2-D call, bit for bit;
+    # the second item is rank-deficient, so on the QR route it falls back to
+    # the full SVD
+    rng = np.random.default_rng(rows + cols)
+    stack = np.stack([rand_cols(rng, rows, cols),
+                      with_singular_values(rng, rows, cols, np.ones(min(rows, cols) - 3)),
+                      rand_cols(rng, rows, cols)])
+    for tol in (DEFAULT_TOL, LOOSE):
+        for f in (sub.kernel, sub.span):
+            got = f(stack, tol=tol)
+            assert len(got) == len(stack)
+            for m, s in zip(stack, got):
+                assert np.array_equal(s.frame, f(m, tol=tol).frame)
+                assert not s.frame.flags.writeable
+    full = min(rows, cols)
+    assert [s.dim for s in sub.kernel(stack)] == [cols - full, cols - full + 3, cols - full]
+    assert [s.dim for s in sub.span(stack)] == [full, full - 3, full]
+    assert [s.dim for s in sub.kernel(np.zeros((2, 0, 5)))] == [5, 5]
+
+
 def test_image_under_flip(c4):
     # J_hat(N) in the flip example, written out explicitly.
     from kreinrel.krein import doubled
