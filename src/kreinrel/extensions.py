@@ -113,7 +113,7 @@ def reduce(t: LinearRelation, t0: LinearRelation,
 
 def _n_part(t: LinearRelation, t0: LinearRelation, tol: TolerancePolicy) -> LinearRelation:
     """`reduce` unchecked, for a T0 that is self-adjoint and extends T by construction."""
-    return LinearRelation(t.src, t.tgt, sub.intersect(t0.graph, sub.complement(t.graph), tol))
+    return LinearRelation(t.src, t.tgt, sub._meet_complement(t0.graph, t.graph, tol))
 
 
 def _sigma_parts(t: LinearRelation, n: LinearRelation,
@@ -122,7 +122,7 @@ def _sigma_parts(t: LinearRelation, n: LinearRelation,
     an N in the N-class of T (from `reduce` or accepted by `n_class_check`);
     N is not checked again here."""
     tplus = rel.adjoint(t, "krein", tol)
-    sigma = sub.intersect(tplus.graph, sub.complement(t.graph), tol)
+    sigma = sub._meet_complement(tplus.graph, t.graph, tol)
     jhat = doubled(t.src).J_hat
     jn = sub.image(jhat, n.graph, tol)
     ni = defect_subspace(t, 1j, tol)

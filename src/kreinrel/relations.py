@@ -91,18 +91,12 @@ def identity_relation(space: KreinSpace) -> LinearRelation:
     return LinearRelation(space, space, Subspace(2 * n, f))
 
 
-def z_relation(space: KreinSpace, z: complex, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """The relation zI = {(f, z f)}."""
-    n = space.dim
-    cols = np.vstack([np.eye(n), z * np.eye(n)]).astype(np.complex128)
-    return LinearRelation(space, space, sub.span(cols, tol))
-
-
-def from_operator(m, src: KreinSpace, tgt: KreinSpace,
-                  tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def from_operator(m, src: KreinSpace, tgt: KreinSpace) -> LinearRelation:
+    """The graph {(f, Mf)} of an operator.  [I; M] has full column rank, so a
+    QR gives its frame with no rank decision, however large M is."""
     m = as_matrix(m, rows=tgt.dim, cols=src.dim)
     cols = np.vstack([np.eye(src.dim, dtype=np.complex128), m])
-    return LinearRelation(src, tgt, sub.span(cols, tol))
+    return LinearRelation(src, tgt, Subspace(src.dim + tgt.dim, np.linalg.qr(cols)[0]))
 
 
 def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationParts:

@@ -176,6 +176,22 @@ def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> S
     return _trusted(a.ambient_dim, a.frame @ vh[apart:].conj().T)
 
 
+def _meet_complement(a: Subspace, t: Subspace, tol: TolerancePolicy) -> Subspace:
+    """A ∩ T-perp by `intersect`'s rule, from one SVD of F_T^H F_A and no frame
+    of T-perp.
+
+    F_T^H F_A has the cosines of A's principal angles to T, which are the
+    sines of its angles to T-perp, as singular values; the right singular
+    vectors past the first dim T have sine 0.  The directions F_A v with
+    sin θ <= tol.rank_cut(1.0) span A ∩ T-perp, as `intersect(a,
+    complement(t))` finds them whenever dim A <= dim T-perp.
+    """
+    _check_same_ambient(a, t)
+    _, s, vh = np.linalg.svd(t.coords(a.frame), full_matrices=True)
+    apart = int(np.sum(s > tol.rank_cut(1.0)))
+    return _trusted(a.ambient_dim, a.frame @ vh[apart:].conj().T)
+
+
 def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     """Null space of a matrix as a Subspace of its column ambient.
 
@@ -258,8 +274,8 @@ def _angle(a: Subspace, b: Subspace) -> float:
     sine form stays accurate for very small angles (unlike arccos of a
     cross-Gram singular value).
     """
-    residual = b.frame - a.frame @ a.coords(b.frame)
-    return float(np.arcsin(min(1.0, np.linalg.norm(residual, ord=2))))
+    sines = np.linalg.svd(b.frame - a.frame @ a.coords(b.frame), compute_uv=False)
+    return float(np.arcsin(min(1.0, sines.max(initial=0.0))))
 
 
 def distance(a: Subspace, b: Subspace) -> float:

@@ -420,7 +420,7 @@ def suite_laws(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 
     lspace = triple.boundary_space
     for theta, hermitian in ((h, True), (h + 1j * np.eye(d), False)):
-        t_theta = bnd.t_theta(triple, rel.from_operator(theta, lspace, lspace, tol))
+        t_theta = bnd.t_theta(triple, rel.from_operator(theta, lspace, lspace))
         if rel.is_selfadjoint(t_theta, tol) != hermitian:
             report.fail(tseed, "Gamma^-1(Theta) is self-adjoint iff Theta is fails",
                         hermitian=hermitian)

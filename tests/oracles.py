@@ -5,7 +5,11 @@ Gaussian elimination for ranks, cross-Gram SVD and the projector gap
 for principal angles, raw SVD null spaces and the Weyl values read off
 them, hand-rolled graph joins for compositions, the literal indefinite
 inner product and the [.,.]-orthogonal companion, the complement-and-flip
-route for adjoints and the canonical operator part of V0 for (V0)_s.
+route for adjoints and the canonical operator part of V0 for (V0)_s.  The
+routes the library replaced are kept here as references too: the SVD span of
+an operator's graph, Gamma V^{-1} by composing relations, z-fibres by
+intersecting a graph with a cage around the graph of zI, and A ∩ T-perp by
+intersecting with T's complement.
 """
 
 from fractions import Fraction
@@ -195,6 +199,49 @@ def v0_operator_part_by_relation(triple_a, triple_b):
 
     e, d = rel.operator_part(sim.v0(triple_a, triple_b)).blocks()
     return d @ np.linalg.pinv(e)
+
+
+def graph_by_span(m, src, tgt, tol):
+    """The graph of an operator as the SVD span of [I; M], with its rank cut."""
+    from kreinrel import relations as rel, subspaces as sub
+
+    cols = np.vstack([np.eye(src.dim, dtype=np.complex128), np.asarray(m, dtype=np.complex128)])
+    return rel.LinearRelation(src, tgt, sub.span(cols, tol))
+
+
+def membership_angle_by_compose(vm, triple_a, triple_b):
+    """The angle of Gamma' = Gamma V^{-1} for a matrix V on K: V's graph by
+    `graph_by_span`, inverted and composed with Gamma as relations."""
+    from kreinrel import boundary as bnd, krein, relations as rel, subspaces as sub
+
+    tol = triple_a.tol
+    v_rel = graph_by_span(vm, krein.doubled(triple_a.space).krein,
+                          krein.doubled(triple_b.space).krein, tol)
+    composed = rel.compose(bnd.gamma_relation(triple_a), rel.inverse(v_rel), tol)
+    return sub.distance(composed.graph, triple_b.gamma_graph)
+
+
+def z_fibre_by_cage(t, z: complex, side: str, tol):
+    """{x : (x, y) in T, y in the graph of zI} for side "tgt" (V^{-1}(zI)), or
+    {y : (x, y) in T, x in the graph of zI} for side "src" (Gamma(zI)): T's
+    graph intersected with the graph of zI times the full other space."""
+    from kreinrel import subspaces as sub
+
+    n1, n2 = t.src.dim, t.tgt.dim
+    h = (n2 if side == "tgt" else n1) // 2
+    zgraph = sub.span(np.vstack([np.eye(h), z * np.eye(h)]), tol)
+    if side == "tgt":
+        hit = sub.intersect(t.graph, sub.product(sub.full(n1), zgraph), tol)
+        return sub.span(hit.frame[:n1], tol)
+    hit = sub.intersect(t.graph, sub.product(zgraph, sub.full(n2)), tol)
+    return sub.span(hit.frame[n1:], tol)
+
+
+def meet_complement_by_complement(a, t, tol):
+    """A ∩ T-perp as `intersect` with the full-SVD complement of T."""
+    from kreinrel import subspaces as sub
+
+    return sub.intersect(a, sub.complement(t), tol)
 
 
 def encode_complex(z: complex) -> list:

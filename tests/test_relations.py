@@ -148,6 +148,20 @@ def test_cw_sum_c4(c4):
     assert sub.equal(total.graph, tri.t0.graph)
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e11])
+def test_graph_of_an_ill_scaled_operator_keeps_every_direction(scale):
+    # the SVD span of [I; M] cut sigma_min = 1 against rank_rel * scale, and so
+    # dropped a direction under the loose policy at 1e4 and the default at 1e11
+    space = krein.hilbert_space(2)
+    m = np.diag([scale, 1.0])
+    f = rel.from_operator(m, space, space).graph.frame
+    assert f.shape == (4, 2)
+    assert np.abs(f.conj().T @ f - np.eye(2)).max() < 1e-12
+    cols = np.vstack([np.eye(2), m])
+    cols = cols / np.linalg.norm(cols, axis=0)
+    assert np.abs(cols - f @ (f.conj().T @ cols)).max() < 1e-12
+
+
 def test_op_sum_of_operators():
     space = krein.hilbert_space(3)
     rng = np.random.default_rng(2)

@@ -11,7 +11,10 @@ from kreinrel.generators import (InstanceSpec, gen_standard_unitary, gen_symmetr
                                  rng_for, scaled_triple)
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 from conftest import solved_points, under
-from oracles import v0_operator_part_by_relation
+from oracles import graph_by_span, membership_angle_by_compose, v0_operator_part_by_relation, \
+    z_fibre_by_cage
+
+LOOSE = TolerancePolicy(1e-3, 1e-6, 1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,63 @@ def test_membership_perturbation_detected(pair44):
     assert out["member"] == (out["angle"] <= DEFAULT_TOL.angle_tol)
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("n", [4, 16, 48])
+def test_operator_and_relation_routes_of_membership_agree(n, tol):
+    # a planted pair as pipeline-large draws it, with V from build_standard_V
+    # and U-tilde; the relation route, and the old SVD graph composed as
+    # relations, give the same verdict and angle as the operator route
+    p = int(rng_for(n, 7).integers(0, n + 1))
+    t = gen_symmetric(InstanceSpec(n, n, (p, n - p), n // 4), tol=tol)
+    tri = gen_triple(t, n, tol)
+    u = gen_standard_unitary(n, t.src, t.src)
+    planted = planted_similar_triple(tri, u, t.src)
+    v = sim.build_standard_V(tri, planted, random_unitary(rng_for(n, 3), t.dim)).full_matrix()
+    bad = v.copy()
+    bad[0, 0] += 1e-3
+    # V kills a direction of T = ker Gamma, so Gamma V^-1 loses a dimension
+    f = tri.ft[:, :1]
+    singular = v @ (np.eye(2 * n) - f @ f.conj().T)
+    for vm, member in ((v, True), (sim._utilde(u), True), (bad, False), (singular, False)):
+        op = sim.block_unitary_from_matrix(vm, t.src, t.src)
+        by_operator = sim.membership_check(op, tri, planted)
+        by_relation = sim.membership_check(op.as_relation(), tri, planted)
+        old = membership_angle_by_compose(vm, tri, planted)
+        assert by_operator["member"] == by_relation["member"] == member
+        if vm is singular:
+            assert by_operator["angle"] == by_relation["angle"] == old == np.inf
+        else:
+            assert abs(by_operator["angle"] - by_relation["angle"]) <= 1e-12
+            assert abs(by_operator["angle"] - old) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [1j, 0.5 - 1.5j, 0.7])
+def test_z_fibres_match_the_cage_intersection(pair44, z):
+    # V^{-1}(zI) for an operator, its graph and a relation with domain T+, and
+    # Gamma(zI) for full pairs at z and for pairs restricted to T0 at z and at
+    # an eigenvalue of T0 (elsewhere T0 ∩ zI is trivial), against the old route
+    t, tri_a, tri_b = pair44
+    planted = planted_similar_triple(tri_a, gen_standard_unitary(29, t.src, t.src), t.src)
+    rng = rng_for(19, 0)
+    op = sim.build_standard_V(tri_a, tri_b, random_unitary(rng, t.dim))
+    by_tau = sim.build_V_from_tau(tri_a, tri_b, random_unitary(rng, t.dim))
+    ka = kr.doubled(t.src).krein
+    e, d = tri_a.t0.blocks()
+    lam = np.linalg.eigvals(d @ np.linalg.inv(e))[0]
+    ra, rb = (bnd.pair_from_triple(x, x.t0.graph) for x in (tri_a, planted))
+    old_op = graph_by_span(op.full_matrix(), ka, ka, DEFAULT_TOL)
+    cases = [(sim._vinv_z(v, z, DEFAULT_TOL), graph, "tgt", z)
+             for v, graph in ((op, old_op), (op.as_relation(), op.as_relation()),
+                              (by_tau, by_tau))]
+    full = bnd.pair_from_triple(tri_a)
+    cases += [(sim._pair_weyl_relation(pr, w), pr.gamma_rel, "src", w)
+              for pr, w in ((full, z), (ra, z), (ra, lam), (rb, z), (rb, lam))]
+    for got, graph, side, w in cases:
+        want = z_fibre_by_cage(graph, w, side, DEFAULT_TOL)
+        assert got.dim == want.dim and sub.distance(got, want) <= 1e-12
+    assert [got.dim for got, *_ in cases] == [4, 4, 2, 2, 0, 1, 0, 1]
+
+
 def test_build_v_from_tau_rejects_non_surjective(pair44):
     t, tri_a, tri_b = pair44
     with pytest.raises(sim.BuildError):
@@ -294,7 +354,7 @@ def test_reconstruct_planted(pair44):
         assert out["w_offdiag"] < 1e-8
         assert out["w_diag_gap"] < 1e-8
         ut = sim.block_unitary_from_matrix(sim._utilde(out["U"]), t.src, t.src)
-        final = sim.membership_check(ut.as_relation(), tri, planted)
+        final = sim.membership_check(ut, tri, planted)
         assert out["gamma_residual"] == final["angle"]
 
 

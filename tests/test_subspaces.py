@@ -6,8 +6,8 @@ from kreinrel import subspaces as sub
 from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
 
 from conftest import svd_calls
-from oracles import exact_rank, intersection_by_join, principal_angles_arccos, \
-    projector_gap_angle, svd_nullspace
+from oracles import exact_rank, intersection_by_join, meet_complement_by_complement, \
+    principal_angles_arccos, projector_gap_angle, svd_nullspace
 
 
 def rand_cols(rng, n, k):
@@ -135,6 +135,31 @@ def test_intersect_keeps_a_direction_iff_its_sine_is_under_the_cut(tol):
         assert sub.intersect(b, a, tol).dim == dims[-1]
     assert dims == [2 if np.sin(theta) <= cut else 1 for theta in thetas]
     assert sum(x != y for x, y in zip(dims, dims[1:])) == 1
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+def test_meet_complement_matches_intersect_with_the_complement(tol):
+    # T = span q0..q2; A turns q3 and q4 towards q0 and q1, with sines 0.5 and
+    # 2 times the cut, and adds q5: A ∩ T-perp keeps the first and the last
+    cut = tol.rank_cut(1.0)
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rand_cols(rng, 8, 8))
+    t = sub.Subspace(8, q[:, :3])
+    turned = [np.sqrt(1 - s ** 2) * q[:, 3 + k] + s * q[:, k]
+              for k, s in enumerate((0.5 * cut, 2 * cut))]
+    mix = np.linalg.qr(rand_cols(rng, 3, 3))[0]
+    a = sub.Subspace(8, np.column_stack([*turned, q[:, 5]]) @ mix)
+    got = sub._meet_complement(a, t, tol)
+    want = meet_complement_by_complement(a, t, tol)
+    assert got.dim == want.dim == 2
+    assert gram_defect(got) <= 1e-12
+    assert np.linalg.norm(t.coords(got.frame), 2) <= cut
+    # the kept and the dropped sine are 1.5 cut apart, so either route
+    # resolves the kept plane to about roundoff / cut
+    planted = sub.span(np.column_stack([turned[0], q[:, 5]]))
+    assert max(sub.distance(got, want), sub.distance(got, planted)) <= 1e-14 / cut
+    assert sub.equal(sub._meet_complement(a, sub.trivial(8), tol), a)
+    assert sub._meet_complement(sub.trivial(8), t, tol).dim == 0
 
 
 @pytest.mark.parametrize("defect", [1e-12, 2e-10, 2e-9])
