@@ -52,16 +52,15 @@ class BoundaryTriple:
     gamma: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
-    # {z: (graph of M(z), ghat, M)}: the defect solves of the last walk, or of
-    # the last single z asked, keyed by z alone as `tol` decides every solve,
-    # so M(z) and gamma(z) share one solve.  Replaced as a whole, never
+    # {z: (WeylValue of M(z), ghat)}: the defect solves of the last walk, or
+    # of the last single z asked, keyed by z alone as `tol` decides every
+    # solve, so M(z) and gamma(z) share one solve.  Replaced as a whole, never
     # mutated: a concurrent reader sees a key with its own value.
     _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # Read through on every access.
     boundary_dim = property(lambda self: self.gamma.shape[0] // 2)
     space = property(lambda self: self.parent.src)
-    boundary_space = property(lambda self: hilbert_space(self.boundary_dim))
     gamma0 = property(lambda self: self.gamma[: self.boundary_dim, :])
     gamma1 = property(lambda self: self.gamma[self.boundary_dim :, :])
 
@@ -74,6 +73,9 @@ class BoundaryTriple:
     # J_hat(N) and Gamma1 on N, and g0inv and g1inv their inverses into T+.
     tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein", self.tol))
     basis_pinv = cached_property(lambda self: np.linalg.pinv(self.basis))
+    # Gamma on ambient vectors of T+, which it reads through their coordinates
+    gamma_ambient = cached_property(lambda self: self.gamma @ self.basis_pinv)
+    boundary_space = cached_property(lambda self: hilbert_space(self.boundary_dim))
     t0 = cached_property(lambda self: self._kernel_of(self.gamma0))
     t1 = cached_property(lambda self: self._kernel_of(self.gamma1))
     n_rel = cached_property(lambda self: ext._n_part(self.parent, self.t0, self.tol))
@@ -105,9 +107,18 @@ class BoundaryTriple:
 
 @dataclass(frozen=True)
 class WeylValue:
+    """M(z) at one point: its matrix form where gamma(z) exists, and its graph
+    in L, the span of the read-only boundary values of N_z(T+) under `tol`,
+    taken when `relation_in_L` is first read (a walk spans it up front)."""
     z: complex
-    relation_in_L: LinearRelation
     operator_form: np.ndarray | None
+    boundary_values: np.ndarray = field(repr=False)
+    space: KreinSpace = field(repr=False)
+    tol: TolerancePolicy = field(repr=False)
+
+    @cached_property
+    def relation_in_L(self) -> LinearRelation:
+        return LinearRelation(self.space, self.space, sub.span(self.boundary_values, self.tol))
 
 
 @dataclass(frozen=True)
@@ -174,38 +185,53 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 
 
 def _defect_solve(triple: BoundaryTriple, z):
-    """The defect graph N_z(T+) and its boundary values, then M(z) as the
-    span of those values, the solver (Gamma0 on N_z)^{-1} and the matrix
-    M(z) = Gamma1 (Gamma0 on N_z)^{-1}.  The one regularity rule: dim N_z = d
-    and Gamma0 on N_z is invertible under the triple's policy; otherwise the
-    last two are None.  The arrays are read-only; a z in the triple's slot
-    returns the same ones.  A list of points is solved in one pass of
-    stacked calls (the points already in the slot are kept) and replaces the
-    slot with the walk's {z: solve}, which it returns."""
+    """The defect graph N_z(T+) and its boundary values, then the solver
+    (Gamma0 on N_z)^{-1} and the matrix M(z) = Gamma1 (Gamma0 on N_z)^{-1}, as
+    (WeylValue, solver); the WeylValue spans M(z)'s graph from the boundary
+    values when it is first read.  The one regularity rule: dim N_z = d and
+    Gamma0 on N_z is invertible under the triple's policy; otherwise M(z)'s
+    matrix and the solver are None.  The arrays are read-only; a z in the
+    triple's slot returns the same ones.  A list of points is solved in one
+    pass of stacked calls, M(z)'s graphs included (the points already in the
+    slot are kept), and replaces the slot with the walk's {z: solve}, which
+    it returns."""
     if isinstance(z, (list, tuple)):
         return _solve_walk(triple, [complex(w) for w in z])
     z = complex(z)
     hit = triple._solves.get(z)
     if hit is not None:
         return hit
-    d, tol = triple.boundary_dim, triple.tol
-    frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
+    d = triple.boundary_dim
+    frame = rel.graph_eigenspace(triple.tplus, z, triple.tol).graph.frame
     # N_z(T+) lies in T+, so its coordinates are read unchecked; a frame of the
     # wrong dim (a loose cut's extra direction) only makes z irregular below
-    bvals = triple.gamma @ (triple.basis_pinv @ frame)
-    if frame.shape[1] != d or np.linalg.matrix_rank(bvals[:d, :], rtol=tol.rank_rel) < d:
-        solve = (sub.span(bvals, tol), None, None)
-    else:
-        inv0 = np.linalg.inv(bvals[:d, :])
-        solve = (sub.span(bvals, tol), _read_only(frame @ inv0),
-                 _read_only(bvals[d:, :] @ inv0))
+    bvals = _read_only(triple.gamma_ambient @ frame)
+    m = ghat = None
+    if frame.shape[1] == d and _gamma0_regular(triple, bvals[:d]):
+        inv0 = np.linalg.inv(bvals[:d])
+        m, ghat = bvals[d:] @ inv0, frame @ inv0
+    solve = (WeylValue(z, _read_only(m), bvals, triple.boundary_space, triple.tol),
+             _read_only(ghat))
     object.__setattr__(triple, "_solves", {z: solve})
     return solve
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    if a is not None:
+        a.flags.writeable = False
     return a
+
+
+def _gamma0_regular(triple: BoundaryTriple, b0: np.ndarray):
+    """Whether Gamma0 on N_z, a d x d block or each block of a stack, is
+    invertible, from the values of one SVD: iff its smallest singular value
+    exceeds rank_rel times its largest, which is matrix_rank(rtol=rank_rel)
+    == d; at d = 0 it is, vacuously.  The inverse is then an LU's: a
+    values-only SVD plus an LU took 0.6-0.8 of the time of an SVD with vectors
+    and V S^{-1} U^H, per block and per stack of 20, d = 1..16, one OpenBLAS
+    thread."""
+    s = np.linalg.svd(b0, compute_uv=False)
+    return (s > triple.tol.rank_rel * s[..., :1]).all(axis=-1)
 
 
 def _solve_walk(triple: BoundaryTriple, walk: list) -> dict:
@@ -218,28 +244,31 @@ def _solve_walk(triple: BoundaryTriple, walk: list) -> dict:
 
 
 def _solve_stacked(triple: BoundaryTriple, points: list) -> dict:
-    """`_defect_solve` at each of the points, one stacked call per step."""
+    """`_defect_solve` at each of the points, one stacked call per step; every
+    caller of a walk reads M(z)'s graphs, so they are spanned here."""
     d, tol = triple.boundary_dim, triple.tol
     frames = [g.graph.frame for g in rel.graph_eigenspace(triple.tplus, points, tol)]
-    bvals = sub._stacked(lambda f: triple.gamma @ (triple.basis_pinv @ f), frames)
+    bvals = [_read_only(b) for b in sub._stacked(lambda f: triple.gamma_ambient @ f, frames)]
     graphs = sub._stacked(lambda b: sub.span(b, tol), bvals)
-    solves = {z: (g, None, None) for z, g in zip(points, graphs)}
     square = [i for i, f in enumerate(frames) if f.shape[1] == d]
     b = np.stack([bvals[i] for i in square]) if square else np.zeros((0, 2 * d, d))
-    regular = np.linalg.matrix_rank(b[:, :d], rtol=tol.rank_rel) == d
+    regular = _gamma0_regular(triple, b[:, :d])
     square, b = [i for i, r in zip(square, regular) if r], b[regular]
     inv0 = np.linalg.inv(b[:, :d])
     ghat = np.stack([frames[i] for i in square]) @ inv0 if square else []
-    for i, g, m in zip(square, ghat, b[:, d:] @ inv0):
-        solves[points[i]] = (graphs[i], _read_only(g), _read_only(m))
+    solved = {i: (m, g) for i, m, g in zip(square, b[:, d:] @ inv0, ghat)}
+    lspace, solves = triple.boundary_space, {}
+    for i, (z, bv, graph) in enumerate(zip(points, bvals, graphs)):
+        m, g = solved.get(i, (None, None))
+        value = WeylValue(z, _read_only(m), bv, lspace, tol)
+        object.__setattr__(value, "relation_in_L", LinearRelation(lspace, lspace, graph))
+        solves[z] = (value, _read_only(g))
     return solves
 
 
 def weyl(triple: BoundaryTriple, z: complex) -> WeylValue:
     """M(z) as a relation in L, with its matrix form where gamma(z) exists."""
-    graph, _, operator_form = _defect_solve(triple, z)
-    lspace = triple.boundary_space
-    return WeylValue(z, LinearRelation(lspace, lspace, graph), operator_form)
+    return _defect_solve(triple, z)[0]
 
 
 def gamma_field_hat(triple: BoundaryTriple, z: complex) -> np.ndarray:

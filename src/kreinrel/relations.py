@@ -235,15 +235,15 @@ def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
 
 def graph_eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     """The graph zI ∩ T over the eigenspace at z; the list of the graphs at
-    each of a list of points, from stacked calls."""
+    each of a list of points, from stacked calls.  [f; zf]/sqrt(1 + |z|^2)
+    of the eigenspace's SVD frame f is orthonormal to roundoff, so it is
+    taken unchecked, as `subspaces` takes its own SVD frames."""
+    def graph(w, f):
+        cols = np.vstack([f.frame, w * f.frame]) / np.sqrt(1.0 + abs(w) ** 2)
+        return LinearRelation(t.src, t.tgt, sub._trusted(t.graph.ambient_dim, cols))
     if isinstance(z, (list, tuple)):
-        cols = [np.vstack([f.frame, w * f.frame]) / np.sqrt(1.0 + abs(w) ** 2)
-                for w, f in zip(z, eigenspace(t, z, tol))]
-        return [LinearRelation(t.src, t.tgt, g) for g in sub._stacked(
-            lambda c: sub._frames(t.graph.ambient_dim, c), cols)]
-    f = eigenspace(t, z, tol).frame
-    cols = np.vstack([f, z * f]) / np.sqrt(1.0 + abs(z) ** 2)
-    return LinearRelation(t.src, t.tgt, Subspace(t.graph.ambient_dim, cols))
+        return [graph(w, f) for w, f in zip(z, eigenspace(t, z, tol))]
+    return graph(z, eigenspace(t, z, tol))
 
 
 def spectral_probe(t: LinearRelation, z: complex,

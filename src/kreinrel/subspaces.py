@@ -72,16 +72,6 @@ def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
     return s
 
 
-def _frames(ambient_dim: int, stack: np.ndarray) -> list[Subspace]:
-    """Subspace(ambient_dim, f) for each frame f of a stack, from one stacked
-    Gram check: a frame orthonormal to roundoff is kept as it is, any other
-    goes through the constructor."""
-    gram = stack.conj().transpose(0, 2, 1) @ stack
-    defect = np.abs(gram - np.eye(stack.shape[2])).max(axis=(1, 2), initial=0.0)
-    return [_trusted(ambient_dim, f) if e <= _ROUNDOFF * f.shape[1] else Subspace(ambient_dim, f)
-            for f, e in zip(stack, defect)]
-
-
 def _orth(columns: np.ndarray, tol: TolerancePolicy):
     """Orthonormal basis of the column span, rank cut on singular values; the
     list of the bases of each matrix of a stack."""

@@ -274,9 +274,12 @@ def test_a_walk_solves_each_point_like_the_scalar_call(tol, seed, n, d):
     assert list(solves) == walk
     r0 = rel.resolvent_matrix(tri.t0, walk, tol)
     for z, r in zip(walk, r0):
-        graph, ghat, m = solves[z]
-        want_graph, want_ghat, want_m = bnd._defect_solve(under(tri, tol), z)
+        value, ghat = solves[z]
+        scalar = under(tri, tol)
+        want, want_ghat = bnd.weyl(scalar, z), bnd._defect_solve(scalar, z)[1]
+        graph, want_graph = bnd.weyl(tri, z).relation_in_L.graph, want.relation_in_L.graph
         assert graph.dim == want_graph.dim and sub.distance(graph, want_graph) < 1e-13
+        m, want_m = value.operator_form, want.operator_form
         assert (m is None) == (want_m is None) == (ghat is None)
         if m is not None:
             assert _rel_gap(m, want_m) < 1e-13 and _rel_gap(ghat, want_ghat) < 1e-13
@@ -286,7 +289,89 @@ def test_a_walk_solves_each_point_like_the_scalar_call(tol, seed, n, d):
         except rel.NotRegularError:
             assert r is None
     if n == 4:
-        assert (solves[walk[0]][2] is None) == (tol != DEFAULT_TOL)
+        assert (solves[walk[0]][0].operator_form is None) == (tol != DEFAULT_TOL)
+
+
+def _beside_real_eigenvalue(tri, eps):
+    """lambda + i eps beside the real eigenvalue of T0 near 2.9113 (seed 4242)."""
+    e, d = tri.t0.blocks()
+    lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
+    return lam.real + 1j * eps
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)],
+                         ids=["default", "loose"])
+def test_one_svd_of_gamma0_decides_regularity_as_matrix_rank_does(tol):
+    # eps = 1e-1 .. 1e-9 brings Gamma0 on N_z from well conditioned to past
+    # both cuts; the scalar call and the walk give matrix_rank's verdict
+    tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243, tol)
+    d = tri.boundary_dim
+    walk = [_beside_real_eigenvalue(tri, 10.0 ** -k) for k in range(1, 10)]
+    walked = bnd._defect_solve(under(tri, tol), walk)
+    verdicts = []
+    for z in walk:
+        value = bnd.weyl(tri, z)
+        b0 = value.boundary_values[:d]
+        want = b0.shape[1] == d and np.linalg.matrix_rank(b0, rtol=tol.rank_rel) == d
+        assert (value.operator_form is not None) == want
+        assert (walked[z][0].operator_form is not None) == want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("case", ["regular", "loose-irregular"])
+def test_weyl_spans_its_relation_only_when_read(case, monkeypatch):
+    # reading M(z)'s matrix and gamma(z) takes one span (the eigenspace's), no
+    # span of the boundary values and no matrix_rank; the relation read after
+    # is that span, bit for bit.  The loose case is the point of
+    # test_defect_solve_slot_never_goes_stale that has no operator form.
+    if case == "regular":
+        tri, z = gen_triple(gen_symmetric(InstanceSpec(1616, 16, (8, 8), 4)), 1617), 0.3 + 0.7j
+    else:
+        tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243,
+                         TolerancePolicy(1e-3, 1e-6, 1e-4))
+        z = _beside_real_eigenvalue(tri, 1e-5)
+    d, tol = tri.boundary_dim, tri.tol
+    tri.tplus, tri.gamma_ambient, tri.boundary_space  # derived before counting
+    calls, ranks, spans = svd_calls(monkeypatch), [], []
+    matrix_rank, span = np.linalg.matrix_rank, sub.span
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **k: ranks.append(a) or matrix_rank(*a, **k))
+    monkeypatch.setattr(sub, "span", lambda *a, **k: spans.append(a) or span(*a, **k))
+    value = bnd.weyl(tri, z)
+    if case == "regular":
+        assert value.operator_form is not None
+        bnd.gamma_field(tri, z)
+    else:
+        assert value.operator_form is None
+        with pytest.raises(rel.NotRegularError):
+            bnd.gamma_field(tri, z)
+    repr(value)
+    assert "relation_in_L" not in vars(value) and not ranks and len(spans) == 1
+    if case == "regular":  # at n = 4 = 2d the eigenspace's span also has this shape
+        assert ((2 * d, d), True) not in calls
+    graph = value.relation_in_L.graph
+    assert len(spans) == 2 and bnd.weyl(tri, z).relation_in_L is value.relation_in_L
+    frame = rel.graph_eigenspace(tri.tplus, z, tol).graph.frame
+    assert np.array_equal(graph.frame, span(tri.gamma_ambient @ frame, tol).frame)
+    assert graph.dim == d
+
+
+def test_a_boundary_dim_zero_triple_has_empty_weyl_values():
+    # a self-adjoint T0 has T+ = T0, and the zero map on it is a boundary map
+    t0 = sample_witness(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 5).t0
+    tri = bnd.validate_triple(t0, np.zeros((0, rel.adjoint(t0, "krein").dim)))
+    assert tri.boundary_dim == 0
+    for z in (0.5 - 1.5j, 1j):
+        value = bnd.weyl(tri, z)
+        assert value.operator_form.shape == (0, 0) and value.relation_in_L.dim == 0
+        assert bnd.gamma_field(tri, z).shape == (4, 0)
+    # 1j is in the slot from the scalar call, -1j is walked
+    for fresh in (False, True):
+        triple = bnd.validate_triple(t0, tri.gamma) if fresh else tri
+        out = bnd.resolvent_identities_check(triple, (1j,))
+        assert out["points"] == [1j, -1j] and out["max_symmetry"] == 0.0
+        assert out["weyl"][-1j].relation_in_L.dim == 0
 
 
 def test_defect_solve_arrays_are_read_only():
