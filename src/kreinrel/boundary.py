@@ -43,11 +43,15 @@ def shared_tol(a, b) -> TolerancePolicy:
     return a.tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTriple:
     """Gamma on coordinates of `basis`, a basis of T+ for the parent T.  Every
-    derived value and function of the triple decides under `tol`.  Unchecked:
-    `validate_triple` checks the definition, `transform` that X is boundary-unitary."""
+    derived value and function of the triple decides under `tol`.  The basis
+    is factored once, by a reduced SVD U S V^H taken on first read:
+    `basis_pinv` is V S^-1 U^H, and the span of basis @ c is U times the span
+    of S V^H c (`_lift`).  A transformed triple shares its source's factors.
+    Unchecked: `validate_triple` checks the definition, `transform` that X is
+    boundary-unitary.  `==` is identity."""
     parent: LinearRelation
     gamma: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
@@ -56,23 +60,34 @@ class BoundaryTriple:
     # of the last single z asked, keyed by z alone as `tol` decides every
     # solve, so M(z) and gamma(z) share one solve.  Replaced as a whole, never
     # mutated: a concurrent reader sees a key with its own value.
-    _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _solves: dict = field(default_factory=dict, init=False, repr=False)
 
     # Read through on every access.
+    _sv = property(lambda self: self.basis_svd[1][:, None] * self.basis_svd[2])  # S V^H
     boundary_dim = property(lambda self: self.gamma.shape[0] // 2)
     space = property(lambda self: self.parent.src)
     gamma0 = property(lambda self: self.gamma[: self.boundary_dim, :])
     gamma1 = property(lambda self: self.gamma[self.boundary_dim :, :])
 
+    def _lift(self, rows: np.ndarray) -> Subspace:
+        """The span of [basis @ c; b] from rows = [S V^H c; b]: diag(U, I) maps
+        the span of the rows onto it isometrically, so the singular values,
+        and with them the rank decision, are those of the direct span."""
+        u, s, _ = self.basis_svd
+        f = sub.span(rows, self.tol).frame
+        return sub._trusted(u.shape[0] + len(rows) - s.size,
+                            np.vstack([u @ f[: s.size], f[s.size :]]))
+
     def _kernel_of(self, g: np.ndarray) -> LinearRelation:
         coords = sub.kernel(g, self.basis.shape[1], self.tol).frame
-        return LinearRelation(self.space, self.space, sub.span(self.basis @ coords, self.tol))
+        return LinearRelation(self.space, self.space, self._lift(self._sv @ coords))
 
     # Derived on first read and kept.  N = ker Gamma0 ∩ T-perp is unchecked,
     # as ker Gamma0 is self-adjoint and extends T; a0 and a1 are Gamma0 on
     # J_hat(N) and Gamma1 on N, and g0inv and g1inv their inverses into T+.
     tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein", self.tol))
-    basis_pinv = cached_property(lambda self: np.linalg.pinv(self.basis))
+    basis_svd = cached_property(lambda self: np.linalg.svd(self.basis, full_matrices=False))
+    basis_pinv = cached_property(lambda self: sub._pinv(*self.basis_svd))
     # Gamma on ambient vectors of T+, which it reads through their coordinates
     gamma_ambient = cached_property(lambda self: self.gamma @ self.basis_pinv)
     boundary_space = cached_property(lambda self: hilbert_space(self.boundary_dim))
@@ -89,8 +104,7 @@ class BoundaryTriple:
     g1inv = cached_property(lambda self: self.fn @ np.linalg.inv(self._a1))
     beta = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.g0inv))
     # the graph of the boundary map, the span of [basis; Gamma]
-    gamma_graph = cached_property(
-        lambda self: sub.span(np.vstack([self.basis, self.gamma]), self.tol))
+    gamma_graph = cached_property(lambda self: self._lift(np.vstack([self._sv, self.gamma])))
 
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Basis coordinates of columns that lie in T+."""
@@ -105,11 +119,12 @@ class BoundaryTriple:
         return self.gamma @ self.coords(vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylValue:
     """M(z) at one point: its matrix form where gamma(z) exists, and its graph
     in L, the span of the read-only boundary values of N_z(T+) under `tol`,
-    taken when `relation_in_L` is first read (a walk spans it up front)."""
+    taken when `relation_in_L` is first read (a walk spans it up front).  `==`
+    is identity."""
     z: complex
     operator_form: np.ndarray | None
     boundary_values: np.ndarray = field(repr=False)
@@ -121,7 +136,7 @@ class WeylValue:
         return LinearRelation(self.space, self.space, sub.span(self.boundary_values, self.tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometricBoundaryPair:
     """The boundary map as a relation, deciding under `tol` like a triple."""
     boundary_dim: int
@@ -161,14 +176,19 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     if gamma.shape[1] != m:
         raise TripleValidationError("gamma columns must match the basis size")
     triple = BoundaryTriple(t, gamma, basis, tol)
-    basis_span = sub.span(basis, tol)
-    if basis_span.dim < m or not sub.equal(basis_span, triple.tplus.graph, tol):
+    # the frame and rank of `sub.span(basis)`, from the triple's SVD of its basis
+    u, s, _ = triple.basis_svd
+    rank = sub._rank(s, tol)
+    if rank < m or not sub.equal(sub._trusted(2 * t.src.dim, u[:, :rank]),
+                                 triple.tplus.graph, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
-    if np.linalg.matrix_rank(gamma, rtol=tol.rank_rel) < 2 * d:
+    # Gamma's singular values give its rank and its 2-norm; the basis's
+    # 2-norm is its largest singular value
+    sg = np.linalg.svd(gamma, compute_uv=False)
+    if sub._rank_rel(sg, tol) < 2 * d:
         raise TripleValidationError("boundary map is not surjective")
     res = green_residual(t.src, basis, gamma)
-    if not tol.negligible(res, (1.0 + np.linalg.norm(gamma, 2))
-                          * (1.0 + np.linalg.norm(basis, 2) ** 2)):
+    if not tol.negligible(res, (1.0 + sg.max(initial=0.0)) * (1.0 + s.max(initial=0.0) ** 2)):
         raise TripleValidationError(f"Green identity violated: residual {res:.3e}")
 
     if triple.n_rel.dim != d or min(np.linalg.matrix_rank(a, rtol=tol.rank_rel)
@@ -297,7 +317,11 @@ def transform(triple: BoundaryTriple, x) -> BoundaryTriple:
     if not triple.tol.negligible(np.linalg.norm(x.conj().T @ jo @ x - jo),
                                  1 + np.linalg.norm(x) ** 2):
         raise TripleValidationError("transform matrix is not boundary-unitary")
-    return BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, triple.tol)
+    out = BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, triple.tol)
+    # the same basis: its factors, where taken, are shared
+    vars(out).update({k: v for k, v in vars(triple).items()
+                      if k in ("basis_svd", "basis_pinv")})
+    return out
 
 
 def beta_shift(triple: BoundaryTriple, beta=None) -> BoundaryTriple:
@@ -313,8 +337,7 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
     if theta.src.dim != d or theta.tgt.dim != d:
         raise ValueError("Theta must be a relation in the boundary space")
     coords = sub.preimage(triple.gamma, theta.graph, triple.tol)
-    space = triple.space
-    return LinearRelation(space, space, sub.span(triple.basis @ coords.frame, triple.tol))
+    return LinearRelation(triple.space, triple.space, triple._lift(triple._sv @ coords.frame))
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,14 @@ class NClassRejection(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NWitness:
     N: LinearRelation
     parent: LinearRelation
     t0: LinearRelation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaDecomposition:
     sigma: Subspace
     n_part: Subspace
@@ -83,7 +83,7 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
         raise NClassRejection("N not inside the adjoint")
     if not sub.contains(sub.complement(t.graph), n.graph, tol):
         raise NClassRejection("N not orthogonal to T")
-    frak_n = rel.hilbertize(n, tol)
+    frak_n = rel.hilbertize(n)
     for z in (1j, -1j):
         e, d = frak_n.blocks()
         ran_shifted = sub.span(d + z * e, tol)
@@ -144,7 +144,7 @@ def _sigma_parts(t: LinearRelation, n: LinearRelation,
 def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
                    tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """The three equivalent descriptions of dom N, computed independently."""
-    frak_t0 = rel.hilbertize(t0, tol)
+    frak_t0 = rel.hilbertize(t0)
     ni = defect_subspace(t, 1j, tol)
     nmi = defect_subspace(t, -1j, tol)
 
@@ -158,7 +158,7 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
     via_plus = preimage_of(1j, ni)
     via_minus = preimage_of(-1j, nmi)
 
-    c_full_graph = _cayley_graph(frak_t0, tol)
+    c_full_graph = _cayley_graph(frak_t0)
     c_n = sub.intersect(c_full_graph, sub.product(ni, sub.full(t.src.dim)), tol)
     x, y = c_n.frame[: t.src.dim, :], c_n.frame[t.src.dim :, :]
     via_cayley = sub.span(y - x, tol)
@@ -166,9 +166,11 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
             "cayley": via_cayley}
 
 
-def _cayley_graph(frak_t0: LinearRelation, tol: TolerancePolicy) -> Subspace:
+def _cayley_graph(frak_t0: LinearRelation) -> Subspace:
+    """[D + iE; D - iE]/sqrt(2), a unitary image of the frame [E; D]: a frame
+    of the graph as it stands, Gram-checked."""
     e, d = frak_t0.blocks()
-    return sub.span(np.vstack([d + 1j * e, d - 1j * e]), tol)
+    return Subspace(frak_t0.graph.ambient_dim, np.vstack([d + 1j * e, d - 1j * e]) / np.sqrt(2.0))
 
 
 def prop_n_audit(t: LinearRelation, n: LinearRelation,
@@ -190,12 +192,10 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
     t_sum_sigma, orth = rel.cw_sum(
         t, LinearRelation(t.src, t.tgt, dec.sigma), tol)
     tplus = rel.adjoint(t, "krein", tol)
-    jhat = doubled(t.src).J_hat
-    j_base = t.src.J
-    # Σ = J M_hat: post-compose the relation M_hat with the base symmetry.
-    j_mhat = sub.span(np.vstack([
-        dec.m_hat.graph.frame[: dim_h, :],
-        j_base @ dec.m_hat.graph.frame[dim_h :, :]]), tol)
+    # Σ = J M_hat: post-compose the relation M_hat with the base symmetry, a
+    # unitary image of its frame
+    e, d = dec.m_hat.blocks()
+    j_mhat = Subspace(2 * dim_h, np.vstack([e, t.src.J @ d]))
     report = {
         "defects": (d_plus, d_minus),
         "n_defects": (n_plus, n_minus),
@@ -229,10 +229,11 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     """
     fp, fm = dec.defect_plus_frame, dec.defect_minus_frame
     d1, d2 = fp.shape[1], fm.shape[1]
-    phi = np.hstack([fp, fm])
-    if np.linalg.matrix_rank(phi, rtol=tol.rank_rel) < d1 + d2:
+    # one SVD of phi decides its rank and gives its pseudo-inverse
+    u, sv, vh = np.linalg.svd(np.hstack([fp, fm]), full_matrices=False)
+    if sub._rank_rel(sv, tol) < d1 + d2:
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
-    lift = np.linalg.pinv(phi) @ dom_n.frame
+    lift = sub._pinv(u, sv, vh) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
     pair_space = KreinSpace(d1 + d2, s, (d1, d2))
     flags = neutrality_rank(pair_space, sub.span(lift, tol), tol)

@@ -118,12 +118,14 @@ def sample_witness(t: LinearRelation, seed: int,
     A random Euclidean unitary between the defect subspaces closes the
     Cayley transform of JT to a unitary; pulling back gives a Hilbert
     self-adjoint extension, then T0 = J T0_hilbert and N = T0 ∩ T-perp,
-    unchecked: T0 is self-adjoint and extends T by construction.
+    unchecked: T0 is self-adjoint and extends T by construction.  T0's frame
+    [E0; J D0] is the image of T0_hilbert's under the unitary diag(I, J),
+    Gram-checked, with no rank decision.
     """
     rng = rng_for(seed, 2)
     space = t.src
     n = space.dim
-    frak_t = rel.hilbertize(t, tol)
+    frak_t = rel.hilbertize(t)
     ni = ext.defect_subspace(t, 1j, tol)
     nmi = ext.defect_subspace(t, -1j, tol)
     d = ni.dim
@@ -137,7 +139,7 @@ def sample_witness(t: LinearRelation, seed: int,
     c_full = c_t + nmi.frame @ u_defect @ ni.frame.conj().T
     frak_t0 = rel.inverse_cayley(c_full, tol)
     e0, d0 = frak_t0.blocks()
-    t0 = LinearRelation(space, space, sub.span(np.vstack([e0, space.J @ d0]), tol))
+    t0 = LinearRelation(space, space, sub.Subspace(2 * n, np.vstack([e0, space.J @ d0])))
     return ext.NWitness(ext._n_part(t, t0, tol), t, t0)
 
 

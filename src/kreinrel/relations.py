@@ -9,6 +9,7 @@ graph frames, so tolerances stay local to each operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,11 @@ class NotRegularError(ValueError):
     """Resolvent-type matrix requested at a non-regular point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearRelation:
+    """A graph in C^(src.dim + tgt.dim); `==` is identity, `sub.equal` on the
+    graphs compares relations."""
+
     src: KreinSpace
     tgt: KreinSpace
     graph: Subspace = field(repr=False)
@@ -60,12 +64,26 @@ class LinearRelation:
         return f[: self.src.dim, :], f[self.src.dim :, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationParts:
-    dom: Subspace
-    ran: Subspace
-    ker: Subspace
-    mul: Subspace
+    """dom, ran, ker and mul of a relation with graph frame [E; D], each
+    spanned under `tol` when first read and kept."""
+
+    relation: LinearRelation
+    tol: TolerancePolicy = field(repr=False)
+
+    dom = cached_property(lambda self: sub.span(self.relation.blocks()[0], self.tol))
+    ran = cached_property(lambda self: sub.span(self.relation.blocks()[1], self.tol))
+
+    @cached_property
+    def ker(self) -> Subspace:
+        e, d = self.relation.blocks()
+        return sub.span(e @ sub.kernel(d, tol=self.tol).frame, self.tol)
+
+    @cached_property
+    def mul(self) -> Subspace:
+        e, d = self.relation.blocks()
+        return sub.span(d @ sub.kernel(e, tol=self.tol).frame, self.tol)
 
 
 def _same_hosts(a: LinearRelation, b: LinearRelation):
@@ -100,12 +118,8 @@ def from_operator(m, src: KreinSpace, tgt: KreinSpace) -> LinearRelation:
 
 
 def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationParts:
-    e, d = t.blocks()
-    dom = sub.span(e, tol)
-    ran = sub.span(d, tol)
-    ker = sub.span(e @ sub.kernel(d, tol=tol).frame, tol)
-    mul = sub.span(d @ sub.kernel(e, tol=tol).frame, tol)
-    return RelationParts(dom, ran, ker, mul)
+    """dom T, ran T, ker T and mul T, each spanned only when read."""
+    return RelationParts(t, tol)
 
 
 def is_operator(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -285,12 +299,13 @@ def resolvent_matrix(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
 # Cayley transforms
 
 
-def hilbertize(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """JT as a relation in the Euclidean Hilbert space over the same carrier."""
+def hilbertize(t: LinearRelation) -> LinearRelation:
+    """JT as a relation in the Euclidean Hilbert space over the same carrier.
+    [E; JD] is the image of the frame [E; D] under the unitary diag(I, J), so
+    it is taken as a frame, Gram-checked, with no rank decision."""
     h = hilbert_space(t.src.dim)
     e, d = t.blocks()
-    cols = np.vstack([e, t.src.J @ d])
-    return LinearRelation(h, h, sub.span(cols, tol))
+    return LinearRelation(h, h, Subspace(t.graph.ambient_dim, np.vstack([e, t.src.J @ d])))
 
 
 def cayley(t0: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

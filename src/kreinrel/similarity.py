@@ -29,7 +29,7 @@ class BuildError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockUnitary:
     """2x2-block operator (A, B; C, D) between doubled Krein spaces."""
 
@@ -436,8 +436,10 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     if found or not omega:
         return found or violation("no common regular grid point for the distinguished extensions")
     # gamma(z) maps L onto N_z(T+) for z in omega, so the source's columns decide
-    # minimality; unit_res and the final identity settle the planted side.
-    rank = sub.span(np.hstack(g_blocks), tol).dim
+    # minimality by the span rule; unit_res and the final identity settle the
+    # planted side.  The SVD that decides the rank gives the pseudo-inverse.
+    hull = np.linalg.svd(np.hstack(g_blocks), full_matrices=False)
+    rank = sub._rank(hull[1], tol)
     if rank < n:
         # z0 + 1/(mu + delta) is beside the pole z0 + 1/mu; |delta| undoes gamma's growth there
         try:
@@ -449,12 +451,12 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         size = np.minimum(0.1 * gaps.min(axis=1), np.abs(mu).max())
         size = np.where(size > tol.rank_cut(scale), size, 0.1 * scale)
         found = walk(list(zip(map(complex, omega[0] + 1 / (mu + size * np.exp(0.7j))), size)))
-        rank = sub.span(np.hstack(g_blocks), tol).dim
+        hull = np.linalg.svd(np.hstack(g_blocks), full_matrices=False)
+        rank = sub._rank(hull[1], tol)
     if found or rank < n:
         return found or violation("defect subspaces over the grid and beside T0's poles "
                                   f"are not minimal (rank {rank} < {n})")
-    g_cols, gp_cols = np.hstack(g_blocks), np.hstack(gp_blocks)
-    u = gp_cols @ np.linalg.pinv(g_cols)
+    u = np.hstack(gp_blocks) @ sub._pinv(*hull)
     unit_res = _standard_unitary_residual(u, triple_a.space, triple_b.space)
     if not tol.negligible(unit_res, 1 + np.abs(u).max() ** 2):
         return violation(f"assembled map is not standard unitary ({unit_res:.3e})")

@@ -32,9 +32,10 @@ _ROUNDOFF = 16 * float(np.finfo(np.float64).eps)  # Gram defect per column, orth
 _QR_MIN_ROWS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^ambient_dim held as an orthonormal frame."""
+    """A subspace of C^ambient_dim held as an orthonormal frame.  `==` is
+    identity; `equal` compares subspaces."""
 
     ambient_dim: int
     frame: np.ndarray = field(repr=False)
@@ -72,6 +73,25 @@ def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
     return s
 
 
+def _rank(s: np.ndarray, tol: TolerancePolicy) -> int:
+    """The span rule: the number of singular values above tol.rank_cut of the
+    largest (0 for none)."""
+    return int(np.sum(s > tol.rank_cut(s[0]))) if s.size else 0
+
+
+def _rank_rel(s: np.ndarray, tol: TolerancePolicy) -> int:
+    """`np.linalg.matrix_rank(rtol=tol.rank_rel)`'s rule on singular values:
+    those above rank_rel times the largest, with no absolute floor."""
+    return int(np.sum(s > tol.rank_rel * s[:1]))
+
+
+def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """V S^-1 U^H from a reduced SVD, by `np.linalg.pinv`'s default cut: 1/s
+    is 0 where s <= 1e-15 times the largest."""
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max(initial=0.0))
+    return vh.conj().T @ (inv[:, None] * u.conj().T)
+
+
 def _orth(columns: np.ndarray, tol: TolerancePolicy):
     """Orthonormal basis of the column span, rank cut on singular values; the
     list of the bases of each matrix of a stack."""
@@ -79,8 +99,8 @@ def _orth(columns: np.ndarray, tol: TolerancePolicy):
         return np.zeros((*columns.shape[:-1], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     if columns.ndim == 2:
-        return u[:, :int(np.sum(s > tol.rank_cut(s[0])))]
-    return [ui[:, :int(np.sum(si > tol.rank_cut(si[0])))] for ui, si in zip(u, s)]
+        return u[:, :_rank(s, tol)]
+    return [ui[:, :_rank(si, tol)] for ui, si in zip(u, s)]
 
 
 def _as_stack(entries) -> np.ndarray:
@@ -210,8 +230,7 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
         if s[-1] > tol.rank_cut(s[0]):
             return _trusted(n, q[:, rows:])
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > tol.rank_cut(s[0])))
-    return _trusted(n, vh[rank:].conj().T)
+    return _trusted(n, vh[_rank(s, tol):].conj().T)
 
 
 def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]:
@@ -231,7 +250,7 @@ def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]
     if rest:
         _, s, vh = np.linalg.svd(m[rest], full_matrices=True)
         for i, si, vhi in zip(rest, s, vh):
-            out[i] = _trusted(n, vhi[int(np.sum(si > tol.rank_cut(si[0]))):].conj().T)
+            out[i] = _trusted(n, vhi[_rank(si, tol):].conj().T)
     return out
 
 

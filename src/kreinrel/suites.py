@@ -90,9 +90,13 @@ def _trial_dims(rng: np.random.Generator) -> tuple[int, int, int]:
     return n, p, d
 
 
-def _draw_pair(seed: int, tol: TolerancePolicy):
+def _draw_t(seed: int, tol: TolerancePolicy) -> LinearRelation:
     n, p, d = _trial_dims(gen.rng_for(seed, 10))
-    t = gen.gen_symmetric(gen.InstanceSpec(seed, n, (p, n - p), d), tol=tol)
+    return gen.gen_symmetric(gen.InstanceSpec(seed, n, (p, n - p), d), tol=tol)
+
+
+def _draw_pair(seed: int, tol: TolerancePolicy):
+    t = _draw_t(seed, tol)
     return t, gen.sample_witness(t, seed, tol)
 
 
@@ -135,8 +139,8 @@ def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
         keep = min(pool.dim, int(rng.integers(1, pool.dim + 1)))
         h = LinearRelation(space, space, sub.span(
             pool.frame @ gen.random_complex(rng, pool.dim, keep), tol))
-        jg_plus = rel.hilbertize(gplus, tol)
-        jh = rel.hilbertize(h, tol)
+        jg_plus = rel.hilbertize(gplus)
+        jh = rel.hilbertize(h)
         for z in (0.7 - 0.3j, 1j, 2.0):
             eh, dh = jh.blocks()
             ran_shift = sub.span(dh + z * eh, tol)
@@ -151,8 +155,8 @@ def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     spec = gen.InstanceSpec(tseed, n, (p, n - p), d)
     t = gen.gen_symmetric(spec, tol=tol)
     w = gen.sample_witness(t, tseed, tol)
-    jt_plus = rel.hilbertize(rel.adjoint(t, "krein", tol), tol)
-    jn = rel.hilbertize(w.N, tol)
+    jt_plus = rel.hilbertize(rel.adjoint(t, "krein", tol))
+    jn = rel.hilbertize(w.N)
     for z in (1j, -1j):
         en, dn = jn.blocks()
         ran_shift = sub.span(dn + z * en, tol)
@@ -163,8 +167,8 @@ def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
         split = t.dim // 2
         g2 = LinearRelation(space, space, sub.span(t.graph.frame[:, :split], tol))
         h2 = LinearRelation(space, space, sub.span(t.graph.frame[:, split:], tol))
-        jg2_plus = rel.hilbertize(rel.adjoint(g2, "krein", tol), tol)
-        jh2 = rel.hilbertize(h2, tol)
+        jg2_plus = rel.hilbertize(rel.adjoint(g2, "krein", tol))
+        jh2 = rel.hilbertize(h2)
         equal_everywhere = True
         for z in (1j, -1j):
             eh2, dh2 = jh2.blocks()
@@ -319,7 +323,7 @@ def suite_boundary(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     drawn Hermitian b (a generated triple has beta = 0, so its own shift is
     itself), the shift law M_b(z) = M(z) - b, Weyl symmetry and the resolvent
     identities."""
-    t, _ = _draw_pair(tseed, tol)
+    t = _draw_t(tseed, tol)
     triple = gen.gen_triple(t, tseed, tol)
     b = gen.random_complex(gen.rng_for(tseed, 31), triple.boundary_dim, triple.boundary_dim)
     b = (b + b.conj().T) / 2

@@ -8,8 +8,11 @@ inner product and the [.,.]-orthogonal companion, the complement-and-flip
 route for adjoints and the canonical operator part of V0 for (V0)_s.  The
 routes the library replaced are kept here as references too: the SVD span of
 an operator's graph, Gamma V^{-1} by composing relations, z-fibres by
-intersecting a graph with a cage around the graph of zI, and A ∩ T-perp by
-intersecting with T's complement.
+intersecting a graph with a cage around the graph of zI, A ∩ T-perp by
+intersecting with T's complement, spans over a triple's basis coordinates
+from the 2n-row products, `np.linalg.pinv`, the SVD spans of unitary images
+of frames, the eager parts of a relation, the signature from `eigvalsh`, and
+the rank-then-pinv lift of dom N.
 """
 
 from fractions import Fraction
@@ -242,6 +245,76 @@ def meet_complement_by_complement(a, t, tol):
     from kreinrel import subspaces as sub
 
     return sub.intersect(a, sub.complement(t), tol)
+
+
+def span_over_basis(triple, coords):
+    """The span of basis @ coords, from an SVD of the 2n-row product."""
+    from kreinrel import subspaces as sub
+
+    return sub.span(triple.basis @ coords, triple.tol)
+
+
+def kernel_relation_by_span(triple, g):
+    """ker g on T+ (T0 for Gamma0, T1 for Gamma1) as the span of basis @ ker g."""
+    from kreinrel import relations as rel, subspaces as sub
+
+    coords = sub.kernel(g, triple.basis.shape[1], triple.tol).frame
+    return rel.LinearRelation(triple.space, triple.space, span_over_basis(triple, coords))
+
+
+def gamma_graph_by_span(triple):
+    """The graph of the boundary map as the SVD span of [basis; Gamma]."""
+    from kreinrel import subspaces as sub
+
+    return sub.span(np.vstack([triple.basis, triple.gamma]), triple.tol)
+
+
+def hilbertize_by_span(t, tol):
+    """JT as the SVD span of [E; JD], with its rank cut."""
+    from kreinrel import krein, relations as rel, subspaces as sub
+
+    h = krein.hilbert_space(t.src.dim)
+    e, d = t.blocks()
+    return rel.LinearRelation(h, h, sub.span(np.vstack([e, t.src.J @ d]), tol))
+
+
+def cayley_graph_by_span(frak_t0, tol):
+    """The Cayley graph as the SVD span of [D + iE; D - iE]."""
+    from kreinrel import subspaces as sub
+
+    e, d = frak_t0.blocks()
+    return sub.span(np.vstack([d + 1j * e, d - 1j * e]), tol)
+
+
+def parts_by_span(t, tol) -> dict:
+    """dom, ran, ker and mul of a relation, all four spanned at once."""
+    from kreinrel import subspaces as sub
+
+    e, d = t.blocks()
+    return {"dom": sub.span(e, tol), "ran": sub.span(d, tol),
+            "ker": sub.span(e @ sub.kernel(d, tol=tol).frame, tol),
+            "mul": sub.span(d @ sub.kernel(e, tol=tol).frame, tol)}
+
+
+def signature_by_eigvalsh(j) -> tuple[int, int]:
+    """(p, q): the counts of positive and other eigenvalues of a Hermitian J."""
+    p = int(np.sum(np.linalg.eigvalsh(j) > 0))
+    return p, j.shape[0] - p
+
+
+def dom_n_neutrality_by_pinv(dec, dom_n, tol) -> dict:
+    """`extensions._dom_n_neutrality` by matrix_rank(rtol=rank_rel) of the defect
+    frames [N_i, N_-i], then `np.linalg.pinv` of them: two SVDs of one matrix."""
+    from kreinrel import krein, subspaces as sub
+
+    phi = np.hstack([dec.defect_plus_frame, dec.defect_minus_frame])
+    d1, d2 = dec.defect_plus_frame.shape[1], dec.defect_minus_frame.shape[1]
+    if np.linalg.matrix_rank(phi, rtol=tol.rank_rel) < d1 + d2:
+        return {"dom_n_hyper_maximal": None, "m_degenerate": True}
+    lift = np.linalg.pinv(phi) @ dom_n.frame
+    s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
+    flags = krein.neutrality_rank(krein.KreinSpace(d1 + d2, s, (d1, d2)), sub.span(lift, tol), tol)
+    return {"dom_n_hyper_maximal": bool(flags["hyper_maximal"]), "m_degenerate": False}
 
 
 def encode_complex(z: complex) -> list:

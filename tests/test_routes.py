@@ -1,0 +1,221 @@
+"""Each matrix factored once, checked against the route it replaced.
+
+A triple's basis is factored by one reduced SVD U S V^H: T0, T1, the graph of
+Gamma and t_theta are spans of S V^H c lifted by U, and `basis_pinv` is
+V S^-1 U^H.  The reconstruction's gamma columns and the audit's defect frames
+each give their rank and pseudo-inverse from one SVD.  Unitary images of
+orthonormal frames are Gram-checked frames, with no rank decision; `parts`
+spans each part when it is read; `make_krein` reads the signature off tr J.
+Each route is compared with its old one from tests/oracles.py: the same dims
+and decisions, principal angles at most 1e-12 and pseudo-inverses equal to
+roundoff, under the default and CI's loose policy.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from kreinrel import boundary as bnd, extensions as ext, generators as gen, krein, \
+    relations as rel, similarity as sim, subspaces as sub, suites as st
+from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetric, gen_triple, \
+    planted_similar_triple
+from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
+
+import oracles
+from conftest import svd_calls
+
+LOOSE = TolerancePolicy(1e-3, 1e-6, 1e-4)
+POLICIES = pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+SIZES = pytest.mark.parametrize("n", [4, 16, 48])
+
+
+def _same(a: sub.Subspace, b: sub.Subspace):
+    assert a.dim == b.dim
+    assert sub.distance(a, b) <= 1e-12
+
+
+def _triples(n: int, tol: TolerancePolicy):
+    """A generated triple at (n, n/2 + n/2, n/4) and its planted image."""
+    t = gen_symmetric(InstanceSpec(n, n, (n // 2, n - n // 2), max(1, n // 4)), tol=tol)
+    tri = gen_triple(t, n, tol)
+    return tri, planted_similar_triple(tri, gen_standard_unitary(n, t.src, t.src), t.src)
+
+
+def _check_basis_routes(tri: bnd.BoundaryTriple):
+    for g, tk in ((tri.gamma0, tri.t0), (tri.gamma1, tri.t1)):
+        _same(tk.graph, oracles.kernel_relation_by_span(tri, g).graph)
+    _same(tri.gamma_graph, oracles.gamma_graph_by_span(tri))
+    ref = np.linalg.pinv(tri.basis)
+    assert np.abs(tri.basis_pinv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@SIZES
+@POLICIES
+def test_spans_over_basis_coordinates_match_the_direct_spans(n, tol):
+    for tri in _triples(n, tol):
+        _check_basis_routes(tri)
+        # Theta = the graph of a Hermitian matrix: t_theta is a span over T+
+        d = tri.boundary_dim
+        h = gen.random_complex(gen.rng_for(n, 77), d, d)
+        theta = rel.from_operator(h + h.conj().T, tri.boundary_space, tri.boundary_space)
+        coords = sub.preimage(tri.gamma, theta.graph, tol).frame
+        _same(bnd.t_theta(tri, theta).graph, oracles.span_over_basis(tri, coords))
+
+
+def test_the_loose_cut_drops_the_same_direction_on_both_routes():
+    # the planted triple of test_reconstruct_names_a_planted_n_the_loose_cut_shrinks,
+    # cond U = e^12: both routes find ker Gamma0' of dim 3, not 4, and the same 3
+    loose = LOOSE
+    t = gen_symmetric(InstanceSpec(5008, 4, (2, 2), 2), tol=loose)
+    tri = gen_triple(t, 5008, loose)
+    w, v = np.linalg.eigh(t.src.J)
+    ep, em = v[:, [np.argmax(w)]], v[:, [np.argmin(w)]]
+    u = (np.eye(4) + (np.cosh(6) - 1) * (ep @ ep.conj().T + em @ em.conj().T)
+         + np.sinh(6) * (ep @ em.conj().T + em @ ep.conj().T))
+    planted = planted_similar_triple(tri, u, t.src)
+    assert planted.t0.dim == 3
+    _check_basis_routes(planted)
+
+
+def test_a_validated_triple_factors_its_basis_once(monkeypatch):
+    t = gen_symmetric(InstanceSpec(16, 16, (8, 8), 4))
+    tri = gen_triple(t, 16)
+    seen, svd, norm = [], np.linalg.svd, np.linalg.norm
+
+    def svd_spy(a, *args, **kwargs):
+        name = "basis" if a is tri.basis else "gamma" if a is tri.gamma else "other"
+        seen.append((name, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def norm_spy(x, ord=None, *args, **kwargs):
+        assert ord != 2, "a 2-norm is an SVD of its own"
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    checked = bnd.validate_triple(t, tri.gamma, tri.basis)
+    for name in ("t0", "t1", "gamma_graph", "beta"):
+        getattr(checked, name)
+    # one SVD of the basis, with vectors, for its check, pinv and spans; one
+    # values-only SVD of Gamma for its rank and the Green identity's scale
+    assert [c for c in seen if c[0] != "other"] == [("basis", True), ("gamma", False)]
+    # a transformed triple shares the basis's factors
+    seen.clear()
+    shifted = bnd.beta_shift(checked, np.eye(4))
+    for name in ("t0", "t1", "gamma_graph", "beta"):
+        getattr(shifted, name)
+    assert ("basis", True) not in seen
+
+
+@POLICIES
+def test_reconstruction_takes_one_svd_of_the_gamma_columns(tol, monkeypatch):
+    # the rank decision and the pseudo-inverse of the planted pair's columns
+    tri, planted = _triples(16, tol)
+    for x in (tri, planted):
+        x.t0, x.n_rel, x.gamma_graph, x.beta  # derive outside the count
+    pinv = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinv.append(a))
+    calls = svd_calls(monkeypatch)
+    out = sim.reconstruct_similarity(tri, planted)
+    assert out["status"] == "unitary" and not pinv
+    # the grid's 10 points give the 16 x 40 columns
+    assert calls.count(((16, 40), True)) == 1
+
+
+@SIZES
+@POLICIES
+def test_unitary_images_of_frames_match_their_spans(n, tol):
+    tri, _ = _triples(n, tol)
+    w = gen.sample_witness(tri.parent, n, tol)
+    for r in (tri.parent, w.N, w.t0, tri.tplus):
+        _same(rel.hilbertize(r).graph, oracles.hilbertize_by_span(r, tol).graph)
+    frak_t0 = rel.hilbertize(w.t0)
+    _same(ext._cayley_graph(frak_t0), oracles.cayley_graph_by_span(frak_t0, tol))
+    # sample_witness's T0 is J T0_hilbert: J applied again, by the span route, gives it back
+    space = w.t0.src
+    back = oracles.hilbertize_by_span(rel.LinearRelation(space, space, frak_t0.graph), tol)
+    _same(w.t0.graph, back.graph)
+    dec = ext._sigma_parts(tri.parent, w.N, tol)
+    dom_n = rel.parts(w.N, tol).dom
+    assert ext._dom_n_neutrality(dec, dom_n, tol) == oracles.dom_n_neutrality_by_pinv(
+        dec, dom_n, tol)
+
+
+def _at_involution_cut(j0: np.ndarray, perturbation: np.ndarray, share: float) -> np.ndarray:
+    """j0 + eps * perturbation with max|J^2 - I| at `share` of make_krein's cut."""
+    eps = 1e-9
+    for _ in range(60):
+        j = j0 + eps * perturbation
+        cut = 1e-10 * (1 + np.linalg.norm(j)) ** 2
+        eps *= share * cut / np.abs(j @ j - np.eye(len(j))).max()
+    return j0 + eps * perturbation
+
+
+def test_hilbertize_keeps_its_dim_for_a_j_at_the_involution_cut():
+    # make_krein accepts J at 0.9 of its involution cut; the Gram check of
+    # [E; JD] holds there, at n = 96, for J scaled and for J nudged by a
+    # random Hermitian matrix
+    t = gen_symmetric(InstanceSpec(101, 96, (48, 48), 4))
+    w = gen.sample_witness(t, 102)
+    h = gen.random_complex(gen.rng_for(103, 0), 96, 96)
+    for nudge in (t.src.J, h + h.conj().T):
+        j = _at_involution_cut(t.src.J, nudge, 0.9)
+        space = krein.make_krein(j)
+        with pytest.raises(krein.NotAFundamentalSymmetryError, match="involution"):
+            krein.make_krein(_at_involution_cut(t.src.J, nudge, 1.1))
+        for r in (t, w.N, w.t0):
+            moved = rel.LinearRelation(space, space, r.graph)
+            _same(rel.hilbertize(moved).graph, oracles.hilbertize_by_span(moved, DEFAULT_TOL).graph)
+
+
+def test_parts_spans_each_part_when_read(monkeypatch):
+    t = gen_symmetric(InstanceSpec(16, 16, (8, 8), 4))
+    tplus = rel.adjoint(t, "krein")
+    ref = oracles.parts_by_span(tplus, DEFAULT_TOL)
+    calls = svd_calls(monkeypatch)
+    p = rel.parts(tplus)
+    assert not calls
+    assert p.dom is p.dom and len(calls) == 1
+    for name in ("dom", "ran", "ker", "mul"):
+        _same(getattr(p, name), ref[name])
+
+
+def test_the_signature_is_the_trace_count():
+    for n in range(1, 97):
+        rng = gen.rng_for(n, 5)
+        for p in sorted({0, n, int(rng.integers(0, n + 1))}):
+            j = gen.random_signature_symmetry(rng, p, n - p)
+            assert krein.make_krein(j).signature == oracles.signature_by_eigvalsh(j) == (p, n - p)
+
+
+def _holders(seed: int) -> list:
+    """One of each array-holding object of the package, from one seed."""
+    t = gen_symmetric(InstanceSpec(seed, 4, (2, 2), 2))
+    tri = gen_triple(t, seed)
+    w = gen.sample_witness(t, seed)
+    planted = planted_similar_triple(tri, gen_standard_unitary(seed, t.src, t.src), t.src)
+    v = sim.reconstruct_similarity(tri, planted)["V"]
+    return [tri, bnd.weyl(tri, 1j), bnd.pair_from_triple(tri), t, rel.parts(t), t.graph,
+            t.src, krein.doubled(t.src), w, ext._sigma_parts(t, w.N, DEFAULT_TOL), v]
+
+
+def test_array_holding_objects_compare_by_identity():
+    # two draws from one seed: equal arrays, distinct objects
+    for a, b in zip(_holders(41), _holders(41)):
+        assert dataclasses.is_dataclass(a) and type(a) is type(b)
+        assert (a == b) is False and (a == a) is True and (a != b) is True
+        assert len({a, b, a}) == 2
+
+
+def test_the_boundary_suite_samples_one_witness_a_trial(monkeypatch):
+    drawn = []
+    sample = gen.sample_witness
+
+    def counting(t, seed, tol=DEFAULT_TOL):
+        drawn.append(seed)
+        return sample(t, seed, tol)
+
+    monkeypatch.setattr(gen, "sample_witness", counting)
+    assert st.suite_boundary(3, 11).ok
+    assert len(drawn) == 3
