@@ -12,16 +12,16 @@ from .subspaces import Subspace, span, intersect, sum_, complement, image, preim
 from .krein import KreinSpace, DoubledKrein, make_krein, hilbert_space, doubled, \
     boundary_doubled, indefinite_gram, neutrality_rank
 from .relations import LinearRelation, RelationParts, from_operator, parts, \
-    is_operator, inverse, restrict, compose, shift, cw_sum, op_sum, operator_part, \
+    is_operator, inverse, restrict, compose, shift, cw_sum, op_sum, \
     adjoint, is_symmetric, is_selfadjoint, eigenspace, graph_eigenspace, \
-    spectral_probe, cayley, inverse_cayley, relation
+    spectral_probe, inverse_cayley
 from .extensions import NWitness, defect_numbers, n_class_check, extend, reduce, \
     prop_n_audit, delta_membership, O_membership, Os_membership, simple_check, \
     theorem_ex_check, lemma_exn_check
 from .boundary import BoundaryTriple, WeylValue, IsometricBoundaryPair, \
     validate_triple, weyl, gamma_field, transform, t_theta, pair_from_triple, \
     pair_isometry_check, DEFAULT_GRID
-from .similarity import BlockUnitary, v0, v0_operator_part, sigma_unitary_check, \
+from .similarity import BlockUnitary, v0_operator_part, sigma_unitary_check, \
     w_maps, membership_check, build_V_from_tau, build_standard_V, \
     weyl_equality_criterion, reconstruct_similarity, w_invariance_audit
 from .generators import InstanceSpec, gen_symmetric, gen_triple, \

@@ -6,7 +6,9 @@ Green identity's primary side.  Weyl values are relations in the
 boundary space first and matrices only when single-valued and
 everywhere defined.  A triple carries its tolerance policy, and every
 function of a triple or pair decides under `triple.tol` (`pair.tol`);
-only `validate_triple`, which builds a triple, takes a policy.
+only `validate_triple`, which builds a triple, takes a policy.  Spans take
+the policy's span rule; Gamma, Gamma0 on N_z and the restricted blocks its
+map rule.
 """
 
 from __future__ import annotations
@@ -178,21 +180,20 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     triple = BoundaryTriple(t, gamma, basis, tol)
     # the frame and rank of `sub.span(basis)`, from the triple's SVD of its basis
     u, s, _ = triple.basis_svd
-    rank = sub._rank(s, tol)
+    rank = tol.span_rank(s)
     if rank < m or not sub.equal(sub._trusted(2 * t.src.dim, u[:, :rank]),
                                  triple.tplus.graph, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
     # Gamma's singular values give its rank and its 2-norm; the basis's
     # 2-norm is its largest singular value
     sg = np.linalg.svd(gamma, compute_uv=False)
-    if sub._rank_rel(sg, tol) < 2 * d:
+    if tol.map_rank(sg) < 2 * d:
         raise TripleValidationError("boundary map is not surjective")
     res = green_residual(t.src, basis, gamma)
     if not tol.negligible(res, (1.0 + sg.max(initial=0.0)) * (1.0 + s.max(initial=0.0) ** 2)):
         raise TripleValidationError(f"Green identity violated: residual {res:.3e}")
 
-    if triple.n_rel.dim != d or min(np.linalg.matrix_rank(a, rtol=tol.rank_rel)
-                                    for a in (triple._a0, triple._a1)) < d:
+    if triple.n_rel.dim != d or min(tol.map_rank_of(a) for a in (triple._a0, triple._a1)) < d:
         raise TripleValidationError("restricted boundary block is singular")
     beta = triple.beta
     if not tol.negligible(np.linalg.norm(beta - beta.conj().T), 1 + np.linalg.norm(beta)):
@@ -209,8 +210,12 @@ def _defect_solve(triple: BoundaryTriple, z):
     (Gamma0 on N_z)^{-1} and the matrix M(z) = Gamma1 (Gamma0 on N_z)^{-1}, as
     (WeylValue, solver); the WeylValue spans M(z)'s graph from the boundary
     values when it is first read.  The one regularity rule: dim N_z = d and
-    Gamma0 on N_z is invertible under the triple's policy; otherwise M(z)'s
-    matrix and the solver are None.  The arrays are read-only; a z in the
+    Gamma0 on N_z has rank d by the policy's map rule, read off one
+    values-only SVD (vacuously at d = 0); otherwise M(z)'s matrix and the
+    solver are None.  The inverse is then an LU's: a values-only SVD plus an
+    LU took 0.6-0.8 of the time of an SVD with vectors and V S^{-1} U^H, per
+    block and per stack of 20, d = 1..16, one OpenBLAS thread.  The arrays are
+    read-only; a z in the
     triple's slot returns the same ones.  A list of points is solved in one
     pass of stacked calls, M(z)'s graphs included (the points already in the
     slot are kept), and replaces the slot with the walk's {z: solve}, which
@@ -221,16 +226,16 @@ def _defect_solve(triple: BoundaryTriple, z):
     hit = triple._solves.get(z)
     if hit is not None:
         return hit
-    d = triple.boundary_dim
-    frame = rel.graph_eigenspace(triple.tplus, z, triple.tol).graph.frame
+    d, tol = triple.boundary_dim, triple.tol
+    frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
     # N_z(T+) lies in T+, so its coordinates are read unchecked; a frame of the
     # wrong dim (a loose cut's extra direction) only makes z irregular below
     bvals = _read_only(triple.gamma_ambient @ frame)
     m = ghat = None
-    if frame.shape[1] == d and _gamma0_regular(triple, bvals[:d]):
+    if frame.shape[1] == d and tol.map_rank(np.linalg.svd(bvals[:d], compute_uv=False)) == d:
         inv0 = np.linalg.inv(bvals[:d])
         m, ghat = bvals[d:] @ inv0, frame @ inv0
-    solve = (WeylValue(z, _read_only(m), bvals, triple.boundary_space, triple.tol),
+    solve = (WeylValue(z, _read_only(m), bvals, triple.boundary_space, tol),
              _read_only(ghat))
     object.__setattr__(triple, "_solves", {z: solve})
     return solve
@@ -240,18 +245,6 @@ def _read_only(a: np.ndarray | None) -> np.ndarray | None:
     if a is not None:
         a.flags.writeable = False
     return a
-
-
-def _gamma0_regular(triple: BoundaryTriple, b0: np.ndarray):
-    """Whether Gamma0 on N_z, a d x d block or each block of a stack, is
-    invertible, from the values of one SVD: iff its smallest singular value
-    exceeds rank_rel times its largest, which is matrix_rank(rtol=rank_rel)
-    == d; at d = 0 it is, vacuously.  The inverse is then an LU's: a
-    values-only SVD plus an LU took 0.6-0.8 of the time of an SVD with vectors
-    and V S^{-1} U^H, per block and per stack of 20, d = 1..16, one OpenBLAS
-    thread."""
-    s = np.linalg.svd(b0, compute_uv=False)
-    return (s > triple.tol.rank_rel * s[..., :1]).all(axis=-1)
 
 
 def _solve_walk(triple: BoundaryTriple, walk: list) -> dict:
@@ -272,7 +265,7 @@ def _solve_stacked(triple: BoundaryTriple, points: list) -> dict:
     graphs = sub._stacked(lambda b: sub.span(b, tol), bvals)
     square = [i for i, f in enumerate(frames) if f.shape[1] == d]
     b = np.stack([bvals[i] for i in square]) if square else np.zeros((0, 2 * d, d))
-    regular = _gamma0_regular(triple, b[:, :d])
+    regular = tol.map_rank(np.linalg.svd(b[:, :d], compute_uv=False)) == d
     square, b = [i for i, r in zip(square, regular) if r], b[regular]
     inv0 = np.linalg.inv(b[:, :d])
     ghat = np.stack([frames[i] for i in square]) @ inv0 if square else []
@@ -477,7 +470,7 @@ def _pair_identities(report: dict, triple: BoundaryTriple, pts: list, gammas: di
     report["pairing"] = {(pts[a], z0): float(pairing[i, b])
                          for i, a in enumerate(rows) for b, z0 in enumerate(pts)}
     # (T1 - z)^{-1} = (T0 - z)^{-1} - gamma(z) M(z)^{-1} gamma(conj z)^* J
-    full = np.linalg.matrix_rank(m[rows], rtol=tol.rank_rel) == d
+    full = tol.map_rank_of(m[rows]) == d
     kn = [i for i, f in enumerate(full) if f]
     r1 = rel.resolvent_matrix(triple.t1, [pts[rows[i]] for i in kn], tol)
     kn = [(i, x) for i, x in zip(kn, r1) if x is not None]

@@ -35,9 +35,12 @@ def _policy(args) -> TolerancePolicy:
 
 def _parse_z(text: str) -> complex:
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        z = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise kio.DocumentError(f"cannot parse complex number {text!r}") from exc
+    if not np.isfinite(z):
+        raise kio.DocumentError(f"point {text!r} is not finite")
+    return z
 
 
 def _fmt_complex(z: complex) -> str:

@@ -5,7 +5,8 @@ neutral relation N inside T+ ∩ T-perp whose orthogonal sum with T is a
 hyper-maximal neutral subspace of the doubled space; extensions and
 their witnesses convert back and forth losslessly (the 1-1
 correspondence), and the audit functions re-derive every side condition
-independently.
+independently, each decided by a rule of the policy: the defect frames'
+rank by the map rule, the dom N formulas by the angle-equality rule.
 """
 
 from __future__ import annotations
@@ -128,9 +129,11 @@ def _sigma_parts(t: LinearRelation, n: LinearRelation,
     ni = defect_subspace(t, 1j, tol)
     nmi = defect_subspace(t, -1j, tol)
     fp, fm = ni.frame, nmi.frame
+    # [N_i, N_-i; iN_i, -iN_-i] has orthogonal columns of norm sqrt(2), as N_i
+    # and N_-i are orthonormal frames: a frame of M_hat, Gram-checked
     hil = hilbert_space(t.src.dim)
-    m_hat = rel.relation(hil, hil, np.vstack([np.hstack([fp, fm]),
-                                              np.hstack([1j * fp, -1j * fm])]), tol)
+    m_hat = LinearRelation(hil, hil, Subspace(2 * t.src.dim, np.vstack(
+        [np.hstack([fp, fm]), np.hstack([1j * fp, -1j * fm])]) / np.sqrt(2.0)))
     return SigmaDecomposition(
         sigma=sigma,
         n_part=n.graph,
@@ -207,7 +210,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
         "sigma_split": sub.equal(dec.sigma, sub.sum_(dec.n_part, dec.jn_part, tol), tol),
         "sigma_is_j_mhat": sub.equal(dec.sigma, j_mhat, tol),
         "dom_formula_distances": pair_dists,
-        "dom_formulas_ok": all(v <= tol.angle_tol for v in pair_dists.values()),
+        "dom_formulas_ok": all(tol.angle_equal(v) for v in pair_dists.values()),
     }
     report.update(_dom_n_neutrality(dec, dom_n, tol))
     report["ok"] = (report["counts_ok"] and report["t0_selfadjoint"]
@@ -231,7 +234,7 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     d1, d2 = fp.shape[1], fm.shape[1]
     # one SVD of phi decides its rank and gives its pseudo-inverse
     u, sv, vh = np.linalg.svd(np.hstack([fp, fm]), full_matrices=False)
-    if sub._rank_rel(sv, tol) < d1 + d2:
+    if tol.map_rank(sv) < d1 + d2:
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
     lift = sub._pinv(u, sv, vh) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)

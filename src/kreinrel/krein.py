@@ -36,10 +36,6 @@ class KreinSpace:
         j.flags.writeable = False
         object.__setattr__(self, "J", j)
 
-    @property
-    def is_hilbert(self) -> bool:
-        return self.signature[1] == 0
-
     def same_as(self, other: "KreinSpace") -> bool:
         return self is other or (
             self.dim == other.dim and np.allclose(self.J, other.J, rtol=0.0, atol=1e-12))

@@ -3,7 +3,8 @@
 A relation from (H1, J1) to (H2, J2) is a subspace of C^(n1+n2) with the
 first block holding domain components.  Everything is eager: sums,
 compositions, adjoints and resolvents all normalize back to orthonormal
-graph frames, so tolerances stay local to each operation.
+graph frames, so tolerances stay local to each operation.  Ranks, and with
+them regularity, are decided by the policy's span rule.
 """
 
 from __future__ import annotations
@@ -91,14 +92,6 @@ def _same_hosts(a: LinearRelation, b: LinearRelation):
         raise HostMismatchError("relations have different host spaces")
 
 
-def relation(src: KreinSpace, tgt: KreinSpace, vectors,
-             tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """Relation from a list of graph vectors (dom block stacked over ran block)."""
-    if isinstance(vectors, Subspace):
-        return LinearRelation(src, tgt, vectors)
-    return LinearRelation(src, tgt, sub.span(vectors, tol))
-
-
 def zero_relation(src: KreinSpace, tgt: KreinSpace) -> LinearRelation:
     return LinearRelation(src, tgt, sub.trivial(src.dim + tgt.dim))
 
@@ -171,7 +164,7 @@ def cw_sum(a: LinearRelation, b: LinearRelation,
     _same_hosts(a, b)
     total = LinearRelation(a.src, a.tgt, sub.sum_(a.graph, b.graph, tol))
     g = a.graph.frame.conj().T @ b.graph.frame
-    orthogonal = float(np.abs(g).max(initial=0.0)) <= tol.angle_tol
+    orthogonal = tol.angle_equal(float(np.abs(g).max(initial=0.0)))
     return total, orthogonal
 
 
@@ -185,13 +178,6 @@ def op_sum(a: LinearRelation, b: LinearRelation,
     x, y = k.frame[: a.dim, :], k.frame[a.dim :, :]
     cols = np.vstack([ea @ x, da @ x + db @ y])
     return LinearRelation(a.src, a.tgt, sub.span(cols, tol))
-
-
-def operator_part(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
-    """T ∩ (H x mul(T)^perp), so that T = operator_part ⊕ ({0} x mul T)."""
-    mul = parts(t, tol).mul
-    cage = sub.product(sub.full(t.src.dim), sub.complement(mul))
-    return LinearRelation(t.src, t.tgt, sub.intersect(t.graph, cage, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +259,7 @@ def spectral_probe(t: LinearRelation, z: complex,
 def resolvent_matrix(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     """(T - z)^{-1} = E (D - zE)^{-1} = E V S^{-1} U^H from one SVD of D - zE,
     which also decides regularity by `spectral_probe`'s rule: t.dim = n and
-    the smallest singular value above tol.rank_cut of the largest.  A
+    D - zE of full rank by the policy's span rule.  A
     list of points gives the list of the resolvents from one stacked SVD,
     None at each point that is not regular."""
     e, d = t.blocks()
@@ -283,14 +269,14 @@ def resolvent_matrix(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
         if t.dim != t.src.dim or not len(zs):
             return out
         u, s, vh = np.linalg.svd(d - zs[:, None, None] * e)
-        ok = [i for i, si in enumerate(s) if not (si.size and si[-1] <= tol.rank_cut(si[0]))]
+        ok = list(np.flatnonzero(tol.span_rank(s) == s.shape[-1]))
         if ok:
             vs = vh[ok].conj().transpose(0, 2, 1) / s[ok, None, :]
             for i, r in zip(ok, e @ vs @ u[ok].conj().transpose(0, 2, 1)):
                 out[i] = r
         return out
     u, s, vh = np.linalg.svd(d - z * e)
-    if t.dim != t.src.dim or (s.size and s[-1] <= tol.rank_cut(s[0])):
+    if t.dim != t.src.dim or tol.span_rank(s) < s.size:
         raise NotRegularError(f"z={z} is not a regular point")
     return e @ (vh.conj().T / s) @ u.conj().T
 
@@ -306,18 +292,6 @@ def hilbertize(t: LinearRelation) -> LinearRelation:
     h = hilbert_space(t.src.dim)
     e, d = t.blocks()
     return LinearRelation(h, h, Subspace(t.graph.ambient_dim, np.vstack([e, t.src.J @ d])))
-
-
-def cayley(t0: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Unitary Cayley transform {(f' + if, f' - if)} of a Hilbert self-adjoint T0."""
-    if not t0.src.is_hilbert or not is_selfadjoint(t0, tol):
-        raise ValueError("Cayley transform needs a Hilbert-metric self-adjoint relation")
-    e, d = t0.blocks()
-    top = d + 1j * e
-    bottom = d - 1j * e
-    if t0.dim != t0.src.dim or np.linalg.matrix_rank(top, rtol=tol.rank_rel) < t0.src.dim:
-        raise NotRegularError("graph does not parametrize a unitary")
-    return bottom @ np.linalg.inv(top)
 
 
 def inverse_cayley(c, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:

@@ -1,12 +1,15 @@
 """Solutions V of Gamma' = Gamma V^{-1} and the similarity reconstruction.
 
-The composition relation V0 and its operator part tie two boundary
-triples over a shared boundary space together; standard-unitary
-solutions are assembled blockwise from a graph isomorphism tau, a free
-coupling sigma and a Hermitian parameter Theta, and the reconstruction
-recovers the similarity of two triples from matching Weyl families on a
-symmetric grid and beside T0's poles.  Two triples decide under the policy
-they share; under different policies they raise `PolicyMismatchError`.
+The operator part of the composition relation V0, from the inverse-boundary
+formula, ties two boundary triples over a shared boundary space together;
+standard-unitary solutions are assembled blockwise from a graph isomorphism
+tau, a free coupling sigma and a Hermitian parameter Theta, and the
+reconstruction recovers the similarity of two triples from matching Weyl
+families on a symmetric grid and beside T0's poles.  Two triples decide
+under the policy they share, by its rules: invertibility by the map rule,
+minimality by the span rule, membership and the Weyl comparison by the
+angle-equality rule; under different policies they raise
+`PolicyMismatchError`.
 """
 
 from __future__ import annotations
@@ -95,19 +98,6 @@ def _check_compatible(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> Tol
     return shared_tol(triple_a, triple_b)
 
 
-def v0(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> LinearRelation:
-    """The composition relation of the two boundary maps, K -> K'."""
-    tol = _check_compatible(triple_a, triple_b)
-    ga, gb = triple_a.gamma, triple_b.gamma
-    k = sub.kernel(np.hstack([ga, -gb]), ga.shape[1] + gb.shape[1], tol)
-    x = k.frame[: ga.shape[1], :]
-    y = k.frame[ga.shape[1] :, :]
-    cols = np.vstack([triple_a.basis @ x, triple_b.basis @ y])
-    ksrc = doubled(triple_a.space).krein
-    ktgt = doubled(triple_b.space).krein
-    return LinearRelation(ksrc, ktgt, sub.span(cols, tol))
-
-
 def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
     """(V0)_s = Gamma'^{-1} Gamma by the inverse-boundary formula, as a
     matrix on T+ (zero on the Euclidean complement)."""
@@ -179,22 +169,22 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
     """Whether Gamma' = Gamma V^{-1} holds, as a relation identity.
 
     "angle" is the largest principal angle between the graphs of Gamma V^{-1}
-    and Gamma' (+inf when their dimensions differ); "member" is angle <=
-    angle_tol.  An operator V (a BlockUnitary or a matrix on K) maps Gamma's
-    graph under diag(V, I); a LinearRelation V, whose domain may be less
-    than K, is composed as a relation.  For operator inputs whose domain
-    covers ker Gamma the displayed range criterion is evaluated as well and
-    the two routes compared.
+    and Gamma' (+inf when their dimensions differ); "member" is that angle
+    under the policy's angle-equality rule.  An operator V (a BlockUnitary or
+    a matrix on K) maps Gamma's graph under diag(V, I); a LinearRelation V,
+    whose domain may be less than K, is composed as a relation.  For operator
+    inputs whose domain covers ker Gamma the displayed range criterion is
+    evaluated as well and the two routes compared.
     """
     tol = shared_tol(triple_a, triple_b)
     if isinstance(v, LinearRelation):
         composed = rel.compose(gamma_relation(triple_a), rel.inverse(v), tol)
         angle = sub.distance(composed.graph, triple_b.gamma_graph)
-        return {"member": angle <= tol.angle_tol, "angle": angle,
+        return {"member": tol.angle_equal(angle), "angle": angle,
                 "lemma_e": None, "routes_agree": None}
     vm = _v_matrix(v, triple_a, triple_b)
     angle = _gamma_angle(vm, triple_a, triple_b, tol)
-    member = angle <= tol.angle_tol
+    member = tol.angle_equal(angle)
     vs_full = v0_operator_part(triple_a, triple_b)
     ran_diff = sub.span((vs_full - vm) @ triple_a.tplus.graph.frame, tol)
     vs_image = sub.image(vm, triple_a.parent.graph, tol)
@@ -215,7 +205,7 @@ def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau) ->
     dt_b = triple_b.parent.dim
     tau = as_matrix(tau, rows=dt_b, cols=dt_a) if dt_a and dt_b else \
         np.zeros((dt_b, dt_a), dtype=np.complex128)
-    if np.linalg.matrix_rank(tau, rtol=tol.rank_rel) < dt_b:
+    if tol.map_rank_of(tau) < dt_b:
         raise BuildError("tau is not surjective onto T'")
     vs_full = v0_operator_part(triple_a, triple_b)
     m = vs_full + triple_b.ft @ tau @ triple_a.ft.conj().T
@@ -242,7 +232,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         raise BuildError("no homeomorphism between graphs of different dimension")
     dt = dt_a
     tau = as_matrix(tau, rows=dt, cols=dt) if dt else np.zeros((0, 0), np.complex128)
-    if np.linalg.matrix_rank(tau, rtol=tol.rank_rel) < dt:
+    if tol.map_rank_of(tau) < dt:
         raise BuildError("tau is not a homeomorphism")
     theta = (np.zeros((dt, dt), np.complex128) if theta is None
              else as_matrix(theta, rows=dt, cols=dt))
@@ -263,7 +253,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     b_coords[:dt, :dt] = tau.conj().T
     b_coords[dt:, :dt] = sigma.conj().T
     b_coords[dt:, dt:] = np.linalg.inv(w0) if d else w0
-    if np.linalg.matrix_rank(b_coords, rtol=tol.rank_rel) < n:
+    if tol.map_rank_of(b_coords) < n:
         raise BuildError("assembled B block is singular")
     e_coords = np.zeros((n, n), dtype=np.complex128)
     e_coords[:dt, :dt] = theta
@@ -425,7 +415,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                 _defect_solve(triple_b, [w for w, _ in points[1:]])
             wa, wb = weyl(triple_a, z), weyl(triple_b, z)
             gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
-            if gap > tol.angle_tol:
+            if tol.angle_differs(gap):
                 return {"status": "witness", "z": z, "discrepancy": min(gap, np.pi / 2)}
             if wa.operator_form is not None and wb.operator_form is not None:
                 omega.append(z)
@@ -439,7 +429,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     # minimality by the span rule; unit_res and the final identity settle the
     # planted side.  The SVD that decides the rank gives the pseudo-inverse.
     hull = np.linalg.svd(np.hstack(g_blocks), full_matrices=False)
-    rank = sub._rank(hull[1], tol)
+    rank = tol.span_rank(hull[1])
     if rank < n:
         # z0 + 1/(mu + delta) is beside the pole z0 + 1/mu; |delta| undoes gamma's growth there
         try:
@@ -452,7 +442,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         size = np.where(size > tol.rank_cut(scale), size, 0.1 * scale)
         found = walk(list(zip(map(complex, omega[0] + 1 / (mu + size * np.exp(0.7j))), size)))
         hull = np.linalg.svd(np.hstack(g_blocks), full_matrices=False)
-        rank = sub._rank(hull[1], tol)
+        rank = tol.span_rank(hull[1])
     if found or rank < n:
         return found or violation("defect subspaces over the grid and beside T0's poles "
                                   f"are not minimal (rank {rank} < {n})")
@@ -464,7 +454,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     # U~ T = T' and U gamma(z) = gamma'(z)) but N', read off triple_b's own cut.
     ut = _utilde(u)
     gamma_res = _gamma_angle(ut, triple_a, triple_b, tol)
-    if gamma_res > tol.angle_tol:
+    if tol.angle_differs(gamma_res):
         return violation(f"final boundary identity off by {gamma_res:.3e}")
     if triple_b.n_rel.dim != triple_a.n_rel.dim:
         return violation(f"dim N' = {triple_b.n_rel.dim} differs from dim N = {triple_a.n_rel.dim}")
@@ -480,7 +470,7 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     v11 = xb.conj().T @ (ut @ xa)
     v21 = yb.conj().T @ (ut @ xa)
     theta_c = coupling_c = None
-    if np.linalg.matrix_rank(v11, rtol=tol.rank_rel) == v11.shape[0]:
+    if tol.map_rank_of(v11) == v11.shape[0]:
         e_cand = -1j * (v21 @ np.linalg.inv(v11))
         e_cand = (e_cand + e_cand.conj().T) / 2.0
         theta_c, coupling_c = e_cand[:dt, :dt], e_cand[:dt, dt:]

@@ -3,16 +3,18 @@
 Every subspace is stored as an orthonormal column frame obtained from an
 SVD or a Householder QR; the trivial subspace is a zero-column frame.  All
 comparisons are quantitative: equality, containment and intersection read
-principal angles off projection residuals F_A - F_B F_B^H F_A (`intersect`
-keeps the smaller frame's directions with sin θ <= rank_cut(1.0)).  Frames
-are read-only.  A caller's frame is copied, Gram-checked (defect <= 1e-8) and
-orthonormalized past roundoff; frames this module computes from an SVD
-or a Householder QR are orthonormal to roundoff and skip that check.
+principal angles off projection residuals F_A - F_B F_B^H F_A, and each
+decision is a `TolerancePolicy` rule: the span rule for ranks, the
+intersection rule for `intersect`, the angle-equality rule for `equal` and
+`contains`.  Frames are read-only.  A caller's frame is copied, Gram-checked
+(defect <= 1e-8) and orthonormalized past roundoff; frames this module
+computes from an SVD or a Householder QR are orthonormal to roundoff and
+skip that check.
 
 `span` and `kernel` also take a stack (k, rows, cols) of matrices and return
 the list of the k subspaces from stacked LAPACK calls, each item decided by
-the rule and giving the frame of its own 2-D call; a 2-D matrix keeps the
-unstacked path.
+the span rule and giving the frame of its own 2-D call; a 2-D matrix keeps
+the unstacked path.
 """
 
 from __future__ import annotations
@@ -73,18 +75,6 @@ def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
     return s
 
 
-def _rank(s: np.ndarray, tol: TolerancePolicy) -> int:
-    """The span rule: the number of singular values above tol.rank_cut of the
-    largest (0 for none)."""
-    return int(np.sum(s > tol.rank_cut(s[0]))) if s.size else 0
-
-
-def _rank_rel(s: np.ndarray, tol: TolerancePolicy) -> int:
-    """`np.linalg.matrix_rank(rtol=tol.rank_rel)`'s rule on singular values:
-    those above rank_rel times the largest, with no absolute floor."""
-    return int(np.sum(s > tol.rank_rel * s[:1]))
-
-
 def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """V S^-1 U^H from a reduced SVD, by `np.linalg.pinv`'s default cut: 1/s
     is 0 where s <= 1e-15 times the largest."""
@@ -93,14 +83,14 @@ def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
 
 
 def _orth(columns: np.ndarray, tol: TolerancePolicy):
-    """Orthonormal basis of the column span, rank cut on singular values; the
+    """Orthonormal basis of the column span, ranked by the span rule; the
     list of the bases of each matrix of a stack."""
     if columns.size == 0:
         return np.zeros((*columns.shape[:-1], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     if columns.ndim == 2:
-        return u[:, :_rank(s, tol)]
-    return [ui[:, :_rank(si, tol)] for ui, si in zip(u, s)]
+        return u[:, :tol.span_rank(s)]
+    return [ui[:, :r] for ui, r in zip(u, tol.span_rank(s))]
 
 
 def _as_stack(entries) -> np.ndarray:
@@ -176,14 +166,14 @@ def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> S
     """A ∩ B from one reduced SVD of the smaller frame's projection residual.
 
     R = F_A - F_B F_B^H F_A has the sines of A's principal angles to B as
-    singular values.  The directions F_A v with sin θ <= tol.rank_cut(1.0),
-    a rule on the angle alone, span A ∩ B, orthonormally since F_A is.
+    singular values.  The directions F_A v that the policy's intersection rule
+    (`apart`), a rule on the angle alone, does not set apart span A ∩ B,
+    orthonormally since F_A is.
     """
     _check_same_ambient(a, b)
     a, b = (a, b) if a.dim <= b.dim else (b, a)
     _, s, vh = np.linalg.svd(a.frame - b.frame @ b.coords(a.frame), full_matrices=False)
-    apart = int(np.sum(s > tol.rank_cut(1.0)))
-    return _trusted(a.ambient_dim, a.frame @ vh[apart:].conj().T)
+    return _trusted(a.ambient_dim, a.frame @ vh[tol.apart(s):].conj().T)
 
 
 def _meet_complement(a: Subspace, t: Subspace, tol: TolerancePolicy) -> Subspace:
@@ -192,24 +182,23 @@ def _meet_complement(a: Subspace, t: Subspace, tol: TolerancePolicy) -> Subspace
 
     F_T^H F_A has the cosines of A's principal angles to T, which are the
     sines of its angles to T-perp, as singular values; the right singular
-    vectors past the first dim T have sine 0.  The directions F_A v with
-    sin θ <= tol.rank_cut(1.0) span A ∩ T-perp, as `intersect(a,
-    complement(t))` finds them whenever dim A <= dim T-perp.
+    vectors past the first dim T have sine 0.  The directions F_A v that the
+    intersection rule keeps span A ∩ T-perp, as `intersect(a, complement(t))`
+    finds them whenever dim A <= dim T-perp.
     """
     _check_same_ambient(a, t)
     _, s, vh = np.linalg.svd(t.coords(a.frame), full_matrices=True)
-    apart = int(np.sum(s > tol.rank_cut(1.0)))
-    return _trusted(a.ambient_dim, a.frame @ vh[apart:].conj().T)
+    return _trusted(a.ambient_dim, a.frame @ vh[tol.apart(s):].conj().T)
 
 
 def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     """Null space of a matrix as a Subspace of its column ambient.
 
-    The rank is the number of singular values above tol.rank_cut of the
-    largest, and the frame comes from an SVD or a Householder QR.  A wide m
-    with at least _QR_MIN_ROWS rows is first factored as m^H = QR: m has the
-    singular values of the square block R[:rows], and when all of them pass
-    the cut, Q's trailing cols - rows columns span ker m.  A rank-deficient m
+    The rank is the policy's span rule, and the frame comes from an SVD or a
+    Householder QR.  A wide m with at least _QR_MIN_ROWS rows is first
+    factored as m^H = QR: m has the singular values of the square block
+    R[:rows], and when the rule gives them full rank, Q's trailing
+    cols - rows columns span ker m.  A rank-deficient m
     and every other shape take the right singular vectors of a full SVD.
     A stack (k, rows, cols) gives the list of the k null spaces: one stacked
     QR and values-only SVD, then one stacked full SVD of the items that are
@@ -227,10 +216,10 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     if _QR_MIN_ROWS <= rows < n:
         q, r = np.linalg.qr(m.conj().T, mode="complete")
         s = np.linalg.svd(r[:rows], compute_uv=False)
-        if s[-1] > tol.rank_cut(s[0]):
+        if tol.span_rank(s) == rows:
             return _trusted(n, q[:, rows:])
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return _trusted(n, vh[_rank(s, tol):].conj().T)
+    return _trusted(n, vh[tol.span_rank(s):].conj().T)
 
 
 def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]:
@@ -243,14 +232,13 @@ def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]
     if _QR_MIN_ROWS <= rows < n:
         q, r = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="complete")
         s = np.linalg.svd(r[:, :rows], compute_uv=False)
-        for i, si in enumerate(s):
-            if si[-1] > tol.rank_cut(si[0]):
-                out[i] = _trusted(n, q[i][:, rows:])
+        for i in np.flatnonzero(tol.span_rank(s) == rows):
+            out[i] = _trusted(n, q[i][:, rows:])
     rest = [i for i, f in enumerate(out) if f is None]
     if rest:
         _, s, vh = np.linalg.svd(m[rest], full_matrices=True)
-        for i, si, vhi in zip(rest, s, vh):
-            out[i] = _trusted(n, vhi[_rank(si, tol):].conj().T)
+        for i, r, vhi in zip(rest, tol.span_rank(s), vh):
+            out[i] = _trusted(n, vhi[r:].conj().T)
     return out
 
 
@@ -295,10 +283,10 @@ def distance(a: Subspace, b: Subspace) -> float:
 
 def equal(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     _check_same_ambient(a, b)
-    return a.dim == b.dim and _angle(a, b) <= tol.angle_tol
+    return a.dim == b.dim and tol.angle_equal(_angle(a, b))
 
 
 def contains(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Whether B is a subset of A, by the same angle rule as `equal`."""
     _check_same_ambient(a, b)
-    return _angle(a, b) <= tol.angle_tol
+    return tol.angle_equal(_angle(a, b))

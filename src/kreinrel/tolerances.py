@@ -13,9 +13,15 @@ class DimensionMismatchError(ValueError):
     """Operands live in incompatible ambient spaces."""
 
 
+def _count(mask: np.ndarray):
+    """True entries along the last axis, an int for a 1-D mask."""
+    return int(np.count_nonzero(mask)) if mask.ndim == 1 else np.count_nonzero(mask, axis=-1)
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds for rank decisions and subspace comparisons.
+    """Thresholds for rank decisions and subspace comparisons, and the only
+    code that reads them: every decision calls one of the rules below.
 
     rank_rel: relative singular-value cutoff (scaled by the largest
         singular value), must stay at or above machine epsilon.
@@ -23,6 +29,9 @@ class TolerancePolicy:
     angle_tol: largest principal angle, in radians (at most pi/2), at which
         two subspaces still count as equal; `negligible` applies the same
         cut to the relative residual of every identity, neutrality included.
+
+    The rank rules take singular values already computed, in descending
+    order: a 1-D array gives an int, a stack along the last axis an array.
     """
 
     rank_rel: float = 1e-10
@@ -35,8 +44,35 @@ class TolerancePolicy:
         if self.rank_rel < _EPS or self.angle_tol > np.pi / 2:
             raise ValueError("rank_rel must be at least machine epsilon, angle_tol at most pi/2")
 
-    def rank_cut(self, largest_sv: float) -> float:
-        return max(self.rank_abs, self.rank_rel * largest_sv)
+    def rank_cut(self, largest_sv):
+        return np.fmax(self.rank_abs, self.rank_rel * largest_sv)
+
+    def span_rank(self, s: np.ndarray):
+        """The span rule, for spans, kernels and regularity: the number of s
+        above rank_cut of the largest."""
+        return _count(s > self.rank_cut(s[..., :1]))
+
+    def map_rank(self, s: np.ndarray):
+        """The map rule, for the rank of a map: the number of s above rank_rel
+        times the largest, with no absolute floor."""
+        return _count(s > self.rank_rel * s[..., :1])
+
+    def map_rank_of(self, m: np.ndarray):
+        """The map rule on a matrix, or on each of a stack."""
+        return np.linalg.matrix_rank(m, rtol=self.rank_rel)
+
+    def apart(self, sines: np.ndarray):
+        """The intersection rule: the number of principal-angle sines above
+        rank_cut(1.0), the directions outside the intersection."""
+        return _count(sines > self.rank_cut(1.0))
+
+    def angle_equal(self, theta):
+        """The angle-equality rule: theta <= angle_tol."""
+        return theta <= self.angle_tol
+
+    def angle_differs(self, theta):
+        """theta > angle_tol: a NaN angle neither differs nor is equal."""
+        return theta > self.angle_tol
 
     def negligible(self, residual, scale):
         return residual <= self.angle_tol * scale

@@ -4,6 +4,7 @@ import pytest
 import kreinrel as kr
 from kreinrel import boundary as bnd, relations as rel
 from kreinrel.tolerances import DEFAULT_TOL
+from oracles import relation
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +12,7 @@ def c4():
     """The flip-symmetry C^4 instance with its boundary triple."""
     j = np.fliplr(np.eye(4)).astype(np.complex128)
     space = kr.make_krein(j)
-    t = kr.relation(space, space, [[1, 0, 0, 0, 0, 1, 0, 0]])
+    t = relation(space, space, [[1, 0, 0, 0, 0, 1, 0, 0]])
     basis = np.zeros((8, 7), dtype=np.complex128)
     for k in range(7):
         basis[k, k] = 1
@@ -40,8 +41,8 @@ def c4_false_n(c4):
     w = 2.0 * np.eye(fp.shape[1])
     graph = np.vstack([fp + fm @ w, space.J @ (1j * fp - 1j * fm @ w)])
     return {
-        "sigma": kr.relation(space, space, sub.span(np.hstack([tri.fn, tri.fjn]))),
-        "non-isometric": kr.relation(space, space, sub.span(graph)),
+        "sigma": relation(space, space, sub.span(np.hstack([tri.fn, tri.fjn]))),
+        "non-isometric": relation(space, space, sub.span(graph)),
     }
 
 
@@ -58,7 +59,7 @@ def t2_plus_point():
     cols = np.zeros((6, 2), dtype=np.complex128)
     cols[:2, :1], cols[3:5, :1] = e, d
     cols[2, 1], cols[5, 1] = 1.0, 0.7
-    return gen_triple(kr.relation(space, space, cols), 11)
+    return gen_triple(relation(space, space, cols), 11)
 
 
 def c4_weyl_matrix(z: complex) -> np.ndarray:

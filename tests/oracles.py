@@ -12,7 +12,11 @@ intersecting a graph with a cage around the graph of zI, A ∩ T-perp by
 intersecting with T's complement, spans over a triple's basis coordinates
 from the 2n-row products, `np.linalg.pinv`, the SVD spans of unitary images
 of frames, the eager parts of a relation, the signature from `eigvalsh`, and
-the rank-then-pinv lift of dom N.
+the rank-then-pinv lift of dom N.  Four references the package no longer
+holds live here too: the relation V0, the canonical operator part of a
+relation, the forward Cayley transform and the relation spanned by a list of
+graph vectors.  So do the decision expressions that `TolerancePolicy`'s rules
+replaced, written out against the policy's fields, and the SVD span of M_hat.
 """
 
 from fractions import Fraction
@@ -195,12 +199,55 @@ def adjoint_by_complement(t, metric: str = "krein"):
     return rel.LinearRelation(t.tgt, t.src, sub.image(jj, star))
 
 
+def v0(triple_a, triple_b):
+    """The composition relation of the two boundary maps, K -> K'."""
+    from kreinrel import krein, relations as rel, subspaces as sub
+
+    tol = triple_a.tol
+    ga, gb = triple_a.gamma, triple_b.gamma
+    k = sub.kernel(np.hstack([ga, -gb]), ga.shape[1] + gb.shape[1], tol)
+    x, y = k.frame[: ga.shape[1], :], k.frame[ga.shape[1] :, :]
+    cols = np.vstack([triple_a.basis @ x, triple_b.basis @ y])
+    return rel.LinearRelation(krein.doubled(triple_a.space).krein,
+                              krein.doubled(triple_b.space).krein, sub.span(cols, tol))
+
+
+def operator_part(t, tol):
+    """T ∩ (H x mul(T)^perp), so that T = operator_part ⊕ ({0} x mul T)."""
+    from kreinrel import relations as rel, subspaces as sub
+
+    cage = sub.product(sub.full(t.src.dim), sub.complement(rel.parts(t, tol).mul))
+    return rel.LinearRelation(t.src, t.tgt, sub.intersect(t.graph, cage, tol))
+
+
+def cayley(t0, tol):
+    """Unitary Cayley transform {(f' + if, f' - if)} of a Hilbert self-adjoint
+    T0, invertible by matrix_rank(rtol=rank_rel)."""
+    from kreinrel import relations as rel
+
+    if t0.src.signature[1] or not rel.is_selfadjoint(t0, tol):
+        raise ValueError("Cayley transform needs a Hilbert-metric self-adjoint relation")
+    e, d = t0.blocks()
+    top = d + 1j * e
+    if t0.dim != t0.src.dim or np.linalg.matrix_rank(top, rtol=tol.rank_rel) < t0.src.dim:
+        raise rel.NotRegularError("graph does not parametrize a unitary")
+    return (d - 1j * e) @ np.linalg.inv(top)
+
+
+def relation(src, tgt, vectors, tol=None):
+    """Relation from graph vectors (dom block stacked over ran block) or a Subspace."""
+    from kreinrel import relations as rel, subspaces as sub
+    from kreinrel.tolerances import DEFAULT_TOL
+
+    if isinstance(vectors, sub.Subspace):
+        return rel.LinearRelation(src, tgt, vectors)
+    return rel.LinearRelation(src, tgt, sub.span(vectors, tol or DEFAULT_TOL))
+
+
 def v0_operator_part_by_relation(triple_a, triple_b):
     """(V0)_s by the canonical route: the operator part of the relation V0,
     read off its graph frame [E; D] as D pinv(E), which vanishes off T+."""
-    from kreinrel import relations as rel, similarity as sim
-
-    e, d = rel.operator_part(sim.v0(triple_a, triple_b)).blocks()
+    e, d = operator_part(v0(triple_a, triple_b), triple_a.tol).blocks()
     return d @ np.linalg.pinv(e)
 
 
@@ -315,6 +362,53 @@ def dom_n_neutrality_by_pinv(dec, dom_n, tol) -> dict:
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
     flags = krein.neutrality_rank(krein.KreinSpace(d1 + d2, s, (d1, d2)), sub.span(lift, tol), tol)
     return {"dom_n_hyper_maximal": bool(flags["hyper_maximal"]), "m_degenerate": False}
+
+
+def m_hat_by_span(fp, fm, tol):
+    """M_hat = span [N_i, N_-i; iN_i, -iN_-i] in the Hilbert doubled space, by an
+    SVD span with its rank cut."""
+    from kreinrel import krein
+
+    hil = krein.hilbert_space(fp.shape[0])
+    return relation(hil, hil, np.vstack([np.hstack([fp, fm]),
+                                         np.hstack([1j * fp, -1j * fm])]), tol)
+
+
+# The decision expressions `TolerancePolicy`'s rules replaced, as they stood
+# at their sites, on singular values (descending) or angles.
+
+def span_rank_by_cut(s, tol) -> int:
+    """`subspaces._rank`: the singular values above rank_cut of the largest."""
+    return int(np.sum(s > tol.rank_cut(s[0]))) if s.size else 0
+
+
+def map_rank_by_rtol(s, tol) -> int:
+    """`subspaces._rank_rel`: matrix_rank(rtol=rank_rel)'s rule on values."""
+    return int(np.sum(s > tol.rank_rel * s[:1]))
+
+
+def full_rank_by_last(s, tol) -> bool:
+    """The QR route's full-rank test of `kernel`: the smallest value passes."""
+    return bool(s[-1] > tol.rank_cut(s[0]))
+
+
+def regular_by_last(s, tol) -> bool:
+    """`resolvent_matrix`'s regularity, given t.dim = n."""
+    return not (s.size and s[-1] <= tol.rank_cut(s[0]))
+
+
+def gamma0_regular_by_all(s, tol):
+    """`boundary._gamma0_regular` on the values of Gamma0's SVD, or a stack."""
+    return (s > tol.rank_rel * s[..., :1]).all(axis=-1)
+
+
+def apart_by_cut(sines, tol) -> int:
+    """`intersect` and `_meet_complement`: the sines above rank_cut(1.0)."""
+    return int(np.sum(sines > tol.rank_cut(1.0)))
+
+
+def angle_equal_by_cut(theta, tol):
+    return theta <= tol.angle_tol
 
 
 def encode_complex(z: complex) -> list:

@@ -15,7 +15,7 @@ from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetri
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 from conftest import c4_weyl_matrix, svd_calls, under
-from oracles import weyl_gamma_by_svd
+from oracles import relation, weyl_gamma_by_svd
 
 
 def test_validate_c4(c4):
@@ -496,9 +496,9 @@ def test_transform_rejects_non_unitary(c4):
 def test_t_theta_special_cases(c4):
     tri = c4["triple"]
     lspace = tri.boundary_space
-    zero_times_l = kr.relation(lspace, lspace, sub.product(sub.trivial(3), sub.full(3)))
+    zero_times_l = relation(lspace, lspace, sub.product(sub.trivial(3), sub.full(3)))
     assert sub.equal(bnd.t_theta(tri, zero_times_l).graph, tri.t0.graph)
-    l_times_zero = kr.relation(lspace, lspace, sub.product(sub.full(3), sub.trivial(3)))
+    l_times_zero = relation(lspace, lspace, sub.product(sub.full(3), sub.trivial(3)))
     assert sub.equal(bnd.t_theta(tri, l_times_zero).graph, tri.t1.graph)
 
 
@@ -531,7 +531,7 @@ def test_pair_isometry_flags(c4):
 
     broken = bnd.IsometricBoundaryPair(
         tri.boundary_dim,
-        kr.relation(krein.doubled(tri.space).krein, krein.boundary_doubled(3).krein,
+        relation(krein.doubled(tri.space).krein, krein.boundary_doubled(3).krein,
                     sub.span(np.vstack([tri.basis,
                                         np.vstack([tri.gamma[:3] * 0, tri.gamma[3:]])]))),
         full.a_star, full.kernel, full.tol)

@@ -6,6 +6,7 @@ import pytest
 import kreinrel as kr
 from kreinrel import boundary as bnd, extensions as ext, generators as gen, \
     relations as rel, similarity as sim, subspaces as sub
+from oracles import cayley
 
 
 def test_zero_relation_full_defect_pipeline():
@@ -39,7 +40,7 @@ def test_cayley_defect_bijection():
     t = gen.gen_symmetric(gen.InstanceSpec(13, 4, (2, 2), 2))
     w = gen.sample_witness(t, 14)
     frak_t0 = rel.hilbertize(w.t0)
-    c = rel.cayley(frak_t0)
+    c = cayley(frak_t0, kr.DEFAULT_TOL)
     ni = ext.defect_subspace(t, 1j)
     nmi = ext.defect_subspace(t, -1j)
     assert sub.equal(sub.image(c, ni), nmi)

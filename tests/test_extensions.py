@@ -6,6 +6,8 @@ from kreinrel import extensions as ext, krein, relations as rel, subspaces as su
 from kreinrel.boundary import DEFAULT_GRID
 from kreinrel.generators import (InstanceSpec, gen_symmetric, random_complex,
                                  rng_for, sample_witness)
+from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
+from oracles import m_hat_by_span, relation
 
 
 def brute_defect(t, z):
@@ -29,7 +31,7 @@ def test_defects_c4(c4):
 
 def test_defects_c2_shift_operator():
     space = krein.hilbert_space(2)
-    t = kr.relation(space, space, [[1, 0, 0, 1]])
+    t = relation(space, space, [[1, 0, 0, 1]])
     assert ext.defect_numbers(t) == (1, 1)
     # brute-force kernel count: (JT)* = T* here, defect = dim ker(T* -/+ i)
     tstar = rel.adjoint(t, "hilbert")
@@ -49,7 +51,7 @@ def test_n_class_rejects_t_itself(c4):
 
 def test_n_class_accepts_jn_as_other_kernel(c4):
     # J_hat(N) is the witness of the other distinguished extension T1
-    jn = kr.relation(c4["space"], c4["space"], sub.span(c4["triple"].fjn))
+    jn = relation(c4["space"], c4["space"], sub.span(c4["triple"].fjn))
     w = ext.n_class_check(c4["T"], jn)
     assert sub.equal(w.t0.graph, c4["triple"].t1.graph)
 
@@ -57,11 +59,11 @@ def test_n_class_accepts_jn_as_other_kernel(c4):
 def test_n_class_rejects_bad_candidates(c4, c4_false_n):
     tri = c4["triple"]
     # too small: the sum cannot be hyper-maximal
-    small = kr.relation(c4["space"], c4["space"], sub.span(tri.fn[:, :2]))
+    small = relation(c4["space"], c4["space"], sub.span(tri.fn[:, :2]))
     with pytest.raises(ext.NClassRejection):
         ext.n_class_check(c4["T"], small)
     # mixing N with its J_hat-image of the same column breaks neutrality
-    mixed = kr.relation(c4["space"], c4["space"],
+    mixed = relation(c4["space"], c4["space"],
                         sub.span(np.hstack([tri.fn[:, :2], tri.fjn[:, :1]])))
     with pytest.raises(ext.NClassRejection):
         ext.n_class_check(c4["T"], mixed)
@@ -130,7 +132,7 @@ def test_sigma_decomposition_c4(c4):
     assert sub.equal(dec.m_hat.graph, m_hat.graph)
     # dimension ledger of the proposition: d + n = dim H
     d_plus, _ = ext.defect_numbers(t)
-    n_plus, _ = ext.defect_numbers(kr.relation(t.src, t.src, dec.n_part))
+    n_plus, _ = ext.defect_numbers(relation(t.src, t.src, dec.n_part))
     assert d_plus + n_plus == 4
     assert dec.n_part.dim == d_plus and t.dim == n_plus
 
@@ -176,8 +178,8 @@ def test_delta_membership_simple(c4):
 
 def test_O_membership_planted_orthogonal_ranges():
     space = krein.hilbert_space(4)
-    g = kr.relation(space, space, [[1, 0, 0, 0, 0, 1, 0, 0]])
-    h = kr.relation(space, space, [[0, 0, 1, 0, 0, 0, 0, 1]])
+    g = relation(space, space, [[1, 0, 0, 0, 0, 1, 0, 0]])
+    h = relation(space, space, [[0, 0, 1, 0, 0, 0, 0, 1]])
     z = 0.3 + 0.4j
     assert ext.O_membership(g, h, z)
 
@@ -253,7 +255,7 @@ def test_defect_subspace_matches_adjoint_eigenspace(case, c4):
 def test_has_property_p(c4):
     assert not ext.has_property_p(c4["T"])
     space = krein.hilbert_space(2)
-    t = kr.relation(space, space, [[1, 0, 0, 1]])
+    t = relation(space, space, [[1, 0, 0, 1]])
     assert ext.has_property_p(t)
 
 
@@ -320,3 +322,16 @@ def test_memo_shared_across_threads():
         for r, key, got in out:
             assert got is lookup(r, *key)
             assert sub.equal(got, want[key])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)],
+                         ids=["default", "loose"])
+@pytest.mark.parametrize("n", [4, 16, 48])
+def test_m_hat_frame_from_its_structure_spans_what_the_svd_spans(n, tol):
+    # [N_i, N_-i; iN_i, -iN_-i]/sqrt(2) is orthonormal by construction, so it is
+    # taken as a frame, with no SVD and no rank decision
+    t = gen_symmetric(InstanceSpec(500 + n, n, (n // 2, n // 2), n // 4), tol=tol)
+    dec = ext._sigma_parts(t, sample_witness(t, 600 + n, tol).N, tol)
+    want = m_hat_by_span(dec.defect_plus_frame, dec.defect_minus_frame, tol)
+    assert dec.m_hat.dim == want.dim == 2 * (n // 4)
+    assert sub.distance(dec.m_hat.graph, want.graph) <= 1e-12

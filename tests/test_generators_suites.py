@@ -12,6 +12,7 @@ from kreinrel import boundary as bnd, extensions as ext, generators as gen, io a
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
 from conftest import solved_points
+from oracles import relation
 
 
 def test_instance_spec_validation():
@@ -83,7 +84,7 @@ def test_lemma_o_trivial_second_summand():
     # the eigenspace formula with H = {0}x{0} degenerates to the plain one
     space = gen.random_space(1, 2, 2)
     rng = gen.rng_for(2, 0)
-    g = kr.relation(space, space, sub.span(gen.random_complex(rng, 8, 3)))
+    g = relation(space, space, sub.span(gen.random_complex(rng, 8, 3)))
     h = rel.zero_relation(space, space)
     gh, _ = rel.cw_sum(g, h)
     for z in (1j, 0.5, 1 - 2j):

@@ -66,6 +66,15 @@ def test_cli_weyl_golden(capsys):
     assert "-3+4i" in out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", ["1e400j", "1+1e400j", "nan"])
+def test_cli_rejects_a_point_that_is_not_finite(z, capsys):
+    # an input error before any arithmetic: no numpy warning, exit 2
+    assert main(["triple", "weyl", "--z", z, FIXTURE]) == 2
+    assert main(["similar", "--grid", f"1j,{z}", FIXTURE, FIXTURE]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_cli_relation_and_ext(capsys):
     assert main(["relation", "check", FIXTURE]) == 0
     out = capsys.readouterr().out

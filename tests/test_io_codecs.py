@@ -12,6 +12,7 @@ import kreinrel as kr
 from kreinrel import generators as gen, io as kio
 
 import oracles
+from oracles import relation
 
 FIXTURE = os.path.join(os.path.dirname(kio.__file__), "data", "ex4.json")
 
@@ -90,7 +91,7 @@ def test_bare_real_blocks_match_the_oracle(m):
 
 def test_zero_column_relation_document():
     space = kr.make_krein(np.diag([1.0, -1.0, 1.0]))
-    empty = kr.relation(space, space, np.zeros((6, 0)))
+    empty = relation(space, space, np.zeros((6, 0)))
     doc = json.loads(_same_document(kio.document_for(space, empty),
                                     oracles.document_by_scalar(space, empty)))
     assert doc["relation"]["graph"] == []

@@ -7,7 +7,8 @@ from kreinrel.generators import (InstanceSpec, gen_symmetric, gen_triple, random
                                  random_signature_symmetry, rng_for)
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
 
-from oracles import adjoint_by_complement, graph_join, green_pairing, ortho_companion
+from oracles import adjoint_by_complement, cayley, graph_join, green_pairing, operator_part, \
+    ortho_companion, relation
 
 
 def random_space(seed, n):
@@ -19,7 +20,7 @@ def random_space(seed, n):
 def random_relation(seed, space, k):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((2 * space.dim, k)) + 1j * rng.standard_normal((2 * space.dim, k))
-    return kr.relation(space, space, sub.span(cols))
+    return relation(space, space, sub.span(cols))
 
 
 def test_identity_operator_parts():
@@ -101,7 +102,7 @@ def test_cross_space_adjoint_matches_complement_route(metric, k):
     rng = np.random.default_rng(60 + k)
     src = kr.make_krein(random_signature_symmetry(rng, 2, 1))
     tgt = kr.make_krein(random_signature_symmetry(rng, 1, 4))
-    t = kr.relation(src, tgt, sub.span(random_complex(rng, 8, k)))
+    t = relation(src, tgt, sub.span(random_complex(rng, 8, k)))
     adj = rel.adjoint(t, metric)
     ref = adjoint_by_complement(t, metric)
     assert adj.dim == 8 - k
@@ -176,8 +177,8 @@ def test_compose_matches_join_oracle():
     mid = random_space(2, 4)
     out = random_space(3, 2)
     rng = np.random.default_rng(4)
-    inner = kr.relation(src, mid, sub.span(random_complex(rng, 7, 3)))
-    outer = kr.relation(mid, out, sub.span(random_complex(rng, 6, 3)))
+    inner = relation(src, mid, sub.span(random_complex(rng, 7, 3)))
+    outer = relation(mid, out, sub.span(random_complex(rng, 6, 3)))
     got = rel.compose(outer, inner)
     want = graph_join(inner.graph.frame, outer.graph.frame, 3, 4, 2)
     assert got.dim == want.shape[1]
@@ -215,7 +216,7 @@ def test_hyper_maximal_graph_selfadjoint():
     from kreinrel.generators import hyper_maximal_neutral
     space = random_space(21, 3)
     m = hyper_maximal_neutral(np.random.default_rng(21), space)
-    t = kr.relation(space, space, m)
+    t = relation(space, space, m)
     assert rel.is_selfadjoint(t)
 
 
@@ -288,8 +289,8 @@ def test_operator_part_reassembles():
     for seed in range(4):
         space = random_space(seed + 30, 4)
         t = random_relation(seed + 30, space, 4)
-        op = rel.operator_part(t)
-        m = kr.relation(t.src, t.tgt, sub.product(sub.trivial(4), rel.parts(t).mul))
+        op = operator_part(t, DEFAULT_TOL)
+        m = relation(t.src, t.tgt, sub.product(sub.trivial(4), rel.parts(t).mul))
         total, orthogonal = rel.cw_sum(op, m)
         assert orthogonal
         assert sub.equal(total.graph, t.graph)
@@ -338,7 +339,7 @@ def test_resolvent_matrix_is_regular_exactly_where_the_probe_says(tol, n_regular
 def test_cayley_zero_operator():
     space = krein.hilbert_space(1)
     t0 = rel.from_operator(np.zeros((1, 1)), space, space)
-    c = rel.cayley(t0)
+    c = cayley(t0, DEFAULT_TOL)
     assert np.allclose(c, [[-1.0]])
 
 
@@ -348,7 +349,7 @@ def test_cayley_vz_identities():
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (h + h.conj().T) / 2
     t0 = rel.from_operator(h, space, space)
-    c = rel.cayley(t0)
+    c = cayley(t0, DEFAULT_TOL)
     assert np.abs(c.conj().T @ c - np.eye(4)).max() < 1e-10
     # V_z = I + 2z (T0 - z)^{-1} is C at z = -i and C^{-1} at z = i
     vz = {z: np.eye(4) + 2 * z * rel.resolvent_matrix(t0, z) for z in (1j, -1j)}
@@ -364,7 +365,7 @@ def test_cayley_multivalued_extension(c4):
     # multivalued part; its Hilbert conjugate still Cayley-transforms
     t0 = c4["triple"].t0
     frak = rel.hilbertize(t0)
-    c = rel.cayley(frak)
+    c = cayley(frak, DEFAULT_TOL)
     assert np.abs(c.conj().T @ c - np.eye(4)).max() < 1e-10
     back = rel.inverse_cayley(c)
     assert sub.equal(back.graph, frak.graph)
@@ -372,7 +373,7 @@ def test_cayley_multivalued_extension(c4):
 
 def test_cayley_rejects_non_selfadjoint(c4):
     with pytest.raises(ValueError):
-        rel.cayley(rel.hilbertize(c4["T"]))
+        cayley(rel.hilbertize(c4["T"]), DEFAULT_TOL)
 
 
 def test_defect_duality():

@@ -22,12 +22,6 @@ ALLOWED = {
     # the Weyl-family transfer of regular points; its grid never reaches a
     # spectral point until the spectral-set identities are tested there
     "boundary.ddTTp_check",
-    # references the tests compare against: the relation V0 and its canonical
-    # operator part check (V0)_s, and the forward Cayley transform checks
-    # `inverse_cayley`, through which `sample_witness` draws every witness
-    "similarity.v0",
-    "relations.operator_part",
-    "relations.cayley",
 }
 
 
