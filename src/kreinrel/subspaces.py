@@ -28,9 +28,10 @@ from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as
 _ROUNDOFF = 16 * float(np.finfo(np.float64).eps)  # Gram defect per column, orthonormal frames
 
 # Fewest rows at which `kernel` takes a wide matrix through one Householder QR
-# of its conjugate transpose.  Per call, one OpenBLAS thread, full SVD vs QR route:
-# 12x15 75 vs 89 us, 16x20 115 vs 80 us, 32x40 481 vs 350 us, 64x80 2009 vs
-# 1367 us; below 16 rows numpy's QR overhead loses.
+# of its conjugate transpose.  Per-call minimum on a full-rank random block, one
+# OpenBLAS thread, full SVD vs QR and certificate: 12x15 38 vs 43 us, 16x20 62
+# vs 51 us, 32x40 206 vs 104 us, 64x80 1010 vs 408 us; below 16 rows numpy's
+# QR overhead loses.  The gate also keeps every frame below 16 rows an SVD's.
 _QR_MIN_ROWS = 16
 
 
@@ -198,11 +199,11 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     Householder QR.  A wide m with at least _QR_MIN_ROWS rows is first
     factored as m^H = QR: m has the singular values of the square block
     R[:rows], and when the rule gives them full rank, Q's trailing
-    cols - rows columns span ker m.  A rank-deficient m
+    cols - rows columns span ker m.  The policy's certificate
+    (`span_full_certified`) proves that answer first; only when it is
+    undecided does the rule read a values-only SVD of R.  A rank-deficient m
     and every other shape take the right singular vectors of a full SVD.
-    A stack (k, rows, cols) gives the list of the k null spaces: one stacked
-    QR and values-only SVD, then one stacked full SVD of the items that are
-    rank-deficient or take no QR.
+    A stack (k, rows, cols) gives the list of the k null spaces (`_kernels`).
     """
     if isinstance(m, np.ndarray) and m.ndim == 3:
         return _kernels(_as_stack(m), ambient_dim, tol)
@@ -215,14 +216,19 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     rows = m.shape[0]
     if _QR_MIN_ROWS <= rows < n:
         q, r = np.linalg.qr(m.conj().T, mode="complete")
-        s = np.linalg.svd(r[:rows], compute_uv=False)
-        if tol.span_rank(s) == rows:
+        r = r[:rows]
+        if (tol.span_full_certified(r)
+                or tol.span_rank(np.linalg.svd(r, compute_uv=False)) == rows):
             return _trusted(n, q[:, rows:])
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     return _trusted(n, vh[tol.span_rank(s):].conj().T)
 
 
 def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]:
+    """`kernel` of each matrix of a stack: one stacked QR and one certificate
+    for the whole stack, a stacked values-only SVD of R only when the
+    certificate is undecided, then one stacked full SVD of the items that are
+    rank-deficient or take no QR."""
     k, rows, n = m.shape
     if ambient_dim is not None and n != ambient_dim:
         raise DimensionMismatchError("kernel ambient mismatch")
@@ -231,9 +237,12 @@ def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]
     out = [None] * k
     if _QR_MIN_ROWS <= rows < n:
         q, r = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="complete")
-        s = np.linalg.svd(r[:, :rows], compute_uv=False)
-        for i in np.flatnonzero(tol.span_rank(s) == rows):
-            out[i] = _trusted(n, q[i][:, rows:])
+        r = r[:, :rows]
+        if tol.span_full_certified(r):
+            out = [_trusted(n, qi[:, rows:]) for qi in q]
+        else:
+            for i in np.flatnonzero(tol.span_rank(np.linalg.svd(r, compute_uv=False)) == rows):
+                out[i] = _trusted(n, q[i][:, rows:])
     rest = [i for i, f in enumerate(out) if f is None]
     if rest:
         _, s, vh = np.linalg.svd(m[rest], full_matrices=True)

@@ -32,6 +32,8 @@ class TolerancePolicy:
 
     The rank rules take singular values already computed, in descending
     order: a 1-D array gives an int, a stack along the last axis an array.
+    `span_full_certified` proves the span rule's full-rank answer on a
+    square matrix instead, without its singular values.
     """
 
     rank_rel: float = 1e-10
@@ -51,6 +53,38 @@ class TolerancePolicy:
         """The span rule, for spans, kernels and regularity: the number of s
         above rank_cut of the largest."""
         return _count(s > self.rank_cut(s[..., :1]))
+
+    def span_full_certified(self, r: np.ndarray) -> bool:
+        """A proof, without singular values, that the span rule gives the
+        square matrix r, or every matrix of a stack, full rank; False means
+        undecided, not deficient.
+
+        r is scaled by its largest entry, rank_abs with it.  A Cholesky
+        factorization of r r^H - c^2 I with c^2 = (2 rank_cut(||r||_F))^2 +
+        4 (rows + 1)^2 eps ||r||_F^2 exists only if sigma_min(r) > 2
+        rank_cut(sigma_max(r)): the second term exceeds the rounding of the
+        Gram and of the factorization (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 10), so the span rule keeps every computed
+        singular value.  When 2 rank_cut >= ||r||_F no proof is tried.
+        """
+        rows = r.shape[-1]
+        top = np.abs(r).max(axis=(-2, -1))
+        if not 0 < top.min() <= top.max() < np.inf:  # a zero or overflowed r
+            return False
+        s = r / top[..., None, None]
+        g = s @ s.conj().swapaxes(-2, -1)
+        diag = np.einsum("...ii->...i", g)  # a writable view of g's diagonal
+        fro2 = diag.real.sum(-1)
+        fro = np.sqrt(fro2)
+        if (self.rank_abs / fro >= top / 2).any():  # 2 rank_cut >= ||r||_F
+            return False
+        cut = np.fmax(self.rank_abs / top, self.rank_rel * fro)  # rank_cut(||r||_F) / top
+        diag -= (4 * cut * cut + 4 * (rows + 1) ** 2 * _EPS * fro2)[..., None]
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     def map_rank(self, s: np.ndarray):
         """The map rule, for the rank of a map: the number of s above rank_rel

@@ -119,6 +119,18 @@ def weyl_gamma_by_svd(triple, z: complex):
     return bvals[d:] @ inv0, (cols @ inv0)[:n]
 
 
+def kernel_by_qr_and_svd(m: np.ndarray, tol) -> np.ndarray:
+    """`kernel`'s frame of a wide m with at least 16 rows, the full rank of the
+    square factor R of m^H = QR decided by the span rule on R's singular
+    values, with no certificate."""
+    rows = m.shape[0]
+    q, r = np.linalg.qr(m.conj().T, mode="complete")
+    if tol.span_rank(np.linalg.svd(r[:rows], compute_uv=False)) == rows:
+        return q[:, rows:]
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    return vh[tol.span_rank(s):].conj().T
+
+
 def intersection_by_join(frame_a: np.ndarray, frame_b: np.ndarray,
                          tol: float = 1e-10) -> np.ndarray:
     """A ∩ B via the kernel of [A_frame | -B_frame], lifted back."""

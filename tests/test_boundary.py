@@ -203,7 +203,8 @@ def test_weyl_then_gamma_field_share_one_defect_solve(monkeypatch):
 
 def test_weyl_and_gamma_field_take_no_singular_vectors_of_the_defect_block(monkeypatch):
     # N_z(T+) = ker(D+ - zE+), an n x (n + d) block, comes from a QR of its
-    # conjugate transpose and the singular values of the square factor
+    # conjugate transpose; the certificate proves the square factor's full
+    # rank, so neither block takes an SVD
     n, d = 32, 8
     tri = gen_triple(gen_symmetric(InstanceSpec(3232, n, (n // 2, n // 2), d)), 3233)
     tri.tplus, tri.basis_pinv  # derived before counting
@@ -212,7 +213,7 @@ def test_weyl_and_gamma_field_take_no_singular_vectors_of_the_defect_block(monke
         assert bnd.weyl(tri, z).operator_form is not None
         bnd.gamma_field(tri, z)
     assert ((n, n + d), True) not in calls
-    assert calls.count(((n, n), False)) == 2
+    assert ((n, n), False) not in calls
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])

@@ -6,8 +6,8 @@ from kreinrel import subspaces as sub
 from kreinrel.tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
 
 from conftest import svd_calls
-from oracles import exact_rank, intersection_by_join, meet_complement_by_complement, \
-    principal_angles_arccos, projector_gap_angle, svd_nullspace
+from oracles import exact_rank, intersection_by_join, kernel_by_qr_and_svd, \
+    meet_complement_by_complement, principal_angles_arccos, projector_gap_angle, svd_nullspace
 
 
 def rand_cols(rng, n, k):
@@ -235,7 +235,7 @@ def test_wide_full_rank_kernel_by_qr_matches_svd_oracle(monkeypatch, rows):
         m = rand_cols(rng, rows, cols) * scale
         calls.clear()
         got = sub.kernel(m)
-        assert calls == [((rows, rows), False)]
+        assert calls == []  # the certificate proves R's full rank
         want = svd_nullspace(m)
         assert got.dim == cols - rows == want.shape[1]
         assert projector_gap_angle(got.frame, want) <= 1e-12
@@ -268,6 +268,71 @@ def test_wide_kernel_dim_at_the_cut_follows_the_svd_rule(tol, top, factor):
     want = 30 - int(np.sum(sv > tol.rank_cut(sv[0])))
     assert want == (10 if factor > 1 else 11)
     assert sub.kernel(m, 30, tol).dim == want
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("rows", [16, 24, 40, 64])
+def test_full_rank_certificate_never_contradicts_the_span_rule(tol, rows):
+    # sigma_min / sigma_max from 1 down to 1e-16, spread geometrically or in
+    # one small value, at sigma_max = 1 and at 1e-4, where the absolute floor
+    # decides; R is the square factor of m^H = QR, as on the QR route.  A
+    # certified R has sigma_min above twice the cut; an undecided one is
+    # within twice the certificate's own threshold c of it
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(rows)
+    certified = []
+    for ratio in np.geomspace(1.0, 1e-16, 33):
+        for spectrum in (np.geomspace(1.0, ratio, rows), np.r_[np.ones(rows - 1), ratio]):
+            for top in (1.0, 1e-4):
+                m = with_singular_values(rng, rows, rows + rows // 4, top * spectrum)
+                r = np.linalg.qr(m.conj().T)[1]
+                s = np.linalg.svd(r, compute_uv=False)
+                if tol.span_full_certified(r):
+                    assert tol.span_rank(s) == rows
+                    assert s[-1] > 2 * tol.rank_cut(s[0])
+                    certified.append(ratio)
+                else:
+                    fro = np.linalg.norm(r)
+                    c = 2 * tol.rank_cut(fro) + 2 * (rows + 1) * np.sqrt(eps) * fro
+                    assert s[-1] <= 2 * c
+    assert max(certified) == 1.0 and len(certified) >= 8
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+def test_stack_with_a_deficient_item_gives_each_item_its_frame(monkeypatch, tol):
+    # one undecided item sends the whole stack through the SVD of R, as
+    # without the certificate; a certified stack takes no SVD at all
+    rng = np.random.default_rng(11)
+    good = [rand_cols(rng, 24, 30) for _ in range(2)]
+    bad = with_singular_values(rng, 24, 30, np.r_[np.ones(23), 1e-16])
+    calls = svd_calls(monkeypatch)
+    for stack, want_calls, dims in [
+            (np.stack(good), [], [6, 6]),
+            (np.stack([good[0], bad, good[1]]), [((3, 24, 24), False), ((1, 24, 30), True)],
+             [6, 7, 6])]:
+        calls.clear()
+        got = sub.kernel(stack, tol=tol)
+        assert calls == want_calls
+        assert [k.dim for k in got] == dims
+        for m, k in zip(stack, got):
+            assert np.array_equal(k.frame, kernel_by_qr_and_svd(m, tol))
+            assert np.array_equal(k.frame, sub.kernel(m, tol=tol).frame)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-150, 1e150, 1e300])
+def test_wide_kernel_of_a_scaled_block_is_the_svd_routes(tol, scale):
+    # the certificate scales R by its largest entry, so neither the Gram nor
+    # rank_abs / scale overflows; below rank_abs, and on a zero block, it is
+    # undecided and the SVD of R finds rank 0
+    rng = np.random.default_rng(12)
+    m = rand_cols(rng, 32, 40) * scale
+    for got, want in [(sub.kernel(m, tol=tol), kernel_by_qr_and_svd(m, tol)),
+                      (sub.kernel(np.stack([m, 2 * m]), tol=tol)[1],
+                       kernel_by_qr_and_svd(2 * m, tol))]:
+        assert np.array_equal(got.frame, want)
+        assert got.dim == (8 if scale > 1e-100 else 40)
 
 
 @pytest.mark.parametrize("shape", [(15, 30), (12, 15), (20, 20), (30, 20), (64, 48)])
