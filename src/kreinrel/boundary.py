@@ -21,7 +21,7 @@ import numpy as np
 from . import extensions as ext
 from . import relations as rel
 from . import subspaces as sub
-from .krein import KreinSpace, boundary_doubled, doubled, hilbert_space
+from .krein import KreinSpace, hilbert_space
 from .relations import LinearRelation
 from .subspaces import Subspace
 from .tolerances import DEFAULT_TOL, TolerancePolicy, as_matrix
@@ -70,6 +70,7 @@ class BoundaryTriple:
     space = property(lambda self: self.parent.src)
     gamma0 = property(lambda self: self.gamma[: self.boundary_dim, :])
     gamma1 = property(lambda self: self.gamma[self.boundary_dim :, :])
+    boundary_space = property(lambda self: hilbert_space(self.boundary_dim))
 
     def _lift(self, rows: np.ndarray) -> Subspace:
         """The span of [basis @ c; b] from rows = [S V^H c; b]: diag(U, I) maps
@@ -92,14 +93,13 @@ class BoundaryTriple:
     basis_pinv = cached_property(lambda self: sub._pinv(*self.basis_svd))
     # Gamma on ambient vectors of T+, which it reads through their coordinates
     gamma_ambient = cached_property(lambda self: self.gamma @ self.basis_pinv)
-    boundary_space = cached_property(lambda self: hilbert_space(self.boundary_dim))
     t0 = cached_property(lambda self: self._kernel_of(self.gamma0))
     t1 = cached_property(lambda self: self._kernel_of(self.gamma1))
     n_rel = cached_property(lambda self: ext._n_part(self.parent, self.t0, self.tol))
     ft = cached_property(lambda self: self.parent.graph.frame)
     fn = cached_property(lambda self: self.n_rel.graph.frame)
-    fjn = cached_property(lambda self: doubled(self.space).J_hat @ self.fn)
-    fjt = cached_property(lambda self: doubled(self.space).J_hat @ self.ft)
+    fjn = cached_property(lambda self: self.space.doubled.J @ self.fn)
+    fjt = cached_property(lambda self: self.space.doubled.J @ self.ft)
     _a0 = cached_property(lambda self: self.gamma0 @ (self.basis_pinv @ self.fjn))
     _a1 = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.fn))
     g0inv = cached_property(lambda self: self.fjn @ np.linalg.inv(self._a0))
@@ -130,12 +130,12 @@ class WeylValue:
     z: complex
     operator_form: np.ndarray | None
     boundary_values: np.ndarray = field(repr=False)
-    space: KreinSpace = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
 
     @cached_property
     def relation_in_L(self) -> LinearRelation:
-        return LinearRelation(self.space, self.space, sub.span(self.boundary_values, self.tol))
+        lspace = hilbert_space(len(self.boundary_values) // 2)
+        return LinearRelation(lspace, lspace, sub.span(self.boundary_values, self.tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +150,8 @@ class IsometricBoundaryPair:
 
 def green_residual(space: KreinSpace, basis: np.ndarray, gamma: np.ndarray) -> float:
     """Max-abs defect of the Green identity over the stored basis."""
-    jhat = doubled(space).J_hat
-    jo = boundary_doubled(gamma.shape[0] // 2).J_hat
-    lhs = basis.conj().T @ jhat @ basis
+    jo = hilbert_space(gamma.shape[0] // 2).doubled.J
+    lhs = basis.conj().T @ space.doubled.J @ basis
     rhs = gamma.conj().T @ jo @ gamma
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
@@ -235,8 +234,7 @@ def _defect_solve(triple: BoundaryTriple, z):
     if frame.shape[1] == d and tol.map_rank(np.linalg.svd(bvals[:d], compute_uv=False)) == d:
         inv0 = np.linalg.inv(bvals[:d])
         m, ghat = bvals[d:] @ inv0, frame @ inv0
-    solve = (WeylValue(z, _read_only(m), bvals, triple.boundary_space, tol),
-             _read_only(ghat))
+    solve = WeylValue(z, _read_only(m), bvals, tol), _read_only(ghat)
     object.__setattr__(triple, "_solves", {z: solve})
     return solve
 
@@ -273,7 +271,7 @@ def _solve_stacked(triple: BoundaryTriple, points: list) -> dict:
     lspace, solves = triple.boundary_space, {}
     for i, (z, bv, graph) in enumerate(zip(points, bvals, graphs)):
         m, g = solved.get(i, (None, None))
-        value = WeylValue(z, _read_only(m), bv, lspace, tol)
+        value = WeylValue(z, _read_only(m), bv, tol)
         object.__setattr__(value, "relation_in_L", LinearRelation(lspace, lspace, graph))
         solves[z] = (value, _read_only(g))
     return solves
@@ -306,7 +304,7 @@ def transform(triple: BoundaryTriple, x) -> BoundaryTriple:
     alone is checked: by the transformation lemma (T, X Gamma) is a boundary triple."""
     d = triple.boundary_dim
     x = as_matrix(x, rows=2 * d, cols=2 * d)
-    jo = boundary_doubled(d).J_hat
+    jo = triple.boundary_space.doubled.J
     if not triple.tol.negligible(np.linalg.norm(x.conj().T @ jo @ x - jo),
                                  1 + np.linalg.norm(x) ** 2):
         raise TripleValidationError("transform matrix is not boundary-unitary")
@@ -339,8 +337,8 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
 
 def gamma_relation(triple: BoundaryTriple) -> LinearRelation:
     """The boundary map as a relation K -> K_circ: the span of [basis; gamma]."""
-    return LinearRelation(doubled(triple.space).krein,
-                          boundary_doubled(triple.boundary_dim).krein, triple.gamma_graph)
+    return LinearRelation(triple.space.doubled, triple.boundary_space.doubled,
+                          triple.gamma_graph)
 
 
 def pair_from_triple(triple: BoundaryTriple,

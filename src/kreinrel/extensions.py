@@ -17,7 +17,7 @@ import numpy as np
 
 from . import relations as rel
 from . import subspaces as sub
-from .krein import KreinSpace, doubled, hilbert_space, neutrality_rank
+from .krein import KreinSpace, hilbert_space, neutrality_rank
 from .relations import LinearRelation
 from .subspaces import Subspace
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -91,7 +91,7 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
         if not sub.equal(ran_shifted, defect_subspace(t, z, tol), tol):
             raise NClassRejection(f"range condition fails at z={z}")
     t0, _ = rel.cw_sum(t, n, tol)
-    if not neutrality_rank(doubled(t.src).krein, t0.graph, tol)["hyper_maximal"]:
+    if not neutrality_rank(t.src.doubled, t0.graph, tol)["hyper_maximal"]:
         raise NClassRejection("T ⊕ N is not hyper-maximal neutral")
     return NWitness(n, t, t0)
 
@@ -124,8 +124,7 @@ def _sigma_parts(t: LinearRelation, n: LinearRelation,
     N is not checked again here."""
     tplus = rel.adjoint(t, "krein", tol)
     sigma = sub._meet_complement(tplus.graph, t.graph, tol)
-    jhat = doubled(t.src).J_hat
-    jn = sub.image(jhat, n.graph, tol)
+    jn = sub.image(t.src.doubled.J, n.graph, tol)
     ni = defect_subspace(t, 1j, tol)
     nmi = defect_subspace(t, -1j, tol)
     fp, fm = ni.frame, nmi.frame

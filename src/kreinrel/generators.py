@@ -15,7 +15,7 @@ from . import boundary as bnd
 from . import extensions as ext
 from . import relations as rel
 from . import subspaces as sub
-from .krein import KreinSpace, doubled, make_krein
+from .krein import KreinSpace, make_krein
 from .relations import LinearRelation
 from .similarity import _standard_unitary_residual, _utilde
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -71,8 +71,7 @@ def random_space(seed: int, p: int, q: int) -> KreinSpace:
 def hyper_maximal_neutral(rng: np.random.Generator, space: KreinSpace,
                           tol: TolerancePolicy = DEFAULT_TOL) -> sub.Subspace:
     """Graph of a random self-adjoint relation: angular form F+ + F- W."""
-    dk = doubled(space)
-    eig, vecs = np.linalg.eigh(dk.J_hat)
+    eig, vecs = np.linalg.eigh(space.doubled.J)
     n = space.dim
     f_minus, f_plus = vecs[:, :n], vecs[:, n:]
     w = random_unitary(rng, n)
@@ -161,10 +160,9 @@ def gen_triple(t: LinearRelation, seed: int,
     witness = sample_witness(t, seed, tol)
     rng = rng_for(seed, 3)
     space = t.src
-    jhat = doubled(space).J_hat
     ft = t.graph.frame
     fn = witness.N.graph.frame
-    fjn = jhat @ fn
+    fjn = space.doubled.J @ fn
     basis = np.hstack([ft, fn, fjn])
     w = random_unitary(rng, d)
     nt = t.dim

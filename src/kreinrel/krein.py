@@ -11,6 +11,7 @@ a tolerance policy, like every rank decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -25,7 +26,9 @@ class NotAFundamentalSymmetryError(ValueError):
 @dataclass(frozen=True, eq=False)
 class KreinSpace:
     """C^dim with fundamental symmetry J, held as a read-only copy.  `==` is
-    identity; `same_as` compares spaces."""
+    identity; `same_as` compares spaces.  `doubled` is the doubled space
+    (H^2, J_hat) with J_hat = [[0, -iJ], [iJ, 0]], built on first read and
+    kept, so the relations over one base share one doubled space."""
 
     dim: int
     J: np.ndarray = field(repr=False)
@@ -39,6 +42,14 @@ class KreinSpace:
     def same_as(self, other: "KreinSpace") -> bool:
         return self is other or (
             self.dim == other.dim and np.allclose(self.J, other.J, rtol=0.0, atol=1e-12))
+
+    @cached_property
+    def doubled(self) -> "KreinSpace":
+        n = self.dim
+        jh = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        jh[:n, n:] = -1j * self.J
+        jh[n:, :n] = 1j * self.J
+        return KreinSpace(2 * n, jh, (n, n))
 
 
 def make_krein(J) -> KreinSpace:
@@ -59,37 +70,10 @@ def make_krein(J) -> KreinSpace:
     return KreinSpace(n, J, (p, n - p))
 
 
+@cache
 def hilbert_space(dim: int) -> KreinSpace:
+    """C^dim with J = I; one space per dim, as J is read-only."""
     return KreinSpace(dim, np.eye(dim, dtype=np.complex128), (dim, 0))
-
-
-@dataclass(frozen=True, eq=False)
-class DoubledKrein:
-    base: KreinSpace
-    J_hat: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.base.dim
-
-    @property
-    def krein(self) -> KreinSpace:
-        n = self.base.dim
-        return KreinSpace(2 * n, self.J_hat, (n, n))
-
-
-def doubled(space: KreinSpace) -> DoubledKrein:
-    """The doubled space (H^2, J_hat) with J_hat = [[0, -iJ], [iJ, 0]]."""
-    n = space.dim
-    jh = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    jh[:n, n:] = -1j * space.J
-    jh[n:, :n] = 1j * space.J
-    return DoubledKrein(space, jh)
-
-
-def boundary_doubled(boundary_dim: int) -> DoubledKrein:
-    """The boundary-side doubled space over a Hilbert L (J = identity)."""
-    return doubled(hilbert_space(boundary_dim))
 
 
 def indefinite_gram(space: KreinSpace, a: Subspace, b: Subspace) -> np.ndarray:

@@ -259,26 +259,24 @@ def spectral_probe(t: LinearRelation, z: complex,
 def resolvent_matrix(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     """(T - z)^{-1} = E (D - zE)^{-1} = E V S^{-1} U^H from one SVD of D - zE,
     which also decides regularity by `spectral_probe`'s rule: t.dim = n and
-    D - zE of full rank by the policy's span rule.  A
-    list of points gives the list of the resolvents from one stacked SVD,
-    None at each point that is not regular."""
+    D - zE of full rank by the policy's span rule.  A list of points gives the
+    list of the resolvents from one stacked SVD, None at each point that is
+    not regular; a single point is the list of one, and raises
+    `NotRegularError` where that gives None."""
     e, d = t.blocks()
-    if isinstance(z, (list, tuple)):
-        zs = np.asarray(z, dtype=np.complex128)
-        out = [None] * len(zs)
-        if t.dim != t.src.dim or not len(zs):
-            return out
+    single = not isinstance(z, (list, tuple))
+    zs = np.asarray([z] if single else z, dtype=np.complex128)
+    out = [None] * len(zs)
+    if t.dim == t.src.dim and len(zs):
         u, s, vh = np.linalg.svd(d - zs[:, None, None] * e)
         ok = list(np.flatnonzero(tol.span_rank(s) == s.shape[-1]))
         if ok:
             vs = vh[ok].conj().transpose(0, 2, 1) / s[ok, None, :]
             for i, r in zip(ok, e @ vs @ u[ok].conj().transpose(0, 2, 1)):
                 out[i] = r
-        return out
-    u, s, vh = np.linalg.svd(d - z * e)
-    if t.dim != t.src.dim or tol.span_rank(s) < s.size:
+    if single and out[0] is None:
         raise NotRegularError(f"z={z} is not a regular point")
-    return e @ (vh.conj().T / s) @ u.conj().T
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ angle-equality rule; under different policies they raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import relations as rel
 from . import subspaces as sub
 from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair, _defect_solve,
                        gamma_field, gamma_relation, pair_from_triple, shared_tol, weyl)
-from .krein import KreinSpace, doubled
+from .krein import KreinSpace
 from .relations import LinearRelation
 from .subspaces import Subspace
 from .tolerances import TolerancePolicy, as_matrix
@@ -32,60 +32,24 @@ class BuildError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class BlockUnitary:
-    """2x2-block operator (A, B; C, D) between doubled Krein spaces."""
-
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
-    src: KreinSpace
-    tgt: KreinSpace
-
-    def full_matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
-
-    def as_relation(self) -> LinearRelation:
-        return rel.from_operator(self.full_matrix(), doubled(self.src).krein,
-                                 doubled(self.tgt).krein)
-
-    def vabcd_residual(self) -> float:
-        """Max-abs defect over the six standard-unitary block identities."""
-        j, jp = self.src.J, self.tgt.J
-        kadj = lambda x: j @ x.conj().T @ jp
-        eye = np.eye(self.src.dim)
-        eyep = np.eye(self.tgt.dim)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        residuals = [
-            kadj(a) @ d - kadj(c) @ b - eye,
-            a @ kadj(d) - b @ kadj(c) - eyep,
-            kadj(a) @ c - kadj(c) @ a,
-            a @ kadj(b) - b @ kadj(a),
-            kadj(b) @ d - kadj(d) @ b,
-            c @ kadj(d) - d @ kadj(c),
-        ]
-        return max(float(np.abs(r).max()) for r in residuals)
-
-
-def block_unitary_from_matrix(m, src: KreinSpace, tgt: KreinSpace) -> BlockUnitary:
-    m = as_matrix(m, rows=2 * tgt.dim, cols=2 * src.dim)
-    n, np_ = src.dim, tgt.dim
-    return BlockUnitary(m[:np_, :n], m[:np_, n:], m[np_:, :n], m[np_:, n:], src, tgt)
-
-
-def _v_matrix(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
-    """The matrix of an operator V (a BlockUnitary or a matrix) K -> K'."""
-    if isinstance(v, BlockUnitary):
-        return v.full_matrix()
-    return as_matrix(v, rows=2 * triple_b.space.dim, cols=2 * triple_a.space.dim)
-
-
-def _as_v_relation(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> LinearRelation:
-    if isinstance(v, LinearRelation):
-        return v
-    return rel.from_operator(_v_matrix(v, triple_a, triple_b), doubled(triple_a.space).krein,
-                             doubled(triple_b.space).krein)
+def vabcd_residual(v: np.ndarray, src: KreinSpace, tgt: KreinSpace) -> float:
+    """Max-abs defect over the six standard-unitary block identities of an
+    operator V = (A, B; C, D) from the doubled space of src to that of tgt."""
+    n, m = src.dim, tgt.dim
+    a, b, c, d = v[:m, :n], v[:m, n:], v[m:, :n], v[m:, n:]
+    j, jp = src.J, tgt.J
+    kadj = lambda x: j @ x.conj().T @ jp
+    eye = np.eye(n)
+    eyep = np.eye(m)
+    residuals = [
+        kadj(a) @ d - kadj(c) @ b - eye,
+        a @ kadj(d) - b @ kadj(c) - eyep,
+        kadj(a) @ c - kadj(c) @ a,
+        a @ kadj(b) - b @ kadj(a),
+        kadj(b) @ d - kadj(d) @ b,
+        c @ kadj(d) - d @ kadj(c),
+    ]
+    return max(float(np.abs(r).max()) for r in residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +81,7 @@ def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
     tol = _check_compatible(triple_a, triple_b)
     vs = v0_operator_part(triple_a, triple_b)
     sa = sigma_frames(triple_a)
-    ja = doubled(triple_a.space).J_hat
-    jb = doubled(triple_b.space).J_hat
+    ja, jb = triple_a.space.doubled.J, triple_b.space.doubled.J
     img = vs @ sa
     gram_res = float(np.abs(img.conj().T @ jb @ img - sa.conj().T @ ja @ sa).max(initial=0.0))
     inv_full = v0_operator_part(triple_b, triple_a)
@@ -132,8 +95,7 @@ def w_maps(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """The two graph homeomorphisms N -> N' in frame coordinates."""
     tol = _check_compatible(triple_a, triple_b)
     d = triple_a.boundary_dim
-    ja = doubled(triple_a.space).J_hat
-    jb = doubled(triple_b.space).J_hat
+    ja, jb = triple_a.space.doubled.J, triple_b.space.doubled.J
     bv0 = triple_a.apply(triple_a.fjn)[:d, :]
     w0 = triple_b.fn.conj().T @ (jb @ (triple_b.g0inv @ bv0))
     bv1 = triple_a.apply(triple_a.fn)[d:, :]
@@ -170,8 +132,8 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
 
     "angle" is the largest principal angle between the graphs of Gamma V^{-1}
     and Gamma' (+inf when their dimensions differ); "member" is that angle
-    under the policy's angle-equality rule.  An operator V (a BlockUnitary or
-    a matrix on K) maps Gamma's graph under diag(V, I); a LinearRelation V,
+    under the policy's angle-equality rule.  An operator V (a matrix on K)
+    maps Gamma's graph under diag(V, I); a LinearRelation V,
     whose domain may be less than K, is composed as a relation.  For operator
     inputs whose domain covers ker Gamma the displayed range criterion is
     evaluated as well and the two routes compared.
@@ -182,7 +144,7 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
         angle = sub.distance(composed.graph, triple_b.gamma_graph)
         return {"member": tol.angle_equal(angle), "angle": angle,
                 "lemma_e": None, "routes_agree": None}
-    vm = _v_matrix(v, triple_a, triple_b)
+    vm = as_matrix(v, rows=2 * triple_b.space.dim, cols=2 * triple_a.space.dim)
     angle = _gamma_angle(vm, triple_a, triple_b, tol)
     member = tol.angle_equal(angle)
     vs_full = v0_operator_part(triple_a, triple_b)
@@ -203,21 +165,20 @@ def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau) ->
     tol = _check_compatible(triple_a, triple_b)
     dt_a = triple_a.parent.dim
     dt_b = triple_b.parent.dim
-    tau = as_matrix(tau, rows=dt_b, cols=dt_a) if dt_a and dt_b else \
-        np.zeros((dt_b, dt_a), dtype=np.complex128)
+    tau = as_matrix(tau, rows=dt_b, cols=dt_a)
     if tol.map_rank_of(tau) < dt_b:
         raise BuildError("tau is not surjective onto T'")
     vs_full = v0_operator_part(triple_a, triple_b)
     m = vs_full + triple_b.ft @ tau @ triple_a.ft.conj().T
     frame = triple_a.tplus.graph.frame
     cols = np.vstack([frame, m @ frame])
-    return LinearRelation(doubled(triple_a.space).krein,
-                          doubled(triple_b.space).krein, sub.span(cols, tol))
+    return LinearRelation(triple_a.space.doubled, triple_b.space.doubled, sub.span(cols, tol))
 
 
 def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
-                     tau, theta=None, sigma=None, coupling=None) -> BlockUnitary:
-    """Standard unitary solution from (tau, Theta, sigma) block data.
+                     tau, theta=None, sigma=None, coupling=None) -> np.ndarray:
+    """Standard unitary solution from (tau, Theta, sigma) block data, as the
+    matrix of V: K -> K'.
 
     tau: invertible dim T' x dim T coordinate matrix (graph frames);
     Theta: Hermitian matrix over the J'(T') frame; sigma: coupling
@@ -231,7 +192,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     if dt_a != dt_b:
         raise BuildError("no homeomorphism between graphs of different dimension")
     dt = dt_a
-    tau = as_matrix(tau, rows=dt, cols=dt) if dt else np.zeros((0, 0), np.complex128)
+    tau = as_matrix(tau, rows=dt, cols=dt)
     if tol.map_rank_of(tau) < dt:
         raise BuildError("tau is not a homeomorphism")
     theta = (np.zeros((dt, dt), np.complex128) if theta is None
@@ -252,7 +213,7 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     b_coords = np.zeros((n, n), dtype=np.complex128)
     b_coords[:dt, :dt] = tau.conj().T
     b_coords[dt:, :dt] = sigma.conj().T
-    b_coords[dt:, dt:] = np.linalg.inv(w0) if d else w0
+    b_coords[dt:, dt:] = np.linalg.inv(w0)
     if tol.map_rank_of(b_coords) < n:
         raise BuildError("assembled B block is singular")
     e_coords = np.zeros((n, n), dtype=np.complex128)
@@ -269,14 +230,14 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
     fa = np.hstack([triple_a.fjt, triple_a.fjn, triple_a.ft, triple_a.fn])
     fb = np.hstack([triple_b.fjt, triple_b.fjn, triple_b.ft, triple_b.fn])
-    v_full = fb @ v_coords @ fa.conj().T
-    out = block_unitary_from_matrix(v_full, triple_a.space, triple_b.space)
-    res = out.vabcd_residual()
-    if not tol.negligible(res, 1 + np.abs(v_full).max() ** 2):
+    v = fb @ v_coords @ fa.conj().T
+    res = vabcd_residual(v, triple_a.space, triple_b.space)
+    if not tol.negligible(res, 1 + np.abs(v).max() ** 2):
         raise BuildError(f"block identities violated: residual {res:.3e}")
-    if not membership_check(out.as_relation(), triple_a, triple_b)["member"]:
+    v_rel = rel.from_operator(v, triple_a.space.doubled, triple_b.space.doubled)
+    if not membership_check(v_rel, triple_a, triple_b)["member"]:
         raise BuildError("constructed V failed the membership identity")
-    return out
+    return v
 
 
 def _e0_coords(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
@@ -315,8 +276,8 @@ def _vinv_z(v, z: complex, tol: TolerancePolicy) -> Subspace:
     the range block of the graph [I; V], whose coordinates are x itself, so
     its fibre ker(V2 - z V1) is the answer; a relation's fibre is mapped by
     the domain block of its frame."""
-    if isinstance(v, BlockUnitary):
-        return _z_fibre(v.full_matrix(), z, tol)
+    if not isinstance(v, LinearRelation):
+        return _z_fibre(v, z, tol)
     e, d = v.blocks()
     return sub.span(e @ _z_fibre(d, z, tol).frame, tol)
 
@@ -338,12 +299,13 @@ def weyl_equality_criterion(pair_a, pair_b, v, z: complex) -> CriterionResult:
     Evaluates the containment of the defect subspace of dom Gamma in the
     kernel-side eigenspace of S + V^{-1}(zI), and independently compares
     the two Weyl values as relations; the two answers must agree when
-    the sufficiency hypotheses hold.
+    the sufficiency hypotheses hold.  V is a matrix K -> K' or a
+    LinearRelation.
     """
     pa, pb = _coerce_pair(pair_a), _coerce_pair(pair_b)
     tol = shared_tol(pa, pb)
-    if not isinstance(v, (BlockUnitary, LinearRelation)):
-        raise BuildError("V must be a BlockUnitary or a LinearRelation")
+    if not isinstance(v, LinearRelation):
+        v = as_matrix(v, rows=pb.gamma_rel.src.dim, cols=pa.gamma_rel.src.dim)
     z = complex(z)
     vinv_z = _vinv_z(v, z, tol)
 
@@ -476,11 +438,9 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         theta_c, coupling_c = e_cand[:dt, :dt], e_cand[:dt, dt:]
     v = build_standard_V(triple_a, triple_b, tau_c, theta_c, sigma_c, coupling_c)
 
-    w = _utilde(_u_inverse(u, triple_a.space, triple_b.space)) @ v.full_matrix()
-    w_blocks = block_unitary_from_matrix(w, triple_a.space, triple_a.space)
-    off_diag = float(max(np.abs(w_blocks.b).max(initial=0.0),
-                         np.abs(w_blocks.c).max(initial=0.0)))
-    diag_gap = float(np.abs(w_blocks.a - w_blocks.d).max(initial=0.0))
+    w = _utilde(_u_inverse(u, triple_a.space, triple_b.space)) @ v
+    off_diag = float(max(np.abs(w[:n, n:]).max(initial=0.0), np.abs(w[n:, :n]).max(initial=0.0)))
+    diag_gap = float(np.abs(w[:n, :n] - w[n:, n:]).max(initial=0.0))
     return {"status": "unitary", "U": u, "V": v, "w_offdiag": off_diag,
             "w_diag_gap": diag_gap, "gamma_residual": gamma_res,
             "unitary_residual": unit_res}
@@ -488,17 +448,19 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
 def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                        u: np.ndarray, vs, grid=DEFAULT_GRID) -> dict:
-    """Invariance W(T) = T and W(defect graphs) = same, for each supplied V."""
+    """Invariance W(T) = T and W(defect graphs) = same, for each supplied V, a
+    matrix K -> K' or a LinearRelation."""
     tol = shared_tol(triple_a, triple_b)
     ut_inv = _utilde(_u_inverse(u, triple_a.space, triple_b.space))
-    ksrc = doubled(triple_a.space).krein
+    ksrc = triple_a.space.doubled
     reports = []
     defect_graphs = {}
     for z in map(complex, grid):
         if z.imag != 0 and rel.spectral_probe(triple_a.parent, z, tol)["regular_type"]:
             defect_graphs[z] = rel.graph_eigenspace(triple_a.tplus, z, tol).graph
     for v in vs:
-        v_rel = _as_v_relation(v, triple_a, triple_b)
+        v_rel = v if isinstance(v, LinearRelation) else \
+            rel.from_operator(v, ksrc, triple_b.space.doubled)
         w_rel = rel.compose(rel.from_operator(ut_inv, v_rel.tgt, ksrc), v_rel, tol)
         t_img = rel.parts(rel.restrict(w_rel, triple_a.parent.graph, tol), tol).ran
         entry = {"t_invariant": sub.equal(t_img, triple_a.parent.graph, tol),

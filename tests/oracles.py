@@ -12,7 +12,9 @@ intersecting a graph with a cage around the graph of zI, A ∩ T-perp by
 intersecting with T's complement, spans over a triple's basis coordinates
 from the 2n-row products, `np.linalg.pinv`, the SVD spans of unitary images
 of frames, the eager parts of a relation, the signature from `eigvalsh`, and
-the rank-then-pinv lift of dom N.  Four references the package no longer
+the rank-then-pinv lift of dom N, the doubled symmetry J_hat built from a
+space's J, and the six block identities of a standard unitary read off a
+block-operator object.  Four references the package no longer
 holds live here too: the relation V0, the canonical operator part of a
 relation, the forward Cayley transform and the relation spanned by a list of
 graph vectors.  So do the decision expressions that `TolerancePolicy`'s rules
@@ -213,15 +215,45 @@ def adjoint_by_complement(t, metric: str = "krein"):
 
 def v0(triple_a, triple_b):
     """The composition relation of the two boundary maps, K -> K'."""
-    from kreinrel import krein, relations as rel, subspaces as sub
+    from kreinrel import relations as rel, subspaces as sub
 
     tol = triple_a.tol
     ga, gb = triple_a.gamma, triple_b.gamma
     k = sub.kernel(np.hstack([ga, -gb]), ga.shape[1] + gb.shape[1], tol)
     x, y = k.frame[: ga.shape[1], :], k.frame[ga.shape[1] :, :]
     cols = np.vstack([triple_a.basis @ x, triple_b.basis @ y])
-    return rel.LinearRelation(krein.doubled(triple_a.space).krein,
-                              krein.doubled(triple_b.space).krein, sub.span(cols, tol))
+    return rel.LinearRelation(triple_a.space.doubled, triple_b.space.doubled,
+                              sub.span(cols, tol))
+
+
+def doubled_j(space) -> np.ndarray:
+    """J_hat = [[0, -iJ], [iJ, 0]], built as the doubled-space wrapper built it."""
+    n = space.dim
+    jh = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    jh[:n, n:] = -1j * space.J
+    jh[n:, :n] = 1j * space.J
+    return jh
+
+
+def vabcd_residual_by_blocks(m, src, tgt) -> float:
+    """The six standard-unitary block identities of V = (A, B; C, D), as the
+    block-operator wrapper evaluated them on blocks split off the matrix."""
+    m = np.asarray(m, dtype=np.complex128)
+    n, np_ = src.dim, tgt.dim
+    a, b, c, d = m[:np_, :n], m[:np_, n:], m[np_:, :n], m[np_:, n:]
+    j, jp = src.J, tgt.J
+    kadj = lambda x: j @ x.conj().T @ jp
+    eye = np.eye(src.dim)
+    eyep = np.eye(tgt.dim)
+    residuals = [
+        kadj(a) @ d - kadj(c) @ b - eye,
+        a @ kadj(d) - b @ kadj(c) - eyep,
+        kadj(a) @ c - kadj(c) @ a,
+        a @ kadj(b) - b @ kadj(a),
+        kadj(b) @ d - kadj(d) @ b,
+        c @ kadj(d) - d @ kadj(c),
+    ]
+    return max(float(np.abs(r).max()) for r in residuals)
 
 
 def operator_part(t, tol):
@@ -274,11 +306,10 @@ def graph_by_span(m, src, tgt, tol):
 def membership_angle_by_compose(vm, triple_a, triple_b):
     """The angle of Gamma' = Gamma V^{-1} for a matrix V on K: V's graph by
     `graph_by_span`, inverted and composed with Gamma as relations."""
-    from kreinrel import boundary as bnd, krein, relations as rel, subspaces as sub
+    from kreinrel import boundary as bnd, relations as rel, subspaces as sub
 
     tol = triple_a.tol
-    v_rel = graph_by_span(vm, krein.doubled(triple_a.space).krein,
-                          krein.doubled(triple_b.space).krein, tol)
+    v_rel = graph_by_span(vm, triple_a.space.doubled, triple_b.space.doubled, tol)
     composed = rel.compose(bnd.gamma_relation(triple_a), rel.inverse(v_rel), tol)
     return sub.distance(composed.graph, triple_b.gamma_graph)
 

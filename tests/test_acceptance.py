@@ -207,7 +207,7 @@ def test_criterion_6_lemma_wl():
         else:
             u = gen.gen_standard_unitary(seed + 3, t.src, t.src)
             tri_b = gen.planted_similar_triple(tri_a, u, t.src)
-            v = sim.block_unitary_from_matrix(sim._utilde(u), t.src, t.src)
+            v = sim._utilde(u)
         for z in bnd.DEFAULT_GRID:
             res = sim.weyl_equality_criterion(tri_a, tri_b, v, complex(z))
             if res.hypotheses_ok:

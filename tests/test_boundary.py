@@ -532,7 +532,7 @@ def test_pair_isometry_flags(c4):
 
     broken = bnd.IsometricBoundaryPair(
         tri.boundary_dim,
-        relation(krein.doubled(tri.space).krein, krein.boundary_doubled(3).krein,
+        relation(tri.space.doubled, krein.hilbert_space(3).doubled,
                     sub.span(np.vstack([tri.basis,
                                         np.vstack([tri.gamma[:3] * 0, tri.gamma[3:]])]))),
         full.a_star, full.kernel, full.tol)

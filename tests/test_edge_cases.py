@@ -21,7 +21,7 @@ def test_zero_relation_full_defect_pipeline():
         assert audit["ok"]
         tri2 = gen.gen_triple(t, 7)
         v = sim.build_standard_V(tri, tri2, np.zeros((0, 0)))
-        assert v.vabcd_residual() < 1e-9
+        assert sim.vabcd_residual(v, tri.space, tri2.space) < 1e-9
         assert sim.membership_check(v, tri, tri2)["member"]
 
 

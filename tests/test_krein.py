@@ -47,10 +47,19 @@ def test_every_krein_space_holds_a_read_only_j():
     direct = krein.KreinSpace(2, j, (1, 1))
     j[0, 0] = -1.0
     assert direct.J[0, 0] == 1.0
-    for s in (direct, krein.doubled(direct).krein):
+    for s in (direct, direct.doubled):
         assert not s.J.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             s.J[0, 0] = 2.0
+
+
+def test_a_space_keeps_one_doubled_space_and_hilbert_spaces_are_shared():
+    # relations over one base share their doubled space, so host checks meet
+    # the same object
+    space = kr.make_krein(np.diag([1.0, -1.0]))
+    assert space.doubled is space.doubled
+    assert krein.hilbert_space(3) is krein.hilbert_space(3)
+    assert krein.hilbert_space(3).doubled is krein.hilbert_space(3).doubled
 
 
 def test_symmetry_tolerances_are_absolute():
@@ -105,8 +114,6 @@ def test_ortho_companion_dims_random():
 
 def test_sigma_as_companion_intersection(c4):
     # T+ ∩ T-perp(Hilbert) = N ⊕ J_hat(N) on the worked example
-    space = c4["space"]
-    dk = krein.doubled(space)
     t = c4["T"]
     tri = c4["triple"]
     sigma = sub.intersect(tri.tplus.graph, sub.complement(t.graph))
@@ -131,48 +138,48 @@ def test_trivial_subspace_neutral():
 
 def test_hyper_maximal_on_doubled(c4):
     tri = c4["triple"]
-    dk = krein.doubled(c4["space"])
+    dk = c4["space"].doubled
     t0_graph = tri.t0.graph
-    flags = krein.neutrality_rank(dk.krein, t0_graph)
+    flags = krein.neutrality_rank(dk, t0_graph)
     assert flags["hyper_maximal"]
     # hyper-maximal neutral subspaces coincide with their companions
-    assert sub.equal(ortho_companion(dk.krein, t0_graph), t0_graph)
+    assert sub.equal(ortho_companion(dk, t0_graph), t0_graph)
     # projection-form cross-check: both canonical projections are onto
     for sign in (1.0, -1.0):
-        proj = (np.eye(8) + sign * dk.J_hat) / 2.0
+        proj = (np.eye(8) + sign * dk.J) / 2.0
         assert sub.image(proj, t0_graph).dim == 4
     # a strictly smaller neutral subspace fails the projection criterion
     small = sub.span(t0_graph.frame[:, :2])
-    dims = [sub.image((np.eye(8) + s * dk.J_hat) / 2.0, small).dim for s in (1, -1)]
+    dims = [sub.image((np.eye(8) + s * dk.J) / 2.0, small).dim for s in (1, -1)]
     assert max(dims) < 4
 
 
 def test_neutral_contained_in_companion():
     rng = np.random.default_rng(11)
     space = kr.make_krein(random_signature_symmetry(rng, 2, 2))
-    dk = krein.doubled(space)
-    vecs, _ = np.linalg.eigh(dk.J_hat)
+    dk = space.doubled
+    vecs, _ = np.linalg.eigh(dk.J)
     # trace out a small neutral subspace: mix +1 and -1 eigenvectors
-    _, v = np.linalg.eigh(dk.J_hat)
+    _, v = np.linalg.eigh(dk.J)
     neutral = sub.span((v[:, :2] + v[:, -2:]) / np.sqrt(2))
-    assert krein.is_neutral(dk.krein, neutral)
-    assert sub.contains(ortho_companion(dk.krein, neutral), neutral)
+    assert krein.is_neutral(dk, neutral)
+    assert sub.contains(ortho_companion(dk, neutral), neutral)
 
 
 def test_doubled_smallest():
     space = krein.hilbert_space(1)
-    dk = krein.doubled(space)
-    assert np.allclose(dk.J_hat, np.array([[0, -1j], [1j, 0]]))
+    dk = space.doubled
+    assert np.allclose(dk.J, np.array([[0, -1j], [1j, 0]]))
 
 
 def test_doubled_inner_product_formula(c4):
     space = c4["space"]
-    dk = krein.doubled(space)
+    dk = space.doubled
     rng = np.random.default_rng(1)
     for _ in range(5):
         fhat = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         ghat = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        via_jhat = np.conj(fhat) @ dk.J_hat @ ghat
+        via_jhat = np.conj(fhat) @ dk.J @ ghat
         f, fp, g, gp = fhat[:4], fhat[4:], ghat[:4], ghat[4:]
         j = space.J
         direct = -1j * (np.conj(f) @ j @ gp) + 1j * (np.conj(fp) @ j @ g)
@@ -187,7 +194,7 @@ def test_doubled_signature(seed):
     n = int(rng.integers(1, 6))
     p = int(rng.integers(0, n + 1))
     space = kr.make_krein(random_signature_symmetry(rng, p, n - p))
-    dk = krein.doubled(space)
-    assert dk.krein.signature == (n, n)
-    assert np.allclose(dk.J_hat, dk.J_hat.conj().T)
-    assert np.allclose(dk.J_hat @ dk.J_hat, np.eye(2 * n))
+    dk = space.doubled
+    assert dk.signature == (n, n)
+    assert np.allclose(dk.J, dk.J.conj().T)
+    assert np.allclose(dk.J @ dk.J, np.eye(2 * n))

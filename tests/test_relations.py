@@ -90,7 +90,7 @@ def test_krein_adjoint_is_indefinite_companion():
         space = random_space(seed + 40, 4)
         t = random_relation(seed + 40, space, 3)
         via_adjoint = rel.adjoint(t, "krein").graph
-        via_companion = ortho_companion(krein.doubled(space).krein, t.graph)
+        via_companion = ortho_companion(space.doubled, t.graph)
         assert sub.equal(via_adjoint, via_companion)
 
 

@@ -3,7 +3,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import kreinrel as kr
 from kreinrel import boundary as bnd, relations as rel, similarity as sim, \
     subspaces as sub
 from kreinrel.generators import (InstanceSpec, gen_standard_unitary, gen_symmetric,
@@ -33,7 +32,7 @@ def test_v0_same_triple_identity(pair44):
     t, tri, _ = pair44
     v = v0(tri, tri)
     # V0 = identity-on-T+ ∔ ({0} x T)
-    ident = rel.identity_relation(kr.doubled(t.src).krein)
+    ident = rel.identity_relation(t.src.doubled)
     on_tplus = rel.restrict(ident, tri.tplus.graph)
     extra = sub.product(sub.trivial(2 * t.src.dim), t.graph)
     want = sub.sum_(on_tplus.graph, extra)
@@ -114,7 +113,8 @@ def test_one_route_layer_never_forms_v0(pair44):
     vs = sim.v0_operator_part(tri_a, tri_b)
     assert vs.shape == (2 * t.src.dim, 2 * t.src.dim)
     assert sim.sigma_unitary_check(tri_a, tri_b)["ok"]
-    assert sim.build_standard_V(tri_a, tri_b, np.eye(t.dim)).vabcd_residual() < 1e-9
+    v = sim.build_standard_V(tri_a, tri_b, np.eye(t.dim))
+    assert sim.vabcd_residual(v, t.src, t.src) < 1e-9
     assert sim.reconstruct_similarity(tri_a, planted)["status"] == "unitary"
 
 
@@ -150,7 +150,7 @@ def test_membership_perturbation_detected(pair44):
     out = sim.membership_check(v, tri_a, tri_b)
     assert out["member"] and out["lemma_e"] and out["routes_agree"]
     assert out["member"] == (out["angle"] <= DEFAULT_TOL.angle_tol)
-    bad = v.full_matrix().copy()
+    bad = v.copy()
     bad[0, 0] += 1e-3
     out = sim.membership_check(bad, tri_a, tri_b)
     assert not out["member"] and out["routes_agree"]
@@ -168,16 +168,16 @@ def test_operator_and_relation_routes_of_membership_agree(n, tol):
     tri = gen_triple(t, n, tol)
     u = gen_standard_unitary(n, t.src, t.src)
     planted = planted_similar_triple(tri, u, t.src)
-    v = sim.build_standard_V(tri, planted, random_unitary(rng_for(n, 3), t.dim)).full_matrix()
+    v = sim.build_standard_V(tri, planted, random_unitary(rng_for(n, 3), t.dim))
     bad = v.copy()
     bad[0, 0] += 1e-3
     # V kills a direction of T = ker Gamma, so Gamma V^-1 loses a dimension
     f = tri.ft[:, :1]
     singular = v @ (np.eye(2 * n) - f @ f.conj().T)
     for vm, member in ((v, True), (sim._utilde(u), True), (bad, False), (singular, False)):
-        op = sim.block_unitary_from_matrix(vm, t.src, t.src)
-        by_operator = sim.membership_check(op, tri, planted)
-        by_relation = sim.membership_check(op.as_relation(), tri, planted)
+        by_operator = sim.membership_check(vm, tri, planted)
+        by_relation = sim.membership_check(rel.from_operator(vm, t.src.doubled, t.src.doubled),
+                                           tri, planted)
         old = membership_angle_by_compose(vm, tri, planted)
         assert by_operator["member"] == by_relation["member"] == member
         if vm is singular:
@@ -197,14 +197,14 @@ def test_z_fibres_match_the_cage_intersection(pair44, z):
     rng = rng_for(19, 0)
     op = sim.build_standard_V(tri_a, tri_b, random_unitary(rng, t.dim))
     by_tau = sim.build_V_from_tau(tri_a, tri_b, random_unitary(rng, t.dim))
-    ka = kr.doubled(t.src).krein
+    ka = t.src.doubled
+    op_rel = rel.from_operator(op, ka, ka)
     e, d = tri_a.t0.blocks()
     lam = np.linalg.eigvals(d @ np.linalg.inv(e))[0]
     ra, rb = (bnd.pair_from_triple(x, x.t0.graph) for x in (tri_a, planted))
-    old_op = graph_by_span(op.full_matrix(), ka, ka, DEFAULT_TOL)
+    old_op = graph_by_span(op, ka, ka, DEFAULT_TOL)
     cases = [(sim._vinv_z(v, z, DEFAULT_TOL), graph, "tgt", z)
-             for v, graph in ((op, old_op), (op.as_relation(), op.as_relation()),
-                              (by_tau, by_tau))]
+             for v, graph in ((op, old_op), (op_rel, op_rel), (by_tau, by_tau))]
     full = bnd.pair_from_triple(tri_a)
     cases += [(sim._pair_weyl_relation(pr, w), pr.gamma_rel, "src", w)
               for pr, w in ((full, z), (ra, z), (ra, lam), (rb, z), (rb, lam))]
@@ -229,8 +229,19 @@ def test_build_standard_v_properties(pair44):
         theta = (h + h.conj().T) / 2
         sg = rng.standard_normal((t.dim, tri_a.boundary_dim))
         v = sim.build_standard_V(tri_a, tri_b, tau, theta, sg)
-        assert v.vabcd_residual() < 1e-9
+        assert sim.vabcd_residual(v, t.src, t.src) < 1e-9
         assert sim.membership_check(v, tri_a, tri_b)["member"]
+
+
+def test_standard_v_on_a_planted_pair_meets_its_spaces_by_identity(pair44, monkeypatch):
+    # the build's relations share the doubled spaces of the two triples, so
+    # no host check falls back to comparing J entrywise
+    t, tri, _ = pair44
+    planted = planted_similar_triple(tri, gen_standard_unitary(5, t.src, t.src), t.src)
+    compared, allclose = [], np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a, **k: compared.append(a) or allclose(*a, **k))
+    sim.build_standard_V(tri, planted, np.eye(t.dim))
+    assert not compared
 
 
 def test_build_standard_v_rejects_bad_theta(pair44):
@@ -248,8 +259,7 @@ def test_final_example_block_structure(pair44):
     h = rng.standard_normal((t.dim, t.dim))
     theta = (h + h.T) / 2 + 0j
     sg = rng.standard_normal((t.dim, tri.boundary_dim)) + 0j
-    v = sim.build_standard_V(tri, tri, tau, theta, sg)
-    m = v.full_matrix()
+    m = sim.build_standard_V(tri, tri, tau, theta, sg)
     ft, fn, fjn, fjt = tri.ft, tri.fn, tri.fjn, tri.fjt
 
     def block(rows, cols):
@@ -272,7 +282,7 @@ def test_weyl_criterion_planted_true(pair44):
     t, tri, _ = pair44
     u = gen_standard_unitary(21, t.src, t.src)
     planted = planted_similar_triple(tri, u, t.src)
-    v = sim.block_unitary_from_matrix(sim._utilde(u), t.src, t.src)
+    v = sim._utilde(u)
     for z in bnd.DEFAULT_GRID:
         res = sim.weyl_equality_criterion(tri, planted, v, complex(z))
         assert res.criterion and res.direct and res.diagnostics["agree"]
@@ -325,7 +335,7 @@ def test_weyl_criterion_on_restricted_pairs(pair44):
     pa = bnd.pair_from_triple(tri, tri.t0.graph)
     pb = bnd.pair_from_triple(planted, planted.t0.graph)
     assert bnd.pair_isometry_check(pa) == {"isometric": True, "unitary": False}
-    v = sim.block_unitary_from_matrix(sim._utilde(u), t.src, t.src)
+    v = sim._utilde(u)
     for z in (1j, 2j):
         res = sim.weyl_equality_criterion(pa, pb, v, z)
         assert res.criterion and res.direct and res.diagnostics["agree"]
@@ -348,8 +358,7 @@ def test_reconstruct_planted(pair44):
         assert out["gamma_residual"] < 1e-7
         assert out["w_offdiag"] < 1e-8
         assert out["w_diag_gap"] < 1e-8
-        ut = sim.block_unitary_from_matrix(sim._utilde(out["U"]), t.src, t.src)
-        final = sim.membership_check(ut, tri, planted)
+        final = sim.membership_check(sim._utilde(out["U"]), tri, planted)
         assert out["gamma_residual"] == final["angle"]
 
 
@@ -502,7 +511,7 @@ def test_tau_invertibility_is_a_rank_decision():
     tri = gen_triple(t, 48)
     assert t.dim == 44
     v = sim.build_standard_V(tri, tri, 0.5 * np.eye(t.dim))
-    assert v.vabcd_residual() < 1e-9
+    assert sim.vabcd_residual(v, t.src, t.src) < 1e-9
     tau = np.eye(t.dim)
     tau[0, 0] = 1e-14
     with pytest.raises(sim.BuildError, match="homeomorphism"):
@@ -576,4 +585,4 @@ def test_boundary_dim_zero_checks():
     assert sim.w_maps(tri, tri)["ok"]
     assert sim.sigma_unitary_check(tri, tri)["ok"]
     v = sim.build_standard_V(tri, tri, np.eye(t.dim))
-    assert np.allclose(v.full_matrix(), np.eye(2 * t.src.dim))
+    assert np.allclose(v, np.eye(2 * t.src.dim))

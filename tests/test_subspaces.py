@@ -374,8 +374,7 @@ def test_stacked_kernels_and_spans_give_each_items_frame(rows, cols):
 
 def test_image_under_flip(c4):
     # J_hat(N) in the flip example, written out explicitly.
-    from kreinrel.krein import doubled
-    jn = sub.image(doubled(c4["space"]).J_hat, c4["triple"].n_rel.graph)
+    jn = sub.image(c4["space"].doubled.J, c4["triple"].n_rel.graph)
     want = sub.span([[1, 0, 0, 0, 0, -1, 0, 0],
                      [0, 1, 0, 0, 0, 0, 0, 0],
                      [0, 0, 0, 1, 0, 0, 0, 0]])

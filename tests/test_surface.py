@@ -1,8 +1,9 @@
-"""The public surface: every public function is reached by the package or the benchmark.
+"""The public surface: every public function and class is reached by the package or the benchmark.
 
-A public function (or method) defined in `src/kreinrel` must be named, outside
-its own definition, by code in `src/kreinrel` or `benchmarks/`.  One that only
-its unit tests reach is deleted, or listed in ALLOWED with its reason.  Names
+A public function, method or class defined in `src/kreinrel` must be named,
+outside its own definition, by code in `src/kreinrel` or `benchmarks/`.  One
+that only its unit tests reach is deleted, or listed in ALLOWED with its
+reason; so a wrapper type that only tests construct does not grow back.  Names
 match by identifier: a bare `f`, an attribute `mod.f`, and in `benchmarks/` also
 a string such as "relations.eigenspace" naming a traced function.  An
 `__init__` re-export is not a use.
@@ -25,23 +26,24 @@ ALLOWED = {
 }
 
 
-def _public_functions() -> set[str]:
+def _public_names() -> set[str]:
     found = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             members = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
             if isinstance(node, ast.ClassDef):
-                members = [(f"{node.name}.{m.name}", m) for m in node.body
-                           if isinstance(m, ast.FunctionDef)]
+                members = [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in node.body
+                                                 if isinstance(m, ast.FunctionDef)]
             found |= {f"{path.stem}.{name}" for name, fn in members
                       if not fn.name.startswith("_")}
     return found
 
 
 def _uses(node: ast.AST, inside: tuple, names_in_strings: bool, out: dict):
-    """Map each identifier named under `node` to the function definitions it sits in."""
+    """Map each identifier named under `node` to the function and class
+    definitions it sits in."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.FunctionDef):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             _uses(child, inside + (child.name,), names_in_strings, out)
             continue
         name = None
@@ -64,7 +66,7 @@ def _unreached() -> set[str]:
     for path in BENCHMARKS.glob("*.py"):
         _uses(ast.parse(path.read_text(encoding="utf-8")), (), True, uses)
     unreached = set()
-    for qualified in _public_functions():
+    for qualified in _public_names():
         name = qualified.rsplit(".", 1)[-1]
         if not any(name not in inside for inside in uses.get(name, [])):
             unreached.add(qualified)
@@ -73,9 +75,9 @@ def _unreached() -> set[str]:
 
 def test_every_public_function_is_reached_or_allowed():
     stray = sorted(_unreached() - ALLOWED)
-    assert not stray, f"public functions only their unit tests reach: {stray}"
+    assert not stray, f"public functions and classes only their unit tests reach: {stray}"
 
 
 def test_the_allowlist_names_only_unreached_functions():
     stale = sorted(ALLOWED - _unreached())
-    assert not stale, f"allowlisted functions that are gone or now reached: {stale}"
+    assert not stale, f"allowlisted names that are gone or now reached: {stale}"
