@@ -58,10 +58,10 @@ class BoundaryTriple:
     gamma: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
-    # {z: (WeylValue of M(z), ghat)}: the defect solves of the last walk, or
-    # of the last single z asked, keyed by z alone as `tol` decides every
-    # solve, so M(z) and gamma(z) share one solve.  Replaced as a whole, never
-    # mutated: a concurrent reader sees a key with its own value.
+    # {z: WeylValue}: the defect solves of the last walk, or of the last single
+    # z asked, keyed by z alone as `tol` decides every solve, so M(z) and
+    # gamma(z) share one solve.  Replaced as a whole, never mutated: a
+    # concurrent reader sees a key with its own value.
     _solves: dict = field(default_factory=dict, init=False, repr=False)
 
     # Read through on every access.
@@ -123,14 +123,21 @@ class BoundaryTriple:
 
 @dataclass(frozen=True, eq=False)
 class WeylValue:
-    """M(z) at one point: its matrix form where gamma(z) exists, and its graph
-    in L, the span of the read-only boundary values of N_z(T+) under `tol`,
-    taken when `relation_in_L` is first read (a walk spans it up front).  `==`
-    is identity."""
+    """One defect solve at z: M(z)'s matrix form and the solver gamma_hat(z) =
+    (Gamma0 on N_z(T+))^{-1}: L -> K where the regularity rule holds (else
+    None), and M(z)'s graph in L, the span of the boundary values of N_z(T+)
+    under `tol`, taken when `relation_in_L` is first read (a walk spans it up
+    front).  The arrays are read-only.  `==` is identity."""
     z: complex
     operator_form: np.ndarray | None
+    gamma_hat: np.ndarray | None = field(repr=False)
     boundary_values: np.ndarray = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.operator_form, self.gamma_hat, self.boundary_values):
+            if a is not None:
+                a.flags.writeable = False
 
     @cached_property
     def relation_in_L(self) -> LinearRelation:
@@ -141,7 +148,6 @@ class WeylValue:
 @dataclass(frozen=True, eq=False)
 class IsometricBoundaryPair:
     """The boundary map as a relation, deciding under `tol` like a triple."""
-    boundary_dim: int
     gamma_rel: LinearRelation
     a_star: LinearRelation
     kernel: LinearRelation
@@ -204,23 +210,17 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
 # Weyl family and gamma-field
 
 
-def _defect_solve(triple: BoundaryTriple, z):
+def _defect_solve(triple: BoundaryTriple, z: complex) -> WeylValue:
     """The defect graph N_z(T+) and its boundary values, then the solver
-    (Gamma0 on N_z)^{-1} and the matrix M(z) = Gamma1 (Gamma0 on N_z)^{-1}, as
-    (WeylValue, solver); the WeylValue spans M(z)'s graph from the boundary
-    values when it is first read.  The one regularity rule: dim N_z = d and
-    Gamma0 on N_z has rank d by the policy's map rule, read off one
-    values-only SVD (vacuously at d = 0); otherwise M(z)'s matrix and the
-    solver are None.  The inverse is then an LU's: a values-only SVD plus an
-    LU took 0.6-0.8 of the time of an SVD with vectors and V S^{-1} U^H, per
-    block and per stack of 20, d = 1..16, one OpenBLAS thread.  The arrays are
-    read-only; a z in the
-    triple's slot returns the same ones.  A list of points is solved in one
-    pass of stacked calls, M(z)'s graphs included (the points already in the
-    slot are kept), and replaces the slot with the walk's {z: solve}, which
-    it returns."""
-    if isinstance(z, (list, tuple)):
-        return _solve_walk(triple, [complex(w) for w in z])
+    (Gamma0 on N_z)^{-1} and the matrix M(z) = Gamma1 (Gamma0 on N_z)^{-1}; the
+    WeylValue spans M(z)'s graph from the boundary values when it is first
+    read.  The one regularity rule: dim N_z = d and Gamma0 on N_z has rank d
+    by the policy's map rule, read off one values-only SVD (vacuously at
+    d = 0); otherwise M(z)'s matrix and the solver are None.  The inverse is
+    then an LU's: a values-only SVD plus an LU took 0.6-0.8 of the time of an
+    SVD with vectors and V S^{-1} U^H, per block and per stack of 20,
+    d = 1..16, one OpenBLAS thread.  A z in the triple's slot returns the
+    same value."""
     z = complex(z)
     hit = triple._solves.get(z)
     if hit is not None:
@@ -229,37 +229,22 @@ def _defect_solve(triple: BoundaryTriple, z):
     frame = rel.graph_eigenspace(triple.tplus, z, tol).graph.frame
     # N_z(T+) lies in T+, so its coordinates are read unchecked; a frame of the
     # wrong dim (a loose cut's extra direction) only makes z irregular below
-    bvals = _read_only(triple.gamma_ambient @ frame)
+    bvals = triple.gamma_ambient @ frame
     m = ghat = None
     if frame.shape[1] == d and tol.map_rank(np.linalg.svd(bvals[:d], compute_uv=False)) == d:
         inv0 = np.linalg.inv(bvals[:d])
         m, ghat = bvals[d:] @ inv0, frame @ inv0
-    solve = WeylValue(z, _read_only(m), bvals, tol), _read_only(ghat)
-    object.__setattr__(triple, "_solves", {z: solve})
-    return solve
+    value = WeylValue(z, m, ghat, bvals, tol)
+    object.__setattr__(triple, "_solves", {z: value})
+    return value
 
 
-def _read_only(a: np.ndarray | None) -> np.ndarray | None:
-    if a is not None:
-        a.flags.writeable = False
-    return a
-
-
-def _solve_walk(triple: BoundaryTriple, walk: list) -> dict:
-    known = triple._solves
-    todo = [z for z in dict.fromkeys(walk) if z not in known]
-    solves = _solve_stacked(triple, todo) if todo else {}
-    solves = {z: known.get(z) or solves[z] for z in walk}
-    object.__setattr__(triple, "_solves", solves)
-    return solves
-
-
-def _solve_stacked(triple: BoundaryTriple, points: list) -> dict:
+def _solve_stacked(triple: BoundaryTriple, points: list) -> list:
     """`_defect_solve` at each of the points, one stacked call per step; every
     caller of a walk reads M(z)'s graphs, so they are spanned here."""
     d, tol = triple.boundary_dim, triple.tol
     frames = [g.graph.frame for g in rel.graph_eigenspace(triple.tplus, points, tol)]
-    bvals = [_read_only(b) for b in sub._stacked(lambda f: triple.gamma_ambient @ f, frames)]
+    bvals = sub._stacked(lambda f: triple.gamma_ambient @ f, frames)
     graphs = sub._stacked(lambda b: sub.span(b, tol), bvals)
     square = [i for i, f in enumerate(frames) if f.shape[1] == d]
     b = np.stack([bvals[i] for i in square]) if square else np.zeros((0, 2 * d, d))
@@ -268,31 +253,32 @@ def _solve_stacked(triple: BoundaryTriple, points: list) -> dict:
     inv0 = np.linalg.inv(b[:, :d])
     ghat = np.stack([frames[i] for i in square]) @ inv0 if square else []
     solved = {i: (m, g) for i, m, g in zip(square, b[:, d:] @ inv0, ghat)}
-    lspace, solves = triple.boundary_space, {}
+    lspace, values = triple.boundary_space, []
     for i, (z, bv, graph) in enumerate(zip(points, bvals, graphs)):
-        m, g = solved.get(i, (None, None))
-        value = WeylValue(z, _read_only(m), bv, tol)
+        value = WeylValue(z, *solved.get(i, (None, None)), bv, tol)
         object.__setattr__(value, "relation_in_L", LinearRelation(lspace, lspace, graph))
-        solves[z] = (value, _read_only(g))
-    return solves
+        values.append(value)
+    return values
 
 
-def weyl(triple: BoundaryTriple, z: complex) -> WeylValue:
-    """M(z) as a relation in L, with its matrix form where gamma(z) exists."""
-    return _defect_solve(triple, z)[0]
-
-
-def gamma_field_hat(triple: BoundaryTriple, z: complex) -> np.ndarray:
-    """The full defect-graph solver (Gamma0 restricted to zI)^{-1}: L -> K."""
-    ghat = _defect_solve(triple, z)[1]
-    if ghat is None:
-        raise rel.NotRegularError(f"gamma-field undefined at z={z}")
-    return ghat
+def weyl(triple: BoundaryTriple, z) -> WeylValue | list:
+    """M(z) as a relation in L, with its matrix form and gamma_hat(z) where
+    gamma(z) exists.  A list or tuple of points is a walk: one value per point,
+    in order, from one stacked pass, and the walk's values replace the
+    triple's slot, from which a scalar call at one of its points reads."""
+    if isinstance(z, (list, tuple)):
+        values = _solve_stacked(triple, [complex(w) for w in z])
+        object.__setattr__(triple, "_solves", {v.z: v for v in values})
+        return values
+    return _defect_solve(triple, z)
 
 
 def gamma_field(triple: BoundaryTriple, z: complex) -> np.ndarray:
-    """gamma(z): L -> H, first component of the defect-graph solver."""
-    return gamma_field_hat(triple, z)[: triple.space.dim, :]
+    """gamma(z): L -> H, the first component of gamma_hat(z)."""
+    ghat = _defect_solve(triple, z).gamma_hat
+    if ghat is None:
+        raise rel.NotRegularError(f"gamma-field undefined at z={z}")
+    return ghat[: triple.space.dim, :]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +340,7 @@ def pair_from_triple(triple: BoundaryTriple,
     if domain is not None:
         gamma_rel = rel.restrict(gamma_rel, domain, tol)
         dom, kern = sub.intersect(dom, domain, tol), sub.intersect(kern, domain, tol)
-    return IsometricBoundaryPair(triple.boundary_dim, gamma_rel,
-                                 LinearRelation(space, space, dom),
+    return IsometricBoundaryPair(gamma_rel, LinearRelation(space, space, dom),
                                  LinearRelation(space, space, kern), tol)
 
 
@@ -410,19 +395,13 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dic
     "max_" entry is the largest of its residuals, NaN if any of them is.  The
     walk's solves, resolvents and Hilbert adjoints come from stacked calls,
     and each residual is evaluated for all of its pairs of points at once."""
-    j, tol, d = triple.space.J, triple.tol, triple.boundary_dim
+    tol, d = triple.tol, triple.boundary_dim
     grid = [complex(z) for z in grid]
     nonreal = [z for z in grid if z.imag != 0]
     walk = list(dict.fromkeys([*nonreal, *(z.conjugate() for z in nonreal)]))
-    _defect_solve(triple, walk)
-    weyls, gammas = {}, {}
-    for z in walk:
-        weyls[z] = weyl(triple, z)
-        try:
-            gammas[z] = gamma_field(triple, z)
-        except rel.NotRegularError:
-            pass
-    r0 = {z: r for z, r in zip(gammas, rel.resolvent_matrix(triple.t0, list(gammas), tol))
+    weyls = dict(zip(walk, weyl(triple, walk)))
+    solved = [z for z in walk if weyls[z].gamma_hat is not None]
+    r0 = {z: r for z, r in zip(solved, rel.resolvent_matrix(triple.t0, solved, tol))
           if r is not None}
     pts = list(r0)
     report = {"weyl": weyls, "points": pts, "symmetry": {}, "gamma_diff": {},
@@ -436,19 +415,19 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dic
         report["symmetry"][z] = min(
             sub.distance(adj, weyls[z.conjugate()].relation_in_L.graph), np.pi / 2)
     if pts:
-        _pair_identities(report, triple, pts, gammas, r0, weyls)
+        _pair_identities(report, triple, pts, r0, weyls)
     for key in ("symmetry", "gamma_diff", "pairing", "krein_naimark"):
         report[f"max_{key}"] = float(np.max([*report[key].values()], initial=0.0))
     return report
 
 
-def _pair_identities(report: dict, triple: BoundaryTriple, pts: list, gammas: dict,
-                     r0: dict, weyls: dict):
+def _pair_identities(report: dict, triple: BoundaryTriple, pts: list, r0: dict,
+                     weyls: dict):
     """The gamma-difference, pairing and Krein-Naimark residuals of
     `resolvent_identities_check` over all pairs (z, z0) of its points."""
     j, tol, d = triple.space.J, triple.tol, triple.boundary_dim
     zs = np.array(pts)
-    g = np.stack([gammas[z] for z in pts])
+    g = np.stack([weyls[z].gamma_hat[: triple.space.dim] for z in pts])
     r = np.stack([r0[z] for z in pts])
     m = np.stack([weyls[z].operator_form for z in pts])
     # gamma(z) - gamma(z0) = (z - z0)(T0 - z)^{-1} gamma(z0)
@@ -484,13 +463,8 @@ def ddTTp_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple, grid=DEFAULT
     """Regular-point transfer between triples with matching Weyl families."""
     tol = shared_tol(triple_a, triple_b)
     pts = [complex(z) for z in grid if complex(z).imag != 0]
-    _defect_solve(triple_a, pts)
-    _defect_solve(triple_b, pts)
-    weyl_equal = {}
-    for z in pts:
-        ma = weyl(triple_a, z).relation_in_L
-        mb = weyl(triple_b, z).relation_in_L
-        weyl_equal[z] = sub.equal(ma.graph, mb.graph, tol)
+    weyl_equal = {z: sub.equal(ma.relation_in_L.graph, mb.relation_in_L.graph, tol)
+                  for z, ma, mb in zip(pts, weyl(triple_a, pts), weyl(triple_b, pts))}
     omega = [z for z in pts if weyl_equal[z] and weyl_equal.get(np.conj(z), False)]
     report = {"weyl_equal": weyl_equal, "omega": omega, "transfers": {}}
     hat_a = {z for z in omega if ext.delta_membership(triple_a.parent, z, tol)}

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import relations as rel
 from . import subspaces as sub
-from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair, _defect_solve,
-                       gamma_field, gamma_relation, pair_from_triple, shared_tol, weyl)
+from .boundary import (DEFAULT_GRID, BoundaryTriple, IsometricBoundaryPair, gamma_field,
+                       gamma_relation, pair_from_triple, shared_tol, weyl)
 from .krein import KreinSpace
 from .relations import LinearRelation
 from .subspaces import Subspace
@@ -71,16 +71,12 @@ def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.n
     return formula @ triple_a.basis_pinv
 
 
-def sigma_frames(triple: BoundaryTriple) -> np.ndarray:
-    return np.hstack([triple.fn, triple.fjn])
-
-
 def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """Gram preservation of (V0)_s between the two Sigma subspaces, plus
     the displayed inverse composing to the identity."""
     tol = _check_compatible(triple_a, triple_b)
     vs = v0_operator_part(triple_a, triple_b)
-    sa = sigma_frames(triple_a)
+    sa = np.hstack([triple_a.fn, triple_a.fjn])
     ja, jb = triple_a.space.doubled.J, triple_b.space.doubled.J
     img = vs @ sa
     gram_res = float(np.abs(img.conj().T @ jb @ img - sa.conj().T @ ja @ sa).max(initial=0.0))
@@ -373,8 +369,8 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     def walk(points):
         for i, (z, weight) in enumerate(points):
             if i == 1:
-                _defect_solve(triple_a, [w for w, _ in points[1:]])
-                _defect_solve(triple_b, [w for w, _ in points[1:]])
+                rest = [w for w, _ in points[1:]]
+                weyl(triple_a, rest), weyl(triple_b, rest)
             wa, wb = weyl(triple_a, z), weyl(triple_b, z)
             gap = sub.distance(wa.relation_in_L.graph, wb.relation_in_L.graph)
             if tol.angle_differs(gap):
@@ -448,26 +444,21 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
 def w_invariance_audit(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
                        u: np.ndarray, vs, grid=DEFAULT_GRID) -> dict:
-    """Invariance W(T) = T and W(defect graphs) = same, for each supplied V, a
-    matrix K -> K' or a LinearRelation."""
+    """Invariance W(T) = T and W(defect graphs) = same of W = U~^{-1} V, for
+    each supplied V, a matrix K -> K'."""
     tol = shared_tol(triple_a, triple_b)
     ut_inv = _utilde(_u_inverse(u, triple_a.space, triple_b.space))
-    ksrc = triple_a.space.doubled
+    t = triple_a.parent.graph
     reports = []
     defect_graphs = {}
     for z in map(complex, grid):
         if z.imag != 0 and rel.spectral_probe(triple_a.parent, z, tol)["regular_type"]:
             defect_graphs[z] = rel.graph_eigenspace(triple_a.tplus, z, tol).graph
     for v in vs:
-        v_rel = v if isinstance(v, LinearRelation) else \
-            rel.from_operator(v, ksrc, triple_b.space.doubled)
-        w_rel = rel.compose(rel.from_operator(ut_inv, v_rel.tgt, ksrc), v_rel, tol)
-        t_img = rel.parts(rel.restrict(w_rel, triple_a.parent.graph, tol), tol).ran
-        entry = {"t_invariant": sub.equal(t_img, triple_a.parent.graph, tol),
-                 "defect_invariant": {}}
-        for z, nz in defect_graphs.items():
-            img = rel.parts(rel.restrict(w_rel, nz, tol), tol).ran
-            entry["defect_invariant"][z] = sub.equal(img, nz, tol)
+        w = ut_inv @ as_matrix(v, rows=2 * triple_b.space.dim, cols=2 * triple_a.space.dim)
+        entry = {"t_invariant": sub.equal(sub.image(w, t, tol), t, tol),
+                 "defect_invariant": {z: sub.equal(sub.image(w, nz, tol), nz, tol)
+                                      for z, nz in defect_graphs.items()}}
         entry["ok"] = entry["t_invariant"] and all(entry["defect_invariant"].values())
         reports.append(entry)
     return {"per_v": reports, "ok": all(e["ok"] for e in reports)}

@@ -1,4 +1,5 @@
 import cProfile
+import dataclasses
 import inspect
 import pstats
 import sys
@@ -120,7 +121,7 @@ def test_transposed_weyl_inverse_operator_case():
 def test_gamma_field_c4(c4):
     tri = c4["triple"]
     z = 0.7 + 0.3j
-    ghat = bnd.gamma_field_hat(tri, z)
+    ghat = bnd.weyl(tri, z).gamma_hat
     bv = tri.apply(ghat)
     assert np.abs(bv[:3, :] - np.eye(3)).max() < 1e-10
     g = bnd.gamma_field(tri, z)
@@ -140,12 +141,13 @@ def test_weyl_and_gamma_field_share_the_regularity_rule(tol):
     lam = min(np.linalg.eigvals(np.linalg.solve(e, d)), key=lambda x: abs(x - 2.9113))
     assert abs(lam.imag) < 1e-9
     z = lam.real + 1e-5j
+    value = bnd.weyl(tri, z)
     try:
-        bnd.gamma_field_hat(tri, z)
+        bnd.gamma_field(tri, z)
         raised = False
     except rel.NotRegularError:
         raised = True
-    assert (bnd.weyl(tri, z).operator_form is None) == raised
+    assert (value.operator_form is None) == (value.gamma_hat is None) == raised
 
 
 def test_a_loose_triple_decides_the_weyl_family_under_its_own_policy():
@@ -251,7 +253,7 @@ def test_defect_solve_slot_never_goes_stale():
             assert _same(wa.operator_form, wb.operator_form)
             assert np.array_equal(wa.relation_in_L.graph.frame, wb.relation_in_L.graph.frame)
             if wa.operator_form is not None:
-                assert np.array_equal(bnd.gamma_field_hat(a, z), bnd.gamma_field_hat(b, z))
+                assert np.array_equal(bnd.weyl(a, z).gamma_hat, bnd.weyl(b, z).gamma_hat)
         forms.append(bnd.weyl(t, z).operator_form)
     assert forms[2] is not None and forms[3] is None
 
@@ -271,26 +273,29 @@ def test_a_walk_solves_each_point_like_the_scalar_call(tol, seed, n, d):
     e, dd = tri.t0.blocks()
     lam = min(np.linalg.eigvals(np.linalg.solve(e, dd)), key=lambda x: abs(x - 2.9113))
     walk = [lam.real + 1e-5j, *bnd.DEFAULT_GRID, 3 + 0.01j]
-    solves = bnd._defect_solve(tri, walk)
-    assert list(solves) == walk
+    values = bnd.weyl(tri, walk)
+    assert [value.z for value in values] == walk
     r0 = rel.resolvent_matrix(tri.t0, walk, tol)
-    for z, r in zip(walk, r0):
-        value, ghat = solves[z]
-        scalar = under(tri, tol)
-        want, want_ghat = bnd.weyl(scalar, z), bnd._defect_solve(scalar, z)[1]
+    for z, value, r in zip(walk, values, r0):
+        want = bnd.weyl(under(tri, tol), z)
         graph, want_graph = bnd.weyl(tri, z).relation_in_L.graph, want.relation_in_L.graph
         assert graph.dim == want_graph.dim and sub.distance(graph, want_graph) < 1e-13
-        m, want_m = value.operator_form, want.operator_form
+        m, want_m, ghat = value.operator_form, want.operator_form, value.gamma_hat
         assert (m is None) == (want_m is None) == (ghat is None)
         if m is not None:
-            assert _rel_gap(m, want_m) < 1e-13 and _rel_gap(ghat, want_ghat) < 1e-13
-            assert bnd.weyl(tri, z).operator_form is m and bnd.gamma_field_hat(tri, z) is ghat
+            assert _rel_gap(m, want_m) < 1e-13 and _rel_gap(ghat, want.gamma_hat) < 1e-13
+        assert bnd.weyl(tri, z) is value
         try:
             assert _rel_gap(r, rel.resolvent_matrix(tri.t0, z, tol)) < 1e-13
         except rel.NotRegularError:
             assert r is None
     if n == 4:
-        assert (solves[walk[0]][0].operator_form is None) == (tol != DEFAULT_TOL)
+        assert (values[0].operator_form is None) == (tol != DEFAULT_TOL)
+    # a tuple is a walk too, and an empty walk has no values
+    for value, again in zip(values, bnd.weyl(tri, tuple(walk)), strict=True):
+        assert _same(value.operator_form, again.operator_form)
+        assert _same(value.gamma_hat, again.gamma_hat)
+    assert bnd.weyl(tri, []) == []
 
 
 def _beside_real_eigenvalue(tri, eps):
@@ -308,14 +313,14 @@ def test_one_svd_of_gamma0_decides_regularity_as_matrix_rank_does(tol):
     tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243, tol)
     d = tri.boundary_dim
     walk = [_beside_real_eigenvalue(tri, 10.0 ** -k) for k in range(1, 10)]
-    walked = bnd._defect_solve(under(tri, tol), walk)
+    walked = bnd.weyl(under(tri, tol), walk)
     verdicts = []
-    for z in walk:
+    for z, walked_value in zip(walk, walked):
         value = bnd.weyl(tri, z)
         b0 = value.boundary_values[:d]
         want = b0.shape[1] == d and np.linalg.matrix_rank(b0, rtol=tol.rank_rel) == d
         assert (value.operator_form is not None) == want
-        assert (walked[z][0].operator_form is not None) == want
+        assert (walked_value.operator_form is not None) == want
         verdicts.append(want)
     assert True in verdicts and False in verdicts
 
@@ -367,7 +372,8 @@ def test_a_boundary_dim_zero_triple_has_empty_weyl_values():
         value = bnd.weyl(tri, z)
         assert value.operator_form.shape == (0, 0) and value.relation_in_L.dim == 0
         assert bnd.gamma_field(tri, z).shape == (4, 0)
-    # 1j is in the slot from the scalar call, -1j is walked
+    # the walk solves 1j again beside -1j, on a fresh triple and on one whose
+    # slot holds 1j from the scalar call
     for fresh in (False, True):
         triple = bnd.validate_triple(t0, tri.gamma) if fresh else tri
         out = bnd.resolvent_identities_check(triple, (1j,))
@@ -379,10 +385,12 @@ def test_defect_solve_arrays_are_read_only():
     tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991)
     m = bnd.weyl(tri, 1j).operator_form
     g = bnd.gamma_field(tri, 1j)
-    with pytest.raises(ValueError):
-        m[0, 0] = 0
-    with pytest.raises(ValueError):
-        g[0, 0] = 0
+    arrays = [m, g]
+    for value in bnd.weyl(tri, [2j, 1 - 1j]):
+        arrays += [value.operator_form, value.gamma_hat, value.boundary_values]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
 
 
 def test_shared_triple_across_threads():
@@ -445,7 +453,7 @@ def test_inverse_boundary_projection_identities(c4):
     p_jn = tri.fjn @ tri.fjn.conj().T
     p_n = tri.fn @ tri.fn.conj().T
     for z in (1j, 2j, 1 - 1j):
-        ghat = bnd.gamma_field_hat(tri, z)
+        ghat = bnd.weyl(tri, z).gamma_hat
         assert np.abs(p_jn @ ghat - tri.g0inv).max() < 1e-9
         m_beta = bnd.weyl(tri, z).operator_form - tri.beta
         assert np.abs(p_n @ ghat - tri.g1inv @ m_beta).max() < 1e-9
@@ -531,7 +539,6 @@ def test_pair_isometry_flags(c4):
     assert sub.equal(restricted.kernel.graph, c4["T"].graph)
 
     broken = bnd.IsometricBoundaryPair(
-        tri.boundary_dim,
         relation(tri.space.doubled, krein.hilbert_space(3).doubled,
                     sub.span(np.vstack([tri.basis,
                                         np.vstack([tri.gamma[:3] * 0, tri.gamma[3:]])]))),
@@ -605,12 +612,13 @@ def test_resolvent_identities_skip_points_without_a_defect_solve(monkeypatch):
     # gamma(z), the point is skipped rather than raising
     loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
     tri = gen_triple(gen_symmetric(InstanceSpec(990, 4, (2, 2), 2)), 991, loose)
-    solve = bnd._defect_solve
+    stacked = bnd._solve_stacked
 
-    def singular_at_i(triple, z):
-        return (solve(triple, z)[0], None, None) if z == 1j else solve(triple, z)
+    def singular_at_i(triple, points):
+        return [dataclasses.replace(v, gamma_hat=None) if v.z == 1j else v
+                for v in stacked(triple, points)]
 
-    monkeypatch.setattr(bnd, "_defect_solve", singular_at_i)
+    monkeypatch.setattr(bnd, "_solve_stacked", singular_at_i)
     assert rel.spectral_probe(tri.t0, 1j, loose)["regular"]
     out = bnd.resolvent_identities_check(tri, bnd.DEFAULT_GRID)
     assert 1j in out["skipped"] and 1j not in out["points"]

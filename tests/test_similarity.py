@@ -40,7 +40,7 @@ def test_v0_same_triple_identity(pair44):
     # the operator part sheds the mul part T, leaving the Sigma projection
     vs = sim.v0_operator_part(tri, tri)
     frame = tri.tplus.graph.frame
-    sigma = sim.sigma_frames(tri)
+    sigma = np.hstack([tri.fn, tri.fjn])
     proj = sigma @ sigma.conj().T
     assert np.abs(vs @ frame - proj @ frame).max() < 1e-10
     _assert_formula_matches_oracle(vs, tri, tri)
@@ -72,7 +72,7 @@ def test_v0_beta_shift_case(pair44):
     k = (k + k.T) / 2
     shifted = bnd.beta_shift(tri, -k)  # Gamma1' = Gamma1 + k Gamma0
     vs = sim.v0_operator_part(tri, shifted)
-    sigma = sim.sigma_frames(tri)
+    sigma = np.hstack([tri.fn, tri.fjn])
     proj = sigma @ sigma.conj().T
     direct = proj + tri.g1inv @ (-k) @ (tri.gamma0 @ tri.basis_pinv)
     # compare actions on T+
