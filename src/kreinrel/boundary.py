@@ -108,18 +108,6 @@ class BoundaryTriple:
     # the graph of the boundary map, the span of [basis; Gamma]
     gamma_graph = cached_property(lambda self: self._lift(np.vstack([self._sv, self.gamma])))
 
-    def coords(self, vectors: np.ndarray) -> np.ndarray:
-        """Basis coordinates of columns that lie in T+."""
-        x = self.basis_pinv @ vectors
-        if not self.tol.negligible(np.linalg.norm(self.basis @ x - vectors),
-                                   1 + np.linalg.norm(vectors)):
-            raise ValueError("vectors are not inside the adjoint's graph")
-        return x
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Boundary values (Gamma0 stacked over Gamma1) of T+ columns."""
-        return self.gamma @ self.coords(vectors)
-
 
 @dataclass(frozen=True, eq=False)
 class WeylValue:
@@ -364,15 +352,14 @@ def k_shift_equivalence(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
     tol = shared_tol(triple_a, triple_b)
     if not sub.equal(triple_a.tplus.graph, triple_b.tplus.graph, tol):
         raise ValueError("triples must share the adjoint")
-    d = triple_a.boundary_dim
-    g1a_on_n = triple_a.apply(triple_a.fn)[d:, :]
-    g1b_on_n = triple_b.apply(triple_a.fn)[d:, :]
+    # one T+: Gamma'_1 reads A's frames, all inside it, through B's ambient map
+    g1b = triple_b.gamma_ambient[triple_b.boundary_dim :]
+    g1a_on_n = triple_a._a1
+    g1b_on_n = g1b @ triple_a.fn
     cond_b = tol.negligible(np.linalg.norm(g1a_on_n - g1b_on_n), 1 + np.linalg.norm(g1a_on_n))
-    beta0 = triple_b.apply(triple_a.g0inv)[d:, :]
-    k = triple_a.beta - beta0
-    lhs = triple_b.apply(triple_a.basis)[d:, :]
-    bvals_a = triple_a.apply(triple_a.basis)
-    rhs = bvals_a[d:, :] - k @ bvals_a[:d, :]
+    k = triple_a.beta - g1b @ triple_a.g0inv
+    lhs = g1b @ triple_a.basis
+    rhs = triple_a.gamma1 - k @ triple_a.gamma0
     cond_a = tol.negligible(np.linalg.norm(lhs - rhs), 1 + np.linalg.norm(lhs))
     return {"exists_k": cond_a, "agrees_on_n": cond_b, "k": k,
             "equivalent": cond_a == cond_b}

@@ -11,7 +11,7 @@ rank by the map rule, the dom N formulas by the angle-equality rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,6 @@ class NWitness:
     N: LinearRelation
     parent: LinearRelation
     t0: LinearRelation
-
-
-@dataclass(frozen=True, eq=False)
-class SigmaDecomposition:
-    sigma: Subspace
-    n_part: Subspace
-    jn_part: Subspace
-    m_hat: LinearRelation
-    defect_plus_frame: np.ndarray = field(repr=False)
-    defect_minus_frame: np.ndarray = field(repr=False)
 
 
 def defect_subspace(t: LinearRelation, z: complex,
@@ -117,30 +107,14 @@ def _n_part(t: LinearRelation, t0: LinearRelation, tol: TolerancePolicy) -> Line
     return LinearRelation(t.src, t.tgt, sub._meet_complement(t0.graph, t.graph, tol))
 
 
-def _sigma_parts(t: LinearRelation, n: LinearRelation,
-                 tol: TolerancePolicy) -> SigmaDecomposition:
-    """Σ = T+ ∩ T-perp with its N ⊕ J_hat(N) split and the defect pairing, for
-    an N in the N-class of T (from `reduce` or accepted by `n_class_check`);
-    N is not checked again here."""
-    tplus = rel.adjoint(t, "krein", tol)
-    sigma = sub._meet_complement(tplus.graph, t.graph, tol)
-    jn = sub.image(t.src.doubled.J, n.graph, tol)
-    ni = defect_subspace(t, 1j, tol)
-    nmi = defect_subspace(t, -1j, tol)
-    fp, fm = ni.frame, nmi.frame
-    # [N_i, N_-i; iN_i, -iN_-i] has orthogonal columns of norm sqrt(2), as N_i
-    # and N_-i are orthonormal frames: a frame of M_hat, Gram-checked
+def _m_hat(t: LinearRelation, tol: TolerancePolicy) -> LinearRelation:
+    """M_hat = N_i ⊕ N_-i as a relation in the Hilbert doubled space:
+    [N_i, N_-i; iN_i, -iN_-i] has orthogonal columns of norm sqrt(2), as N_i
+    and N_-i are orthonormal frames, so it is a frame, Gram-checked."""
+    fp, fm = defect_subspace(t, 1j, tol).frame, defect_subspace(t, -1j, tol).frame
     hil = hilbert_space(t.src.dim)
-    m_hat = LinearRelation(hil, hil, Subspace(2 * t.src.dim, np.vstack(
+    return LinearRelation(hil, hil, Subspace(2 * t.src.dim, np.vstack(
         [np.hstack([fp, fm]), np.hstack([1j * fp, -1j * fm])]) / np.sqrt(2.0)))
-    return SigmaDecomposition(
-        sigma=sigma,
-        n_part=n.graph,
-        jn_part=jn,
-        m_hat=m_hat,
-        defect_plus_frame=fp,
-        defect_minus_frame=fm,
-    )
 
 
 def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
@@ -183,7 +157,6 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
     dim_h = t.src.dim
     d_plus, d_minus = defect_numbers(t, tol)
     n_plus, n_minus = defect_numbers(n, tol)
-    dec = _sigma_parts(t, n, tol)
     formulas = dom_n_formulas(t, t0, tol)
     dom_n = rel.parts(n, tol).dom
     pair_dists = {
@@ -191,12 +164,14 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
         "plus_vs_cayley": sub.distance(formulas["resolvent_plus"], formulas["cayley"]),
         "dom_vs_plus": sub.distance(dom_n, formulas["resolvent_plus"]),
     }
-    t_sum_sigma, orth = rel.cw_sum(
-        t, LinearRelation(t.src, t.tgt, dec.sigma), tol)
+    # Σ = T+ ∩ T-perp, split as N ⊕ J_hat(N) for N in the N-class of T
     tplus = rel.adjoint(t, "krein", tol)
+    sigma = sub._meet_complement(tplus.graph, t.graph, tol)
+    jn = sub.image(t.src.doubled.J, n.graph, tol)
+    t_sum_sigma, orth = rel.cw_sum(t, LinearRelation(t.src, t.tgt, sigma), tol)
     # Σ = J M_hat: post-compose the relation M_hat with the base symmetry, a
     # unitary image of its frame
-    e, d = dec.m_hat.blocks()
+    e, d = _m_hat(t, tol).blocks()
     j_mhat = Subspace(2 * dim_h, np.vstack([e, t.src.J @ d]))
     report = {
         "defects": (d_plus, d_minus),
@@ -206,12 +181,12 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
                      and n.dim == d_plus and t.dim == n_plus,
         "t0_selfadjoint": rel.is_selfadjoint(t0, tol),
         "adjoint_splits": sub.equal(t_sum_sigma.graph, tplus.graph, tol) and orth,
-        "sigma_split": sub.equal(dec.sigma, sub.sum_(dec.n_part, dec.jn_part, tol), tol),
-        "sigma_is_j_mhat": sub.equal(dec.sigma, j_mhat, tol),
+        "sigma_split": sub.equal(sigma, sub.sum_(n.graph, jn, tol), tol),
+        "sigma_is_j_mhat": sub.equal(sigma, j_mhat, tol),
         "dom_formula_distances": pair_dists,
         "dom_formulas_ok": all(tol.angle_equal(v) for v in pair_dists.values()),
     }
-    report.update(_dom_n_neutrality(dec, dom_n, tol))
+    report.update(_dom_n_neutrality(t, dom_n, tol))
     report["ok"] = (report["counts_ok"] and report["t0_selfadjoint"]
                     and report["adjoint_splits"]
                     and report["sigma_split"] and report["sigma_is_j_mhat"]
@@ -220,8 +195,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
     return report
 
 
-def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
-                      tol: TolerancePolicy) -> dict:
+def _dom_n_neutrality(t: LinearRelation, dom_n: Subspace, tol: TolerancePolicy) -> dict:
     """Hyper-maximal neutrality of dom N in the defect-pair metric.
 
     The metric lives on abstract pairs (u, v) in N_i x N_-i with
@@ -229,7 +203,7 @@ def _dom_n_neutrality(dec: SigmaDecomposition, dom_n: Subspace,
     when the two defect subspaces are disjoint, so degenerate instances
     are reported as skipped (None) rather than judged.
     """
-    fp, fm = dec.defect_plus_frame, dec.defect_minus_frame
+    fp, fm = defect_subspace(t, 1j, tol).frame, defect_subspace(t, -1j, tol).frame
     d1, d2 = fp.shape[1], fm.shape[1]
     # one SVD of phi decides its rank and gives its pseudo-inverse
     u, sv, vh = np.linalg.svd(np.hstack([fp, fm]), full_matrices=False)

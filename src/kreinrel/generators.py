@@ -51,8 +51,6 @@ def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     q, r = np.linalg.qr(random_complex(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -129,11 +127,7 @@ def sample_witness(t: LinearRelation, seed: int,
     nmi = ext.defect_subspace(t, -1j, tol)
     d = ni.dim
     e, dd = frak_t.blocks()
-    if frak_t.dim:
-        p_cols = dd + 1j * e
-        c_t = (dd - 1j * e) @ np.linalg.pinv(p_cols)
-    else:
-        c_t = np.zeros((n, n), dtype=np.complex128)
+    c_t = (dd - 1j * e) @ np.linalg.pinv(dd + 1j * e)
     u_defect = random_unitary(rng, d)
     c_full = c_t + nmi.frame @ u_defect @ ni.frame.conj().T
     frak_t0 = rel.inverse_cayley(c_full, tol)

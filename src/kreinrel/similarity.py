@@ -90,12 +90,9 @@ def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
 def w_maps(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
     """The two graph homeomorphisms N -> N' in frame coordinates."""
     tol = _check_compatible(triple_a, triple_b)
-    d = triple_a.boundary_dim
     ja, jb = triple_a.space.doubled.J, triple_b.space.doubled.J
-    bv0 = triple_a.apply(triple_a.fjn)[:d, :]
-    w0 = triple_b.fn.conj().T @ (jb @ (triple_b.g0inv @ bv0))
-    bv1 = triple_a.apply(triple_a.fn)[d:, :]
-    w1 = triple_b.fn.conj().T @ (triple_b.g1inv @ bv1)
+    w0 = triple_b.fn.conj().T @ (jb @ (triple_b.g0inv @ triple_a._a0))
+    w1 = triple_b.fn.conj().T @ (triple_b.g1inv @ triple_a._a1)
     inv_res = float(np.abs(w1 - np.linalg.inv(w0.conj().T)).max(initial=0.0))
     llp_lhs = triple_a.g0inv.conj().T @ ja @ triple_a.g1inv
     llp_rhs = triple_b.g0inv.conj().T @ jb @ triple_b.g1inv
@@ -238,10 +235,8 @@ def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
 
 def _e0_coords(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.ndarray:
     """Coordinates of the symmetric kernel operator on J'(N')."""
-    d = triple_a.boundary_dim
-    a0_b = triple_b.apply(triple_b.fjn)[:d, :]
     delta = triple_a.beta - triple_b.beta
-    return -1j * (triple_b.fn.conj().T @ (triple_b.g1inv @ (delta @ a0_b)))
+    return -1j * (triple_b.fn.conj().T @ (triple_b.g1inv @ (delta @ triple_b._a0)))
 
 
 # ---------------------------------------------------------------------------

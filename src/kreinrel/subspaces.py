@@ -151,11 +151,8 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 def complement(a: Subspace) -> Subspace:
     """Euclidean orthocomplement."""
-    n, r = a.ambient_dim, a.dim
-    if r == 0:
-        return full(n)
     u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
-    return _trusted(n, u[:, r:])
+    return _trusted(a.ambient_dim, u[:, a.dim :])
 
 
 def sum_(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:

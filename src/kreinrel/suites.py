@@ -58,12 +58,12 @@ class Report:
 
 
 def _plain(v):
+    if isinstance(v, np.generic):  # numpy scalars, np.bool_ among them
+        v = v.item()
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, np.ndarray):
         return np.round(v, 12).tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
     return v
 
 

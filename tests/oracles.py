@@ -10,7 +10,9 @@ routes the library replaced are kept here as references too: the SVD span of
 an operator's graph, Gamma V^{-1} by composing relations, z-fibres by
 intersecting a graph with a cage around the graph of zI, A ∩ T-perp by
 intersecting with T's complement, spans over a triple's basis coordinates
-from the 2n-row products, `np.linalg.pinv`, the SVD spans of unitary images
+from the 2n-row products, Gamma on T+ columns through checked basis
+coordinates (and the k-shift, w-maps and E0 coordinates read through it),
+`np.linalg.pinv`, the SVD spans of unitary images
 of frames, the eager parts of a relation, the signature from `eigvalsh`, and
 the rank-then-pinv lift of dom N, the doubled symmetry J_hat built from a
 space's J, and the six block identities of a standard unitary read off a
@@ -359,6 +361,55 @@ def gamma_graph_by_span(triple):
     return sub.span(np.vstack([triple.basis, triple.gamma]), triple.tol)
 
 
+def apply_by_pinv(triple, vectors):
+    """Gamma (Gamma0 over Gamma1) on columns of T+, through their basis
+    coordinates basis_pinv @ v, checked to reproduce the columns."""
+    x = triple.basis_pinv @ vectors
+    if not triple.tol.negligible(np.linalg.norm(triple.basis @ x - vectors),
+                                 1 + np.linalg.norm(vectors)):
+        raise ValueError("vectors are not inside the adjoint's graph")
+    return triple.gamma @ x
+
+
+def k_shift_by_apply(triple_a, triple_b) -> dict:
+    """`boundary.k_shift_equivalence` with every boundary value from `apply_by_pinv`."""
+    tol, d = triple_a.tol, triple_a.boundary_dim
+    g1a_on_n = apply_by_pinv(triple_a, triple_a.fn)[d:]
+    g1b_on_n = apply_by_pinv(triple_b, triple_a.fn)[d:]
+    cond_b = tol.negligible(np.linalg.norm(g1a_on_n - g1b_on_n), 1 + np.linalg.norm(g1a_on_n))
+    k = triple_a.beta - apply_by_pinv(triple_b, triple_a.g0inv)[d:]
+    lhs = apply_by_pinv(triple_b, triple_a.basis)[d:]
+    bvals_a = apply_by_pinv(triple_a, triple_a.basis)
+    rhs = bvals_a[d:] - k @ bvals_a[:d]
+    cond_a = tol.negligible(np.linalg.norm(lhs - rhs), 1 + np.linalg.norm(lhs))
+    return {"exists_k": cond_a, "agrees_on_n": cond_b, "k": k,
+            "equivalent": cond_a == cond_b}
+
+
+def w_maps_by_apply(triple_a, triple_b) -> dict:
+    """`similarity.w_maps` with Gamma0 on J_hat(N) and Gamma1 on N from `apply_by_pinv`."""
+    tol, d = triple_a.tol, triple_a.boundary_dim
+    ja, jb = triple_a.space.doubled.J, triple_b.space.doubled.J
+    bv0 = apply_by_pinv(triple_a, triple_a.fjn)[:d]
+    w0 = triple_b.fn.conj().T @ (jb @ (triple_b.g0inv @ bv0))
+    bv1 = apply_by_pinv(triple_a, triple_a.fn)[d:]
+    w1 = triple_b.fn.conj().T @ (triple_b.g1inv @ bv1)
+    inv_res = float(np.abs(w1 - np.linalg.inv(w0.conj().T)).max(initial=0.0))
+    llp_lhs = triple_a.g0inv.conj().T @ ja @ triple_a.g1inv
+    llp_res = float(np.abs(llp_lhs - triple_b.g0inv.conj().T @ jb @ triple_b.g1inv)
+                    .max(initial=0.0))
+    return {"w0": w0, "w1": w1, "inverse_residual": inv_res, "llp_residual": llp_res,
+            "ok": tol.negligible(inv_res, 1 + np.abs(w0).max(initial=0.0))
+                  and tol.negligible(llp_res, 1.0 + float(np.abs(llp_lhs).max(initial=0.0)))}
+
+
+def e0_coords_by_apply(triple_a, triple_b):
+    """`similarity._e0_coords` with Gamma0' on J_hat(N') from `apply_by_pinv`."""
+    a0_b = apply_by_pinv(triple_b, triple_b.fjn)[: triple_b.boundary_dim]
+    delta = triple_a.beta - triple_b.beta
+    return -1j * (triple_b.fn.conj().T @ (triple_b.g1inv @ (delta @ a0_b)))
+
+
 def hilbertize_by_span(t, tol):
     """JT as the SVD span of [E; JD], with its rank cut."""
     from kreinrel import krein, relations as rel, subspaces as sub
@@ -392,13 +443,13 @@ def signature_by_eigvalsh(j) -> tuple[int, int]:
     return p, j.shape[0] - p
 
 
-def dom_n_neutrality_by_pinv(dec, dom_n, tol) -> dict:
+def dom_n_neutrality_by_pinv(fp, fm, dom_n, tol) -> dict:
     """`extensions._dom_n_neutrality` by matrix_rank(rtol=rank_rel) of the defect
     frames [N_i, N_-i], then `np.linalg.pinv` of them: two SVDs of one matrix."""
     from kreinrel import krein, subspaces as sub
 
-    phi = np.hstack([dec.defect_plus_frame, dec.defect_minus_frame])
-    d1, d2 = dec.defect_plus_frame.shape[1], dec.defect_minus_frame.shape[1]
+    phi = np.hstack([fp, fm])
+    d1, d2 = fp.shape[1], fm.shape[1]
     if np.linalg.matrix_rank(phi, rtol=tol.rank_rel) < d1 + d2:
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
     lift = np.linalg.pinv(phi) @ dom_n.frame

@@ -121,20 +121,22 @@ def test_roundtrip_random_instances():
 
 def test_sigma_decomposition_c4(c4):
     t = c4["T"]
-    dec = ext._sigma_parts(t, ext.reduce(t, c4["triple"].t0), kr.DEFAULT_TOL)
-    assert dec.sigma.dim == 6
-    assert sub.equal(dec.sigma, sub.sum_(dec.n_part, dec.jn_part))
-    assert dec.m_hat.dim == 6
+    n = ext.reduce(t, c4["triple"].t0)
+    sigma = sub._meet_complement(rel.adjoint(t, "krein").graph, t.graph, kr.DEFAULT_TOL)
+    assert sigma.dim == 6
+    assert sub.equal(sigma, sub.sum_(n.graph, sub.image(t.src.doubled.J, n.graph)))
+    m_hat = ext._m_hat(t, kr.DEFAULT_TOL)
+    assert m_hat.dim == 6
     # M_hat against the eigenspace route through JT+
     tstar = rel.hilbertize(rel.adjoint(t, "krein"))
-    m_hat, _ = rel.cw_sum(rel.graph_eigenspace(tstar, 1j), rel.graph_eigenspace(tstar, -1j))
-    assert dec.m_hat.src.same_as(m_hat.src) and dec.m_hat.tgt.same_as(m_hat.tgt)
-    assert sub.equal(dec.m_hat.graph, m_hat.graph)
+    want, _ = rel.cw_sum(rel.graph_eigenspace(tstar, 1j), rel.graph_eigenspace(tstar, -1j))
+    assert m_hat.src.same_as(want.src) and m_hat.tgt.same_as(want.tgt)
+    assert sub.equal(m_hat.graph, want.graph)
     # dimension ledger of the proposition: d + n = dim H
     d_plus, _ = ext.defect_numbers(t)
-    n_plus, _ = ext.defect_numbers(relation(t.src, t.src, dec.n_part))
+    n_plus, _ = ext.defect_numbers(n)
     assert d_plus + n_plus == 4
-    assert dec.n_part.dim == d_plus and t.dim == n_plus
+    assert n.dim == d_plus and t.dim == n_plus
 
 
 def test_prop_n_audit_c4(c4):
@@ -331,7 +333,8 @@ def test_m_hat_frame_from_its_structure_spans_what_the_svd_spans(n, tol):
     # [N_i, N_-i; iN_i, -iN_-i]/sqrt(2) is orthonormal by construction, so it is
     # taken as a frame, with no SVD and no rank decision
     t = gen_symmetric(InstanceSpec(500 + n, n, (n // 2, n // 2), n // 4), tol=tol)
-    dec = ext._sigma_parts(t, sample_witness(t, 600 + n, tol).N, tol)
-    want = m_hat_by_span(dec.defect_plus_frame, dec.defect_minus_frame, tol)
-    assert dec.m_hat.dim == want.dim == 2 * (n // 4)
-    assert sub.distance(dec.m_hat.graph, want.graph) <= 1e-12
+    m_hat = ext._m_hat(t, tol)
+    want = m_hat_by_span(ext.defect_subspace(t, 1j, tol).frame,
+                         ext.defect_subspace(t, -1j, tol).frame, tol)
+    assert m_hat.dim == want.dim == 2 * (n // 4)
+    assert sub.distance(m_hat.graph, want.graph) <= 1e-12

@@ -110,6 +110,14 @@ def test_a_non_finite_residual_fails_the_report(bad):
     assert not np.isfinite(report.max_residual)
 
 
+def test_failure_data_of_numpy_scalars_round_trips_through_json():
+    report = st.Report("x", 1)
+    report.fail(1, "numpy scalars", flag=np.bool_(False), count=np.int64(3),
+                value=np.float64(0.25), z=np.complex128(1 - 2j))
+    got = json.loads(json.dumps(report.to_dict()))["failures"][0]
+    assert (got["flag"], got["count"], got["value"], got["z"]) == (False, 3, 0.25, [1.0, -2.0])
+
+
 @pytest.mark.parametrize("name", ["appendix", "extensions", "boundary", "similarity", "laws"])
 def test_suites_clean_on_small_runs(name):
     for report in st.run_suites(name, 6, 2024):
@@ -207,19 +215,13 @@ def _neutrality_off(tol):
         raise ValueError("not neutral")
 
 
-def _membership_off(tol):
-    _, tri, _ = _pair(tol)
-    tri.coords(tri.basis[:, :1] + 1e-6 * sub.complement(tri.tplus.graph).frame[:, :1])
-
-
 @pytest.mark.parametrize("plant, error", [
     (_green_off, "Green identity violated"),
     (_transform_off, "not boundary-unitary"),
     (_planting_off, "not standard unitary"),
     (_theta_off, "Theta is not self-adjoint"),
     (_neutrality_off, "not neutral"),
-    (_membership_off, "not inside the adjoint's graph"),
-], ids=["green", "transform", "planted-unitary", "theta", "neutrality", "coords"])
+], ids=["green", "transform", "planted-unitary", "theta", "neutrality"])
 def test_identity_cut_follows_the_policy(plant, error):
     # a relative residual near 1e-6 fails the default cut and passes a 1e-4 one
     with pytest.raises(ValueError, match=error):

@@ -136,6 +136,20 @@ def test_cli_verify_and_report(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def test_cli_verify_writes_a_failed_k_shift_as_json(tmp_path, monkeypatch, capsys):
+    # the k-shift flags are numpy booleans, carried into the failure's data
+    real = bnd.k_shift_equivalence
+    monkeypatch.setattr(bnd, "k_shift_equivalence",
+                        lambda a, b: {**real(a, b), "equivalent": np.False_})
+    path = tmp_path / "report.json"
+    assert main(["verify", "--suite", "laws", "--trials", "1", "--out", str(path)]) == 1
+    capsys.readouterr()
+    with open(path) as fh:
+        (report,) = json.load(fh)
+    assert not report["ok"]
+    assert {f["exists_k"] for f in report["failures"]} == {True, False}
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["relation", "check", str(tmp_path / "missing.json")]) == 2
     assert "input error" in capsys.readouterr().err

@@ -8,7 +8,9 @@ orthonormal frames are Gram-checked frames, with no rank decision; `parts`
 spans each part when it is read; `make_krein` reads the signature off tr J.
 Each route is compared with its old one from tests/oracles.py: the same dims
 and decisions, principal angles at most 1e-12 and pseudo-inverses equal to
-roundoff, under the default and CI's loose policy.
+roundoff, under the default and CI's loose policy.  Gamma on a triple's own
+frames is read off its blocks and its ambient map, and is compared with Gamma
+applied to checked basis coordinates, to 1e-12 relative.
 """
 
 import dataclasses
@@ -127,6 +129,39 @@ def test_matrix_v_and_doubled_spaces_match_the_wrappers_they_replaced(n):
         assert space.doubled.J.tobytes() == oracles.doubled_j(space).tobytes()
 
 
+def _close(got: np.ndarray, want: np.ndarray):
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+@SIZES
+@POLICIES
+def test_boundary_values_of_own_frames_match_the_apply_route(n, tol, monkeypatch):
+    # k_shift_equivalence, w_maps and build_standard_V read Gamma on a triple's
+    # own frames off its blocks and its ambient map; the old route applied Gamma
+    # to basis coordinates checked against T+
+    tri, planted = _triples(n, tol)
+    d = tri.boundary_dim
+    h = gen.random_complex(gen.rng_for(n, 78), d, d)
+    other = gen_triple(tri.parent, n + 7, tol)
+    for b in (bnd.beta_shift(tri, h + h.conj().T), gen.scaled_triple(tri, 2.0), other):
+        got, want = bnd.k_shift_equivalence(tri, b), oracles.k_shift_by_apply(tri, b)
+        assert [got[f] for f in ("exists_k", "agrees_on_n", "equivalent")] == \
+            [want[f] for f in ("exists_k", "agrees_on_n", "equivalent")]
+        _close(got["k"], want["k"])
+    pairs = [(tri, planted), (planted, tri), (tri, other)]
+    for a, b in pairs:
+        got, want = sim.w_maps(a, b), oracles.w_maps_by_apply(a, b)
+        assert got["ok"] == want["ok"]
+        _close(got["w0"], want["w0"])
+        _close(got["w1"], want["w1"])
+    tau = gen.random_unitary(gen.rng_for(n, 3), tri.parent.dim)
+    vs = [sim.build_standard_V(a, b, tau) for a, b in pairs]
+    monkeypatch.setattr(sim, "w_maps", oracles.w_maps_by_apply)
+    monkeypatch.setattr(sim, "_e0_coords", oracles.e0_coords_by_apply)
+    for v, (a, b) in zip(vs, pairs):
+        _close(v, sim.build_standard_V(a, b, tau))
+
+
 @POLICIES
 def test_reconstruction_takes_one_svd_of_the_gamma_columns(tol, monkeypatch):
     # the rank decision and the pseudo-inverse of the planted pair's columns
@@ -155,10 +190,10 @@ def test_unitary_images_of_frames_match_their_spans(n, tol):
     space = w.t0.src
     back = oracles.hilbertize_by_span(rel.LinearRelation(space, space, frak_t0.graph), tol)
     _same(w.t0.graph, back.graph)
-    dec = ext._sigma_parts(tri.parent, w.N, tol)
+    fp, fm = (ext.defect_subspace(tri.parent, z, tol).frame for z in (1j, -1j))
     dom_n = rel.parts(w.N, tol).dom
-    assert ext._dom_n_neutrality(dec, dom_n, tol) == oracles.dom_n_neutrality_by_pinv(
-        dec, dom_n, tol)
+    assert ext._dom_n_neutrality(tri.parent, dom_n, tol) == oracles.dom_n_neutrality_by_pinv(
+        fp, fm, dom_n, tol)
 
 
 def _at_involution_cut(j0: np.ndarray, perturbation: np.ndarray, share: float) -> np.ndarray:
@@ -214,7 +249,7 @@ def _holders(seed: int) -> list:
     tri = gen_triple(t, seed)
     w = gen.sample_witness(t, seed)
     return [tri, bnd.weyl(tri, 1j), bnd.pair_from_triple(tri), t, rel.parts(t), t.graph,
-            t.src, w, ext._sigma_parts(t, w.N, DEFAULT_TOL)]
+            t.src, w]
 
 
 def test_array_holding_objects_compare_by_identity():
