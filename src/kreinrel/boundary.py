@@ -78,11 +78,10 @@ class BoundaryTriple:
         and with them the rank decision, are those of the direct span."""
         u, s, _ = self.basis_svd
         f = sub.span(rows, self.tol).frame
-        return sub._trusted(u.shape[0] + len(rows) - s.size,
-                            np.vstack([u @ f[: s.size], f[s.size :]]))
+        return sub._trusted(np.vstack([u @ f[: s.size], f[s.size :]]))
 
     def _kernel_of(self, g: np.ndarray) -> LinearRelation:
-        coords = sub.kernel(g, self.basis.shape[1], self.tol).frame
+        coords = sub.kernel(g, self.tol).frame
         return LinearRelation(self.space, self.space, self._lift(self._sv @ coords))
 
     # Derived on first read and kept.  N = ker Gamma0 ∩ T-perp is unchecked,
@@ -174,7 +173,7 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     # the frame and rank of `sub.span(basis)`, from the triple's SVD of its basis
     u, s, _ = triple.basis_svd
     rank = tol.span_rank(s)
-    if rank < m or not sub.equal(sub._trusted(2 * t.src.dim, u[:, :rank]),
+    if rank < m or not sub.equal(sub._trusted(u[:, :rank]),
                                  triple.tplus.graph, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
     # Gamma's singular values give its rank and its 2-norm; the basis's
@@ -397,7 +396,7 @@ def resolvent_identities_check(triple: BoundaryTriple, grid=DEFAULT_GRID) -> dic
     # M(z)^* in L is ker [D^H, -E^H] on the frame [E; D] of M(z)'s graph
     greens = [np.hstack([f[d:].conj().T, -f[:d].conj().T])
               for f in (weyls[z].relation_in_L.graph.frame for z in walk)]
-    adjoints = sub._stacked(lambda g: sub.kernel(g, 2 * d, tol), greens)
+    adjoints = sub._stacked(lambda g: sub.kernel(g, tol), greens)
     for z, adj in zip(walk, adjoints):
         report["symmetry"][z] = min(
             sub.distance(adj, weyls[z.conjugate()].relation_in_L.graph), np.pi / 2)

@@ -34,7 +34,6 @@ class NClassRejection(ValueError):
 @dataclass(frozen=True, eq=False)
 class NWitness:
     N: LinearRelation
-    parent: LinearRelation
     t0: LinearRelation
 
 
@@ -47,7 +46,7 @@ def defect_subspace(t: LinearRelation, z: complex,
     """
     def compute() -> Subspace:
         e, d = t.blocks()
-        return sub.kernel(d.conj().T @ t.src.J - z * e.conj().T, t.src.dim, tol)
+        return sub.kernel(d.conj().T @ t.src.J - z * e.conj().T, tol)
 
     return t._memoized(("defect", complex(z), tol), compute)
 
@@ -83,7 +82,7 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
     t0, _ = rel.cw_sum(t, n, tol)
     if not neutrality_rank(t.src.doubled, t0.graph, tol)["hyper_maximal"]:
         raise NClassRejection("T ⊕ N is not hyper-maximal neutral")
-    return NWitness(n, t, t0)
+    return NWitness(n, t0)
 
 
 def extend(t: LinearRelation, n: LinearRelation,
@@ -113,7 +112,7 @@ def _m_hat(t: LinearRelation, tol: TolerancePolicy) -> LinearRelation:
     and N_-i are orthonormal frames, so it is a frame, Gram-checked."""
     fp, fm = defect_subspace(t, 1j, tol).frame, defect_subspace(t, -1j, tol).frame
     hil = hilbert_space(t.src.dim)
-    return LinearRelation(hil, hil, Subspace(2 * t.src.dim, np.vstack(
+    return LinearRelation(hil, hil, Subspace(np.vstack(
         [np.hstack([fp, fm]), np.hstack([1j * fp, -1j * fm])]) / np.sqrt(2.0)))
 
 
@@ -146,7 +145,7 @@ def _cayley_graph(frak_t0: LinearRelation) -> Subspace:
     """[D + iE; D - iE]/sqrt(2), a unitary image of the frame [E; D]: a frame
     of the graph as it stands, Gram-checked."""
     e, d = frak_t0.blocks()
-    return Subspace(frak_t0.graph.ambient_dim, np.vstack([d + 1j * e, d - 1j * e]) / np.sqrt(2.0))
+    return Subspace(np.vstack([d + 1j * e, d - 1j * e]) / np.sqrt(2.0))
 
 
 def prop_n_audit(t: LinearRelation, n: LinearRelation,
@@ -172,7 +171,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
     # Σ = J M_hat: post-compose the relation M_hat with the base symmetry, a
     # unitary image of its frame
     e, d = _m_hat(t, tol).blocks()
-    j_mhat = Subspace(2 * dim_h, np.vstack([e, t.src.J @ d]))
+    j_mhat = Subspace(np.vstack([e, t.src.J @ d]))
     report = {
         "defects": (d_plus, d_minus),
         "n_defects": (n_plus, n_minus),
@@ -211,8 +210,7 @@ def _dom_n_neutrality(t: LinearRelation, dom_n: Subspace, tol: TolerancePolicy) 
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
     lift = sub._pinv(u, sv, vh) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
-    pair_space = KreinSpace(d1 + d2, s, (d1, d2))
-    flags = neutrality_rank(pair_space, sub.span(lift, tol), tol)
+    flags = neutrality_rank(KreinSpace(s), sub.span(lift, tol), tol)
     return {"dom_n_hyper_maximal": bool(flags["hyper_maximal"]), "m_degenerate": False}
 
 
@@ -321,8 +319,8 @@ def lemma_exn_check(t: LinearRelation, n: LinearRelation, grid,
             report["eigenvalues"].append(z)
     ni = defect_subspace(t, 1j, tol)
     nmi = defect_subspace(t, -1j, tol)
-    h_plus = sub.kernel(t.src.J - np.eye(t.src.dim), t.src.dim, tol)
-    h_minus = sub.kernel(t.src.J + np.eye(t.src.dim), t.src.dim, tol)
+    h_plus = sub.kernel(t.src.J - np.eye(t.src.dim), tol)
+    h_minus = sub.kernel(t.src.J + np.eye(t.src.dim), tol)
     dom_n = rel.parts(n, tol).dom
     n_i = sub.intersect(dom_n, sub.sum_(sub.intersect(h_plus, ni, tol),
                                         sub.intersect(h_minus, nmi, tol), tol), tol)

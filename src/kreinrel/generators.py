@@ -121,7 +121,6 @@ def sample_witness(t: LinearRelation, seed: int,
     """
     rng = rng_for(seed, 2)
     space = t.src
-    n = space.dim
     frak_t = rel.hilbertize(t)
     ni = ext.defect_subspace(t, 1j, tol)
     nmi = ext.defect_subspace(t, -1j, tol)
@@ -132,8 +131,8 @@ def sample_witness(t: LinearRelation, seed: int,
     c_full = c_t + nmi.frame @ u_defect @ ni.frame.conj().T
     frak_t0 = rel.inverse_cayley(c_full, tol)
     e0, d0 = frak_t0.blocks()
-    t0 = LinearRelation(space, space, sub.Subspace(2 * n, np.vstack([e0, space.J @ d0])))
-    return ext.NWitness(ext._n_part(t, t0, tol), t, t0)
+    t0 = LinearRelation(space, space, sub.Subspace(np.vstack([e0, space.J @ d0])))
+    return ext.NWitness(ext._n_part(t, t0, tol), t0)
 
 
 def gen_triple(t: LinearRelation, seed: int,
@@ -209,7 +208,7 @@ def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
     # U~ is injective, so the image of T's orthonormal frame has full rank
     # and a QR gives an orthonormal frame of it with no rank decision
     frame = np.linalg.qr(ut @ triple.parent.graph.frame)[0]
-    t_prime = LinearRelation(tgt, tgt, sub.Subspace(2 * tgt.dim, frame))
+    t_prime = LinearRelation(tgt, tgt, sub.Subspace(frame))
     return bnd.BoundaryTriple(t_prime, triple.gamma, ut @ triple.basis, triple.tol)
 
 

@@ -26,18 +26,30 @@ class NotAFundamentalSymmetryError(ValueError):
 @dataclass(frozen=True, eq=False)
 class KreinSpace:
     """C^dim with fundamental symmetry J, held as a read-only copy.  `==` is
-    identity; `same_as` compares spaces.  `doubled` is the doubled space
-    (H^2, J_hat) with J_hat = [[0, -iJ], [iJ, 0]], built on first read and
-    kept, so the relations over one base share one doubled space."""
+    identity; `same_as` compares spaces.  dim and the signature (p, q) are
+    read off J: the eigenvalues of a Hermitian involution are +-1, so
+    p - q = tr J.  `doubled` is the doubled space (H^2, J_hat) with
+    J_hat = [[0, -iJ], [iJ, 0]].  Each is derived on first read and kept, so
+    the relations over one base share one doubled space."""
 
-    dim: int
     J: np.ndarray = field(repr=False)
-    signature: tuple[int, int]
 
     def __post_init__(self):
         j = np.array(self.J)
         j.flags.writeable = False
         object.__setattr__(self, "J", j)
+
+    @cached_property
+    def dim(self) -> int:
+        return self.J.shape[0]
+
+    @cached_property
+    def signature(self) -> tuple[int, int]:
+        p = round((self.dim + float(np.trace(self.J).real)) / 2)
+        return p, self.dim - p
+
+    def __repr__(self):
+        return f"KreinSpace(dim={self.dim}, signature={self.signature})"
 
     def same_as(self, other: "KreinSpace") -> bool:
         return self is other or (
@@ -49,14 +61,12 @@ class KreinSpace:
         jh = np.zeros((2 * n, 2 * n), dtype=np.complex128)
         jh[:n, n:] = -1j * self.J
         jh[n:, :n] = 1j * self.J
-        return KreinSpace(2 * n, jh, (n, n))
+        return KreinSpace(jh)
 
 
 def make_krein(J) -> KreinSpace:
     """Build a KreinSpace from a fundamental symmetry, validating J = J^H and
-    J^2 = I entrywise, to 1e-10 (1 + ||J||_F) and 1e-10 (1 + ||J||_F)^2.  The
-    eigenvalues of a Hermitian involution are +-1, so the signature (p, q) is
-    read off p - q = tr J, with no eigendecomposition."""
+    J^2 = I entrywise, to 1e-10 (1 + ||J||_F) and 1e-10 (1 + ||J||_F)^2."""
     J = as_matrix(J)
     n = J.shape[0]
     if J.shape[1] != n:
@@ -66,14 +76,13 @@ def make_krein(J) -> KreinSpace:
         raise NotAFundamentalSymmetryError("J is not Hermitian")
     if np.abs(J @ J - np.eye(n)).max(initial=0.0) > 1e-10 * scale ** 2:
         raise NotAFundamentalSymmetryError("J is not an involution")
-    p = round((n + float(np.trace(J).real)) / 2)
-    return KreinSpace(n, J, (p, n - p))
+    return KreinSpace(J)
 
 
 @cache
 def hilbert_space(dim: int) -> KreinSpace:
     """C^dim with J = I; one space per dim, as J is read-only."""
-    return KreinSpace(dim, np.eye(dim, dtype=np.complex128), (dim, 0))
+    return KreinSpace(np.eye(dim, dtype=np.complex128))
 
 
 def indefinite_gram(space: KreinSpace, a: Subspace, b: Subspace) -> np.ndarray:

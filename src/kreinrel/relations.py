@@ -79,12 +79,12 @@ class RelationParts:
     @cached_property
     def ker(self) -> Subspace:
         e, d = self.relation.blocks()
-        return sub.span(e @ sub.kernel(d, tol=self.tol).frame, self.tol)
+        return sub.span(e @ sub.kernel(d, self.tol).frame, self.tol)
 
     @cached_property
     def mul(self) -> Subspace:
         e, d = self.relation.blocks()
-        return sub.span(d @ sub.kernel(e, tol=self.tol).frame, self.tol)
+        return sub.span(d @ sub.kernel(e, self.tol).frame, self.tol)
 
 
 def _same_hosts(a: LinearRelation, b: LinearRelation):
@@ -99,7 +99,7 @@ def zero_relation(src: KreinSpace, tgt: KreinSpace) -> LinearRelation:
 def identity_relation(space: KreinSpace) -> LinearRelation:
     n = space.dim
     f = np.vstack([np.eye(n), np.eye(n)]).astype(np.complex128) / np.sqrt(2.0)
-    return LinearRelation(space, space, Subspace(2 * n, f))
+    return LinearRelation(space, space, Subspace(f))
 
 
 def from_operator(m, src: KreinSpace, tgt: KreinSpace) -> LinearRelation:
@@ -107,7 +107,7 @@ def from_operator(m, src: KreinSpace, tgt: KreinSpace) -> LinearRelation:
     QR gives its frame with no rank decision, however large M is."""
     m = as_matrix(m, rows=tgt.dim, cols=src.dim)
     cols = np.vstack([np.eye(src.dim, dtype=np.complex128), m])
-    return LinearRelation(src, tgt, Subspace(src.dim + tgt.dim, np.linalg.qr(cols)[0]))
+    return LinearRelation(src, tgt, Subspace(np.linalg.qr(cols)[0]))
 
 
 def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationParts:
@@ -117,12 +117,12 @@ def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationPart
 
 def is_operator(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """mul T = D(ker E) is trivial; D is an isometry on ker E."""
-    return sub.kernel(t.blocks()[0], t.dim, tol).dim == 0
+    return sub.kernel(t.blocks()[0], tol).dim == 0
 
 
 def inverse(t: LinearRelation) -> LinearRelation:
     e, d = t.blocks()
-    return LinearRelation(t.tgt, t.src, Subspace(t.graph.ambient_dim, np.vstack([d, e])))
+    return LinearRelation(t.tgt, t.src, Subspace(np.vstack([d, e])))
 
 
 def restrict(t: LinearRelation, dom: Subspace,
@@ -141,7 +141,7 @@ def compose(outer: LinearRelation, inner: LinearRelation,
         raise HostMismatchError("inner space of the composition does not match")
     ei, di = inner.blocks()
     eo, do = outer.blocks()
-    k = sub.kernel(np.hstack([di, -eo]), inner.dim + outer.dim, tol)
+    k = sub.kernel(np.hstack([di, -eo]), tol)
     x = k.frame[: inner.dim, :]
     y = k.frame[inner.dim :, :]
     cols = np.vstack([ei @ x, do @ y])
@@ -174,7 +174,7 @@ def op_sum(a: LinearRelation, b: LinearRelation,
     _same_hosts(a, b)
     ea, da = a.blocks()
     eb, db = b.blocks()
-    k = sub.kernel(np.hstack([ea, -eb]), a.dim + b.dim, tol)
+    k = sub.kernel(np.hstack([ea, -eb]), tol)
     x, y = k.frame[: a.dim, :], k.frame[a.dim :, :]
     cols = np.vstack([ea @ x, da @ x + db @ y])
     return LinearRelation(a.src, a.tgt, sub.span(cols, tol))
@@ -201,7 +201,7 @@ def adjoint(t: LinearRelation, metric: str = "krein",
             src, tgt = hilbert_space(src.dim), hilbert_space(tgt.dim)
         e, d = t.blocks()
         green = np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
-        return LinearRelation(tgt, src, sub.kernel(green, tgt.dim + src.dim, tol))
+        return LinearRelation(tgt, src, sub.kernel(green, tol))
 
     return t._memoized(("adjoint", metric, tol), compute)
 
@@ -227,9 +227,9 @@ def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     of their eigenspaces, from stacked kernels and spans."""
     e, d = t.blocks()
     if isinstance(z, (list, tuple)):
-        ks = sub.kernel(d - np.asarray(z, dtype=np.complex128)[:, None, None] * e, t.dim, tol)
+        ks = sub.kernel(d - np.asarray(z, dtype=np.complex128)[:, None, None] * e, tol)
         return sub._stacked(lambda s: sub.span(s, tol), [e @ k.frame for k in ks])
-    k = sub.kernel(d - z * e, t.dim, tol)
+    k = sub.kernel(d - z * e, tol)
     return sub.span(e @ k.frame, tol)
 
 
@@ -240,7 +240,7 @@ def graph_eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     taken unchecked, as `subspaces` takes its own SVD frames."""
     def graph(w, f):
         cols = np.vstack([f.frame, w * f.frame]) / np.sqrt(1.0 + abs(w) ** 2)
-        return LinearRelation(t.src, t.tgt, sub._trusted(t.graph.ambient_dim, cols))
+        return LinearRelation(t.src, t.tgt, sub._trusted(cols))
     if isinstance(z, (list, tuple)):
         return [graph(w, f) for w, f in zip(z, eigenspace(t, z, tol))]
     return graph(z, eigenspace(t, z, tol))
@@ -251,7 +251,7 @@ def spectral_probe(t: LinearRelation, z: complex,
     """Point classification from the nullity of D - zE, which is dim ker(T - z)
     (E is a multiple of an isometry there) and t.dim - dim ran(T - z)."""
     e, d = t.blocks()
-    regular_type = sub.kernel(d - z * e, t.dim, tol).dim == 0
+    regular_type = sub.kernel(d - z * e, tol).dim == 0
     regular = regular_type and t.dim == t.src.dim
     return {"eigenvalue": not regular_type, "regular_type": regular_type, "regular": regular}
 
@@ -289,7 +289,7 @@ def hilbertize(t: LinearRelation) -> LinearRelation:
     it is taken as a frame, Gram-checked, with no rank decision."""
     h = hilbert_space(t.src.dim)
     e, d = t.blocks()
-    return LinearRelation(h, h, Subspace(t.graph.ambient_dim, np.vstack([e, t.src.J @ d])))
+    return LinearRelation(h, h, Subspace(np.vstack([e, t.src.J @ d])))
 
 
 def inverse_cayley(c, tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:

@@ -259,7 +259,7 @@ def _z_fibre(c: np.ndarray, z: complex, tol: TolerancePolicy) -> Subspace:
     coordinates a for which c a lies in the graph of zI, by the formula of
     `rel.eigenspace`."""
     h = c.shape[0] // 2
-    return sub.kernel(c[h:] - z * c[:h], c.shape[1], tol)
+    return sub.kernel(c[h:] - z * c[:h], tol)
 
 
 def _vinv_z(v, z: complex, tol: TolerancePolicy) -> Subspace:

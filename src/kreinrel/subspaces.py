@@ -6,15 +6,17 @@ comparisons are quantitative: equality, containment and intersection read
 principal angles off projection residuals F_A - F_B F_B^H F_A, and each
 decision is a `TolerancePolicy` rule: the span rule for ranks, the
 intersection rule for `intersect`, the angle-equality rule for `equal` and
-`contains`.  Frames are read-only.  A caller's frame is copied, Gram-checked
-(defect <= 1e-8) and orthonormalized past roundoff; frames this module
-computes from an SVD or a Householder QR are orthonormal to roundoff and
-skip that check.
+`contains`.  `Subspace(frame)` holds the frame alone: the ambient dimension
+is its row count and the dimension its column count.  Frames are read-only.
+A caller's frame is copied, Gram-checked (defect <= 1e-8) and
+orthonormalized past roundoff; frames this module computes from an SVD or a
+Householder QR are orthonormal to roundoff and skip that check.
 
-`span` and `kernel` also take a stack (k, rows, cols) of matrices and return
-the list of the k subspaces from stacked LAPACK calls, each item decided by
-the span rule and giving the frame of its own 2-D call; a 2-D matrix keeps
-the unstacked path.
+`span(m)` is the column span of a matrix and `kernel(m)` its null space in
+C^cols.  Both also take a stack (k, rows, cols) of matrices and return the
+list of the k subspaces from stacked LAPACK calls, each item decided by the
+span rule and giving the frame of its own 2-D call; a 2-D matrix keeps the
+unstacked path.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ _QR_MIN_ROWS = 16
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^ambient_dim held as an orthonormal frame.  `==` is
-    identity; `equal` compares subspaces."""
+    """A subspace of C^n held as an orthonormal n-row frame; n is
+    `ambient_dim`.  `==` is identity; `equal` compares subspaces."""
 
-    ambient_dim: int
     frame: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        f = as_matrix(self.frame, rows=self.ambient_dim).copy()
-        if f.shape[1] > self.ambient_dim:
+        f = as_matrix(self.frame).copy()
+        if f.shape[1] > f.shape[0]:
             raise ValueError("frame has more columns than the ambient dimension")
         if f.shape[1]:
             gram = f.conj().T @ f
@@ -58,6 +59,13 @@ class Subspace:
         f.flags.writeable = False
         object.__setattr__(self, "frame", f)
 
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.frame.shape[0]
+
     @property
     def dim(self) -> int:
         return self.frame.shape[1]
@@ -67,11 +75,10 @@ class Subspace:
         return self.frame.conj().T @ vectors
 
 
-def _trusted(ambient_dim: int, frame: np.ndarray) -> Subspace:
+def _trusted(frame: np.ndarray) -> Subspace:
     """A Subspace around an orthonormal frame computed here, unchecked."""
     frame.flags.writeable = False
     s = object.__new__(Subspace)
-    object.__setattr__(s, "ambient_dim", ambient_dim)
     object.__setattr__(s, "frame", frame)
     return s
 
@@ -115,32 +122,20 @@ def _stacked(f, matrices: list) -> list:
     return out
 
 
-def span(vectors, tol: TolerancePolicy = DEFAULT_TOL):
-    """Linear hull of the given ambient vectors (list or column matrix); the
-    list of the hulls of each column matrix of a stack (k, rows, cols)."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 3:
-        return [_trusted(vectors.shape[1], f) for f in _orth(_as_stack(vectors), tol)]
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = vectors
-    else:
-        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not vecs:
-            raise ValueError("span of an empty list needs an explicit ambient dim; use trivial()")
-        n = vecs[0].shape[0]
-        for v in vecs:
-            if v.shape[0] != n:
-                raise DimensionMismatchError("vectors of mixed ambient dimension")
-        cols = np.column_stack(vecs)
-    cols = as_matrix(cols)
-    return _trusted(cols.shape[0], _orth(cols, tol))
+def span(columns, tol: TolerancePolicy = DEFAULT_TOL):
+    """Column span of a matrix (a vector is one column); the list of the
+    column spans of each matrix of a stack (k, rows, cols)."""
+    if isinstance(columns, np.ndarray) and columns.ndim == 3:
+        return [_trusted(f) for f in _orth(_as_stack(columns), tol)]
+    return _trusted(_orth(as_matrix(columns), tol))
 
 
 def trivial(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
+    return Subspace(np.zeros((ambient_dim, 0), dtype=np.complex128))
 
 
 def full(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
+    return Subspace(np.eye(ambient_dim, dtype=np.complex128))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace):
@@ -152,12 +147,12 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 def complement(a: Subspace) -> Subspace:
     """Euclidean orthocomplement."""
     u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
-    return _trusted(a.ambient_dim, u[:, a.dim :])
+    return _trusted(u[:, a.dim :])
 
 
 def sum_(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     _check_same_ambient(a, b)
-    return _trusted(a.ambient_dim, _orth(np.hstack([a.frame, b.frame]), tol))
+    return _trusted(_orth(np.hstack([a.frame, b.frame]), tol))
 
 
 def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -171,7 +166,7 @@ def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> S
     _check_same_ambient(a, b)
     a, b = (a, b) if a.dim <= b.dim else (b, a)
     _, s, vh = np.linalg.svd(a.frame - b.frame @ b.coords(a.frame), full_matrices=False)
-    return _trusted(a.ambient_dim, a.frame @ vh[tol.apart(s):].conj().T)
+    return _trusted(a.frame @ vh[tol.apart(s):].conj().T)
 
 
 def _meet_complement(a: Subspace, t: Subspace, tol: TolerancePolicy) -> Subspace:
@@ -186,10 +181,10 @@ def _meet_complement(a: Subspace, t: Subspace, tol: TolerancePolicy) -> Subspace
     """
     _check_same_ambient(a, t)
     _, s, vh = np.linalg.svd(t.coords(a.frame), full_matrices=True)
-    return _trusted(a.ambient_dim, a.frame @ vh[tol.apart(s):].conj().T)
+    return _trusted(a.frame @ vh[tol.apart(s):].conj().T)
 
 
-def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
+def kernel(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     """Null space of a matrix as a Subspace of its column ambient.
 
     The rank is the policy's span rule, and the frame comes from an SVD or a
@@ -199,36 +194,29 @@ def kernel(m: np.ndarray, ambient_dim=None, tol: TolerancePolicy = DEFAULT_TOL):
     cols - rows columns span ker m.  The policy's certificate
     (`span_full_certified`) proves that answer first; only when it is
     undecided does the rule read a values-only SVD of R.  A rank-deficient m
-    and every other shape take the right singular vectors of a full SVD.
-    A stack (k, rows, cols) gives the list of the k null spaces (`_kernels`).
+    and every other shape take the right singular vectors of a full SVD; for
+    an m with no rows they are exactly the identity.  A stack (k, rows, cols) gives the list of the k null spaces (`_kernels`).
     """
     if isinstance(m, np.ndarray) and m.ndim == 3:
-        return _kernels(_as_stack(m), ambient_dim, tol)
-    m = as_matrix(m) if m.size else np.asarray(m, dtype=np.complex128)
-    n = m.shape[1] if m.ndim == 2 else (ambient_dim or 0)
-    if ambient_dim is not None and n != ambient_dim:
-        raise DimensionMismatchError("kernel ambient mismatch")
-    if m.size == 0 or m.shape[0] == 0:
-        return full(n)
-    rows = m.shape[0]
+        return _kernels(_as_stack(m), tol)
+    m = as_matrix(m)
+    rows, n = m.shape
     if _QR_MIN_ROWS <= rows < n:
         q, r = np.linalg.qr(m.conj().T, mode="complete")
         r = r[:rows]
         if (tol.span_full_certified(r)
                 or tol.span_rank(np.linalg.svd(r, compute_uv=False)) == rows):
-            return _trusted(n, q[:, rows:])
+            return _trusted(q[:, rows:])
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return _trusted(n, vh[tol.span_rank(s):].conj().T)
+    return _trusted(vh[tol.span_rank(s):].conj().T)
 
 
-def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]:
+def _kernels(m: np.ndarray, tol: TolerancePolicy) -> list[Subspace]:
     """`kernel` of each matrix of a stack: one stacked QR and one certificate
     for the whole stack, a stacked values-only SVD of R only when the
     certificate is undecided, then one stacked full SVD of the items that are
     rank-deficient or take no QR."""
     k, rows, n = m.shape
-    if ambient_dim is not None and n != ambient_dim:
-        raise DimensionMismatchError("kernel ambient mismatch")
     if m.size == 0:
         return [full(n) for _ in range(k)]
     out = [None] * k
@@ -236,29 +224,29 @@ def _kernels(m: np.ndarray, ambient_dim, tol: TolerancePolicy) -> list[Subspace]
         q, r = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="complete")
         r = r[:, :rows]
         if tol.span_full_certified(r):
-            out = [_trusted(n, qi[:, rows:]) for qi in q]
+            out = [_trusted(qi[:, rows:]) for qi in q]
         else:
             for i in np.flatnonzero(tol.span_rank(np.linalg.svd(r, compute_uv=False)) == rows):
-                out[i] = _trusted(n, q[i][:, rows:])
+                out[i] = _trusted(q[i][:, rows:])
     rest = [i for i, f in enumerate(out) if f is None]
     if rest:
         _, s, vh = np.linalg.svd(m[rest], full_matrices=True)
         for i, r, vhi in zip(rest, tol.span_rank(s), vh):
-            out[i] = _trusted(n, vhi[r:].conj().T)
+            out[i] = _trusted(vhi[r:].conj().T)
     return out
 
 
 def image(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Image M(A) of a subspace under a linear map."""
     m = as_matrix(m, cols=a.ambient_dim)
-    return _trusted(m.shape[0], _orth(m @ a.frame, tol))
+    return _trusted(_orth(m @ a.frame, tol))
 
 
 def preimage(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Preimage {x : Mx in A}; always contains ker M."""
     m = as_matrix(m, rows=a.ambient_dim)
     ca = complement(a)
-    return kernel(ca.frame.conj().T @ m, m.shape[1], tol)
+    return kernel(ca.frame.conj().T @ m, tol)
 
 
 def product(a: Subspace, b: Subspace) -> Subspace:
@@ -267,7 +255,7 @@ def product(a: Subspace, b: Subspace) -> Subspace:
     f = np.zeros((n1 + n2, a.dim + b.dim), dtype=np.complex128)
     f[:n1, : a.dim] = a.frame
     f[n1:, a.dim :] = b.frame
-    return Subspace(n1 + n2, f)
+    return Subspace(f)
 
 
 def _angle(a: Subspace, b: Subspace) -> float:

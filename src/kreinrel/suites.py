@@ -62,8 +62,6 @@ def _plain(v):
         v = v.item()
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, np.ndarray):
-        return np.round(v, 12).tolist()
     return v
 
 

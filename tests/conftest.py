@@ -12,7 +12,7 @@ def c4():
     """The flip-symmetry C^4 instance with its boundary triple."""
     j = np.fliplr(np.eye(4)).astype(np.complex128)
     space = kr.make_krein(j)
-    t = relation(space, space, [[1, 0, 0, 0, 0, 1, 0, 0]])
+    t = relation(space, space, np.array([[1, 0, 0, 0, 0, 1, 0, 0]]).T)
     basis = np.zeros((8, 7), dtype=np.complex128)
     for k in range(7):
         basis[k, k] = 1

@@ -221,7 +221,7 @@ def v0(triple_a, triple_b):
 
     tol = triple_a.tol
     ga, gb = triple_a.gamma, triple_b.gamma
-    k = sub.kernel(np.hstack([ga, -gb]), ga.shape[1] + gb.shape[1], tol)
+    k = sub.kernel(np.hstack([ga, -gb]), tol)
     x, y = k.frame[: ga.shape[1], :], k.frame[ga.shape[1] :, :]
     cols = np.vstack([triple_a.basis @ x, triple_b.basis @ y])
     return rel.LinearRelation(triple_a.space.doubled, triple_b.space.doubled,
@@ -281,7 +281,8 @@ def cayley(t0, tol):
 
 
 def relation(src, tgt, vectors, tol=None):
-    """Relation from graph vectors (dom block stacked over ran block) or a Subspace."""
+    """Relation from a Subspace or the span of a matrix whose columns are graph
+    vectors (dom block stacked over ran block)."""
     from kreinrel import relations as rel, subspaces as sub
     from kreinrel.tolerances import DEFAULT_TOL
 
@@ -350,7 +351,7 @@ def kernel_relation_by_span(triple, g):
     """ker g on T+ (T0 for Gamma0, T1 for Gamma1) as the span of basis @ ker g."""
     from kreinrel import relations as rel, subspaces as sub
 
-    coords = sub.kernel(g, triple.basis.shape[1], triple.tol).frame
+    coords = sub.kernel(g, triple.tol).frame
     return rel.LinearRelation(triple.space, triple.space, span_over_basis(triple, coords))
 
 
@@ -454,7 +455,7 @@ def dom_n_neutrality_by_pinv(fp, fm, dom_n, tol) -> dict:
         return {"dom_n_hyper_maximal": None, "m_degenerate": True}
     lift = np.linalg.pinv(phi) @ dom_n.frame
     s = np.diag(np.concatenate([np.ones(d1), -np.ones(d2)])).astype(np.complex128)
-    flags = krein.neutrality_rank(krein.KreinSpace(d1 + d2, s, (d1, d2)), sub.span(lift, tol), tol)
+    flags = krein.neutrality_rank(krein.KreinSpace(s), sub.span(lift, tol), tol)
     return {"dom_n_hyper_maximal": bool(flags["hyper_maximal"]), "m_degenerate": False}
 
 

@@ -51,16 +51,16 @@ def test_criterion_1_c4_golden(c4):
     for z in (1j, 1 + 2j):
         nz = rel.eigenspace(tri.tplus, z)
         worst = max(worst, sub.distance(
-            nz, sub.span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, z, 1]])))
+            nz, sub.span(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, z, 1]]).T)))
 
-    t0_golden = sub.span([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
-                         [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]])
-    t1_golden = sub.span([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
-                         [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]])
-    n_golden = sub.span([[0, 0, 1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0],
-                        [0, 0, 0, 0, 0, 0, 1, 0]])
-    jn_golden = sub.span([[1, 0, 0, 0, 0, -1, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
-                         [0, 0, 0, 1, 0, 0, 0, 0]])
+    t0_golden = sub.span(np.array([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+                                  [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]]).T)
+    t1_golden = sub.span(np.array([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+                                  [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]]).T)
+    n_golden = sub.span(np.array([[0, 0, 1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0],
+                                 [0, 0, 0, 0, 0, 0, 1, 0]]).T)
+    jn_golden = sub.span(np.array([[1, 0, 0, 0, 0, -1, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+                                  [0, 0, 0, 1, 0, 0, 0, 0]]).T)
     worst = max(worst, sub.distance(tri.t0.graph, t0_golden))
     worst = max(worst, sub.distance(tri.t1.graph, t1_golden))
     worst = max(worst, sub.distance(tri.n_rel.graph, n_golden))

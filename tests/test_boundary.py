@@ -22,10 +22,10 @@ from oracles import relation, weyl_gamma_by_svd
 def test_validate_c4(c4):
     tri = c4["triple"]
     assert tri.boundary_dim == 3
-    t0_golden = sub.span([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
-                         [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]])
-    t1_golden = sub.span([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
-                         [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]])
+    t0_golden = sub.span(np.array([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+                                  [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]]).T)
+    t1_golden = sub.span(np.array([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+                                  [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]]).T)
     assert sub.equal(tri.t0.graph, t0_golden)
     assert sub.equal(tri.t1.graph, t1_golden)
     assert np.abs(tri.beta).max() < 1e-12

@@ -211,7 +211,7 @@ def _theta_off(tol):
 
 def _neutrality_off(tol):
     space = kr.make_krein(np.diag([1.0, -1.0]))
-    if not krein.neutrality_rank(space, sub.span([[1, 1 + 1e-6]]), tol)["neutral"]:
+    if not krein.neutrality_rank(space, sub.span(np.array([[1, 1 + 1e-6]]).T), tol)["neutral"]:
         raise ValueError("not neutral")
 
 

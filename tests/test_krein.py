@@ -23,6 +23,18 @@ def test_make_krein_diag_pontryagin():
     assert space.signature == (2, 1)
 
 
+def test_signature_is_read_off_j():
+    # dim and (p, q) come from J alone: p - q = tr J, with or without make_krein
+    rng = np.random.default_rng(32)
+    for n in range(9):
+        for p in range(n + 1):
+            j = random_signature_symmetry(rng, p, n - p)
+            for space in (krein.KreinSpace(j), kr.make_krein(j)):
+                assert space.dim == n and space.signature == (p, n - p)
+                assert space.doubled.dim == 2 * n and space.doubled.signature == (n, n)
+        assert krein.hilbert_space(n).signature == (n, 0)
+
+
 def test_make_krein_rejects_non_involution():
     with pytest.raises(krein.NotAFundamentalSymmetryError):
         kr.make_krein(np.diag([1.0, 2.0]))
@@ -44,7 +56,7 @@ def test_space_holds_a_read_only_copy_of_j():
 def test_every_krein_space_holds_a_read_only_j():
     # doubled spaces and spaces built directly copy and freeze J as well
     j = np.diag([1.0, -1.0]).astype(np.complex128)
-    direct = krein.KreinSpace(2, j, (1, 1))
+    direct = krein.KreinSpace(j)
     j[0, 0] = -1.0
     assert direct.J[0, 0] == 1.0
     for s in (direct, direct.doubled):
@@ -69,7 +81,7 @@ def test_symmetry_tolerances_are_absolute():
     with pytest.raises(krein.NotAFundamentalSymmetryError, match="involution"):
         kr.make_krein(np.diag([1 + 1e-6, -1.0]))
     space = kr.make_krein(np.diag([1.0, -1.0]))
-    nudged = krein.KreinSpace(2, space.J + np.diag([1e-7, 0.0]), (1, 1))
+    nudged = krein.KreinSpace(space.J + np.diag([1e-7, 0.0]))
     assert not space.same_as(nudged)
 
 
@@ -123,10 +135,10 @@ def test_sigma_as_companion_intersection(c4):
 
 def test_classify_and_neutrality():
     space = kr.make_krein(np.diag([1.0, -1.0]))
-    neutral = sub.span([[1, 1]])
+    neutral = sub.span(np.array([[1, 1]]).T)
     flags = krein.neutrality_rank(space, neutral)
     assert flags == {"neutral": True, "maximal": True, "hyper_maximal": True}
-    for definite in (sub.span([[1, 0]]), sub.span([[0, 1]]), sub.full(2)):
+    for definite in (sub.span(np.array([[1, 0]]).T), sub.span(np.array([[0, 1]]).T), sub.full(2)):
         assert not krein.neutrality_rank(space, definite)["neutral"]
 
 
