@@ -13,7 +13,9 @@ orthonormalized past roundoff; frames this module computes from an SVD or a
 Householder QR are orthonormal to roundoff and skip that check.
 
 `span(m)` is the column span of a matrix and `kernel(m)` its null space in
-C^cols.  Both also take a stack (k, rows, cols) of matrices and return the
+C^cols.  `kernel` takes one of two routes by shape: a wide m with at least
+`_QR_MIN_ROWS` rows is answered from its own QR, every other shape from a
+full SVD.  Both also take a stack (k, rows, cols) of matrices and return the
 list of the k subspaces from stacked LAPACK calls, each item decided by the
 span rule and giving the frame of its own 2-D call; a 2-D matrix keeps the
 unstacked path.
@@ -187,15 +189,16 @@ def _meet_complement(a: Subspace, t: Subspace, tol: TolerancePolicy) -> Subspace
 def kernel(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     """Null space of a matrix as a Subspace of its column ambient.
 
-    The rank is the policy's span rule, and the frame comes from an SVD or a
-    Householder QR.  A wide m with at least _QR_MIN_ROWS rows is first
-    factored as m^H = QR: m has the singular values of the square block
-    R[:rows], and when the rule gives them full rank, Q's trailing
-    cols - rows columns span ker m.  The policy's certificate
-    (`span_full_certified`) proves that answer first; only when it is
-    undecided does the rule read a values-only SVD of R.  A rank-deficient m
-    and every other shape take the right singular vectors of a full SVD; for
-    an m with no rows they are exactly the identity.  A stack (k, rows, cols) gives the list of the k null spaces (`_kernels`).
+    The rank is the policy's span rule, and each shape takes one route.  A
+    wide m with at least _QR_MIN_ROWS rows is factored as m^H = QR, and Q =
+    [Q1, Q2] splits after its first rows columns: m has the singular values
+    of the square block R[:rows].  When the policy's certificate
+    (`span_full_certified`) proves R full rank, Q2 spans ker m.  Otherwise
+    one SVD R[:rows] = U S V^H gives the rank by the span rule and the frame
+    [Q1 U[:, rank:], Q2] (Golub and Van Loan, Matrix Computations, 5.4).
+    Every other shape takes the right singular vectors of a full SVD of m;
+    for an m with no rows they are exactly the identity.  A stack (k, rows,
+    cols) gives the list of the k null spaces (`_kernels`).
     """
     if isinstance(m, np.ndarray) and m.ndim == 3:
         return _kernels(_as_stack(m), tol)
@@ -204,36 +207,32 @@ def kernel(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     if _QR_MIN_ROWS <= rows < n:
         q, r = np.linalg.qr(m.conj().T, mode="complete")
         r = r[:rows]
-        if (tol.span_full_certified(r)
-                or tol.span_rank(np.linalg.svd(r, compute_uv=False)) == rows):
+        if tol.span_full_certified(r):
             return _trusted(q[:, rows:])
+        u, s, _ = np.linalg.svd(r)
+        return _trusted(np.hstack([q[:, :rows] @ u[:, tol.span_rank(s):], q[:, rows:]]))
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     return _trusted(vh[tol.span_rank(s):].conj().T)
 
 
 def _kernels(m: np.ndarray, tol: TolerancePolicy) -> list[Subspace]:
-    """`kernel` of each matrix of a stack: one stacked QR and one certificate
-    for the whole stack, a stacked values-only SVD of R only when the
-    certificate is undecided, then one stacked full SVD of the items that are
-    rank-deficient or take no QR."""
+    """`kernel` of each matrix of a stack, all by the route of their shape:
+    one stacked QR and one certificate for the whole stack, then one stacked
+    SVD of R with vectors unless the certificate proves every item full
+    rank; or one stacked full SVD of m."""
     k, rows, n = m.shape
     if m.size == 0:
         return [full(n) for _ in range(k)]
-    out = [None] * k
-    if _QR_MIN_ROWS <= rows < n:
-        q, r = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="complete")
-        r = r[:, :rows]
-        if tol.span_full_certified(r):
-            out = [_trusted(qi[:, rows:]) for qi in q]
-        else:
-            for i in np.flatnonzero(tol.span_rank(np.linalg.svd(r, compute_uv=False)) == rows):
-                out[i] = _trusted(q[i][:, rows:])
-    rest = [i for i, f in enumerate(out) if f is None]
-    if rest:
-        _, s, vh = np.linalg.svd(m[rest], full_matrices=True)
-        for i, r, vhi in zip(rest, tol.span_rank(s), vh):
-            out[i] = _trusted(vhi[r:].conj().T)
-    return out
+    if not _QR_MIN_ROWS <= rows < n:
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+        return [_trusted(vhi[r:].conj().T) for r, vhi in zip(tol.span_rank(s), vh)]
+    q, r = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="complete")
+    r = r[:, :rows]
+    if tol.span_full_certified(r):
+        return [_trusted(qi[:, rows:]) for qi in q]
+    u, s, _ = np.linalg.svd(r)
+    return [_trusted(np.hstack([qi[:, :rows] @ ui[:, rank:], qi[:, rows:]]))
+            for qi, ui, rank in zip(q, u, tol.span_rank(s))]
 
 
 def image(m: np.ndarray, a: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:

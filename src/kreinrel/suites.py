@@ -93,11 +93,6 @@ def _draw_t(seed: int, tol: TolerancePolicy) -> LinearRelation:
     return gen.gen_symmetric(gen.InstanceSpec(seed, n, (p, n - p), d), tol=tol)
 
 
-def _draw_pair(seed: int, tol: TolerancePolicy):
-    t = _draw_t(seed, tol)
-    return t, gen.sample_witness(t, seed, tol)
-
-
 # ---------------------------------------------------------------------------
 # appendix suites
 
@@ -128,22 +123,17 @@ def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
         gplus = rel.adjoint(g, "krein", tol)
         dom_g = rel.parts(g, tol).dom
         cage = sub.product(sub.complement(dom_g), sub.full(n))
-        pool = sub.intersect(
-            sub.intersect(gplus.graph, sub.complement(g.graph), tol),
-            cage, tol)
+        pool = sub.intersect(sub._meet_complement(gplus.graph, g.graph, tol), cage, tol)
         if pool.dim:
             break
     if pool is not None and pool.dim:
-        keep = min(pool.dim, int(rng.integers(1, pool.dim + 1)))
+        keep = int(rng.integers(1, pool.dim + 1))
         h = LinearRelation(space, space, sub.span(
             pool.frame @ gen.random_complex(rng, pool.dim, keep), tol))
-        jg_plus = rel.hilbertize(gplus)
-        jh = rel.hilbertize(h)
+        eh, dh = rel.hilbertize(h).blocks()
         for z in (0.7 - 0.3j, 1j, 2.0):
-            eh, dh = jh.blocks()
             ran_shift = sub.span(dh + z * eh, tol)
-            target = rel.eigenspace(jg_plus, z, tol)
-            if not sub.contains(target, ran_shift, tol):
+            if not sub.contains(ext.defect_subspace(g, z, tol), ran_shift, tol):
                 report.fail(tseed, "inclusion (a) fails", z=z)
     else:
         report.skipped += 1
@@ -153,25 +143,20 @@ def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     spec = gen.InstanceSpec(tseed, n, (p, n - p), d)
     t = gen.gen_symmetric(spec, tol=tol)
     w = gen.sample_witness(t, tseed, tol)
-    jt_plus = rel.hilbertize(rel.adjoint(t, "krein", tol))
-    jn = rel.hilbertize(w.N)
+    en, dn = rel.hilbertize(w.N).blocks()
     for z in (1j, -1j):
-        en, dn = jn.blocks()
         ran_shift = sub.span(dn + z * en, tol)
-        target = rel.eigenspace(jt_plus, z, tol)
-        if not sub.equal(ran_shift, target, tol):
+        if not sub.equal(ran_shift, ext.defect_subspace(t, z, tol), tol):
             report.fail(tseed, "hyper-maximal equality (b)(ii) fails", z=z)
     if t.dim >= 2:
         split = t.dim // 2
         g2 = LinearRelation(space, space, sub.span(t.graph.frame[:, :split], tol))
         h2 = LinearRelation(space, space, sub.span(t.graph.frame[:, split:], tol))
-        jg2_plus = rel.hilbertize(rel.adjoint(g2, "krein", tol))
-        jh2 = rel.hilbertize(h2)
+        eh2, dh2 = rel.hilbertize(h2).blocks()
         equal_everywhere = True
         for z in (1j, -1j):
-            eh2, dh2 = jh2.blocks()
             ran_shift = sub.span(dh2 + z * eh2, tol)
-            target = rel.eigenspace(jg2_plus, z, tol)
+            target = ext.defect_subspace(g2, z, tol)
             if not sub.contains(target, ran_shift, tol):
                 report.fail(tseed, "neutral inclusion (b)(i) fails", z=z)
             if not sub.equal(ran_shift, target, tol):
@@ -213,10 +198,9 @@ def suite_o(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 
 def _orth_complement_relation(g: LinearRelation, rng, tol) -> LinearRelation:
     pool = sub.complement(g.graph)
-    keep = max(1, min(pool.dim, int(rng.integers(1, pool.dim + 1)))) if pool.dim else 0
-    if keep == 0:
+    if pool.dim == 0:
         return rel.zero_relation(g.src, g.tgt)
-    cols = pool.frame @ gen.random_complex(rng, pool.dim, keep)
+    cols = pool.frame @ gen.random_complex(rng, pool.dim, int(rng.integers(1, pool.dim + 1)))
     return LinearRelation(g.src, g.tgt, sub.span(cols, tol))
 
 
@@ -303,7 +287,8 @@ def suite_p3(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 @_suite("extensions")
 def suite_extensions(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     """Roundtrip of the extension correspondence plus the full witness audit."""
-    t, w = _draw_pair(tseed, tol)
+    t = _draw_t(tseed, tol)
+    w = gen.sample_witness(t, tseed, tol)
     t0 = ext.extend(t, w.N, tol)
     report.record(sub.distance(t0.graph, w.t0.graph))
     n_back = ext.reduce(t, t0, tol)
@@ -403,7 +388,7 @@ def suite_laws(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     angle rule, and no raw residual is recorded.  Lemma ExN runs only on
     draws with property (P), its hypothesis; a draw without it counts as
     skipped."""
-    t, w = _draw_pair(tseed, tol)
+    t = _draw_t(tseed, tol)
     triple = gen.gen_triple(t, tseed, tol)
     rng = gen.rng_for(tseed, 40)
     d = triple.boundary_dim
@@ -451,7 +436,7 @@ def suite_laws(report: Report, k: int, tseed: int, tol: TolerancePolicy):
 
     if not ext.has_property_p(t, tol):
         report.skipped += 1
-    elif not ext.lemma_exn_check(t, w.N, bnd.DEFAULT_GRID, tol)["ok"]:
+    elif not ext.lemma_exn_check(t, triple.n_rel, bnd.DEFAULT_GRID, tol)["ok"]:
         report.fail(tseed, "N of a property-(P) draw is not an operator without eigenvalues")
 
 

@@ -12,7 +12,8 @@ intersecting a graph with a cage around the graph of zI, A ∩ T-perp by
 intersecting with T's complement, spans over a triple's basis coordinates
 from the 2n-row products, Gamma on T+ columns through checked basis
 coordinates (and the k-shift, w-maps and E0 coordinates read through it),
-`np.linalg.pinv`, the SVD spans of unitary images
+`np.linalg.pinv`, the full-SVD fall-back of a rank-deficient wide kernel,
+N_z(G) as an eigenspace of JG+, the SVD spans of unitary images
 of frames, the eager parts of a relation, the signature from `eigvalsh`, and
 the rank-then-pinv lift of dom N, the doubled symmetry J_hat built from a
 space's J, and the six block identities of a standard unitary read off a
@@ -124,9 +125,11 @@ def weyl_gamma_by_svd(triple, z: complex):
 
 
 def kernel_by_qr_and_svd(m: np.ndarray, tol) -> np.ndarray:
-    """`kernel`'s frame of a wide m with at least 16 rows, the full rank of the
-    square factor R of m^H = QR decided by the span rule on R's singular
-    values, with no certificate."""
+    """The frame of a wide m with at least 16 rows by the route `kernel`
+    replaced: the full rank of the square factor R of m^H = QR decided by the
+    span rule on R's singular values, with no certificate, and a
+    rank-deficient m sent to a full SVD of m.  A full-rank m gets Q's
+    trailing columns, as on `kernel`'s route."""
     rows = m.shape[0]
     q, r = np.linalg.qr(m.conj().T, mode="complete")
     if tol.span_rank(np.linalg.svd(r[:rows], compute_uv=False)) == rows:
@@ -338,6 +341,14 @@ def meet_complement_by_complement(a, t, tol):
     from kreinrel import subspaces as sub
 
     return sub.intersect(a, sub.complement(t), tol)
+
+
+def defect_subspace_by_eigenspace(g, z: complex, tol):
+    """N_z(G) = ker(JG+ - z) as the z-eigenspace of the hilbertized Krein
+    adjoint of G."""
+    from kreinrel import relations as rel
+
+    return rel.eigenspace(rel.hilbertize(rel.adjoint(g, "krein", tol)), z, tol)
 
 
 def span_over_basis(triple, coords):

@@ -10,7 +10,9 @@ Each route is compared with its old one from tests/oracles.py: the same dims
 and decisions, principal angles at most 1e-12 and pseudo-inverses equal to
 roundoff, under the default and CI's loose policy.  Gamma on a triple's own
 frames is read off its blocks and its ambient map, and is compared with Gamma
-applied to checked basis coordinates, to 1e-12 relative.
+applied to checked basis coordinates, to 1e-12 relative.  N_z is one kernel
+of the Green form, compared with the eigenspace of JG+, and a generated
+triple's N is the witness of its own seed.
 """
 
 import dataclasses
@@ -260,7 +262,34 @@ def test_array_holding_objects_compare_by_identity():
         assert len({a, b, a}) == 2
 
 
+@POLICIES
+def test_defect_subspace_matches_the_eigenspace_of_the_adjoint(tol):
+    # random non-symmetric relations of graph dim k <= n, where N_z has dim n - k
+    for seed in range(12):
+        rng = gen.rng_for(seed, 50)
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(0, n + 1))
+        space = gen.random_space(seed, p, n - p)
+        k = int(rng.integers(1, n + 1))
+        g = rel.LinearRelation(space, space, sub.span(gen.random_complex(rng, 2 * n, k), tol))
+        assert not rel.is_symmetric(g, tol)
+        for z in (0.7 - 0.3j, 1j, -1j, 2.0):
+            got = ext.defect_subspace(g, z, tol)
+            assert got.dim == n - k
+            _same(got, oracles.defect_subspace_by_eigenspace(g, z, tol))
+
+
+@POLICIES
+def test_a_generated_triple_keeps_the_witness_it_was_drawn_from(tol):
+    # gen_triple builds T0 = T + N from the witness of its own seed, so the
+    # suites read N off the triple instead of drawing it again
+    for seed in range(8):
+        t = st._draw_t(seed, tol)
+        _same(gen_triple(t, seed, tol).n_rel.graph, gen.sample_witness(t, seed, tol).N.graph)
+
+
 def test_the_boundary_suite_samples_one_witness_a_trial(monkeypatch):
+    # the laws suite draws two triples a trial and no witness of its own
     drawn = []
     sample = gen.sample_witness
 
@@ -269,5 +298,7 @@ def test_the_boundary_suite_samples_one_witness_a_trial(monkeypatch):
         return sample(t, seed, tol)
 
     monkeypatch.setattr(gen, "sample_witness", counting)
-    assert st.suite_boundary(3, 11).ok
-    assert len(drawn) == 3
+    for suite, per_trial in ((st.suite_boundary, 1), (st.suite_laws, 2)):
+        drawn.clear()
+        assert suite(3, 11).ok
+        assert len(drawn) == 3 * per_trial

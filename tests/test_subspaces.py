@@ -238,15 +238,25 @@ def test_wide_full_rank_kernel_by_qr_matches_svd_oracle(monkeypatch, rows):
         assert gram_defect(got) <= 1e-12
 
 
-def test_wide_rank_deficient_kernel_falls_back_to_the_svd(monkeypatch):
+def assert_near_the_oracle(k: sub.Subspace, m: np.ndarray, tol, bound: float):
+    """k has the dim of the old route's frame, lies within 1e-12 of its span,
+    is orthonormal to 1e-12, and m maps it to norm at most bound."""
+    want = kernel_by_qr_and_svd(m, tol)
+    assert k.dim == want.shape[1]
+    assert projector_gap_angle(k.frame, want) <= 1e-12
+    assert gram_defect(k) <= 1e-12
+    assert np.linalg.norm(m @ k.frame, 2) <= bound
+
+
+def test_wide_rank_deficient_kernel_takes_one_svd_of_its_r(monkeypatch):
+    # ker m = [Q1 U[:, rank:], Q2] from m^H = QR and R[:rows] = U S V^H
     rng = np.random.default_rng(5)
     m = rand_cols(rng, 20, 15) @ rand_cols(rng, 15, 30)
     calls = svd_calls(monkeypatch)
     got = sub.kernel(m)
-    assert calls == [((20, 20), False), ((20, 30), True)]
-    want = svd_nullspace(m)
-    assert got.dim == 15 == want.shape[1]
-    assert projector_gap_angle(got.frame, want) <= 1e-12
+    assert calls == [((20, 20), True)]
+    assert got.dim == 15
+    assert_near_the_oracle(got, m, DEFAULT_TOL, 1e-12 * np.linalg.norm(m, 2))
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
@@ -295,23 +305,26 @@ def test_full_rank_certificate_never_contradicts_the_span_rule(tol, rows):
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
 def test_stack_with_a_deficient_item_gives_each_item_its_frame(monkeypatch, tol):
-    # one undecided item sends the whole stack through the SVD of R, as
-    # without the certificate; a certified stack takes no SVD at all
+    # one undecided item sends the whole stack through one stacked SVD of R
+    # with vectors; a certified stack takes no SVD at all.  A full-rank item
+    # keeps Q's trailing columns bit for bit either way
     rng = np.random.default_rng(11)
     good = [rand_cols(rng, 24, 30) for _ in range(2)]
     bad = with_singular_values(rng, 24, 30, np.r_[np.ones(23), 1e-16])
     calls = svd_calls(monkeypatch)
     for stack, want_calls, dims in [
             (np.stack(good), [], [6, 6]),
-            (np.stack([good[0], bad, good[1]]), [((3, 24, 24), False), ((1, 24, 30), True)],
-             [6, 7, 6])]:
+            (np.stack([good[0], bad, good[1]]), [((3, 24, 24), True)], [6, 7, 6])]:
         calls.clear()
         got = sub.kernel(stack, tol=tol)
         assert calls == want_calls
         assert [k.dim for k in got] == dims
         for m, k in zip(stack, got):
-            assert np.array_equal(k.frame, kernel_by_qr_and_svd(m, tol))
             assert np.array_equal(k.frame, sub.kernel(m, tol=tol).frame)
+            if k.dim == 6:
+                assert np.array_equal(k.frame, kernel_by_qr_and_svd(m, tol))
+            else:
+                assert_near_the_oracle(k, m, tol, 1e-12 * np.linalg.norm(m, 2))
 
 
 @pytest.mark.filterwarnings("error")
@@ -320,14 +333,19 @@ def test_stack_with_a_deficient_item_gives_each_item_its_frame(monkeypatch, tol)
 def test_wide_kernel_of_a_scaled_block_is_the_svd_routes(tol, scale):
     # the certificate scales R by its largest entry, so neither the Gram nor
     # rank_abs / scale overflows; below rank_abs, and on a zero block, it is
-    # undecided and the SVD of R finds rank 0
+    # undecided and the SVD of R finds rank 0: the frame spans C^40, and the
+    # whole block lies under the absolute floor
     rng = np.random.default_rng(12)
     m = rand_cols(rng, 32, 40) * scale
-    for got, want in [(sub.kernel(m, tol=tol), kernel_by_qr_and_svd(m, tol)),
-                      (sub.kernel(np.stack([m, 2 * m]), tol=tol)[1],
-                       kernel_by_qr_and_svd(2 * m, tol))]:
-        assert np.array_equal(got.frame, want)
-        assert got.dim == (8 if scale > 1e-100 else 40)
+    for mi, got in [(m, sub.kernel(m, tol=tol)),
+                    (2 * m, sub.kernel(np.stack([m, 2 * m]), tol=tol)[1])]:
+        if scale > 1e-100:
+            assert got.dim == 8
+            assert np.array_equal(got.frame, kernel_by_qr_and_svd(mi, tol))
+        else:
+            assert got.dim == 40
+            assert_near_the_oracle(got, mi, tol, max(1e-12 * np.linalg.norm(mi, 2),
+                                                     tol.rank_abs))
 
 
 @pytest.mark.parametrize("shape", [(15, 30), (12, 15), (20, 20), (30, 20), (64, 48)])
@@ -348,8 +366,8 @@ def test_kernels_off_the_qr_route_keep_the_svd_frame(monkeypatch, shape):
 @pytest.mark.parametrize("rows, cols", [(6, 9), (12, 15), (20, 30), (32, 40), (20, 16)])
 def test_stacked_kernels_and_spans_give_each_items_frame(rows, cols):
     # each item of a stack gets the frame of its own 2-D call, bit for bit;
-    # the second item is rank-deficient, so on the QR route it falls back to
-    # the full SVD
+    # the second item is rank-deficient, so on the QR route the stack takes
+    # the SVD of R with vectors
     rng = np.random.default_rng(rows + cols)
     stack = np.stack([rand_cols(rng, rows, cols),
                       with_singular_values(rng, rows, cols, np.ones(min(rows, cols) - 3)),
