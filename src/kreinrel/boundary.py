@@ -49,10 +49,10 @@ def shared_tol(a, b) -> TolerancePolicy:
 class BoundaryTriple:
     """Gamma on coordinates of `basis`, a basis of T+ for the parent T.  Every
     derived value and function of the triple decides under `tol`.  The basis
-    is factored once, by a reduced SVD U S V^H taken on first read:
-    `basis_pinv` is V S^-1 U^H, and the span of basis @ c is U times the span
-    of S V^H c (`_lift`).  A transformed triple shares its source's factors.
-    Unchecked: `validate_triple` checks the definition, `transform` that X is
+    is factored once, by a reduced SVD U S V^H taken on first read: its rank
+    by the span rule is `basis_rank`, and `basis_pinv` is V S^-1 U^H; a
+    transformed triple shares its source's factors.  Unchecked:
+    `validate_triple` checks the definition, `transform` that X is
     boundary-unitary.  `==` is identity."""
     parent: LinearRelation
     gamma: np.ndarray = field(repr=False)
@@ -65,30 +65,30 @@ class BoundaryTriple:
     _solves: dict = field(default_factory=dict, init=False, repr=False)
 
     # Read through on every access.
-    _sv = property(lambda self: self.basis_svd[1][:, None] * self.basis_svd[2])  # S V^H
     boundary_dim = property(lambda self: self.gamma.shape[0] // 2)
     space = property(lambda self: self.parent.src)
     gamma0 = property(lambda self: self.gamma[: self.boundary_dim, :])
     gamma1 = property(lambda self: self.gamma[self.boundary_dim :, :])
     boundary_space = property(lambda self: hilbert_space(self.boundary_dim))
 
-    def _lift(self, rows: np.ndarray) -> Subspace:
-        """The span of [basis @ c; b] from rows = [S V^H c; b]: diag(U, I) maps
-        the span of the rows onto it isometrically, so the singular values,
-        and with them the rank decision, are those of the direct span."""
-        u, s, _ = self.basis_svd
-        f = sub.span(rows, self.tol).frame
-        return sub._trusted(np.vstack([u @ f[: s.size], f[s.size :]]))
+    def _spanned(self, columns: np.ndarray) -> Subspace:
+        """The span of columns [basis @ c; ...] for an orthonormal c: one QR
+        where the span rule keeps the whole basis, as `validate_triple` checks;
+        the span rule where it cuts it (a planted U~ past the cut)."""
+        if self.basis_rank == self.basis.shape[1]:
+            return sub._injective_span(columns)
+        return sub.span(columns, self.tol)
 
     def _kernel_of(self, g: np.ndarray) -> LinearRelation:
         coords = sub.kernel(g, self.tol).frame
-        return LinearRelation(self.space, self.space, self._lift(self._sv @ coords))
+        return LinearRelation(self.space, self.space, self._spanned(self.basis @ coords))
 
     # Derived on first read and kept.  N = ker Gamma0 ∩ T-perp is unchecked,
     # as ker Gamma0 is self-adjoint and extends T; a0 and a1 are Gamma0 on
     # J_hat(N) and Gamma1 on N, and g0inv and g1inv their inverses into T+.
     tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein", self.tol))
     basis_svd = cached_property(lambda self: np.linalg.svd(self.basis, full_matrices=False))
+    basis_rank = cached_property(lambda self: self.tol.span_rank(self.basis_svd[1]))
     basis_pinv = cached_property(lambda self: sub._pinv(*self.basis_svd))
     # Gamma on ambient vectors of T+, which it reads through their coordinates
     gamma_ambient = cached_property(lambda self: self.gamma @ self.basis_pinv)
@@ -105,7 +105,7 @@ class BoundaryTriple:
     g1inv = cached_property(lambda self: self.fn @ np.linalg.inv(self._a1))
     beta = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.g0inv))
     # the graph of the boundary map, the span of [basis; Gamma]
-    gamma_graph = cached_property(lambda self: self._lift(np.vstack([self._sv, self.gamma])))
+    gamma_graph = cached_property(lambda self: self._spanned(np.vstack([self.basis, self.gamma])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +172,7 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     triple = BoundaryTriple(t, gamma, basis, tol)
     # the frame and rank of `sub.span(basis)`, from the triple's SVD of its basis
     u, s, _ = triple.basis_svd
-    rank = tol.span_rank(s)
-    if rank < m or not sub.equal(sub._trusted(u[:, :rank]),
-                                 triple.tplus.graph, tol):
+    if triple.basis_rank < m or not sub.equal(sub._trusted(u[:, :m]), triple.tplus.graph, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
     # Gamma's singular values give its rank and its 2-norm; the basis's
     # 2-norm is its largest singular value
@@ -284,7 +282,7 @@ def transform(triple: BoundaryTriple, x) -> BoundaryTriple:
     out = BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, triple.tol)
     # the same basis: its factors, where taken, are shared
     vars(out).update({k: v for k, v in vars(triple).items()
-                      if k in ("basis_svd", "basis_pinv")})
+                      if k in ("basis_svd", "basis_rank", "basis_pinv")})
     return out
 
 
@@ -301,7 +299,7 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
     if theta.src.dim != d or theta.tgt.dim != d:
         raise ValueError("Theta must be a relation in the boundary space")
     coords = sub.preimage(triple.gamma, theta.graph, triple.tol)
-    return LinearRelation(triple.space, triple.space, triple._lift(triple._sv @ coords.frame))
+    return LinearRelation(triple.space, triple.space, triple._spanned(triple.basis @ coords.frame))
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def dom_n_formulas(t: LinearRelation, t0: LinearRelation,
     nmi = defect_subspace(t, -1j, tol)
 
     def preimage_of(shift_z: complex, target: Subspace) -> Subspace:
-        shifted = rel.shift(frak_t0, -shift_z, tol)  # T0 + shift_z I
+        shifted = rel.shift(frak_t0, -shift_z)  # T0 + shift_z I
         cage = sub.product(sub.full(t.src.dim), target)
         return rel.parts(
             LinearRelation(frak_t0.src, frak_t0.tgt,

@@ -154,18 +154,16 @@ def membership_check(v, triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> d
 
 
 def build_V_from_tau(triple_a: BoundaryTriple, triple_b: BoundaryTriple, tau) -> LinearRelation:
-    """Operator (V0)_s + tau P_T with domain T+ and free entries zero."""
+    """Operator (V0)_s + tau P_T with domain T+ and free entries zero; its
+    graph [F; MF] over the frame F of T+ takes one QR."""
     tol = _check_compatible(triple_a, triple_b)
-    dt_a = triple_a.parent.dim
-    dt_b = triple_b.parent.dim
-    tau = as_matrix(tau, rows=dt_b, cols=dt_a)
-    if tol.map_rank_of(tau) < dt_b:
+    tau = as_matrix(tau, rows=triple_b.parent.dim, cols=triple_a.parent.dim)
+    if tol.map_rank_of(tau) < triple_b.parent.dim:
         raise BuildError("tau is not surjective onto T'")
-    vs_full = v0_operator_part(triple_a, triple_b)
-    m = vs_full + triple_b.ft @ tau @ triple_a.ft.conj().T
+    m = v0_operator_part(triple_a, triple_b) + triple_b.ft @ tau @ triple_a.ft.conj().T
     frame = triple_a.tplus.graph.frame
-    cols = np.vstack([frame, m @ frame])
-    return LinearRelation(triple_a.space.doubled, triple_b.space.doubled, sub.span(cols, tol))
+    return LinearRelation(triple_a.space.doubled, triple_b.space.doubled,
+                          sub._injective_span(np.vstack([frame, m @ frame])))
 
 
 def build_standard_V(triple_a: BoundaryTriple, triple_b: BoundaryTriple,

@@ -10,7 +10,9 @@ intersection rule for `intersect`, the angle-equality rule for `equal` and
 is its row count and the dimension its column count.  Frames are read-only.
 A caller's frame is copied, Gram-checked (defect <= 1e-8) and
 orthonormalized past roundoff; frames this module computes from an SVD or a
-Householder QR are orthonormal to roundoff and skip that check.
+Householder QR are orthonormal to roundoff and skip that check.  A rank is
+decided where it can drop: an injective image of a decided frame, such as a
+full-rank basis times a kernel frame, takes one QR (`_injective_span`).
 
 `span(m)` is the column span of a matrix and `kernel(m)` its null space in
 C^cols.  `kernel` takes one of two routes by shape: a wide m with at least
@@ -130,6 +132,11 @@ def span(columns, tol: TolerancePolicy = DEFAULT_TOL):
     if isinstance(columns, np.ndarray) and columns.ndim == 3:
         return [_trusted(f) for f in _orth(_as_stack(columns), tol)]
     return _trusted(_orth(as_matrix(columns), tol))
+
+
+def _injective_span(columns: np.ndarray) -> Subspace:
+    """Column span of a matrix of decided full column rank: one QR, no rank cut."""
+    return _trusted(np.linalg.qr(columns)[0])
 
 
 def trivial(ambient_dim: int) -> Subspace:

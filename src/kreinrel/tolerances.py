@@ -24,8 +24,9 @@ class TolerancePolicy:
     code that reads them: every decision calls one of the rules below.
 
     rank_rel: relative singular-value cutoff (scaled by the largest
-        singular value), must stay at or above machine epsilon.
-    rank_abs: absolute singular-value floor of spans and kernels.
+        singular value), in [machine epsilon, 1).
+    rank_abs: absolute singular-value floor of spans and kernels, below 1:
+        no cut reaches the singular values of an orthonormal frame.
     angle_tol: largest principal angle, in radians (at most pi/2), at which
         two subspaces still count as equal; `negligible` applies the same
         cut to the relative residual of every identity, neutrality included.
@@ -43,11 +44,11 @@ class TolerancePolicy:
     def __post_init__(self):
         if not all(0 < t < np.inf for t in (self.rank_rel, self.rank_abs, self.angle_tol)):
             raise ValueError("tolerances must be strictly positive and finite")
-        if self.rank_rel < _EPS or self.angle_tol > np.pi / 2:
-            raise ValueError("rank_rel must be at least machine epsilon, angle_tol at most pi/2")
+        if not (_EPS <= self.rank_rel < 1 and self.rank_abs < 1 and self.angle_tol <= np.pi / 2):
+            raise ValueError("rank_rel must lie in [eps, 1), rank_abs below 1, angle_tol <= pi/2")
 
-    def rank_cut(self, largest_sv):
-        return np.fmax(self.rank_abs, self.rank_rel * largest_sv)
+    def rank_cut(self, largest):
+        return np.fmax(self.rank_abs, self.rank_rel * largest)
 
     def span_rank(self, s: np.ndarray):
         """The span rule, for spans, kernels and regularity: the number of s

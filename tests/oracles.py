@@ -10,8 +10,10 @@ routes the library replaced are kept here as references too: the SVD span of
 an operator's graph, Gamma V^{-1} by composing relations, z-fibres by
 intersecting a graph with a cage around the graph of zI, A ∩ T-perp by
 intersecting with T's complement, spans over a triple's basis coordinates
-from the 2n-row products, Gamma on T+ columns through checked basis
-coordinates (and the k-shift, w-maps and E0 coordinates read through it),
+from the 2n-row products, the SVD spans of T - zI, of the graph of
+`build_V_from_tau` and of the lemma_o suite's zI - H, Gamma on T+ columns
+through checked basis coordinates (and the k-shift, w-maps and E0
+coordinates read through it),
 `np.linalg.pinv`, the full-SVD fall-back of a rank-deficient wide kernel,
 N_z(G) as an eigenspace of JG+, the SVD spans of unitary images
 of frames, the eager parts of a relation, the signature from `eigvalsh`, and
@@ -371,6 +373,36 @@ def gamma_graph_by_span(triple):
     from kreinrel import subspaces as sub
 
     return sub.span(np.vstack([triple.basis, triple.gamma]), triple.tol)
+
+
+def shift_by_span(t, z: complex, tol):
+    """T - zI as the SVD span of [E; D - zE], with its rank cut."""
+    from kreinrel import relations as rel, subspaces as sub
+
+    e, d = t.blocks()
+    return rel.LinearRelation(t.src, t.tgt, sub.span(np.vstack([e, d - z * e]), tol))
+
+
+def v_from_tau_by_span(triple_a, triple_b, tau):
+    """`similarity.build_V_from_tau`'s relation as the SVD span of [F; MF] over
+    the frame F of T+, with M = (V0)_s + tau P_T."""
+    from kreinrel import relations as rel, similarity as sim, subspaces as sub
+
+    m = sim.v0_operator_part(triple_a, triple_b) + triple_b.ft @ tau @ triple_a.ft.conj().T
+    f = triple_a.tplus.graph.frame
+    return rel.LinearRelation(triple_a.space.doubled, triple_b.space.doubled,
+                              sub.span(np.vstack([f, m @ f]), triple_a.tol))
+
+
+def lemma_o_range_by_span(g, h, z: complex, tol):
+    """The lemma_o suite's ran((G - z)^{-1}(zI - H) + I), with G - z and the
+    graph [E_H; zE_H - D_H] of zI - H taken as SVD spans."""
+    from kreinrel import relations as rel, subspaces as sub
+
+    eh, dh = h.blocks()
+    zh = rel.LinearRelation(h.src, h.tgt, sub.span(np.vstack([eh, z * eh - dh]), tol))
+    comp = rel.compose(rel.inverse(shift_by_span(g, z, tol)), zh, tol)
+    return rel.parts(rel.op_sum(comp, rel.identity_relation(g.src), tol), tol).ran
 
 
 def apply_by_pinv(triple, vectors):

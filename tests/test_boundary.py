@@ -784,3 +784,37 @@ def test_planted_similar_triple_checks_u(generated41):
     u = gen_standard_unitary(5, tri.space, tri.space)
     with pytest.raises(bnd.TripleValidationError):
         planted_similar_triple(tri, 2 * u, tri.space)
+
+
+def _index_law(tri: bnd.BoundaryTriple, z0: complex = 0.31 + 1.7j):
+    """(kappa, count) for T0 of a triple, or None where two eigenvalues of T0
+    lie within 1e-6.  kappa is the number of negative squares of J and count
+    the number of T0's eigenvalues in C+ plus its real eigenvalues whose
+    eigenvector x has x^H J x < 0; T0's eigenvalues are z0 + 1/mu over the
+    eigenvalues mu of (T0 - z0)^{-1}, with the same eigenvectors."""
+    mu, x = np.linalg.eig(rel.resolvent_matrix(tri.t0, z0))
+    lam = z0 + 1 / mu
+    gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(len(lam), np.inf))
+    if gaps.min(initial=np.inf) < 1e-6:
+        return None
+    real = np.abs(lam.imag) <= 1e-8 * (1 + np.abs(lam))
+    negative = np.einsum("ij,ik,kj->j", x.conj(), tri.space.J, x).real < 0
+    return tri.space.signature[1], int(np.sum(~real & (lam.imag > 0)) + np.sum(real & negative))
+
+
+def test_t0_obeys_pontryagins_index_law():
+    # T0 is self-adjoint in (C^n, J): with simple eigenvalues, each pair of
+    # non-real eigenvalues z, conj z spans one negative square and each real
+    # eigenvector of negative type one more, q in all
+    triples = [gen_triple(st._draw_t(seed, DEFAULT_TOL), seed) for seed in range(100)]
+    for k in range(20):
+        n = 8 + k % 5
+        p = int(rng_for(k, 60).integers(0, n + 1))
+        t = gen_symmetric(InstanceSpec(600 + k, n, (p, n - p), 1 + k % (n - 1)))
+        triples.append(gen_triple(t, 600 + k))
+    laws = [_index_law(tri) for tri in triples]
+    skipped = sum(law is None for law in laws)
+    assert skipped <= 6, f"{skipped} of {len(laws)} draws have an eigenvalue gap under 1e-6"
+    for law in laws:
+        if law is not None:
+            assert law[0] == law[1]

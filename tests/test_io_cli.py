@@ -209,12 +209,13 @@ def test_cli_dimension_that_is_not_a_number_is_an_input_error(block, key, value,
     (["--tol-angle", "inf", "triple", "validate", FIXTURE], None),
     (["--tol-angle", "2", "triple", "validate", FIXTURE], None),
     (["--tol-rank-abs", "inf", "relation", "check", FIXTURE], None),
+    (["--tol-rank-rel", "1", "verify", "--trials", "1"], None),
 ], ids=["report-missing-file", "transform-without-matrix", "nclass-without-second",
         "non-integer-env-seed", "report-not-a-report", "report-list-of-numbers",
         "report-null-residual", "report-text-residual", "extend-second-without-relation",
         "reduce-second-without-relation", "nclass-second-without-relation",
         "verify-zero-trials", "verify-negative-trials", "infinite-angle-tolerance",
-        "angle-tolerance-past-a-right-angle", "infinite-rank-floor"])
+        "angle-tolerance-past-a-right-angle", "infinite-rank-floor", "rank-cut-of-one"])
 def test_cli_usage_errors_are_input_errors(argv, env_seed, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with open(FIXTURE, encoding="utf-8") as fh:

@@ -1,11 +1,14 @@
 """Each matrix factored once, checked against the route it replaced.
 
-A triple's basis is factored by one reduced SVD U S V^H: T0, T1, the graph of
-Gamma and t_theta are spans of S V^H c lifted by U, and `basis_pinv` is
-V S^-1 U^H.  The reconstruction's gamma columns and the audit's defect frames
-each give their rank and pseudo-inverse from one SVD.  Unitary images of
-orthonormal frames are Gram-checked frames, with no rank decision; `parts`
-spans each part when it is read; `make_krein` reads the signature off tr J.
+A triple's basis is factored by one reduced SVD U S V^H, which decides its
+rank and gives `basis_pinv` = V S^-1 U^H.  An injective image of a decided
+frame takes one QR: T0, T1, the graph of Gamma and t_theta over a basis of
+full rank, ker and mul of a relation, T - zI, the graph of `build_V_from_tau`
+and the suites' zI - H and Theta lift.  The reconstruction's gamma columns
+and the audit's defect frames each give their rank and pseudo-inverse from
+one SVD.  Unitary images of orthonormal frames are Gram-checked frames, with
+no rank decision; `parts` takes each part when it is read; `make_krein`
+reads the signature off tr J.
 Each route is compared with its old one from tests/oracles.py: the same dims
 and decisions, principal angles at most 1e-12 and pseudo-inverses equal to
 roundoff, under the default and CI's loose policy.  Gamma on a triple's own
@@ -20,7 +23,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kreinrel import boundary as bnd, extensions as ext, generators as gen, krein, \
+from kreinrel import boundary as bnd, extensions as ext, generators as gen, io as kio, krein, \
     relations as rel, similarity as sim, subspaces as sub, suites as st
 from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetric, gen_triple, \
     planted_similar_triple
@@ -80,6 +83,84 @@ def test_the_loose_cut_drops_the_same_direction_on_both_routes():
     planted = planted_similar_triple(tri, u, t.src)
     assert planted.t0.dim == 3
     _check_basis_routes(planted)
+
+
+def _same_frame(got: sub.Subspace, want: sub.Subspace):
+    """A QR frame against its span route: the same dim, principal angles at
+    most 1e-12, and a Gram defect at most 1e-13."""
+    _same(got, want)
+    f = got.frame
+    assert np.abs(f.conj().T @ f - np.eye(got.dim)).max(initial=0.0) <= 1e-13
+
+
+def _hyperbolic(j: np.ndarray, cond: float) -> np.ndarray:
+    """A standard unitary of (C^n, J) with cond U = cond: a hyperbolic
+    rotation of one positive and one negative eigenvector of J."""
+    w, v = np.linalg.eigh(j)
+    ep, em = v[:, [np.argmax(w)]], v[:, [np.argmin(w)]]
+    a = np.log(cond) / 2
+    return (np.eye(len(j)) + (np.cosh(a) - 1) * (ep @ ep.conj().T + em @ em.conj().T)
+            + np.sinh(a) * (ep @ em.conj().T + em @ ep.conj().T))
+
+
+def _scaled_document(tri: bnd.BoundaryTriple, scale: float, tol: TolerancePolicy):
+    """The triple read back from a document whose basis columns, and Gamma's
+    columns with them, are multiplied by `scale`."""
+    doc = kio.document_for(tri.space, tri.parent, tri)
+    doc["triple"]["gamma"] = kio.encode_matrix(tri.gamma * scale)
+    doc["triple"]["tplus_basis"] = kio.encode_vectors(tri.basis * scale)
+    return kio.load_document(doc, tol)["triple"]
+
+
+def _check_injective_images(tri: bnd.BoundaryTriple, seed: int):
+    tol, d = tri.tol, tri.boundary_dim
+    for g, tk in ((tri.gamma0, tri.t0), (tri.gamma1, tri.t1)):
+        _same_frame(tk.graph, oracles.kernel_relation_by_span(tri, g).graph)
+    _same_frame(tri.gamma_graph, oracles.gamma_graph_by_span(tri))
+    h = gen.random_complex(gen.rng_for(seed, 79), d, d)
+    h = h + h.conj().T
+    theta = rel.from_operator(h, tri.boundary_space, tri.boundary_space)
+    _same_frame(theta.graph, oracles.graph_by_span(h, tri.boundary_space,
+                                                   tri.boundary_space, tol).graph)
+    coords = sub.preimage(tri.gamma, theta.graph, tol).frame
+    _same_frame(bnd.t_theta(tri, theta).graph, oracles.span_over_basis(tri, coords))
+    # the laws suite's lift Gamma0^{-1} + Gamma1^{-1}(Theta - beta)
+    lift = tri.g0inv + tri.g1inv @ (h - tri.beta)
+    _same_frame(sub._injective_span(lift), sub.span(lift, tol))
+    for r in (tri.parent, tri.tplus, tri.t0):
+        want = oracles.parts_by_span(r, tol)
+        for name in ("ker", "mul"):
+            _same_frame(getattr(rel.parts(r, tol), name), want[name])
+        for z in (0.7 - 0.3j, 1j, 2.0):
+            _same_frame(rel.shift(r, z).graph, oracles.shift_by_span(r, z, tol).graph)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 32])
+@POLICIES
+def test_injective_images_of_decided_frames_match_their_spans(n, tol):
+    # generated triples, planted images up to cond U = 1e4 (past the loose cut,
+    # where the planted basis keeps the span rule) and documents whose basis
+    # columns are scaled by 1e5 and 1e-5
+    t = gen_symmetric(InstanceSpec(n, n, (n // 2, n - n // 2), max(1, n // 4)), tol=tol)
+    tri = gen_triple(t, n, tol)
+    _check_injective_images(tri, n)
+    tau = gen.random_unitary(gen.rng_for(n, 3), t.dim)
+    for cond in (1e2, 1e4):
+        u = _hyperbolic(t.src.J, cond)
+        planted = planted_similar_triple(tri, u, t.src)
+        _same_frame(planted.parent.graph, sub.image(sim._utilde(u), t.graph, tol))
+        _check_injective_images(planted, n)
+        _same_frame(sim.build_V_from_tau(tri, planted, tau).graph,
+                    oracles.v_from_tau_by_span(tri, planted, tau).graph)
+    for scale in (1e5, 1e-5):
+        _check_injective_images(_scaled_document(tri, scale, tol), n)
+    if n <= 8:
+        for z in (0.4 + 0.2j, 1j, 1.5, 0.0):
+            _same(st._lemma_o_range(t, tri.n_rel, z, tol),
+                  oracles.lemma_o_range_by_span(t, tri.n_rel, z, tol))
+    split = t.dim // 2  # the eqgh suite's two slices of T's frame
+    for cols in (slice(None, split), slice(split, None)):
+        _same_frame(sub._trusted(t.graph.frame[:, cols]), sub.span(t.graph.frame[:, cols], tol))
 
 
 def test_a_validated_triple_factors_its_basis_once(monkeypatch):

@@ -66,10 +66,13 @@ def test_non_finite_entries_rejected(bad):
 
 @pytest.mark.parametrize("field, value", [
     ("rank_rel", np.inf), ("rank_abs", np.inf), ("angle_tol", np.inf), ("angle_tol", np.nan),
-    ("angle_tol", 2.0), ("rank_rel", 1e-20), ("rank_abs", 0.0)])
+    ("angle_tol", 2.0), ("rank_rel", 1e-20), ("rank_abs", 0.0), ("rank_rel", 1.0),
+    ("rank_rel", 2.0), ("rank_abs", 1.0), ("rank_abs", 2.0)])
 def test_policy_rejects_tolerances_out_of_range(field, value):
-    # an infinite cut, or an angle past pi/2, would accept every identity;
-    # the largest principal angle itself is still a valid cut
+    # an infinite cut, or an angle past pi/2, would accept every identity; a
+    # rank cut of 1 or more cuts every singular value of an orthonormal frame,
+    # so every span and kernel of a frame would be trivial; the largest
+    # principal angle itself is still a valid cut
     with pytest.raises(ValueError):
         TolerancePolicy(**{field: value})
     TolerancePolicy(angle_tol=np.pi / 2)
