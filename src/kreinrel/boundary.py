@@ -1,8 +1,9 @@
 """Boundary triples for the adjoint of a symmetric relation.
 
-The boundary map is stored as a matrix acting on coordinates of an
-explicit basis of T+, with the first block of rows feeding the abstract
-Green identity's primary side.  Weyl values are relations in the
+The boundary map is stored as a matrix acting on coordinates of T+'s own
+orthonormal graph frame, with the first block of rows feeding the abstract
+Green identity's primary side; `validate_triple` carries a map given on
+any other basis of T+ onto that frame.  Weyl values are relations in the
 boundary space first and matrices only when single-valued and
 everywhere defined.  A triple carries its tolerance policy, and every
 function of a triple or pair decides under `triple.tol` (`pair.tol`);
@@ -47,16 +48,14 @@ def shared_tol(a, b) -> TolerancePolicy:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryTriple:
-    """Gamma on coordinates of `basis`, a basis of T+ for the parent T.  Every
-    derived value and function of the triple decides under `tol`.  The basis
-    is factored once, by a reduced SVD U S V^H taken on first read: its rank
-    by the span rule is `basis_rank`, and `basis_pinv` is V S^-1 U^H; a
-    transformed triple shares its source's factors.  Unchecked:
-    `validate_triple` checks the definition, `transform` that X is
-    boundary-unitary.  `==` is identity."""
+    """Gamma on coordinates of `basis` = F, T+'s own orthonormal graph frame
+    read through the parent's adjoint memo (so a transformed triple shares it):
+    Gamma x = gamma F^H x for x in T+.  Every derived value and function of the
+    triple decides under `tol`; T0, T1, t_theta and the graph of Gamma, images
+    of F, take no rank decision.  Unchecked: `validate_triple` checks the
+    definition, `transform` that X is boundary-unitary.  `==` is identity."""
     parent: LinearRelation
     gamma: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
     # {z: WeylValue}: the defect solves of the last walk, or of the last single
     # z asked, keyed by z alone as `tol` decides every solve, so M(z) and
@@ -70,28 +69,18 @@ class BoundaryTriple:
     gamma0 = property(lambda self: self.gamma[: self.boundary_dim, :])
     gamma1 = property(lambda self: self.gamma[self.boundary_dim :, :])
     boundary_space = property(lambda self: hilbert_space(self.boundary_dim))
-
-    def _spanned(self, columns: np.ndarray) -> Subspace:
-        """The span of columns [basis @ c; ...] for an orthonormal c: one QR
-        where the span rule keeps the whole basis, as `validate_triple` checks;
-        the span rule where it cuts it (a planted U~ past the cut)."""
-        if self.basis_rank == self.basis.shape[1]:
-            return sub._injective_span(columns)
-        return sub.span(columns, self.tol)
+    basis = property(lambda self: self.tplus.graph.frame)
 
     def _kernel_of(self, g: np.ndarray) -> LinearRelation:
         coords = sub.kernel(g, self.tol).frame
-        return LinearRelation(self.space, self.space, self._spanned(self.basis @ coords))
+        return LinearRelation(self.space, self.space, sub._trusted(self.basis @ coords))
 
     # Derived on first read and kept.  N = ker Gamma0 ∩ T-perp is unchecked,
     # as ker Gamma0 is self-adjoint and extends T; a0 and a1 are Gamma0 on
     # J_hat(N) and Gamma1 on N, and g0inv and g1inv their inverses into T+.
     tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein", self.tol))
-    basis_svd = cached_property(lambda self: np.linalg.svd(self.basis, full_matrices=False))
-    basis_rank = cached_property(lambda self: self.tol.span_rank(self.basis_svd[1]))
-    basis_pinv = cached_property(lambda self: sub._pinv(*self.basis_svd))
     # Gamma on ambient vectors of T+, which it reads through their coordinates
-    gamma_ambient = cached_property(lambda self: self.gamma @ self.basis_pinv)
+    gamma_ambient = cached_property(lambda self: self.gamma @ self.basis.conj().T)
     t0 = cached_property(lambda self: self._kernel_of(self.gamma0))
     t1 = cached_property(lambda self: self._kernel_of(self.gamma1))
     n_rel = cached_property(lambda self: ext._n_part(self.parent, self.t0, self.tol))
@@ -99,13 +88,14 @@ class BoundaryTriple:
     fn = cached_property(lambda self: self.n_rel.graph.frame)
     fjn = cached_property(lambda self: self.space.doubled.J @ self.fn)
     fjt = cached_property(lambda self: self.space.doubled.J @ self.ft)
-    _a0 = cached_property(lambda self: self.gamma0 @ (self.basis_pinv @ self.fjn))
-    _a1 = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.fn))
+    _a0 = cached_property(lambda self: self.gamma0 @ (self.basis.conj().T @ self.fjn))
+    _a1 = cached_property(lambda self: self.gamma1 @ (self.basis.conj().T @ self.fn))
     g0inv = cached_property(lambda self: self.fjn @ np.linalg.inv(self._a0))
     g1inv = cached_property(lambda self: self.fn @ np.linalg.inv(self._a1))
-    beta = cached_property(lambda self: self.gamma1 @ (self.basis_pinv @ self.g0inv))
-    # the graph of the boundary map, the span of [basis; Gamma]
-    gamma_graph = cached_property(lambda self: self._spanned(np.vstack([self.basis, self.gamma])))
+    beta = cached_property(lambda self: self.gamma1 @ (self.basis.conj().T @ self.g0inv))
+    # the graph of the boundary map, [F; Gamma] of full column rank
+    gamma_graph = cached_property(
+        lambda self: sub._injective_span(np.vstack([self.basis, self.gamma])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +141,13 @@ def green_residual(space: KreinSpace, basis: np.ndarray, gamma: np.ndarray) -> f
 
 def validate_triple(t: LinearRelation, gamma, basis=None,
                     tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
-    """Check a candidate boundary map and build its triple.
+    """Check a boundary map on coordinates of `basis` (T+'s frame F if None)
+    and build its triple, which holds Gamma basis^+ F (Gamma itself on F).
 
-    Checks the definition (T symmetric, a basis of T+, Gamma surjective, the
-    Green identity), the a0/a1 ranks and beta Hermitian.  That the kernels are
-    self-adjoint, meet in T and span T+ follows; the boundary suite proves it.
+    Checks the definition on the caller's basis and Gamma (T symmetric, a basis
+    of T+ by one SVD, Gamma surjective, the Green identity), then the a0/a1
+    ranks and beta Hermitian.  That the kernels are self-adjoint, meet in T and
+    span T+ follows; the boundary suite proves it.
     """
     gamma = as_matrix(gamma)
     if gamma.shape[0] % 2:
@@ -163,16 +155,14 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     d = gamma.shape[0] // 2
     if not rel.is_symmetric(t, tol):
         raise TripleValidationError("parent relation is not symmetric")
-    if basis is None:
-        basis = rel.adjoint(t, "krein", tol).graph.frame
-    basis = as_matrix(basis, rows=2 * t.src.dim)
+    tplus = rel.adjoint(t, "krein", tol).graph
+    basis = tplus.frame if basis is None else as_matrix(basis, rows=2 * t.src.dim)
     m = basis.shape[1]
     if gamma.shape[1] != m:
         raise TripleValidationError("gamma columns must match the basis size")
-    triple = BoundaryTriple(t, gamma, basis, tol)
-    # the frame and rank of `sub.span(basis)`, from the triple's SVD of its basis
-    u, s, _ = triple.basis_svd
-    if triple.basis_rank < m or not sub.equal(sub._trusted(u[:, :m]), triple.tplus.graph, tol):
+    # the rank and frame of `sub.span(basis)` from one SVD
+    u, s, vh = np.linalg.svd(basis, full_matrices=False)
+    if tol.span_rank(s) < m or not sub.equal(sub._trusted(u[:, :m]), tplus, tol):
         raise TripleValidationError("basis does not span the adjoint's graph")
     # Gamma's singular values give its rank and its 2-norm; the basis's
     # 2-norm is its largest singular value
@@ -183,6 +173,9 @@ def validate_triple(t: LinearRelation, gamma, basis=None,
     if not tol.negligible(res, (1.0 + sg.max(initial=0.0)) * (1.0 + s.max(initial=0.0) ** 2)):
         raise TripleValidationError(f"Green identity violated: residual {res:.3e}")
 
+    if basis is not tplus.frame:
+        gamma = gamma @ (sub._pinv(u, s, vh) @ tplus.frame)
+    triple = BoundaryTriple(t, gamma, tol)
     if triple.n_rel.dim != d or min(tol.map_rank_of(a) for a in (triple._a0, triple._a1)) < d:
         raise TripleValidationError("restricted boundary block is singular")
     beta = triple.beta
@@ -279,11 +272,7 @@ def transform(triple: BoundaryTriple, x) -> BoundaryTriple:
     if not triple.tol.negligible(np.linalg.norm(x.conj().T @ jo @ x - jo),
                                  1 + np.linalg.norm(x) ** 2):
         raise TripleValidationError("transform matrix is not boundary-unitary")
-    out = BoundaryTriple(triple.parent, x @ triple.gamma, triple.basis, triple.tol)
-    # the same basis: its factors, where taken, are shared
-    vars(out).update({k: v for k, v in vars(triple).items()
-                      if k in ("basis_svd", "basis_rank", "basis_pinv")})
-    return out
+    return BoundaryTriple(triple.parent, x @ triple.gamma, triple.tol)
 
 
 def beta_shift(triple: BoundaryTriple, beta=None) -> BoundaryTriple:
@@ -299,7 +288,7 @@ def t_theta(triple: BoundaryTriple, theta: LinearRelation) -> LinearRelation:
     if theta.src.dim != d or theta.tgt.dim != d:
         raise ValueError("Theta must be a relation in the boundary space")
     coords = sub.preimage(triple.gamma, theta.graph, triple.tol)
-    return LinearRelation(triple.space, triple.space, triple._spanned(triple.basis @ coords.frame))
+    return LinearRelation(triple.space, triple.space, sub._trusted(triple.basis @ coords.frame))
 
 
 # ---------------------------------------------------------------------------

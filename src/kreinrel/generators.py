@@ -17,7 +17,7 @@ from . import relations as rel
 from . import subspaces as sub
 from .krein import KreinSpace, make_krein
 from .relations import LinearRelation
-from .similarity import _standard_unitary_residual, _utilde
+from .similarity import _standard_unitary_residual, _u_inverse, _utilde
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -201,13 +201,16 @@ def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
                            tgt: KreinSpace) -> bnd.BoundaryTriple:
     """The triple Gamma' = Gamma U~^{-1} for T' = U T U^{-1}, under the triple's
     policy.  Only U is checked: by the transformation lemma a standard unitary
-    carries a triple to a triple."""
+    carries a triple to a triple.  Gamma' acts on T'+'s own frame F', as
+    Gamma (F^H U~^{-1} F') with U~^{-1} = diag(U^{-1}, U^{-1}); no rank of
+    U~ F is decided."""
     if not _is_standard_unitary(u, triple.space, tgt, triple.tol):
         raise bnd.TripleValidationError("planting matrix is not standard unitary")
-    ut = _utilde(u)
     # U~ is injective, so the image of T's frame takes one QR
-    t_prime = LinearRelation(tgt, tgt, sub._injective_span(ut @ triple.parent.graph.frame))
-    return bnd.BoundaryTriple(t_prime, triple.gamma, ut @ triple.basis, triple.tol)
+    t_prime = LinearRelation(tgt, tgt, sub._injective_span(_utilde(u) @ triple.parent.graph.frame))
+    f_prime = rel.adjoint(t_prime, "krein", triple.tol).graph.frame
+    coords = triple.basis.conj().T @ (_utilde(_u_inverse(u, triple.space, tgt)) @ f_prime)
+    return bnd.BoundaryTriple(t_prime, triple.gamma @ coords, triple.tol)
 
 
 def scaled_triple(triple: bnd.BoundaryTriple, kappa: float) -> bnd.BoundaryTriple:

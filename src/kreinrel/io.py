@@ -3,7 +3,8 @@
 One document type covers all fixtures: a `space` block (dim plus the
 fundamental symmetry), an optional `relation` block (graph basis
 vectors) and an optional `triple` block (boundary dim, gamma matrix and
-a basis of the adjoint's graph).  Matrices are row-major nested lists
+the triple's own frame of T+ it acts on; loading carries gamma onto the
+loaded relation's adjoint frame).  Matrices are row-major nested lists
 and vector lists hold one list per vector, which keeps golden files
 human-diffable.  A block's scalars are either all [re, im] pairs or all
 bare reals; a block that mixes the two is rejected.  Each block crosses

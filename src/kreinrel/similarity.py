@@ -68,7 +68,7 @@ def v0_operator_part(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> np.n
     _check_compatible(triple_a, triple_b)
     formula = (triple_b.g0inv @ triple_a.gamma0
                + triple_b.g1inv @ (triple_a.gamma1 - triple_b.beta @ triple_a.gamma0))
-    return formula @ triple_a.basis_pinv
+    return formula @ triple_a.basis.conj().T
 
 
 def sigma_unitary_check(triple_a: BoundaryTriple, triple_b: BoundaryTriple) -> dict:
@@ -348,7 +348,8 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
     V built from U-tilde's blocks, and residuals), 'witness' (a point of the
     grid, or beside a pole of T0 where the grid's gamma columns span less than
     H, at which the Weyl values differ; their largest principal angle in
-    radians is the discrepancy) or 'hypothesis-violation'.
+    radians is the discrepancy) or 'hypothesis-violation' with its reason,
+    among them a build check of the Theorem-l V that fails.
     """
     tol, n = _check_compatible(triple_a, triple_b), triple_a.space.dim
     violation = lambda reason: {"status": "hypothesis-violation", "reason": reason}
@@ -425,7 +426,10 @@ def reconstruct_similarity(triple_a: BoundaryTriple, triple_b: BoundaryTriple,
         e_cand = -1j * (v21 @ np.linalg.inv(v11))
         e_cand = (e_cand + e_cand.conj().T) / 2.0
         theta_c, coupling_c = e_cand[:dt, :dt], e_cand[:dt, dt:]
-    v = build_standard_V(triple_a, triple_b, tau_c, theta_c, sigma_c, coupling_c)
+    try:
+        v = build_standard_V(triple_a, triple_b, tau_c, theta_c, sigma_c, coupling_c)
+    except BuildError as exc:
+        return violation(f"Theorem-l V not built: {exc}")
 
     w = _utilde(_u_inverse(u, triple_a.space, triple_b.space)) @ v
     off_diag = float(max(np.abs(w[:n, n:]).max(initial=0.0), np.abs(w[n:, :n]).max(initial=0.0)))

@@ -407,8 +407,8 @@ def lemma_o_range_by_span(g, h, z: complex, tol):
 
 def apply_by_pinv(triple, vectors):
     """Gamma (Gamma0 over Gamma1) on columns of T+, through their basis
-    coordinates basis_pinv @ v, checked to reproduce the columns."""
-    x = triple.basis_pinv @ vectors
+    coordinates pinv(basis) @ v, checked to reproduce the columns."""
+    x = np.linalg.pinv(triple.basis) @ vectors
     if not triple.tol.negligible(np.linalg.norm(triple.basis @ x - vectors),
                                  1 + np.linalg.norm(vectors)):
         raise ValueError("vectors are not inside the adjoint's graph")

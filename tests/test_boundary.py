@@ -209,7 +209,7 @@ def test_weyl_and_gamma_field_take_no_singular_vectors_of_the_defect_block(monke
     # rank, so neither block takes an SVD
     n, d = 32, 8
     tri = gen_triple(gen_symmetric(InstanceSpec(3232, n, (n // 2, n // 2), d)), 3233)
-    tri.tplus, tri.basis_pinv  # derived before counting
+    tri.tplus, tri.gamma_ambient  # derived before counting
     calls = svd_calls(monkeypatch)
     for z in (0.3 + 1.1j, -2 - 0.5j):
         assert bnd.weyl(tri, z).operator_form is not None
@@ -760,8 +760,12 @@ def test_transformed_triples_derive_on_first_read(generated41):
     u = gen_standard_unitary(5, tri.space, tri.space)
     shifted, shift_svds = _svd_calls(lambda: bnd.beta_shift(tri))
     planted, plant_svds = _svd_calls(lambda: planted_similar_triple(tri, u, tri.space))
-    # transform multiplies gamma; planting maps T by U~, one QR for T's image
-    assert (shift_svds, plant_svds) == (0, 0)
+    # transform multiplies gamma and shares T+ through the parent's adjoint
+    # memo; planting maps T by U~, one QR for T's image, and takes T'+'s kernel,
+    # the frame Gamma' acts on, which every later read of the triple shares
+    assert (shift_svds, plant_svds) == (0, 1)
+    assert shifted.basis is tri.basis
+    assert _svd_calls(lambda: planted.basis)[1] == 0
     assert not {"t0", "t1", "beta"} & (vars(shifted).keys() | vars(planted).keys())
     for built in (shifted, planted):
         checked = bnd.validate_triple(built.parent, built.gamma, built.basis)

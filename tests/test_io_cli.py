@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kreinrel as kr
-from kreinrel import boundary as bnd, generators as gen, io as kio
+from kreinrel import boundary as bnd, generators as gen, io as kio, subspaces as sub
 from kreinrel.cli import main
 from kreinrel.tolerances import DEFAULT_TOL
 
@@ -262,12 +262,18 @@ def test_cli_triple_transform(capsys):
     assert main(["triple", "transform", FIXTURE, "--matrix",
                  json.dumps(bad.tolist())]) == 1
     capsys.readouterr()
-    # the identity as [re, im] pairs keeps gamma; a block mixing pairs and
-    # bare reals is an input error
+    # the identity keeps gamma; its document, given as [re, im] pairs, reloads
+    # onto the adjoint of the reloaded relation, with the same T0, T1 and M(i)
+    tri = kio.load_document(FIXTURE)["triple"]
+    assert np.array_equal(bnd.transform(tri, np.eye(6)).gamma, tri.gamma)
     assert main(["triple", "transform", FIXTURE, "--matrix",
                  json.dumps(kio.encode_matrix(np.eye(6)))]) == 0
     same = kio.load_document(json.loads(capsys.readouterr().out))["triple"]
-    assert np.array_equal(same.gamma, kio.load_document(FIXTURE)["triple"].gamma)
+    for name in ("t0", "t1"):
+        assert sub.equal(getattr(same, name).graph, getattr(tri, name).graph)
+    want = bnd.weyl(tri, 1j).operator_form
+    assert np.linalg.norm(bnd.weyl(same, 1j).operator_form - want) <= 1e-12 * np.linalg.norm(want)
+    # a block mixing pairs and bare reals is an input error
     mixed = np.eye(6).tolist()
     mixed[0][0] = [1.0, 0.0]
     assert main(["triple", "transform", FIXTURE, "--matrix", json.dumps(mixed)]) == 2

@@ -1,12 +1,14 @@
 """Each matrix factored once, checked against the route it replaced.
 
-A triple's basis is factored by one reduced SVD U S V^H, which decides its
-rank and gives `basis_pinv` = V S^-1 U^H.  An injective image of a decided
-frame takes one QR: T0, T1, the graph of Gamma and t_theta over a basis of
-full rank, ker and mul of a relation, T - zI, the graph of `build_V_from_tau`
-and the suites' zI - H and Theta lift.  The reconstruction's gamma columns
-and the audit's defect frames each give their rank and pseudo-inverse from
-one SVD.  Unitary images of orthonormal frames are Gram-checked frames, with
+A caller's basis of T+ is factored by one reduced SVD, which decides its
+rank and carries Gamma onto T+'s own frame F, whose pseudo-inverse is F^H.
+An image of an orthonormal frame under F, or an injective image of a decided
+frame, takes no rank decision: T0, T1, t_theta and the graph of Gamma, so a
+planted triple keeps its dims at any cond U; ker and mul of a relation,
+T - zI, the graph of `build_V_from_tau` and the suites' zI - H and Theta
+lift.  A document reloads the triple it was written from.  The
+reconstruction's gamma columns and the audit's defect frames each give their
+rank and pseudo-inverse from one SVD.  Unitary images of orthonormal frames are Gram-checked frames, with
 no rank decision; `parts` takes each part when it is read; `make_krein`
 reads the signature off tr J.
 Each route is compared with its old one from tests/oracles.py: the same dims
@@ -53,8 +55,9 @@ def _check_basis_routes(tri: bnd.BoundaryTriple):
     for g, tk in ((tri.gamma0, tri.t0), (tri.gamma1, tri.t1)):
         _same(tk.graph, oracles.kernel_relation_by_span(tri, g).graph)
     _same(tri.gamma_graph, oracles.gamma_graph_by_span(tri))
-    ref = np.linalg.pinv(tri.basis)
-    assert np.abs(tri.basis_pinv - ref).max() <= 1e-13 * np.abs(ref).max()
+    # Gamma acts on T+'s own frame, whose pseudo-inverse is its conjugate transpose
+    assert tri.basis is tri.tplus.graph.frame
+    _close(tri.gamma_ambient, tri.gamma @ np.linalg.pinv(tri.basis))
 
 
 @SIZES
@@ -70,9 +73,10 @@ def test_spans_over_basis_coordinates_match_the_direct_spans(n, tol):
         _same(bnd.t_theta(tri, theta).graph, oracles.span_over_basis(tri, coords))
 
 
-def test_the_loose_cut_drops_the_same_direction_on_both_routes():
-    # the planted triple of test_reconstruct_names_a_planted_n_the_loose_cut_shrinks,
-    # cond U = e^12: both routes find ker Gamma0' of dim 3, not 4, and the same 3
+def test_the_loose_cut_keeps_the_planted_kernels_whole():
+    # the planted triple of test_reconstruct_names_the_build_check_a_loose_planted_pair_fails,
+    # cond U = e^12: Gamma' acts on T'+'s own frame, so ker Gamma0' and
+    # ker Gamma1' keep dim 4 and match their span routes
     loose = LOOSE
     t = gen_symmetric(InstanceSpec(5008, 4, (2, 2), 2), tol=loose)
     tri = gen_triple(t, 5008, loose)
@@ -81,7 +85,7 @@ def test_the_loose_cut_drops_the_same_direction_on_both_routes():
     u = (np.eye(4) + (np.cosh(6) - 1) * (ep @ ep.conj().T + em @ em.conj().T)
          + np.sinh(6) * (ep @ em.conj().T + em @ ep.conj().T))
     planted = planted_similar_triple(tri, u, t.src)
-    assert planted.t0.dim == 3
+    assert (planted.t0.dim, planted.t1.dim) == (4, 4)
     _check_basis_routes(planted)
 
 
@@ -101,6 +105,32 @@ def _hyperbolic(j: np.ndarray, cond: float) -> np.ndarray:
     a = np.log(cond) / 2
     return (np.eye(len(j)) + (np.cosh(a) - 1) * (ep @ ep.conj().T + em @ em.conj().T)
             + np.sinh(a) * (ep @ em.conj().T + em @ ep.conj().T))
+
+
+@POLICIES
+def test_planted_triples_keep_their_dims_at_any_cond(tol):
+    # Gamma' acts on T'+'s own frame, so planting decides no rank of U~ F:
+    # T0', T1' and N' keep dims (n, n, d) however ill-conditioned U is
+    for seed in range(6000, 6030):
+        t = gen_symmetric(InstanceSpec(seed, 4, (2, 2), 2), tol=tol)
+        tri = gen_triple(t, seed, tol)
+        for cond in (1e2, 1e4, 1.6e5, 1.2e6, 8.9e6):
+            planted = planted_similar_triple(tri, _hyperbolic(t.src.J, cond), t.src)
+            assert (planted.t0.dim, planted.t1.dim, planted.n_rel.dim) == (4, 4, 2)
+
+
+@SIZES
+@POLICIES
+def test_a_document_reloads_the_same_triple(n, tol):
+    # a document holds Gamma on T+'s frame; reloading spans the relation again
+    # and carries Gamma onto the new adjoint's frame
+    for tri in _triples(n, tol):
+        back = kio.load_document(kio.document_for(tri.space, tri.parent, tri), tol)["triple"]
+        for name in ("t0", "t1"):
+            assert sub.equal(getattr(back, name).graph, getattr(tri, name).graph, tol)
+        want = bnd.weyl(tri, 1j).operator_form
+        assert np.linalg.norm(bnd.weyl(back, 1j).operator_form - want) <= \
+            1e-12 * np.linalg.norm(want)
 
 
 def _scaled_document(tri: bnd.BoundaryTriple, scale: float, tol: TolerancePolicy):
@@ -138,9 +168,8 @@ def _check_injective_images(tri: bnd.BoundaryTriple, seed: int):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 32])
 @POLICIES
 def test_injective_images_of_decided_frames_match_their_spans(n, tol):
-    # generated triples, planted images up to cond U = 1e4 (past the loose cut,
-    # where the planted basis keeps the span rule) and documents whose basis
-    # columns are scaled by 1e5 and 1e-5
+    # generated triples, planted images at cond U = 1e2 and 1e4 and documents
+    # whose basis columns are scaled by 1e5 and 1e-5
     t = gen_symmetric(InstanceSpec(n, n, (n // 2, n - n // 2), max(1, n // 4)), tol=tol)
     tri = gen_triple(t, n, tol)
     _check_injective_images(tri, n)
@@ -182,10 +211,10 @@ def test_a_validated_triple_factors_its_basis_once(monkeypatch):
     checked = bnd.validate_triple(t, tri.gamma, tri.basis)
     for name in ("t0", "t1", "gamma_graph", "beta"):
         getattr(checked, name)
-    # one SVD of the basis, with vectors, for its check, pinv and spans; one
-    # values-only SVD of Gamma for its rank and the Green identity's scale
+    # one SVD of the basis, with vectors, for its check; one values-only SVD
+    # of Gamma for its rank and the Green identity's scale
     assert [c for c in seen if c[0] != "other"] == [("basis", True), ("gamma", False)]
-    # a transformed triple shares the basis's factors
+    # a transformed triple takes none of the basis
     seen.clear()
     shifted = bnd.beta_shift(checked, np.eye(4))
     for name in ("t0", "t1", "gamma_graph", "beta"):
