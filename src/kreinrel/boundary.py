@@ -1,10 +1,10 @@
 """Boundary triples for the adjoint of a symmetric relation.
 
-The boundary map is stored as a matrix acting on coordinates of T+'s own
-orthonormal graph frame, with the first block of rows feeding the abstract
-Green identity's primary side; `validate_triple` carries a map given on
-any other basis of T+ onto that frame.  Weyl values are relations in the
-boundary space first and matrices only when single-valued and
+A boundary map is given as a matrix on K = C^2n, of which only the action
+on T+ counts, and stored as a matrix acting on coordinates of T+'s own
+orthonormal graph frame F (Gamma F), with the first block of rows feeding
+the abstract Green identity's primary side.  Weyl values are relations in
+the boundary space first and matrices only when single-valued and
 everywhere defined.  A triple carries its tolerance policy, and every
 function of a triple or pair decides under `triple.tol` (`pair.tol`);
 only `validate_triple`, which builds a triple, takes a policy.  Spans take
@@ -132,49 +132,42 @@ class IsometricBoundaryPair:
 
 
 def green_residual(space: KreinSpace, basis: np.ndarray, gamma: np.ndarray) -> float:
-    """Max-abs defect of the Green identity over the stored basis."""
+    """Max-abs defect of the Green identity of Gamma given on coordinates of
+    `basis`, over the basis: basis^H J_hat basis against gamma^H J_circ gamma."""
     jo = hilbert_space(gamma.shape[0] // 2).doubled.J
     lhs = basis.conj().T @ space.doubled.J @ basis
     rhs = gamma.conj().T @ jo @ gamma
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
-def validate_triple(t: LinearRelation, gamma, basis=None,
+def validate_triple(t: LinearRelation, gamma,
                     tol: TolerancePolicy = DEFAULT_TOL) -> BoundaryTriple:
-    """Check a boundary map on coordinates of `basis` (T+'s frame F if None)
-    and build its triple, which holds Gamma basis^+ F (Gamma itself on F).
+    """Check a boundary map Gamma, a 2d x 2n matrix on K = C^2n of which only
+    the action on T+ counts, and build its triple, which holds Gamma F on
+    T+'s own frame F.
 
-    Checks the definition on the caller's basis and Gamma (T symmetric, a basis
-    of T+ by one SVD, Gamma surjective, the Green identity), then the a0/a1
-    ranks and beta Hermitian.  That the kernels are self-adjoint, meet in T and
-    span T+ follows; the boundary suite proves it.
+    Checks the definition on F: T symmetric, Gamma F surjective by one
+    values-only SVD, the Green identity at the scale 2(1 + |Gamma F|_2) of an
+    orthonormal basis, then the a0/a1 ranks and beta Hermitian.  That the
+    kernels are self-adjoint, meet in T and span T+ follows; the boundary
+    suite proves it.
     """
-    gamma = as_matrix(gamma)
+    gamma = as_matrix(gamma, cols=2 * t.src.dim)
     if gamma.shape[0] % 2:
         raise TripleValidationError("gamma must have an even number of rows")
     d = gamma.shape[0] // 2
     if not rel.is_symmetric(t, tol):
         raise TripleValidationError("parent relation is not symmetric")
-    tplus = rel.adjoint(t, "krein", tol).graph
-    basis = tplus.frame if basis is None else as_matrix(basis, rows=2 * t.src.dim)
-    m = basis.shape[1]
-    if gamma.shape[1] != m:
-        raise TripleValidationError("gamma columns must match the basis size")
-    # the rank and frame of `sub.span(basis)` from one SVD
-    u, s, vh = np.linalg.svd(basis, full_matrices=False)
-    if tol.span_rank(s) < m or not sub.equal(sub._trusted(u[:, :m]), tplus, tol):
-        raise TripleValidationError("basis does not span the adjoint's graph")
-    # Gamma's singular values give its rank and its 2-norm; the basis's
-    # 2-norm is its largest singular value
+    frame = rel.adjoint(t, "krein", tol).graph.frame
+    gamma = gamma @ frame
+    # Gamma F's singular values give its rank and its 2-norm
     sg = np.linalg.svd(gamma, compute_uv=False)
     if tol.map_rank(sg) < 2 * d:
         raise TripleValidationError("boundary map is not surjective")
-    res = green_residual(t.src, basis, gamma)
-    if not tol.negligible(res, (1.0 + sg.max(initial=0.0)) * (1.0 + s.max(initial=0.0) ** 2)):
+    res = green_residual(t.src, frame, gamma)
+    if not tol.negligible(res, 2 * (1.0 + sg.max(initial=0.0))):
         raise TripleValidationError(f"Green identity violated: residual {res:.3e}")
 
-    if basis is not tplus.frame:
-        gamma = gamma @ (sub._pinv(u, s, vh) @ tplus.frame)
     triple = BoundaryTriple(t, gamma, tol)
     if triple.n_rel.dim != d or min(tol.map_rank_of(a) for a in (triple._a0, triple._a1)) < d:
         raise TripleValidationError("restricted boundary block is singular")

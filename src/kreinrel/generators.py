@@ -139,30 +139,23 @@ def gen_triple(t: LinearRelation, seed: int,
                tol: TolerancePolicy = DEFAULT_TOL) -> bnd.BoundaryTriple:
     """Boundary triple from a sampled witness via the defect pairing.
 
-    Gamma1 reads off N-coordinates through a random unitary of the
-    boundary space and Gamma0 pairs the J_hat(N)-component against them
-    with the indefinite inner product, which makes the Green identity
-    exact by construction.
+    Gamma = [-i w (J_hat F_N)^H; w F_N^H] on K for a random unitary w of the
+    boundary space: Gamma1 reads off N-coordinates and Gamma0 pairs the
+    J_hat(N)-component against them with the indefinite inner product.
+    [F_T, F_N, J_hat F_N] is an orthonormal frame of T+ (N is orthogonal to
+    T, J_hat N is too as N lies in T+, and N is neutral, so orthogonal to
+    J_hat N), which makes the Green identity exact by construction.
     """
     dplus, dminus = ext.defect_numbers(t, tol)
     if dplus != dminus:
         raise ValueError("unequal defect numbers")
-    d = dplus
-    if d == 0:
+    if dplus == 0:
         raise ValueError("self-adjoint relation has a trivial boundary space")
-    witness = sample_witness(t, seed, tol)
-    rng = rng_for(seed, 3)
-    space = t.src
-    ft = t.graph.frame
-    fn = witness.N.graph.frame
-    fjn = space.doubled.J @ fn
-    basis = np.hstack([ft, fn, fjn])
-    w = random_unitary(rng, d)
-    nt = t.dim
-    gamma = np.zeros((2 * d, nt + 2 * d), dtype=np.complex128)
-    gamma[:d, nt + d :] = -1j * w
-    gamma[d:, nt : nt + d] = w
-    return bnd.validate_triple(t, gamma, basis, tol)
+    fn = sample_witness(t, seed, tol).N.graph.frame
+    w = random_unitary(rng_for(seed, 3), dplus)
+    fjn = t.src.doubled.J @ fn
+    gamma = np.vstack([-1j * w @ fjn.conj().T, w @ fn.conj().T])
+    return bnd.validate_triple(t, gamma, tol)
 
 
 # a sampling bound like cond(I + a) <= 1e8, 100x inside the default identity cut

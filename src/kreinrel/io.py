@@ -2,14 +2,14 @@
 
 One document type covers all fixtures: a `space` block (dim plus the
 fundamental symmetry), an optional `relation` block (graph basis
-vectors) and an optional `triple` block (boundary dim, gamma matrix and
-the triple's own frame of T+ it acts on; loading carries gamma onto the
-loaded relation's adjoint frame).  Matrices are row-major nested lists
-and vector lists hold one list per vector, which keeps golden files
-human-diffable.  A block's scalars are either all [re, im] pairs or all
-bare reals; a block that mixes the two is rejected.  Each block crosses
-the JSON boundary in one numpy conversion, and encoding then decoding
-gives back every bit, signed zeros included.
+vectors) and an optional `triple` block (boundary dim and gamma, the
+2d x 2n matrix of the boundary map on K = C^2n, of which only the action on
+T+ counts; loading validates it on the loaded relation's adjoint frame).
+Matrices are row-major nested lists and vector lists hold one list per
+vector, which keeps golden files human-diffable.  A block's scalars are
+either all [re, im] pairs or all bare reals; a block that mixes the two is
+rejected.  Each block crosses the JSON boundary in one numpy conversion,
+and encoding then decoding gives back every bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ def document_for(space: KreinSpace, relation: LinearRelation | None = None,
         doc["relation"] = {"graph": encode_vectors(relation.graph.frame)}
     if triple is not None:
         doc["triple"] = {"boundary_dim": triple.boundary_dim,
-                         "gamma": encode_matrix(triple.gamma),
-                         "tplus_basis": encode_vectors(triple.basis)}
+                         "gamma": encode_matrix(triple.gamma_ambient)}
     return doc
 
 
@@ -104,7 +103,6 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
             raise DocumentError("a triple document needs the relation block")
         try:
             gamma = decode_matrix(tdoc["gamma"])
-            basis = decode_vectors(tdoc["tplus_basis"], 2 * dim)
             declared = tdoc.get("boundary_dim", gamma.shape[0] // 2)
             if type(declared) is not int:
                 raise TypeError(f"boundary_dim {declared!r} is not an integer")
@@ -112,7 +110,12 @@ def load_document(path_or_dict, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
             raise DocumentError(f"bad triple block: {exc}") from exc
         if gamma.shape[0] != 2 * declared:
             raise DocumentError("gamma rows do not match boundary_dim")
-        out["triple"] = bnd.validate_triple(out["relation"], gamma, basis, tol)
+        if "tplus_basis" in tdoc or gamma.shape[1] != 2 * dim:
+            raise DocumentError(
+                f"gamma must be the {2 * declared} x {2 * dim} matrix of the boundary map on "
+                f"C^{2 * dim}; a gamma given on the columns of a tplus_basis converts to "
+                "gamma @ pinv(tplus_basis), Gamma basis^+")
+        out["triple"] = bnd.validate_triple(out["relation"], gamma, tol)
     return out
 
 

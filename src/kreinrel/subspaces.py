@@ -88,10 +88,9 @@ def _trusted(frame: np.ndarray) -> Subspace:
 
 
 def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """V S^-1 U^H from a reduced SVD, by `np.linalg.pinv`'s default cut: 1/s
-    is 0 where s <= 1e-15 times the largest."""
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max(initial=0.0))
-    return vh.conj().T @ (inv[:, None] * u.conj().T)
+    """V S^-1 U^H from a reduced SVD whose full rank the caller decided under
+    its policy, so every singular value is inverted."""
+    return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
 
 def _orth(columns: np.ndarray, tol: TolerancePolicy):

@@ -17,6 +17,7 @@ def c4():
     for k in range(7):
         basis[k, k] = 1
     basis[7, 2] = 1
+    # the map displayed on the basis, as the matrix Gamma basis^+ on C^8
     gamma = np.array([
         [1, 0, 0, 0, 0, -1, 0],
         [0, 1, 0, 0, 0, 0, 0],
@@ -24,9 +25,9 @@ def c4():
         [0, 0, 1, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 1],
         [0, 0, 0, 0, 1, 0, 0],
-    ], dtype=np.complex128)
-    triple = bnd.validate_triple(t, gamma, basis)
-    return {"space": space, "T": t, "triple": triple, "basis": basis, "gamma": gamma}
+    ], dtype=np.complex128) @ np.linalg.pinv(basis)
+    triple = bnd.validate_triple(t, gamma)
+    return {"space": space, "T": t, "triple": triple, "gamma": gamma}
 
 
 @pytest.fixture(scope="session")
@@ -69,8 +70,11 @@ def c4_weyl_matrix(z: complex) -> np.ndarray:
 
 
 def under(tri, tol):
-    """The same boundary map, validated as a triple that decides under `tol`."""
-    return bnd.validate_triple(tri.parent, tri.gamma, tri.basis, tol)
+    """The same boundary map, validated under `tol`, as a triple that decides
+    under `tol` and holds tri's Gamma on F bit for bit."""
+    checked = bnd.validate_triple(tri.parent, tri.gamma_ambient, tol)
+    assert np.array_equal(checked.basis, tri.basis)
+    return bnd.BoundaryTriple(tri.parent, tri.gamma, tol)
 
 
 def svd_calls(monkeypatch) -> list:

@@ -587,6 +587,5 @@ def document_by_scalar(space, relation=None, triple=None) -> dict:
         doc["relation"] = {"graph": encode_vectors_by_scalar(relation.graph.frame)}
     if triple is not None:
         doc["triple"] = {"boundary_dim": triple.boundary_dim,
-                         "gamma": encode_matrix_by_scalar(triple.gamma),
-                         "tplus_basis": encode_vectors_by_scalar(triple.basis)}
+                         "gamma": encode_matrix_by_scalar(triple.gamma @ triple.basis.conj().T)}
     return doc

@@ -1,6 +1,8 @@
 import cProfile
 import dataclasses
 import inspect
+import json
+import os
 import pstats
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import kreinrel as kr
-from kreinrel import boundary as bnd, extensions as ext, generators as gen, krein, \
-    relations as rel, similarity as sim, subspaces as sub, suites as st
+from kreinrel import boundary as bnd, extensions as ext, generators as gen, io as kio, \
+    krein, relations as rel, similarity as sim, subspaces as sub, suites as st
 from kreinrel.generators import InstanceSpec, gen_standard_unitary, gen_symmetric, \
     gen_triple, planted_similar_triple, rng_for, sample_witness
 from kreinrel.tolerances import DEFAULT_TOL, TolerancePolicy
@@ -19,30 +21,71 @@ from conftest import c4_weyl_matrix, svd_calls, under
 from oracles import relation, weyl_gamma_by_svd
 
 
+T0_GOLDEN = np.array([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+                      [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]]).T
+T1_GOLDEN = np.array([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]]).T
+
+
 def test_validate_c4(c4):
     tri = c4["triple"]
     assert tri.boundary_dim == 3
-    t0_golden = sub.span(np.array([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
-                                  [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]]).T)
-    t1_golden = sub.span(np.array([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
-                                  [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]]).T)
-    assert sub.equal(tri.t0.graph, t0_golden)
-    assert sub.equal(tri.t1.graph, t1_golden)
+    assert sub.equal(tri.t0.graph, sub.span(T0_GOLDEN))
+    assert sub.equal(tri.t1.graph, sub.span(T1_GOLDEN))
     assert np.abs(tri.beta).max() < 1e-12
+
+
+def test_a_hand_written_ambient_gamma_loads():
+    # the shipped ex4 gives Gamma as an integer matrix on C^8 with rows
+    # e0 - e5, e1, e3, e2, e6, e4, and no basis of T+
+    path = os.path.join(os.path.dirname(kio.__file__), "data", "ex4.json")
+    with open(path, encoding="utf-8") as fh:
+        block = json.load(fh)["triple"]
+    assert set(block) == {"boundary_dim", "gamma"}
+    e = np.eye(8)
+    want = np.stack([e[0] - e[5], e[1], e[3], e[2], e[6], e[4]])
+    assert np.array_equal(kio.decode_matrix(block["gamma"]), want)
+    tri = kio.load_document(path)["triple"]
+    assert sub.equal(tri.t0.graph, sub.span(T0_GOLDEN))
+    assert sub.equal(tri.t1.graph, sub.span(T1_GOLDEN))
+    assert np.abs(tri.beta).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)],
+                         ids=["default", "loose"])
+@pytest.mark.parametrize("n", [4, 16, 48])
+def test_only_gamma_on_tplus_counts(n, tol):
+    # Gamma + Y (I - F F^H) with Y large acts on T+ as Gamma does; what
+    # validation keeps of it agrees to 1e-14 of the input's norm, and T0, T1
+    # and M(i) to 1e-14 of the input's norm over Gamma F's
+    t = gen_symmetric(InstanceSpec(n, n, (n // 2, n - n // 2), max(1, n // 4)), tol=tol)
+    tri = gen_triple(t, n, tol)
+    f, g = tri.basis, tri.gamma_ambient
+    y = 1e3 * gen.random_complex(rng_for(n, 80), *g.shape)
+    big = g + y @ (np.eye(2 * n) - f @ f.conj().T)
+    other = bnd.validate_triple(t, big, tol)
+    scale = np.linalg.norm(big, 2)
+    amp = scale / np.linalg.norm(tri.gamma, 2)
+    assert amp > 1e3
+    assert np.linalg.norm(other.gamma - tri.gamma, 2) <= 1e-14 * scale
+    for name in ("t0", "t1"):
+        assert sub.distance(getattr(other, name).graph, getattr(tri, name).graph) <= 1e-14 * amp
+    m, want = bnd.weyl(other, 1j).operator_form, bnd.weyl(tri, 1j).operator_form
+    assert np.linalg.norm(m - want) <= 1e-14 * amp * np.linalg.norm(want)
 
 
 def test_validate_rejects_rank_deficient(c4):
     gamma = c4["gamma"].copy()
     gamma[3:, :] = gamma[:3, :]  # Gamma1 = Gamma0
     with pytest.raises(bnd.TripleValidationError):
-        bnd.validate_triple(c4["T"], gamma, c4["basis"])
+        bnd.validate_triple(c4["T"], gamma)
 
 
 def test_validate_rejects_green_violation(c4):
     gamma = c4["gamma"].copy()
     gamma[0, 1] += 0.25
     with pytest.raises(bnd.TripleValidationError):
-        bnd.validate_triple(c4["T"], gamma, c4["basis"])
+        bnd.validate_triple(c4["T"], gamma)
 
 
 def test_generated_triples_validate():
@@ -366,7 +409,7 @@ def test_weyl_spans_its_relation_only_when_read(case, monkeypatch):
 def test_a_boundary_dim_zero_triple_has_empty_weyl_values():
     # a self-adjoint T0 has T+ = T0, and the zero map on it is a boundary map
     t0 = sample_witness(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 5).t0
-    tri = bnd.validate_triple(t0, np.zeros((0, rel.adjoint(t0, "krein").dim)))
+    tri = bnd.validate_triple(t0, np.zeros((0, 2 * t0.src.dim)))
     assert tri.boundary_dim == 0
     for z in (0.5 - 1.5j, 1j):
         value = bnd.weyl(tri, z)
@@ -375,7 +418,7 @@ def test_a_boundary_dim_zero_triple_has_empty_weyl_values():
     # the walk solves 1j again beside -1j, on a fresh triple and on one whose
     # slot holds 1j from the scalar call
     for fresh in (False, True):
-        triple = bnd.validate_triple(t0, tri.gamma) if fresh else tri
+        triple = bnd.validate_triple(t0, tri.gamma_ambient) if fresh else tri
         out = bnd.resolvent_identities_check(triple, (1j,))
         assert out["points"] == [1j, -1j] and out["max_symmetry"] == 0.0
         assert out["weyl"][-1j].relation_in_L.dim == 0
@@ -678,7 +721,7 @@ def _hermitian_theta(tri):
 
 
 _BUILDERS = {
-    "validate_triple": lambda t, tri: bnd.validate_triple(t, tri.gamma, tri.basis),
+    "validate_triple": lambda t, tri: bnd.validate_triple(t, tri.gamma_ambient),
     "sample_witness": lambda t, tri: sample_witness(t, 5),
     "n_class_check": lambda t, tri: ext.n_class_check(t, tri.n_rel),
     "extend": lambda t, tri: ext.extend(t, tri.n_rel),
@@ -767,8 +810,10 @@ def test_transformed_triples_derive_on_first_read(generated41):
     assert shifted.basis is tri.basis
     assert _svd_calls(lambda: planted.basis)[1] == 0
     assert not {"t0", "t1", "beta"} & (vars(shifted).keys() | vars(planted).keys())
+    # each validates as a boundary map on K, and derives what a triple built
+    # afresh on its Gamma derives
     for built in (shifted, planted):
-        checked = bnd.validate_triple(built.parent, built.gamma, built.basis)
+        checked = under(built, built.tol)
         for name in ("t0", "t1"):
             assert np.array_equal(getattr(built, name).graph.frame,
                                   getattr(checked, name).graph.frame)

@@ -49,6 +49,30 @@ def test_ragged_gamma_rejected():
         kio.load_document(doc)
 
 
+def _old_triple_block(doc: dict, with_basis: bool) -> dict:
+    """ex4 in the format that gave Gamma on the columns of a basis of T+:
+    Gamma basis on C^7, beside that basis when `with_basis`."""
+    basis = np.eye(8)[:, :7]
+    basis[7, 2] = 1
+    gamma = kio.decode_matrix(doc["triple"]["gamma"]) @ basis
+    doc["triple"]["gamma"] = kio.encode_matrix(gamma)
+    if with_basis:
+        doc["triple"]["tplus_basis"] = kio.encode_vectors(basis)
+    return doc
+
+
+@pytest.mark.parametrize("with_basis", [True, False], ids=["tplus_basis", "gamma-on-c7"])
+def test_an_old_triple_block_is_an_input_error(tmp_path, capsys, with_basis):
+    with open(FIXTURE, encoding="utf-8") as fh:
+        doc = _old_triple_block(json.load(fh), with_basis)
+    with pytest.raises(kio.DocumentError, match=r"6 x 8 matrix .* gamma @ pinv\(tplus_basis\)"):
+        kio.load_document(doc)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert main(["triple", "validate", str(path)]) == 2
+    assert "tplus_basis" in capsys.readouterr().err
+
+
 def test_cli_validate_golden(capsys):
     code = main(["triple", "validate", FIXTURE])
     out = capsys.readouterr().out

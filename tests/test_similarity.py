@@ -525,9 +525,12 @@ def test_rank_decisions_are_scale_invariant(pair44):
     loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
     v = sim.build_V_from_tau(under(tri_a, loose), under(tri_b, loose), 1e-7 * np.eye(t.dim))
     assert v.dim == tri_a.tplus.dim
-    # the same triple in basis coordinates scaled by 1e-5 still validates
-    scaled = bnd.validate_triple(t, 1e-5 * tri_a.gamma, 1e-5 * tri_a.basis, loose)
+    # the same map in units diag(I/30, 30 I), boundary-unitary, with Gamma F's
+    # singular values 1/30 and 30, still validates and keeps its kernels
+    x = np.repeat([1 / 30, 30.0], tri_a.boundary_dim)[:, None]
+    scaled = bnd.validate_triple(t, x * tri_a.gamma_ambient, loose)
     assert sub.equal(scaled.t0.graph, tri_a.t0.graph, loose)
+    assert sub.equal(scaled.t1.graph, tri_a.t1.graph, loose)
 
 
 def test_two_triples_under_different_policies_are_rejected(pair44):
@@ -580,7 +583,7 @@ def test_w_invariance_audit(pair44):
 def test_boundary_dim_zero_checks():
     # a self-adjoint T has T+ = T, so the empty boundary map is a triple
     t = gen_symmetric(InstanceSpec(3, 4, (2, 2), 0))
-    tri = bnd.validate_triple(t, np.zeros((0, rel.adjoint(t).dim)))
+    tri = bnd.validate_triple(t, np.zeros((0, 2 * t.src.dim)))
     assert tri.boundary_dim == 0
     assert sim.w_maps(tri, tri)["ok"]
     assert sim.sigma_unitary_check(tri, tri)["ok"]

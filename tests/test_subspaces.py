@@ -218,6 +218,19 @@ def test_preimage_of_zero_is_kernel():
     assert sub.equal(got, sub.span(want))
 
 
+def test_pinv_inverts_every_singular_value_its_caller_kept():
+    # a policy with rank_rel below 1e-15 keeps 5e-16 against 1, so the
+    # pseudo-inverse of a factorization decided full rank inverts it too
+    tol = TolerancePolicy(rank_rel=4e-16, rank_abs=1e-16)
+    rng = np.random.default_rng(11)
+    u, v = (np.linalg.qr(rand_cols(rng, k, 2))[0] for k in (5, 3))
+    s = np.array([1.0, 5e-16])
+    assert tol.map_rank(s) == tol.span_rank(s) == 2
+    got = sub._pinv(u, s, v.conj().T)
+    want = v @ np.diag([1.0, 2e15]) @ u.conj().T
+    assert np.abs(got - want).max() <= 1e-15 * 2e15
+
+
 def with_singular_values(rng, rows, cols, s):
     """A rows x cols matrix U diag(s) V^H with random unitary U and V."""
     u = np.linalg.qr(rand_cols(rng, rows, rows))[0][:, : len(s)]
