@@ -148,7 +148,8 @@ def validate_triple(t: LinearRelation, gamma,
 
     Checks the definition on F: T symmetric, Gamma F surjective by one
     values-only SVD, the Green identity at the scale 2(1 + |Gamma F|_2) of an
-    orthonormal basis, then the a0/a1 ranks and beta Hermitian.  That the
+    orthonormal basis, then the a0/a1 ranks and beta Hermitian at the scale
+    1 + |Gamma F|_2 |g0inv|_F of its factors, never below 1 + |beta|_F.  That the
     kernels are self-adjoint, meet in T and span T+ follows; the boundary
     suite proves it.
     """
@@ -171,8 +172,11 @@ def validate_triple(t: LinearRelation, gamma,
     triple = BoundaryTriple(t, gamma, tol)
     if triple.n_rel.dim != d or min(tol.map_rank_of(a) for a in (triple._a0, triple._a1)) < d:
         raise TripleValidationError("restricted boundary block is singular")
+    # beta = Gamma1 F^H g0inv rounds off in proportion to its factors, which a
+    # rescaling diag(I/k, k I) of Gamma grows by k^2 while beta may stay 0
     beta = triple.beta
-    if not tol.negligible(np.linalg.norm(beta - beta.conj().T), 1 + np.linalg.norm(beta)):
+    scale = 1 + sg.max(initial=0.0) * np.linalg.norm(triple.g0inv)
+    if not tol.negligible(np.linalg.norm(beta - beta.conj().T), scale):
         raise TripleValidationError("beta came out non-Hermitian")
     return triple
 

@@ -5,15 +5,19 @@ fundamental symmetry), an optional `relation` block (graph basis
 vectors) and an optional `triple` block (boundary dim and gamma, the
 2d x 2n matrix of the boundary map on K = C^2n, of which only the action on
 T+ counts; loading validates it on the loaded relation's adjoint frame).
-Matrices are row-major nested lists and vector lists hold one list per
-vector, which keeps golden files human-diffable.  A block's scalars are
-either all [re, im] pairs or all bare reals; a block that mixes the two is
-rejected.  Each block crosses the JSON boundary in one numpy conversion,
-and encoding then decoding gives back every bit, signed zeros included.
+The library writes each matrix packed, as {"shape": [rows, cols],
+"base64": ...}: the base64 of its row-major, little-endian IEEE complex128
+bytes, which JSON parses as one string.  A vector list is the matrix with
+one row per vector.  Decoding also reads the hand-written form, row-major
+nested lists whose scalars are either all [re, im] pairs or all bare reals;
+a block that mixes the two is rejected.  Each block crosses the JSON
+boundary in one numpy conversion, and encoding then decoding gives back
+every bit, signed zeros, infinities and NaNs included.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -29,16 +33,38 @@ class DocumentError(ValueError):
     pass
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return np.stack([m.real, m.imag], -1).tolist()
+_PACKED = np.dtype("<c16")  # little-endian IEEE complex128
 
 
-def decode_matrix(rows) -> np.ndarray:
-    """A block of [re, im] pairs, shape (rows, cols, 2), or of bare reals,
-    shape (rows, cols), as an exact complex array."""
+def encode_matrix(m: np.ndarray) -> dict:
+    m = np.ascontiguousarray(m, dtype=_PACKED)
+    return {"shape": list(m.shape), "base64": base64.b64encode(m.tobytes()).decode("ascii")}
+
+
+def _unpack(block: dict) -> np.ndarray:
+    shape, data = block.get("shape"), block.get("base64")
+    if (block.keys() != {"shape", "base64"} or type(shape) is not list
+            or len(shape) != 2 or any(type(k) is not int or k < 0 for k in shape)
+            or not isinstance(data, str)):
+        raise DocumentError("malformed matrix: a packed block is {'shape': [rows, cols], "
+                            "'base64': string} with non-negative integer rows and cols")
     try:
-        a = np.asarray(rows)
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise DocumentError(f"malformed matrix: bad base64: {exc}") from exc
+    if len(raw) != 16 * shape[0] * shape[1]:
+        raise DocumentError(f"malformed matrix: {len(raw)} bytes do not hold "
+                            f"{shape[0]} x {shape[1]} complex128 entries")
+    return np.frombuffer(raw, dtype=_PACKED).astype(np.complex128).reshape(shape)
+
+
+def decode_matrix(block) -> np.ndarray:
+    """A packed block, a block of [re, im] pairs, shape (rows, cols, 2), or
+    one of bare reals, shape (rows, cols), as an exact complex array."""
+    if isinstance(block, dict):
+        return _unpack(block)
+    try:
+        a = np.asarray(block)
     except ValueError as exc:
         raise DocumentError(f"malformed matrix: {exc}") from exc
     if a.dtype.kind not in "iuf" or a.ndim not in (2, 3) or a.shape[2:] not in ((), (2,)):
@@ -49,7 +75,7 @@ def decode_matrix(rows) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def encode_vectors(cols: np.ndarray) -> list:
+def encode_vectors(cols: np.ndarray) -> dict:
     return encode_matrix(np.asarray(cols).T)
 
 

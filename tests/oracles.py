@@ -24,8 +24,12 @@ holds live here too: the relation V0, the canonical operator part of a
 relation, the forward Cayley transform and the relation spanned by a list of
 graph vectors.  So do the decision expressions that `TolerancePolicy`'s rules
 replaced, written out against the policy's fields, and the SVD span of M_hat.
+The document codecs are written out one scalar at a time: nested [re, im]
+lists, and packed blocks from `struct`'s little-endian doubles.
 """
 
+import base64
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -565,6 +569,12 @@ def encode_matrix_by_scalar(m) -> list:
     return [[encode_complex(z) for z in row] for row in np.asarray(m)]
 
 
+def encode_packed_by_scalar(m) -> dict:
+    m = np.asarray(m, dtype=np.complex128)
+    raw = b"".join(struct.pack("<dd", z.real, z.imag) for row in m for z in row)
+    return {"shape": list(m.shape), "base64": base64.b64encode(raw).decode("ascii")}
+
+
 def decode_matrix_by_scalar(rows) -> np.ndarray:
     return np.array([[decode_complex(z) for z in row] for row in rows],
                     dtype=np.complex128)
@@ -581,7 +591,8 @@ def decode_vectors_by_scalar(items, dim: int) -> np.ndarray:
 
 
 def document_by_scalar(space, relation=None, triple=None) -> dict:
-    """The JSON document of `kreinrel.io.document_for`, one scalar at a time."""
+    """The document of `kreinrel.io.document_for` in the hand-written form,
+    nested [re, im] lists, one scalar at a time."""
     doc = {"space": {"dim": space.dim, "J": encode_matrix_by_scalar(space.J)}}
     if relation is not None:
         doc["relation"] = {"graph": encode_vectors_by_scalar(relation.graph.frame)}

@@ -88,6 +88,29 @@ def test_validate_rejects_green_violation(c4):
         bnd.validate_triple(c4["T"], gamma)
 
 
+@pytest.mark.parametrize("tol, scales, too_wide", [
+    (DEFAULT_TOL, (1e4, 1e-4), ()),
+    (TolerancePolicy(1e-3, 1e-6, 1e-4), (10.0, 0.1), (1e4,)),
+], ids=["default", "loose"])
+def test_beta_is_checked_at_the_scale_of_its_factors(tol, scales, too_wide):
+    # diag(I/k, k I) Gamma is a triple with the same kernels and beta = 0, whose
+    # beta rounds off k^2 times more; cond Gamma F = k^2 stays inside the map
+    # rule at each of `scales`, 1e8 against rank_rel 1e-10 and 1e2 against 1e-3,
+    # while the loose rule calls the map at k = 1e4 not surjective
+    for n in range(2, 17):
+        t = gen_symmetric(InstanceSpec(n, n, (n // 2, n - n // 2), max(1, n // 4)), tol=tol)
+        tri = gen_triple(t, n, tol)
+        for k in scales + too_wide:
+            gamma = np.repeat([1 / k, k], tri.boundary_dim)[:, None] * tri.gamma_ambient
+            if k in too_wide:
+                with pytest.raises(bnd.TripleValidationError, match="not surjective"):
+                    bnd.validate_triple(t, gamma, tol)
+                continue
+            scaled = bnd.validate_triple(t, gamma, tol)
+            assert sub.equal(scaled.t0.graph, tri.t0.graph, tol)
+            assert sub.equal(scaled.t1.graph, tri.t1.graph, tol)
+
+
 def test_generated_triples_validate():
     for k in range(20):
         rng = rng_for(800 + k, 0)

@@ -114,7 +114,7 @@ def test_cli_relation_parts_and_adjoint(capsys):
     assert "dom: dim 1" in out and "mul: dim 0" in out
     assert main(["relation", "adjoint", FIXTURE]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(doc["relation"]["graph"]) == 7
+    assert kio.decode_vectors(doc["relation"]["graph"], 8).shape == (8, 7)
 
 
 @pytest.mark.parametrize("metric", ["krein", "hilbert"])
@@ -286,7 +286,7 @@ def test_cli_triple_transform(capsys):
     assert main(["triple", "transform", FIXTURE, "--matrix",
                  json.dumps(bad.tolist())]) == 1
     capsys.readouterr()
-    # the identity keeps gamma; its document, given as [re, im] pairs, reloads
+    # the identity keeps gamma; its document, given as a packed block, reloads
     # onto the adjoint of the reloaded relation, with the same T0, T1 and M(i)
     tri = kio.load_document(FIXTURE)["triple"]
     assert np.array_equal(bnd.transform(tri, np.eye(6)).gamma, tri.gamma)
