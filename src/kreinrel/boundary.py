@@ -5,7 +5,9 @@ on T+ counts, and stored as a matrix acting on coordinates of T+'s own
 orthonormal graph frame F (Gamma F), with the first block of rows feeding
 the abstract Green identity's primary side.  Weyl values are relations in
 the boundary space first and matrices only when single-valued and
-everywhere defined.  A triple carries its tolerance policy, and every
+everywhere defined: a defect solve reads N_z(T+) off the orthocomplement
+that T+ keeps (one kernel, `rel.eigenspace`) and spans M(z)'s graph from its
+2d x d boundary values.  A triple carries its tolerance policy, and every
 function of a triple or pair decides under `triple.tol` (`pair.tol`);
 only `validate_triple`, which builds a triple, takes a policy.  Spans take
 the policy's span rule; Gamma, Gamma0 on N_z and the restricted blocks its
@@ -102,24 +104,19 @@ class BoundaryTriple:
 class WeylValue:
     """One defect solve at z: M(z)'s matrix form and the solver gamma_hat(z) =
     (Gamma0 on N_z(T+))^{-1}: L -> K where the regularity rule holds (else
-    None), and M(z)'s graph in L, the span of the boundary values of N_z(T+)
-    under `tol`, taken when `relation_in_L` is first read (a walk spans it up
-    front).  The arrays are read-only.  `==` is identity."""
+    None), the boundary values of N_z(T+)'s frame, and M(z)'s graph in L,
+    their span under `tol`.  The arrays are read-only.  `==` is identity."""
     z: complex
     operator_form: np.ndarray | None
     gamma_hat: np.ndarray | None = field(repr=False)
     boundary_values: np.ndarray = field(repr=False)
+    relation_in_L: LinearRelation = field(repr=False)
     tol: TolerancePolicy = field(repr=False)
 
     def __post_init__(self):
         for a in (self.operator_form, self.gamma_hat, self.boundary_values):
             if a is not None:
                 a.flags.writeable = False
-
-    @cached_property
-    def relation_in_L(self) -> LinearRelation:
-        lspace = hilbert_space(len(self.boundary_values) // 2)
-        return LinearRelation(lspace, lspace, sub.span(self.boundary_values, self.tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,16 +183,16 @@ def validate_triple(t: LinearRelation, gamma,
 
 
 def _defect_solve(triple: BoundaryTriple, z: complex) -> WeylValue:
-    """The defect graph N_z(T+) and its boundary values, then the solver
-    (Gamma0 on N_z)^{-1} and the matrix M(z) = Gamma1 (Gamma0 on N_z)^{-1}; the
-    WeylValue spans M(z)'s graph from the boundary values when it is first
-    read.  The one regularity rule: dim N_z = d and Gamma0 on N_z has rank d
-    by the policy's map rule, read off one values-only SVD (vacuously at
-    d = 0); otherwise M(z)'s matrix and the solver are None.  The inverse is
-    then an LU's: a values-only SVD plus an LU took 0.6-0.8 of the time of an
-    SVD with vectors and V S^{-1} U^H, per block and per stack of 20,
-    d = 1..16, one OpenBLAS thread.  A z in the triple's slot returns the
-    same value."""
+    """The defect graph N_z(T+), read off T+'s orthocomplement
+    (`rel.eigenspace`), and its boundary values, whose span is M(z)'s graph;
+    then the solver (Gamma0 on N_z)^{-1} and the matrix M(z) =
+    Gamma1 (Gamma0 on N_z)^{-1}.  The one regularity rule: dim N_z = d and
+    Gamma0 on N_z has rank d by the policy's map rule, read off one
+    values-only SVD (vacuously at d = 0); otherwise M(z)'s matrix and the
+    solver are None.  The inverse is then an LU's: a values-only SVD plus an
+    LU took 0.6-0.8 of the time of an SVD with vectors and V S^{-1} U^H, per
+    block and per stack of 20, d = 1..16, one OpenBLAS thread.  A z in the
+    triple's slot returns the same value."""
     z = complex(z)
     hit = triple._solves.get(z)
     if hit is not None:
@@ -209,14 +206,14 @@ def _defect_solve(triple: BoundaryTriple, z: complex) -> WeylValue:
     if frame.shape[1] == d and tol.map_rank(np.linalg.svd(bvals[:d], compute_uv=False)) == d:
         inv0 = np.linalg.inv(bvals[:d])
         m, ghat = bvals[d:] @ inv0, frame @ inv0
-    value = WeylValue(z, m, ghat, bvals, tol)
+    lspace = triple.boundary_space
+    value = WeylValue(z, m, ghat, bvals, LinearRelation(lspace, lspace, sub.span(bvals, tol)), tol)
     object.__setattr__(triple, "_solves", {z: value})
     return value
 
 
 def _solve_stacked(triple: BoundaryTriple, points: list) -> list:
-    """`_defect_solve` at each of the points, one stacked call per step; every
-    caller of a walk reads M(z)'s graphs, so they are spanned here."""
+    """`_defect_solve` at each of the points, one stacked call per step."""
     d, tol = triple.boundary_dim, triple.tol
     frames = [g.graph.frame for g in rel.graph_eigenspace(triple.tplus, points, tol)]
     bvals = sub._stacked(lambda f: triple.gamma_ambient @ f, frames)
@@ -228,12 +225,10 @@ def _solve_stacked(triple: BoundaryTriple, points: list) -> list:
     inv0 = np.linalg.inv(b[:, :d])
     ghat = np.stack([frames[i] for i in square]) @ inv0 if square else []
     solved = {i: (m, g) for i, m, g in zip(square, b[:, d:] @ inv0, ghat)}
-    lspace, values = triple.boundary_space, []
-    for i, (z, bv, graph) in enumerate(zip(points, bvals, graphs)):
-        value = WeylValue(z, *solved.get(i, (None, None)), bv, tol)
-        object.__setattr__(value, "relation_in_L", LinearRelation(lspace, lspace, graph))
-        values.append(value)
-    return values
+    lspace = triple.boundary_space
+    return [WeylValue(z, *solved.get(i, (None, None)), bv, LinearRelation(lspace, lspace, graph),
+                      tol)
+            for i, (z, bv, graph) in enumerate(zip(points, bvals, graphs))]
 
 
 def weyl(triple: BoundaryTriple, z) -> WeylValue | list:
@@ -302,15 +297,17 @@ def pair_from_triple(triple: BoundaryTriple,
                      domain: Subspace | None = None) -> IsometricBoundaryPair:
     """The boundary map as a relation K -> K_circ, optionally domain-restricted.
 
-    dom Gamma = T+ and ker Gamma = T come from the triple; a domain cuts
+    dom Gamma = T+ and ker Gamma = T are the triple's own relations, so the
+    pair's T+ keeps the orthocomplement `rel.eigenspace` reads; a domain cuts
     both down with Gamma itself.
     """
     space, tol = triple.space, triple.tol
     gamma_rel = gamma_relation(triple)
-    dom, kern = triple.tplus.graph, triple.parent.graph
-    if domain is not None:
-        gamma_rel = rel.restrict(gamma_rel, domain, tol)
-        dom, kern = sub.intersect(dom, domain, tol), sub.intersect(kern, domain, tol)
+    if domain is None:
+        return IsometricBoundaryPair(gamma_rel, triple.tplus, triple.parent, tol)
+    gamma_rel = rel.restrict(gamma_rel, domain, tol)
+    dom = sub.intersect(triple.tplus.graph, domain, tol)
+    kern = sub.intersect(triple.parent.graph, domain, tol)
     return IsometricBoundaryPair(gamma_rel, LinearRelation(space, space, dom),
                                  LinearRelation(space, space, kern), tol)
 

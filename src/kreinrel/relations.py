@@ -3,8 +3,11 @@
 A relation from (H1, J1) to (H2, J2) is a subspace of C^(n1+n2) with the
 first block holding domain components.  Everything is eager: sums,
 compositions, adjoints and resolvents all normalize back to orthonormal
-graph frames, so tolerances stay local to each operation.  Ranks, and with
-them regularity, are decided by the policy's span rule.
+graph frames, so tolerances stay local to each operation.  An adjoint also
+keeps its graph's orthocomplement, whose frame is the conjugate transpose of
+the Green rows it factors, and its eigenspaces are read off that frame's
+narrower block.  Ranks, and with them regularity, are decided by the
+policy's span rule.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from . import subspaces as sub
 from .krein import KreinSpace, hilbert_space
 from .subspaces import Subspace
 from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as_matrix
+
+
+# The memo key of an adjoint's orthocomplement frame, set by `adjoint` alone.
+_PERP = ("orthocomplement",)
 
 
 class HostMismatchError(ValueError):
@@ -36,9 +43,10 @@ class LinearRelation:
     src: KreinSpace
     tgt: KreinSpace
     graph: Subspace = field(repr=False)
-    # Derived structure (adjoints, defect subspaces) by (kind, argument, tol).
-    # Graph frames and J are read-only, so an entry never goes stale; threads
-    # that miss together compute equal values and the first one stored is kept.
+    # Derived structure (adjoints, defect subspaces) by (kind, argument, tol),
+    # and on an adjoint its graph's orthocomplement under _PERP.  Graph frames
+    # and J are read-only, so an entry never goes stale; threads that miss
+    # together compute equal values and the first one stored is kept.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -185,7 +193,11 @@ def adjoint(t: LinearRelation, metric: str = "krein",
 
     (g, g') lies in T+ iff [f', g]_2 = [f, g']_1 for every (f, f') in T.
     On the graph frame [E; D] that is D^H J2 g - E^H J1 g' = 0, so the
-    adjoint graph is one kernel of the Green form; J = I gives T*.
+    adjoint graph is one kernel of the Green form; J = I gives T*.  The
+    Green rows are orthonormal, as [E; D] is and J is unitary, so their
+    conjugate transpose C = [J2 D; -J1 E] is an orthonormal frame of the
+    adjoint graph's orthocomplement, with no rank decision; the returned
+    relation keeps it in its memo under _PERP, and `eigenspace` reads it.
     """
     if metric not in ("krein", "hilbert"):
         raise ValueError("metric must be 'krein' or 'hilbert'")
@@ -196,7 +208,9 @@ def adjoint(t: LinearRelation, metric: str = "krein",
             src, tgt = hilbert_space(src.dim), hilbert_space(tgt.dim)
         e, d = t.blocks()
         green = np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
-        return LinearRelation(tgt, src, sub.kernel(green, tol))
+        adj = LinearRelation(tgt, src, sub.kernel(green, tol))
+        adj._memo[_PERP] = sub._trusted(green.conj().T)
+        return adj
 
     return t._memoized(("adjoint", metric, tol), compute)
 
@@ -219,7 +233,20 @@ def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> boo
 
 def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     """ker(T - zI) = {f : (f, zf) in T}.  A list of points gives the list
-    of their eigenspaces, from stacked kernels and spans."""
+    of their eigenspaces, from stacked calls.
+
+    An adjoint keeps the frame C = [A; B] of its graph's orthocomplement
+    (`adjoint`), and (f, zf) lies in the graph iff C^H [f; zf] = 0; so where
+    C is narrower than the space, ker(T - zI) = ker(A^H + z B^H) is one
+    kernel of that block, orthonormal as it comes.  Every other relation's
+    eigenspace is E ker(D - zE) on its graph frame [E; D], spanned.  Both
+    ranks are the policy's span rule."""
+    perp = t._memo.get(_PERP)
+    if perp is not None and perp.dim < t.src.dim:
+        a, b = perp.frame[: t.src.dim].conj().T, perp.frame[t.src.dim :].conj().T
+        if isinstance(z, (list, tuple)):
+            return sub.kernel(a + np.asarray(z, dtype=np.complex128)[:, None, None] * b, tol)
+        return sub.kernel(a + z * b, tol)
     e, d = t.blocks()
     if isinstance(z, (list, tuple)):
         ks = sub.kernel(d - np.asarray(z, dtype=np.complex128)[:, None, None] * e, tol)
@@ -231,8 +258,8 @@ def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
 def graph_eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     """The graph zI ∩ T over the eigenspace at z; the list of the graphs at
     each of a list of points, from stacked calls.  [f; zf]/sqrt(1 + |z|^2)
-    of the eigenspace's SVD frame f is orthonormal to roundoff, so it is
-    taken unchecked, as `subspaces` takes its own SVD frames."""
+    of the eigenspace's SVD or QR frame f is orthonormal to roundoff, so it
+    is taken unchecked, as `subspaces` takes its own frames."""
     def graph(w, f):
         cols = np.vstack([f.frame, w * f.frame]) / np.sqrt(1.0 + abs(w) ** 2)
         return LinearRelation(t.src, t.tgt, sub._trusted(cols))

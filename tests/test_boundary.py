@@ -392,10 +392,11 @@ def test_one_svd_of_gamma0_decides_regularity_as_matrix_rank_does(tol):
 
 
 @pytest.mark.parametrize("case", ["regular", "loose-irregular"])
-def test_weyl_spans_its_relation_only_when_read(case, monkeypatch):
-    # reading M(z)'s matrix and gamma(z) takes one span (the eigenspace's), no
-    # span of the boundary values and no matrix_rank; the relation read after
-    # is that span, bit for bit.  The loose case is the point of
+def test_a_point_solve_spans_only_its_boundary_values(case, monkeypatch):
+    # reading M(z)'s matrix and gamma(z) takes one kernel, of T+'s narrower
+    # (n - d) x n block, and one span, of the 2d x d boundary values: no span
+    # of the eigenspace and no matrix_rank.  M(z)'s relation is read off the
+    # value and is that span, bit for bit.  The loose case is the point of
     # test_defect_solve_slot_never_goes_stale that has no operator form.
     if case == "regular":
         tri, z = gen_triple(gen_symmetric(InstanceSpec(1616, 16, (8, 8), 4)), 1617), 0.3 + 0.7j
@@ -403,7 +404,7 @@ def test_weyl_spans_its_relation_only_when_read(case, monkeypatch):
         tri = gen_triple(gen_symmetric(InstanceSpec(4242, 4, (2, 2), 2)), 4243,
                          TolerancePolicy(1e-3, 1e-6, 1e-4))
         z = _beside_real_eigenvalue(tri, 1e-5)
-    d, tol = tri.boundary_dim, tri.tol
+    n, d, tol = tri.space.dim, tri.boundary_dim, tri.tol
     tri.tplus, tri.gamma_ambient, tri.boundary_space  # derived before counting
     calls, ranks, spans = svd_calls(monkeypatch), [], []
     matrix_rank, span = np.linalg.matrix_rank, sub.span
@@ -419,11 +420,10 @@ def test_weyl_spans_its_relation_only_when_read(case, monkeypatch):
         with pytest.raises(rel.NotRegularError):
             bnd.gamma_field(tri, z)
     repr(value)
-    assert "relation_in_L" not in vars(value) and not ranks and len(spans) == 1
-    if case == "regular":  # at n = 4 = 2d the eigenspace's span also has this shape
-        assert ((2 * d, d), True) not in calls
     graph = value.relation_in_L.graph
-    assert len(spans) == 2 and bnd.weyl(tri, z).relation_in_L is value.relation_in_L
+    assert not ranks and len(spans) == 1 and spans[0][0] is value.boundary_values
+    assert [c for c in calls if c[1]] == [((n - d, n), True), ((2 * d, d), True)]
+    assert bnd.weyl(tri, z).relation_in_L is value.relation_in_L and len(spans) == 1
     frame = rel.graph_eigenspace(tri.tplus, z, tol).graph.frame
     assert np.array_equal(graph.frame, span(tri.gamma_ambient @ frame, tol).frame)
     assert graph.dim == d
@@ -598,6 +598,8 @@ def test_pair_isometry_flags(c4):
     assert flags == {"isometric": True, "unitary": True}
     assert sub.equal(full.kernel.graph, c4["T"].graph)
     assert sub.equal(full.a_star.graph, tri.tplus.graph)
+    # the pair's T+ is the triple's, which keeps the orthocomplement eigenspace reads
+    assert full.a_star is tri.tplus and full.kernel is tri.parent
 
     restricted = bnd.pair_from_triple(tri, tri.t0.graph)
     flags = bnd.pair_isometry_check(restricted)

@@ -18,7 +18,9 @@ roundoff, under the default and CI's loose policy.  Gamma on a triple's own
 frames is read off its blocks and its ambient map, and is compared with Gamma
 applied to checked basis coordinates, to 1e-12 relative.  N_z is one kernel
 of the Green form, compared with the eigenspace of JG+, and a generated
-triple's N is the witness of its own seed.
+triple's N is the witness of its own seed.  An adjoint's eigenspace is one
+kernel of the orthocomplement frame it keeps, compared with E ker(D - zE)
+spanned on a copy of its graph that keeps none.
 """
 
 import dataclasses
@@ -416,3 +418,37 @@ def test_the_boundary_suite_samples_one_witness_a_trial(monkeypatch):
         drawn.clear()
         assert suite(3, 11).ok
         assert len(drawn) == 3 * per_trial
+
+
+def _beside_a_real_eigenvalue(tri: bnd.BoundaryTriple, eps: float) -> complex:
+    """lambda + i eps beside the real eigenvalue of T0 nearest 0."""
+    e, d = tri.t0.blocks()
+    lams = np.linalg.eigvals(np.linalg.solve(e, d))
+    lam = min(lams[np.abs(lams.imag) < 1e-8], key=abs)
+    return lam.real + 1j * eps
+
+
+@pytest.mark.parametrize("n,d", [(4, 1), (16, 1), (16, 4), (64, 1), (64, 16)])
+@POLICIES
+def test_eigenspaces_of_an_adjoint_are_read_off_its_orthocomplement(n, d, tol):
+    # T+ keeps the frame of its graph's orthocomplement; a copy of its graph
+    # keeps none, so it takes the route of E ker(D - zE) and a span.  At most
+    # n/4 of T0's eigenvalues are non-real at signature (n - n/4, n/4)
+    tri = gen_triple(gen_symmetric(InstanceSpec(n + d, n, (n - n // 4, n // 4), d), tol=tol),
+                     n + d, tol)
+    copy = rel.LinearRelation(tri.space, tri.space, tri.tplus.graph)
+    points = list(dict.fromkeys([*bnd.DEFAULT_GRID, *np.conj(bnd.DEFAULT_GRID),
+                                 _beside_a_real_eigenvalue(tri, 1e-5)]))
+    stacked = rel.eigenspace(tri.tplus, points, tol)
+    for z, walked in zip(points, stacked):
+        got = rel.eigenspace(tri.tplus, z, tol)
+        _same(got, rel.eigenspace(copy, z, tol))
+        assert np.array_equal(walked.frame, got.frame)
+    assert rel._PERP not in copy._memo
+    # the kept frame is the orthonormal complement of the adjoint's graph
+    for metric in ("krein", "hilbert"):
+        adj = rel.adjoint(tri.parent, metric, tol)
+        perp = adj._memo[rel._PERP].frame
+        assert perp.shape == (2 * n, 2 * n - adj.dim) and adj.dim == n + d
+        assert np.abs(perp.conj().T @ perp - np.eye(n - d)).max() <= 1e-13
+        assert np.abs(adj.graph.frame.conj().T @ perp).max() <= 1e-13
