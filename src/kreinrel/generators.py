@@ -94,7 +94,7 @@ def gen_symmetric(spec: InstanceSpec, space: KreinSpace | None = None,
         m = hyper_maximal_neutral(rng, space, tol)
         coeff = random_complex(rng, n, n - d)
         # n - d orthonormal columns keep dim T = n - d; a span still, as the seeded
-        # witness draw reads its SVD frame and tests/data/verdicts.json pins the draws
+        # witness draw reads the span's frame and tests/data/verdicts.json pins the draws
         t_frame = m.frame @ np.linalg.qr(coeff)[0]
         t = LinearRelation(space, space, sub.span(t_frame, tol))
         dplus, dminus = ext.defect_numbers(t, tol)

@@ -239,8 +239,10 @@ def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     (`adjoint`), and (f, zf) lies in the graph iff C^H [f; zf] = 0; so where
     C is narrower than the space, ker(T - zI) = ker(A^H + z B^H) is one
     kernel of that block, orthonormal as it comes.  Every other relation's
-    eigenspace is E ker(D - zE) on its graph frame [E; D], spanned.  Both
-    ranks are the policy's span rule."""
+    eigenspace is E ker(D - zE) on its graph frame [E; D]: with K the kernel
+    frame, ||E K x|| sqrt(1 + |z|^2) = ||x|| up to the kernel's cut, so E K
+    is injective and takes one QR, no rank cut.  Both kernels' ranks are the
+    policy's span rule."""
     perp = t._memo.get(_PERP)
     if perp is not None and perp.dim < t.src.dim:
         a, b = perp.frame[: t.src.dim].conj().T, perp.frame[t.src.dim :].conj().T
@@ -250,9 +252,8 @@ def eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):
     e, d = t.blocks()
     if isinstance(z, (list, tuple)):
         ks = sub.kernel(d - np.asarray(z, dtype=np.complex128)[:, None, None] * e, tol)
-        return sub._stacked(lambda s: sub.span(s, tol), [e @ k.frame for k in ks])
-    k = sub.kernel(d - z * e, tol)
-    return sub.span(e @ k.frame, tol)
+        return sub._stacked(sub._injective_span, [e @ k.frame for k in ks])
+    return sub._injective_span(e @ sub.kernel(d - z * e, tol).frame)
 
 
 def graph_eigenspace(t: LinearRelation, z, tol: TolerancePolicy = DEFAULT_TOL):

@@ -15,12 +15,20 @@ decided where it can drop: an injective image of a decided frame, such as a
 full-rank basis times a kernel frame, takes one QR (`_injective_span`).
 
 `span(m)` is the column span of a matrix and `kernel(m)` its null space in
-C^cols.  `kernel` takes one of two routes by shape: a wide m with at least
-`_QR_MIN_ROWS` rows is answered from its own QR, every other shape from a
-full SVD.  Both also take a stack (k, rows, cols) of matrices and return the
-list of the k subspaces from stacked LAPACK calls, each item decided by the
-span rule and giving the frame of its own 2-D call; a 2-D matrix keeps the
-unstacked path.
+C^cols.  Each takes one of two routes by shape, and SVD vectors are paid for
+only where a rank is in doubt.  A wide m with at least `_QR_MIN_ROWS` rows
+(`kernel`), or a tall one with at least `_QR_MIN_ROWS` columns (`span`,
+`sum_`, `image`), is factored by one Householder QR, and the policy's
+certificate (`span_full_certified`) proves the full rank of its square
+factor R; only an undecided R takes an SVD, of R.  Every other shape takes
+an SVD of m.  `complement` reads a complete QR of its frame from
+`_QR_MIN_ROWS` ambient rows on; `intersect` and the angle behind
+`distance`, `equal` and `contains` read the sines of a residual with at
+least `_QR_MIN_ROWS` columns off the square factor of an R-only QR and off
+the residual's Gram.  `span` and `kernel` also take a stack (k, rows, cols)
+of matrices and return the list of the k subspaces from stacked LAPACK
+calls, each item decided by the span rule and giving the frame of its own
+2-D call; a 2-D matrix keeps the unstacked path.
 """
 
 from __future__ import annotations
@@ -34,10 +42,14 @@ from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as
 _ROUNDOFF = 16 * float(np.finfo(np.float64).eps)  # Gram defect per column, orthonormal frames
 
 # Fewest rows at which `kernel` takes a wide matrix through one Householder QR
-# of its conjugate transpose.  Per-call minimum on a full-rank random block, one
+# of its conjugate transpose, and fewest columns at which `span` takes a tall
+# one through its QR.  Per-call minimum on a full-rank random block, one
 # OpenBLAS thread, full SVD vs QR and certificate: 12x15 38 vs 43 us, 16x20 62
 # vs 51 us, 32x40 206 vs 104 us, 64x80 1010 vs 408 us; below 16 rows numpy's
-# QR overhead loses.  The gate also keeps every frame below 16 rows an SVD's.
+# QR overhead loses.  Spans, min of 7 x 100 calls, reduced SVD vs QR and
+# certificate: 16x8 32 vs 46 us, so narrower spans keep the SVD; 32x16 84 vs
+# 61 us, 96x36 434 vs 174 us, 192x96 4.5 vs 2.5 ms.  The gate also keeps every
+# frame below 16 rows an SVD's.
 _QR_MIN_ROWS = 16
 
 
@@ -95,9 +107,28 @@ def _pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
 
 def _orth(columns: np.ndarray, tol: TolerancePolicy):
     """Orthonormal basis of the column span, ranked by the span rule; the
-    list of the bases of each matrix of a stack."""
+    list of the bases of each matrix of a stack.
+
+    A tall m with at least _QR_MIN_ROWS columns is factored as m = QR, and m
+    has the singular values of R.  When the policy's certificate proves R
+    full rank, Q is the basis; otherwise one SVD R = U S V^H gives the rank
+    by the span rule, and the basis is Q at full rank or Q U[:, :rank].  A
+    stack is certified as a whole, and each item still gets the basis of its
+    own 2-D call.  Every other shape takes the left singular vectors of a
+    reduced SVD of m.
+    """
     if columns.size == 0:
         return np.zeros((*columns.shape[:-1], 0), dtype=np.complex128)
+    rows, cols = columns.shape[-2:]
+    if _QR_MIN_ROWS <= cols <= rows:
+        q, r = np.linalg.qr(columns)
+        if tol.span_full_certified(r):
+            return q if q.ndim == 2 else list(q)
+        u, s, _ = np.linalg.svd(r)
+        ranks = tol.span_rank(s)
+        if q.ndim == 2:
+            return q if ranks == cols else q @ u[:, :ranks]
+        return [qi if rank == cols else qi @ ui[:, :rank] for qi, ui, rank in zip(q, u, ranks)]
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     if columns.ndim == 2:
         return u[:, :tol.span_rank(s)]
@@ -133,9 +164,11 @@ def span(columns, tol: TolerancePolicy = DEFAULT_TOL):
     return _trusted(_orth(as_matrix(columns), tol))
 
 
-def _injective_span(columns: np.ndarray) -> Subspace:
-    """Column span of a matrix of decided full column rank: one QR, no rank cut."""
-    return _trusted(np.linalg.qr(columns)[0])
+def _injective_span(columns: np.ndarray):
+    """Column span of a matrix of decided full column rank: one QR, no rank
+    cut; the list of the column spans of each matrix of a stack."""
+    q = np.linalg.qr(columns)[0]
+    return _trusted(q) if q.ndim == 2 else [_trusted(qi) for qi in q]
 
 
 def trivial(ambient_dim: int) -> Subspace:
@@ -153,7 +186,11 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 def complement(a: Subspace) -> Subspace:
-    """Euclidean orthocomplement."""
+    """Euclidean orthocomplement: the trailing columns of a complete QR of
+    A's frame from _QR_MIN_ROWS ambient rows on, of a full SVD below.  The
+    frame has full column rank, so neither takes a rank decision."""
+    if a.ambient_dim >= _QR_MIN_ROWS:
+        return _trusted(np.linalg.qr(a.frame, mode="complete")[0][:, a.dim:])
     u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
     return _trusted(u[:, a.dim :])
 
@@ -169,11 +206,16 @@ def intersect(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> S
     R = F_A - F_B F_B^H F_A has the sines of A's principal angles to B as
     singular values.  The directions F_A v that the policy's intersection rule
     (`apart`), a rule on the angle alone, does not set apart span A ∩ B,
-    orthonormally since F_A is.
+    orthonormally since F_A is.  From dim A >= _QR_MIN_ROWS on, the sines and
+    right singular vectors are those of the square factor of an R-only QR
+    of R, which forms no left vectors.
     """
     _check_same_ambient(a, b)
     a, b = (a, b) if a.dim <= b.dim else (b, a)
-    _, s, vh = np.linalg.svd(a.frame - b.frame @ b.coords(a.frame), full_matrices=False)
+    residual = a.frame - b.frame @ b.coords(a.frame)
+    if a.dim >= _QR_MIN_ROWS:
+        residual = np.linalg.qr(residual, mode="r")
+    _, s, vh = np.linalg.svd(residual, full_matrices=False)
     return _trusted(a.frame @ vh[tol.apart(s):].conj().T)
 
 
@@ -266,12 +308,18 @@ def product(a: Subspace, b: Subspace) -> Subspace:
 def _angle(a: Subspace, b: Subspace) -> float:
     """Largest principal angle from B to A: arcsin ||F_B - P_A F_B||_2.
 
-    The residual is what the projector onto A leaves of B's frame; its
+    The residual R is what the projector onto A leaves of B's frame; its
     sine form stays accurate for very small angles (unlike arccos of a
-    cross-Gram singular value).
+    cross-Gram singular value).  From dim B >= _QR_MIN_ROWS on, the largest
+    sine is sqrt(lambda_max(R^H R)), read off the Gram's eigenvalues: the
+    largest eigenvalue of a Gram is accurate relative to itself.
     """
-    sines = np.linalg.svd(b.frame - a.frame @ a.coords(b.frame), compute_uv=False)
-    return float(np.arcsin(min(1.0, sines.max(initial=0.0))))
+    residual = b.frame - a.frame @ a.coords(b.frame)
+    if b.dim >= _QR_MIN_ROWS:
+        top = np.sqrt(max(0.0, np.linalg.eigvalsh(residual.conj().T @ residual)[-1]))
+    else:
+        top = np.linalg.svd(residual, compute_uv=False).max(initial=0.0)
+    return float(np.arcsin(min(1.0, top)))
 
 
 def distance(a: Subspace, b: Subspace) -> float:

@@ -20,7 +20,8 @@ applied to checked basis coordinates, to 1e-12 relative.  N_z is one kernel
 of the Green form, compared with the eigenspace of JG+, and a generated
 triple's N is the witness of its own seed.  An adjoint's eigenspace is one
 kernel of the orthocomplement frame it keeps, compared with E ker(D - zE)
-spanned on a copy of its graph that keeps none.
+on a copy of its graph that keeps none; that eigenspace, an injective image
+of the kernel frame, is one QR, compared with the span of E ker(D - zE).
 """
 
 import dataclasses
@@ -432,7 +433,7 @@ def _beside_a_real_eigenvalue(tri: bnd.BoundaryTriple, eps: float) -> complex:
 @POLICIES
 def test_eigenspaces_of_an_adjoint_are_read_off_its_orthocomplement(n, d, tol):
     # T+ keeps the frame of its graph's orthocomplement; a copy of its graph
-    # keeps none, so it takes the route of E ker(D - zE) and a span.  At most
+    # keeps none, so it takes the route of E ker(D - zE) and one QR.  At most
     # n/4 of T0's eigenvalues are non-real at signature (n - n/4, n/4)
     tri = gen_triple(gen_symmetric(InstanceSpec(n + d, n, (n - n // 4, n // 4), d), tol=tol),
                      n + d, tol)
@@ -452,3 +453,34 @@ def test_eigenspaces_of_an_adjoint_are_read_off_its_orthocomplement(n, d, tol):
         assert perp.shape == (2 * n, 2 * n - adj.dim) and adj.dim == n + d
         assert np.abs(perp.conj().T @ perp - np.eye(n - d)).max() <= 1e-13
         assert np.abs(adj.graph.frame.conj().T @ perp).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,d", [(4, 1), (16, 4), (64, 16)])
+@POLICIES
+def test_eigenspaces_without_an_orthocomplement_take_no_span(n, d, tol, monkeypatch):
+    # E ker(D - zE) is an injective image of the decided kernel frame, so the
+    # only SVDs are the kernel's; it is compared with the span of E K, at
+    # DEFAULT_GRID, its conjugates, 1e-5 beside a real eigenvalue of T0 and
+    # at that eigenvalue, for T, T0 and a copy of T+'s graph
+    tri = gen_triple(gen_symmetric(InstanceSpec(n + d, n, (n - n // 4, n // 4), d), tol=tol),
+                     n + d, tol)
+    copy = rel.LinearRelation(tri.space, tri.space, tri.tplus.graph)
+    beside = _beside_a_real_eigenvalue(tri, 1e-5)
+    points = list(dict.fromkeys([*bnd.DEFAULT_GRID, *np.conj(bnd.DEFAULT_GRID),
+                                 beside, beside.real]))
+    calls = svd_calls(monkeypatch)
+    dims = set()
+    for t in (tri.parent, tri.t0, copy):
+        e, d_block = t.blocks()
+        stacked = rel.eigenspace(t, points, tol)
+        for z, walked in zip(points, stacked):
+            calls.clear()
+            k = sub.kernel(d_block - z * e, tol)
+            kernel_calls = calls[:]
+            calls.clear()
+            got = rel.eigenspace(t, z, tol)
+            assert calls == kernel_calls
+            _same_frame(got, sub.span(e @ k.frame, tol))
+            assert np.array_equal(walked.frame, got.frame)
+            dims.add(got.dim)
+    assert dims > {0}

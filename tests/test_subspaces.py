@@ -410,6 +410,150 @@ def test_kernels_of_empty_blocks():
     assert sub.kernel(np.zeros((0, 20, 30))) == []
 
 
+def tilted_pair(rng, n, ka, kb, thetas, common=0):
+    """A spans ka columns of a random unitary Q and shares its first `common`;
+    B turns A's next len(thetas) columns by thetas towards Q's columns past
+    A's, then fills up to kb with Q's columns after those."""
+    q = np.linalg.qr(rand_cols(rng, n, n))[0]
+    k = len(thetas)
+    turned = (np.cos(thetas) * q[:, common:common + k]
+              + np.sin(thetas) * q[:, ka:ka + k])
+    rest = q[:, ka + k:ka + k + kb - common - k]
+    return sub.Subspace(q[:, :ka]), sub.Subspace(np.hstack([q[:, :common], turned, rest]))
+
+
+def wedin_bound(s: np.ndarray, k: int) -> float:
+    """1e-12 rad plus a multiple of roundoff over the gap that splits the
+    first k values of s from the rest: two backward-stable routes may differ
+    by that much (Wedin's sin theta theorem)."""
+    if not 0 < k < len(s):
+        return 1e-12
+    return 1e-12 + 16 * np.finfo(np.float64).eps * s[0] / (s[k - 1] - s[k])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("cols", [15, 16, 17])
+@pytest.mark.parametrize("tall", [1, 2])
+def test_tall_spans_match_an_svd_of_the_same_matrix(monkeypatch, tol, cols, tall):
+    # span, image (on C^cols, which maps m to itself exactly) and sum_ (of a
+    # pair at principal angles 2 arctan(ratio), whose frames side by side have
+    # that ratio of singular values) at sigma_min / sigma_max from 1 to
+    # 1e-16.  From 16 columns on a certified R gives Q and takes no SVD, an
+    # undecided one takes one SVD of R; below, the SVD of m runs bit for bit
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(100 * tall + cols)
+    rows = tall * cols
+    calls = svd_calls(monkeypatch)
+    routes = set()
+    for ratio in np.geomspace(1.0, 1e-16, 28):
+        for spectrum in (np.geomspace(1.0, ratio, cols), np.r_[np.ones(cols - 1), ratio]):
+            m = with_singular_values(rng, rows, cols, spectrum)
+            a, b = tilted_pair(rng, rows, cols - cols // 2, cols // 2,
+                               2 * np.arctan(spectrum[-(cols // 2):]))
+            for matrix, factor in [(m, lambda: sub.span(m, tol)),
+                                   (m, lambda: sub.image(m, sub.full(cols), tol)),
+                                   (np.hstack([a.frame, b.frame]), lambda: sub.sum_(a, b, tol))]:
+                u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+                calls.clear()
+                got = factor()
+                if cols < 16:
+                    assert calls == [((rows, cols), True)]
+                    assert np.array_equal(got.frame, u[:, :tol.span_rank(s)])
+                    continue
+                # the routes' singular values differ by roundoff of the largest,
+                # which decides only a value that close to the cut
+                undecided = np.abs(s - tol.rank_cut(s[0])) <= 16 * eps * s[0]
+                assert abs(got.dim - tol.span_rank(s)) <= undecided.sum()
+                assert calls in ([], [((cols, cols), True)])
+                routes.add(len(calls))
+                assert projector_gap_angle(got.frame, u[:, :got.dim]) <= wedin_bound(s, got.dim)
+                assert gram_defect(got) <= 1e-13
+    assert routes == ({0, 1} if cols >= 16 else set())
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+def test_a_stack_of_tall_spans_gives_each_item_its_frame(monkeypatch, tol):
+    # as for kernels: one certificate for the stack, and one stacked SVD of R
+    # with vectors when an item is undecided; a full-rank item keeps Q
+    rng = np.random.default_rng(13)
+    good = [rand_cols(rng, 32, 16) for _ in range(2)]
+    bad = with_singular_values(rng, 32, 16, np.r_[np.ones(15), 1e-16])
+    calls = svd_calls(monkeypatch)
+    for stack, want_calls, dims in [
+            (np.stack(good), [], [16, 16]),
+            (np.stack([good[0], bad, good[1]]), [((3, 16, 16), True)], [16, 15, 16])]:
+        calls.clear()
+        got = sub.span(stack, tol=tol)
+        assert calls == want_calls
+        assert [s.dim for s in got] == dims
+        for m, s in zip(stack, got):
+            assert np.array_equal(s.frame, sub.span(m, tol=tol).frame)
+            if s.dim == 16:
+                assert np.array_equal(s.frame, np.linalg.qr(m)[0])
+
+
+@pytest.mark.parametrize("n", [15, 16, 40])
+def test_complement_is_orthonormal_and_orthogonal(n):
+    # from 16 ambient rows Q2 of a complete QR of A's frame; below, the full SVD
+    rng = np.random.default_rng(n)
+    for k in sorted({0, min(16, n), n}):
+        a = sub.span(rand_cols(rng, n, k))
+        got = sub.complement(a)
+        assert got.dim == n - k
+        assert gram_defect(got) <= 1e-14
+        assert np.abs(a.frame.conj().T @ got.frame).max(initial=0.0) <= 1e-14
+        if n < 16:
+            u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
+            assert np.array_equal(got.frame, u[:, k:])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("n, k", [(40, 15), (17, 16), (24, 16), (34, 17), (40, 16)])
+def test_angle_reads_the_largest_sine_of_the_residual(tol, n, k):
+    # B is A with one direction turned by theta out of it; from 16 columns the
+    # sine is the root of the residual Gram's largest eigenvalue
+    rng = np.random.default_rng(n + k)
+    thetas = [0.0, 1e-15, 1e-12, 1e-9, tol.angle_tol * (1 - 1e-6),
+              tol.angle_tol * (1 + 1e-6), 1e-3, np.pi / 2]
+    q = np.linalg.qr(rand_cols(rng, n, k + 1))[0]
+    a = sub.Subspace(q[:, :k])
+    for theta in thetas:
+        fb = q[:, :k].copy()
+        fb[:, 0] = np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, k]
+        b = sub.Subspace(fb)
+        sines = np.linalg.svd(b.frame - a.frame @ a.coords(b.frame), compute_uv=False)
+        want = min(1.0, sines.max())
+        got = sub._angle(a, b)
+        if k < 16:
+            assert got == float(np.arcsin(want))
+        assert abs(np.sin(got) - want) <= 1e-12 * want + 1e-15
+        verdict = tol.angle_equal(np.arcsin(want))
+        assert sub.equal(a, b, tol) == sub.contains(a, b, tol) == verdict
+        if theta in thetas[4:6]:
+            assert verdict == (theta < tol.angle_tol)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("n, ka, kb", [(40, 15, 24), (28, 16, 16), (30, 17, 17),
+                                       (48, 16, 24), (40, 20, 24)])
+def test_intersect_on_the_qr_route_matches_the_full_svd(tol, n, ka, kb):
+    # A and B share 4 directions and meet at angle theta in 3 more; no theta
+    # sits at a cut, where rounding decides the verdict on either route.  From
+    # dim A = 16 on the sines and right vectors come from R of an R-only QR
+    rng = np.random.default_rng(n + ka + kb)
+    for theta in 0.5 * np.geomspace(1e-2, 1e-12, 11):
+        a, b = tilted_pair(rng, n, ka, kb, np.full(3, theta), common=4)
+        _, s, vh = np.linalg.svd(a.frame - b.frame @ b.coords(a.frame), full_matrices=False)
+        apart = tol.apart(s)
+        want = a.frame @ vh[apart:].conj().T
+        got = sub.intersect(a, b, tol)
+        assert got.dim == want.shape[1] == (7 if np.sin(theta) <= tol.rank_cut(1.0) else 4)
+        if ka < 16:
+            assert np.array_equal(got.frame, want)
+        assert projector_gap_angle(got.frame, want) <= wedin_bound(s, apart)
+        assert gram_defect(got) <= 1e-13
+
+
 def test_image_under_flip(c4):
     # J_hat(N) in the flip example, written out explicitly.
     jn = sub.image(c4["space"].doubled.J, c4["triple"].n_rel.graph)
