@@ -66,14 +66,14 @@ def random_space(seed: int, p: int, q: int) -> KreinSpace:
     return make_krein(random_signature_symmetry(rng_for(seed, 0), p, q))
 
 
-def hyper_maximal_neutral(rng: np.random.Generator, space: KreinSpace,
-                          tol: TolerancePolicy = DEFAULT_TOL) -> sub.Subspace:
-    """Graph of a random self-adjoint relation: angular form F+ + F- W."""
+def hyper_maximal_neutral(rng: np.random.Generator, space: KreinSpace) -> sub.Subspace:
+    """Graph of a random self-adjoint relation: angular form F+ + F- W, whose
+    columns are orthogonal with norm sqrt 2."""
     eig, vecs = np.linalg.eigh(space.doubled.J)
     n = space.dim
     f_minus, f_plus = vecs[:, :n], vecs[:, n:]
     w = random_unitary(rng, n)
-    return sub.span(f_plus + f_minus @ w, tol)
+    return sub._svd_span(f_plus + f_minus @ w)
 
 
 def gen_symmetric(spec: InstanceSpec, space: KreinSpace | None = None,
@@ -91,12 +91,12 @@ def gen_symmetric(spec: InstanceSpec, space: KreinSpace | None = None,
     grid = bnd.DEFAULT_GRID
     for attempt in range(200):
         rng = rng_for(spec.seed, 1, attempt)
-        m = hyper_maximal_neutral(rng, space, tol)
+        m = hyper_maximal_neutral(rng, space)
         coeff = random_complex(rng, n, n - d)
-        # n - d orthonormal columns keep dim T = n - d; a span still, as the seeded
-        # witness draw reads the span's frame and tests/data/verdicts.json pins the draws
+        # n - d orthonormal columns keep dim T = n - d; the seeded witness draw
+        # reads T's frame and tests/data/verdicts.json pins the draws
         t_frame = m.frame @ np.linalg.qr(coeff)[0]
-        t = LinearRelation(space, space, sub.span(t_frame, tol))
+        t = LinearRelation(space, space, sub._svd_span(t_frame))
         dplus, dminus = ext.defect_numbers(t, tol)
         if (dplus, dminus) != (d, d):
             continue
@@ -129,7 +129,7 @@ def sample_witness(t: LinearRelation, seed: int,
     c_t = (dd - 1j * e) @ np.linalg.pinv(dd + 1j * e)
     u_defect = random_unitary(rng, d)
     c_full = c_t + nmi.frame @ u_defect @ ni.frame.conj().T
-    frak_t0 = rel.inverse_cayley(c_full, tol)
+    frak_t0 = rel.inverse_cayley(c_full)
     e0, d0 = frak_t0.blocks()
     t0 = LinearRelation(space, space, sub.Subspace(np.vstack([e0, space.J @ d0])))
     return ext.NWitness(ext._n_part(t, t0, tol), t0)

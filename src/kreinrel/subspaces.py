@@ -12,7 +12,9 @@ A caller's frame is copied, Gram-checked (defect <= 1e-8) and
 orthonormalized past roundoff; frames this module computes from an SVD or a
 Householder QR are orthonormal to roundoff and skip that check.  A rank is
 decided where it can drop: an injective image of a decided frame, such as a
-full-rank basis times a kernel frame, takes one QR (`_injective_span`).
+full-rank basis times a kernel frame, takes one QR (`_injective_span`), and a
+matrix of proven full rank whose frame a seeded draw reads takes the left
+vectors of its SVD (`_svd_span`).
 
 `span(m)` is the column span of a matrix and `kernel(m)` its null space in
 C^cols.  Each takes one of two routes by shape, and SVD vectors are paid for
@@ -22,10 +24,11 @@ only where a rank is in doubt.  A wide m with at least `_QR_MIN_ROWS` rows
 certificate (`span_full_certified`) proves the full rank of its square
 factor R; only an undecided R takes an SVD, of R.  Every other shape takes
 an SVD of m.  `complement` reads a complete QR of its frame from
-`_QR_MIN_ROWS` ambient rows on; `intersect` and the angle behind
-`distance`, `equal` and `contains` read the sines of a residual with at
-least `_QR_MIN_ROWS` columns off the square factor of an R-only QR and off
-the residual's Gram.  `span` and `kernel` also take a stack (k, rows, cols)
+`_QR_MIN_ROWS` ambient rows on, and `intersect` the sines of a residual
+with at least `_QR_MIN_ROWS` columns off the square factor of an R-only QR;
+each takes an SVD below, where the QR costs more.  The angle behind
+`distance`, `equal` and `contains` is read off the residual's Gram at every
+shape.  `span` and `kernel` also take a stack (k, rows, cols)
 of matrices and return the list of the k subspaces from stacked LAPACK
 calls, each item decided by the span rule and giving the frame of its own
 2-D call; a 2-D matrix keeps the unstacked path.
@@ -42,13 +45,21 @@ from .tolerances import DEFAULT_TOL, DimensionMismatchError, TolerancePolicy, as
 _ROUNDOFF = 16 * float(np.finfo(np.float64).eps)  # Gram defect per column, orthonormal frames
 
 # Fewest rows at which `kernel` takes a wide matrix through one Householder QR
-# of its conjugate transpose, and fewest columns at which `span` takes a tall
-# one through its QR.  Per-call minimum on a full-rank random block, one
-# OpenBLAS thread, full SVD vs QR and certificate: 12x15 38 vs 43 us, 16x20 62
-# vs 51 us, 32x40 206 vs 104 us, 64x80 1010 vs 408 us; below 16 rows numpy's
-# QR overhead loses.  Spans, min of 7 x 100 calls, reduced SVD vs QR and
-# certificate: 16x8 32 vs 46 us, so narrower spans keep the SVD; 32x16 84 vs
-# 61 us, 96x36 434 vs 174 us, 192x96 4.5 vs 2.5 ms.  The gate also keeps every
+# of its conjugate transpose; fewest columns at which `span` takes a tall one
+# through its QR and `intersect` reads its residual's sines off an R-only QR;
+# fewest ambient rows at which `complement` reads a complete QR.  Per-call
+# minimum of 7 repeats on random blocks, one OpenBLAS thread, old vs new route:
+#   kernel, full SVD vs QR and certificate: 12x15 38 vs 43 us, 16x20 62 vs
+#     51 us, 32x40 206 vs 104 us, 64x80 1010 vs 408 us;
+#   span, reduced SVD vs QR and certificate: 16x8 32 vs 46 us, so narrower
+#     spans keep the SVD; 32x16 84 vs 61 us, 96x36 434 vs 174 us, 192x96 4.5
+#     vs 2.5 ms;
+#   intersect's residual, reduced SVD vs R-only QR and SVD of R: 24x12 45 vs
+#     51 us, 32x12 48 vs 53 us; at 16 columns a tie, 32x16 77 vs 79 us and
+#     48x16 83 vs 79 us; 64x32 274 vs 234 us, 96x48 715 vs 631 us;
+#   complement, full SVD vs complete QR: 8x4 13 vs 16 us, 12x6 17 vs 18 us;
+#     16x8 21 vs 20 us, 24x12 44 vs 28 us, 64x32 274 vs 145 us.
+# Below 16, numpy's QR overhead loses on each.  The gate also keeps every
 # frame below 16 rows an SVD's.
 _QR_MIN_ROWS = 16
 
@@ -166,9 +177,17 @@ def span(columns, tol: TolerancePolicy = DEFAULT_TOL):
 
 def _injective_span(columns: np.ndarray):
     """Column span of a matrix of decided full column rank: one QR, no rank
-    cut; the list of the column spans of each matrix of a stack."""
-    q = np.linalg.qr(columns)[0]
+    cut; the list of the column spans of each matrix of a stack.  A matrix
+    with no columns spans the trivial subspace, which takes no QR call."""
+    q = np.linalg.qr(columns)[0] if columns.size else np.zeros(columns.shape, np.complex128)
     return _trusted(q) if q.ndim == 2 else [_trusted(qi) for qi in q]
+
+
+def _svd_span(columns: np.ndarray) -> Subspace:
+    """Column span of a matrix of decided full column rank, framed by the left
+    singular vectors of its reduced SVD: no rank cut, and a frame fixed by the
+    matrix alone, whatever route `span` takes."""
+    return _trusted(np.linalg.svd(columns, full_matrices=False)[0])
 
 
 def trivial(ambient_dim: int) -> Subspace:
@@ -310,15 +329,13 @@ def _angle(a: Subspace, b: Subspace) -> float:
 
     The residual R is what the projector onto A leaves of B's frame; its
     sine form stays accurate for very small angles (unlike arccos of a
-    cross-Gram singular value).  From dim B >= _QR_MIN_ROWS on, the largest
-    sine is sqrt(lambda_max(R^H R)), read off the Gram's eigenvalues: the
-    largest eigenvalue of a Gram is accurate relative to itself.
+    cross-Gram singular value).  The largest sine is sqrt(lambda_max(R^H R)),
+    read off the Gram's eigenvalues: the largest eigenvalue of a Gram is
+    accurate relative to itself.  The Gram and its eigenvalues cost less
+    than R's singular values at every shape measured, 4 x 2 to 64 x 32.
     """
     residual = b.frame - a.frame @ a.coords(b.frame)
-    if b.dim >= _QR_MIN_ROWS:
-        top = np.sqrt(max(0.0, np.linalg.eigvalsh(residual.conj().T @ residual)[-1]))
-    else:
-        top = np.linalg.svd(residual, compute_uv=False).max(initial=0.0)
+    top = np.sqrt(np.linalg.eigvalsh(residual.conj().T @ residual).max(initial=0.0))
     return float(np.arcsin(min(1.0, top)))
 
 

@@ -43,6 +43,26 @@ def test_gen_symmetric_determinism():
     assert np.array_equal(a.graph.frame, b.graph.frame)
 
 
+def test_a_seed_names_its_instance_whatever_frame_span_returns(monkeypatch):
+    # the seeded draws read no frame that `span`, `sum_` or `image` chose: with
+    # each such frame's columns reversed and turned by i, T and Gamma come out
+    # bit for bit, at n = 16, where 2n x n spans take the QR route
+    def build():
+        t = gen.gen_symmetric(gen.InstanceSpec(5, 16, (8, 8), 4))
+        return t.graph.frame, gen.gen_triple(t, 5).gamma
+
+    want = build()
+    orth = sub._orth
+
+    def turned(columns, tol):
+        f = orth(columns, tol)
+        return [1j * g[:, ::-1] for g in f] if isinstance(f, list) else 1j * f[:, ::-1]
+
+    monkeypatch.setattr(sub, "_orth", turned)
+    for got, ref in zip(build(), want):
+        assert np.array_equal(got, ref)
+
+
 def test_gen_symmetric_flags():
     spec = gen.InstanceSpec(9, 4, (2, 2), 2, require_simple=True,
                             require_property_p=True)

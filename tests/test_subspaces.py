@@ -494,7 +494,7 @@ def test_a_stack_of_tall_spans_gives_each_item_its_frame(monkeypatch, tol):
 
 @pytest.mark.parametrize("n", [15, 16, 40])
 def test_complement_is_orthonormal_and_orthogonal(n):
-    # from 16 ambient rows Q2 of a complete QR of A's frame; below, the full SVD
+    # from 16 ambient rows Q2 of a complete QR of A's frame; below, a full SVD
     rng = np.random.default_rng(n)
     for k in sorted({0, min(16, n), n}):
         a = sub.span(rand_cols(rng, n, k))
@@ -502,16 +502,14 @@ def test_complement_is_orthonormal_and_orthogonal(n):
         assert got.dim == n - k
         assert gram_defect(got) <= 1e-14
         assert np.abs(a.frame.conj().T @ got.frame).max(initial=0.0) <= 1e-14
-        if n < 16:
-            u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
-            assert np.array_equal(got.frame, u[:, k:])
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE], ids=["default", "loose"])
-@pytest.mark.parametrize("n, k", [(40, 15), (17, 16), (24, 16), (34, 17), (40, 16)])
+@pytest.mark.parametrize("n, k", [(2, 1), (6, 3), (12, 6), (40, 15), (17, 16), (24, 16),
+                                  (34, 17), (40, 16)])
 def test_angle_reads_the_largest_sine_of_the_residual(tol, n, k):
-    # B is A with one direction turned by theta out of it; from 16 columns the
-    # sine is the root of the residual Gram's largest eigenvalue
+    # B is A with one direction turned by theta out of it; the sine is the
+    # root of the residual Gram's largest eigenvalue
     rng = np.random.default_rng(n + k)
     thetas = [0.0, 1e-15, 1e-12, 1e-9, tol.angle_tol * (1 - 1e-6),
               tol.angle_tol * (1 + 1e-6), 1e-3, np.pi / 2]
@@ -524,8 +522,6 @@ def test_angle_reads_the_largest_sine_of_the_residual(tol, n, k):
         sines = np.linalg.svd(b.frame - a.frame @ a.coords(b.frame), compute_uv=False)
         want = min(1.0, sines.max())
         got = sub._angle(a, b)
-        if k < 16:
-            assert got == float(np.arcsin(want))
         assert abs(np.sin(got) - want) <= 1e-12 * want + 1e-15
         verdict = tol.angle_equal(np.arcsin(want))
         assert sub.equal(a, b, tol) == sub.contains(a, b, tol) == verdict
@@ -548,8 +544,6 @@ def test_intersect_on_the_qr_route_matches_the_full_svd(tol, n, ka, kb):
         want = a.frame @ vh[apart:].conj().T
         got = sub.intersect(a, b, tol)
         assert got.dim == want.shape[1] == (7 if np.sin(theta) <= tol.rank_cut(1.0) else 4)
-        if ka < 16:
-            assert np.array_equal(got.frame, want)
         assert projector_gap_angle(got.frame, want) <= wedin_bound(s, apart)
         assert gram_defect(got) <= 1e-13
 
