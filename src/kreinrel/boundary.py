@@ -80,7 +80,7 @@ class BoundaryTriple:
     # Derived on first read and kept.  N = ker Gamma0 ∩ T-perp is unchecked,
     # as ker Gamma0 is self-adjoint and extends T; a0 and a1 are Gamma0 on
     # J_hat(N) and Gamma1 on N, and g0inv and g1inv their inverses into T+.
-    tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein", self.tol))
+    tplus = cached_property(lambda self: rel.adjoint(self.parent, "krein"))
     # Gamma on ambient vectors of T+, which it reads through their coordinates
     gamma_ambient = cached_property(lambda self: self.gamma @ self.basis.conj().T)
     t0 = cached_property(lambda self: self._kernel_of(self.gamma0))
@@ -156,7 +156,7 @@ def validate_triple(t: LinearRelation, gamma,
     d = gamma.shape[0] // 2
     if not rel.is_symmetric(t, tol):
         raise TripleValidationError("parent relation is not symmetric")
-    frame = rel.adjoint(t, "krein", tol).graph.frame
+    frame = rel.adjoint(t, "krein").graph.frame
     gamma = gamma @ frame
     # Gamma F's singular values give its rank and its 2-norm
     sg = np.linalg.svd(gamma, compute_uv=False)
@@ -313,12 +313,14 @@ def pair_from_triple(triple: BoundaryTriple,
 
 
 def pair_isometry_check(pair: IsometricBoundaryPair) -> dict:
-    """Flags {isometric, unitary} via the cross-space Krein adjoint."""
+    """Flags {isometric, unitary}: Gamma^{-1} ⊆ Gamma+ for the cross-space
+    Krein adjoint, by the angle-equality rule on the largest angle from
+    Gamma^{-1} to Gamma+, read off Gamma's own Green rows; and equality, as
+    Gamma+ has dim ambient - dim Gamma.  No adjoint is built."""
     g, tol = pair.gamma_rel, pair.tol
     ginv = rel.inverse(g)
-    gplus = rel.adjoint(g, "krein", tol)
-    isometric = sub.contains(gplus.graph, ginv.graph, tol)
-    unitary = isometric and sub.equal(gplus.graph, ginv.graph, tol)
+    isometric = tol.angle_equal(rel._angle_to_adjoint(g, ginv.graph))
+    unitary = isometric and ginv.dim == g.graph.ambient_dim - g.dim
     return {"isometric": isometric, "unitary": unitary}
 
 

@@ -73,7 +73,7 @@ def cmd_relation(args) -> int:
         print(f"self-adjoint: {rel.is_selfadjoint(t, tol)}")
         print(f"operator: {rel.is_operator(t, tol)}")
     elif args.action == "adjoint":
-        tp = rel.adjoint(t, args.metric, tol)
+        tp = rel.adjoint(t, args.metric)
         print(json.dumps(kio.document_for(tp.src, tp), indent=1))
     elif args.action == "parts":
         p = rel.parts(t, tol)

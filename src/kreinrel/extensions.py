@@ -65,13 +65,15 @@ def n_class_check(t: LinearRelation, n: LinearRelation,
 
     Decides (a) N ⊆ T+ ∩ T-perp, (b) ran(JN ± i) = N_{±i} and (c) T0 = T ⊕ N
     hyper-maximal neutral, i.e. self-adjoint; Σ itself passes (a) and (b).
+    (a) is two largest angles from N, each by the angle-equality rule and
+    neither building a frame: to T+, arcsin ||G F_N||_2 on T's Green rows G
+    (`rel._angle_to_adjoint`), and to T-perp, arcsin ||F_T^H F_N||_2.
     """
     if not t.src.same_as(n.src) or not t.tgt.same_as(n.tgt):
         raise NClassRejection("host mismatch")
-    tplus = rel.adjoint(t, "krein", tol)
-    if not sub.contains(tplus.graph, n.graph, tol):
+    if not tol.angle_equal(rel._angle_to_adjoint(t, n.graph)):
         raise NClassRejection("N not inside the adjoint")
-    if not sub.contains(sub.complement(t.graph), n.graph, tol):
+    if not tol.angle_equal(sub._arcsin_norm(t.graph.coords(n.graph.frame))):
         raise NClassRejection("N not orthogonal to T")
     frak_n = rel.hilbertize(n)
     for z in (1j, -1j):
@@ -164,7 +166,7 @@ def prop_n_audit(t: LinearRelation, n: LinearRelation,
         "dom_vs_plus": sub.distance(dom_n, formulas["resolvent_plus"]),
     }
     # Σ = T+ ∩ T-perp, split as N ⊕ J_hat(N) for N in the N-class of T
-    tplus = rel.adjoint(t, "krein", tol)
+    tplus = rel.adjoint(t, "krein")
     sigma = sub._meet_complement(tplus.graph, t.graph, tol)
     jn = sub.image(t.src.doubled.J, n.graph, tol)
     t_sum_sigma, orth = rel.cw_sum(t, LinearRelation(t.src, t.tgt, sigma), tol)
@@ -250,7 +252,7 @@ def simple_check(t: LinearRelation, grid,
                  tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Grid-sampled simplicity: no non-real eigenvalues seen and the
     defect subspaces over the grid span the whole space."""
-    tplus = rel.adjoint(t, "krein", tol)
+    tplus = rel.adjoint(t, "krein")
     frames = []
     for z in grid:
         z = complex(z)

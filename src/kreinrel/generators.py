@@ -201,7 +201,7 @@ def planted_similar_triple(triple: bnd.BoundaryTriple, u: np.ndarray,
         raise bnd.TripleValidationError("planting matrix is not standard unitary")
     # U~ is injective, so the image of T's frame takes one QR
     t_prime = LinearRelation(tgt, tgt, sub._injective_span(_utilde(u) @ triple.parent.graph.frame))
-    f_prime = rel.adjoint(t_prime, "krein", triple.tol).graph.frame
+    f_prime = rel.adjoint(t_prime, "krein").graph.frame
     coords = triple.basis.conj().T @ (_utilde(_u_inverse(u, triple.space, tgt)) @ f_prime)
     return bnd.BoundaryTriple(t_prime, triple.gamma @ coords, triple.tol)
 

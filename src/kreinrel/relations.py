@@ -3,11 +3,13 @@
 A relation from (H1, J1) to (H2, J2) is a subspace of C^(n1+n2) with the
 first block holding domain components.  Everything is eager: sums,
 compositions, adjoints and resolvents all normalize back to orthonormal
-graph frames, so tolerances stay local to each operation.  An adjoint also
-keeps its graph's orthocomplement, whose frame is the conjugate transpose of
-the Green rows it factors, and its eigenspaces are read off that frame's
-narrower block.  Ranks, and with them regularity, are decided by the
-policy's span rule.
+graph frames, so tolerances stay local to each operation.  T's Green rows
+are orthonormal, and their conjugate transpose frames the orthocomplement
+of T+'s graph: the adjoint is that frame's complement, with no rank
+decision, and keeps the frame, off whose narrower block its eigenspaces are
+read.  Symmetry is neutrality: T ⊆ T+ and T = T+ are decided off T's own
+Green rows, with no adjoint built.  Ranks, and with them regularity, are
+decided by the policy's span rule.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ class LinearRelation:
     src: KreinSpace
     tgt: KreinSpace
     graph: Subspace = field(repr=False)
-    # Derived structure (adjoints, defect subspaces) by (kind, argument, tol),
-    # and on an adjoint its graph's orthocomplement under _PERP.  Graph frames
-    # and J are read-only, so an entry never goes stale; threads that miss
-    # together compute equal values and the first one stored is kept.
+    # Derived structure: adjoints by ("adjoint", metric), which decide nothing,
+    # defect subspaces by ("defect", z, tol), and on an adjoint its graph's
+    # orthocomplement under _PERP.  Graph frames and J are read-only, so an
+    # entry never goes stale; threads that miss together compute equal values
+    # and the first one stored is kept.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,17 +190,26 @@ def op_sum(a: LinearRelation, b: LinearRelation,
 # adjoints
 
 
-def adjoint(t: LinearRelation, metric: str = "krein",
-            tol: TolerancePolicy = DEFAULT_TOL) -> LinearRelation:
+def _green_rows(t: LinearRelation, src: KreinSpace, tgt: KreinSpace) -> np.ndarray:
+    """T's Green rows G = [D^H J2, -E^H J1] on its graph frame [E; D], for
+    the fundamental symmetries J1 of `src` and J2 of `tgt`: (g, g') lies in
+    the adjoint iff G [g; g'] = 0.  G's rows are orthonormal, as [E; D] is
+    and J is unitary."""
+    e, d = t.blocks()
+    return np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
+
+
+def adjoint(t: LinearRelation, metric: str = "krein") -> LinearRelation:
     """Hilbert adjoint T* or Krein adjoint T+ = J1 T* J2.
 
     (g, g') lies in T+ iff [f', g]_2 = [f, g']_1 for every (f, f') in T.
     On the graph frame [E; D] that is D^H J2 g - E^H J1 g' = 0, so the
-    adjoint graph is one kernel of the Green form; J = I gives T*.  The
-    Green rows are orthonormal, as [E; D] is and J is unitary, so their
-    conjugate transpose C = [J2 D; -J1 E] is an orthonormal frame of the
-    adjoint graph's orthocomplement, with no rank decision; the returned
-    relation keeps it in its memo under _PERP, and `eigenspace` reads it.
+    adjoint graph is the null space of the Green rows (`_green_rows`); J = I
+    gives T*.  Those rows are orthonormal, so their conjugate transpose
+    C = [J2 D; -J1 E] is an orthonormal frame of the graph's orthocomplement
+    and the graph is `sub.complement` of C: no rank decision, and so no
+    policy.  The returned relation keeps C in its memo under _PERP, and
+    `eigenspace` reads it.
     """
     if metric not in ("krein", "hilbert"):
         raise ValueError("metric must be 'krein' or 'hilbert'")
@@ -206,25 +218,31 @@ def adjoint(t: LinearRelation, metric: str = "krein",
         src, tgt = t.src, t.tgt
         if metric == "hilbert":
             src, tgt = hilbert_space(src.dim), hilbert_space(tgt.dim)
-        e, d = t.blocks()
-        green = np.hstack([d.conj().T @ tgt.J, -e.conj().T @ src.J])
-        adj = LinearRelation(tgt, src, sub.kernel(green, tol))
-        adj._memo[_PERP] = sub._trusted(green.conj().T)
+        perp = sub._trusted(_green_rows(t, src, tgt).conj().T)
+        adj = LinearRelation(tgt, src, sub.complement(perp))
+        adj._memo[_PERP] = perp
         return adj
 
-    return t._memoized(("adjoint", metric, tol), compute)
+    return t._memoized(("adjoint", metric), compute)
+
+
+def _angle_to_adjoint(t: LinearRelation, b: Subspace) -> float:
+    """Largest principal angle from B to the graph of T+, the angle that
+    `sub.contains(adjoint(t).graph, b)` decides: arcsin ||G F_B||_2 on T's
+    Green rows G, as G^H frames T+'s orthocomplement.  No adjoint is built."""
+    return sub._arcsin_norm(_green_rows(t, t.src, t.tgt) @ b.frame)
 
 
 def is_symmetric(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    if not t.is_endo:
-        return False
-    return sub.contains(adjoint(t, "krein", tol).graph, t.graph, tol)
+    """T ⊆ T+, i.e. T's graph is J_hat-neutral, by the angle-equality rule on
+    the largest angle from T to T+: arcsin ||G F_T||_2 = arcsin ||F_T^H J_hat
+    F_T||_2, read off T's own Green rows."""
+    return t.is_endo and tol.angle_equal(_angle_to_adjoint(t, t.graph))
 
 
 def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    if not t.is_endo:
-        return False
-    return sub.equal(adjoint(t, "krein", tol).graph, t.graph, tol)
+    """T = T+: T symmetric, and dim T = n = dim T+ (T+ has dim 2n - dim T)."""
+    return t.dim == t.src.dim and is_symmetric(t, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ an SVD of m.  `complement` reads a complete QR of its frame from
 with at least `_QR_MIN_ROWS` columns off the square factor of an R-only QR;
 each takes an SVD below, where the QR costs more.  The angle behind
 `distance`, `equal` and `contains` is read off the residual's Gram at every
-shape.  `span` and `kernel` also take a stack (k, rows, cols)
+shape (`_arcsin_norm`), as are the angles that `relations` reads off a
+relation's Green rows.  `span` and `kernel` also take a stack (k, rows, cols)
 of matrices and return the list of the k subspaces from stacked LAPACK
 calls, each item decided by the span rule and giving the frame of its own
 2-D call; a 2-D matrix keeps the unstacked path.
@@ -324,19 +325,26 @@ def product(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(f)
 
 
+def _arcsin_norm(m: np.ndarray) -> float:
+    """arcsin ||m||_2, capped at pi/2, for an m whose 2-norm is a sine.  The
+    largest sine is sqrt(lambda_max(m^H m)), read off the Gram's eigenvalues:
+    the largest eigenvalue of a Gram is accurate relative to itself.  The
+    Gram and its eigenvalues cost less than m's singular values at every
+    shape measured, 4 x 2 to 64 x 32."""
+    top = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m).max(initial=0.0))
+    return float(np.arcsin(min(1.0, top)))
+
+
 def _angle(a: Subspace, b: Subspace) -> float:
     """Largest principal angle from B to A: arcsin ||F_B - P_A F_B||_2.
 
-    The residual R is what the projector onto A leaves of B's frame; its
-    sine form stays accurate for very small angles (unlike arccos of a
-    cross-Gram singular value).  The largest sine is sqrt(lambda_max(R^H R)),
-    read off the Gram's eigenvalues: the largest eigenvalue of a Gram is
-    accurate relative to itself.  The Gram and its eigenvalues cost less
-    than R's singular values at every shape measured, 4 x 2 to 64 x 32.
+    The residual is what the projector onto A leaves of B's frame; its sine
+    form stays accurate for very small angles (unlike arccos of a
+    cross-Gram singular value).  Where A^perp has a known orthonormal frame
+    C, the residual's norm is ||C^H F_B||_2, which callers read with
+    `_arcsin_norm` instead, building no frame of A.
     """
-    residual = b.frame - a.frame @ a.coords(b.frame)
-    top = np.sqrt(np.linalg.eigvalsh(residual.conj().T @ residual).max(initial=0.0))
-    return float(np.arcsin(min(1.0, top)))
+    return _arcsin_norm(b.frame - a.frame @ a.coords(b.frame))
 
 
 def distance(a: Subspace, b: Subspace) -> float:

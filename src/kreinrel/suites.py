@@ -120,7 +120,7 @@ def suite_eqgh(report: Report, k: int, tseed: int, tol: TolerancePolicy):
             sub.product(dom_cage, sub.full(n)), tol))
         if g.dim == 0:
             continue
-        gplus = rel.adjoint(g, "krein", tol)
+        gplus = rel.adjoint(g, "krein")
         dom_g = rel.parts(g, tol).dom
         cage = sub.product(sub.complement(dom_g), sub.full(n))
         pool = sub.intersect(sub._meet_complement(gplus.graph, g.graph, tol), cage, tol)
@@ -224,7 +224,7 @@ def suite_sfn(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     g = _random_relation(rng, space, int(rng.integers(1, n + 1)), tol)
     parts_g = rel.parts(g, tol)
     dense = sub.sum_(parts_g.dom, parts_g.ran, tol).dim == n
-    gplus = rel.adjoint(g, "krein", tol)
+    gplus = rel.adjoint(g, "krein")
     pairs = [(0.3 + 1j, -0.7 + 0.2j), (1j, -1j), (2.0, 0.5)]
     disjoint = all(
         sub.intersect(rel.eigenspace(gplus, z1, tol),
@@ -239,7 +239,7 @@ def suite_sfn(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     cage = sub.complement(sub.span(u, tol))
     small = sub.intersect(g.graph, sub.product(cage, cage), tol)
     g_small = LinearRelation(space, space, small)
-    gsp = rel.adjoint(g_small, "krein", tol)
+    gsp = rel.adjoint(g_small, "krein")
     common = sub.intersect(rel.eigenspace(gsp, 0.3 + 1j, tol),
                            rel.eigenspace(gsp, -0.7 + 0.2j, tol), tol)
     if common.dim == 0:
@@ -268,7 +268,7 @@ def suite_p3(report: Report, k: int, tseed: int, tol: TolerancePolicy):
     parts_t = rel.parts(t, tol)
     densely = parts_t.dom.dim == n
     prop_p = sub.sum_(parts_t.dom, parts_t.ran, tol).dim == n
-    tstar = rel.adjoint(t, "hilbert", tol)
+    tstar = rel.adjoint(t, "hilbert")
     parts_star = rel.parts(tstar, tol)
     star_operator = parts_star.mul.dim == 0
     mechanism = sub.intersect(parts_star.ker, parts_star.mul, tol).dim == 0

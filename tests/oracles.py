@@ -207,7 +207,10 @@ def adjoint_by_complement(t, metric: str = "krein"):
     """Adjoint of a relation by the three-step route.
 
     T* is the image of the Euclidean graph complement under the flip
-    (a, b) -> (b, -a); T+ is the image of T* under diag(J2, J1).
+    (a, b) -> (b, -a); T+ is the image of T* under diag(J2, J1).  This is
+    what `rel.adjoint` computes too, as the complement of the flipped frame,
+    so it is no independent route; the closed forms of an operator's
+    adjoint in tests/test_relations.py are.
     """
     from kreinrel import krein, relations as rel, subspaces as sub
 
@@ -354,7 +357,7 @@ def defect_subspace_by_eigenspace(g, z: complex, tol):
     adjoint of G."""
     from kreinrel import relations as rel
 
-    return rel.eigenspace(rel.hilbertize(rel.adjoint(g, "krein", tol)), z, tol)
+    return rel.eigenspace(rel.hilbertize(rel.adjoint(g, "krein")), z, tol)
 
 
 def span_over_basis(triple, coords):

@@ -892,3 +892,23 @@ def test_t0_obeys_pontryagins_index_law():
     for law in laws:
         if law is not None:
             assert law[0] == law[1]
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (24, 6)])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)],
+                         ids=["default", "loose"])
+def test_pair_isometry_check_builds_no_adjoint(n, d, tol, monkeypatch):
+    # the triple's pair is isometric and unitary; with Gamma1 alone doubled
+    # the Green identity, and with it Gamma^-1 ⊆ Gamma+, fails
+    tri = gen_triple(gen_symmetric(InstanceSpec(90 + n, n, (n - n // 2, n // 2), d), tol=tol),
+                     91 + n, tol)
+    broken = bnd.BoundaryTriple(tri.parent, np.vstack([tri.gamma0, 2 * tri.gamma1]), tol)
+    pairs = [bnd.pair_from_triple(x) for x in (tri, broken)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_isometry_check built an adjoint")
+
+    monkeypatch.setattr(rel, "adjoint", refuse)
+    monkeypatch.setattr(sub, "complement", refuse)
+    assert bnd.pair_isometry_check(pairs[0]) == {"isometric": True, "unitary": True}
+    assert bnd.pair_isometry_check(pairs[1]) == {"isometric": False, "unitary": False}

@@ -265,9 +265,8 @@ def test_adjoint_and_defect_subspace_are_memoized():
     t = gen_symmetric(InstanceSpec(5, 4, (2, 2), 2))
     loose = kr.TolerancePolicy(rank_rel=1e-3)
     for metric in ("krein", "hilbert"):
-        assert rel.adjoint(t, metric) is rel.adjoint(t, metric, kr.DEFAULT_TOL)
+        assert rel.adjoint(t, metric) is rel.adjoint(t, metric)
     assert rel.adjoint(t, "krein") is not rel.adjoint(t, "hilbert")
-    assert rel.adjoint(t, "krein") is not rel.adjoint(t, "krein", loose)
     assert ext.defect_subspace(t, 1j) is ext.defect_subspace(t, complex(0, 1))
     assert ext.defect_subspace(t, 1j) is not ext.defect_subspace(t, -1j)
     assert ext.defect_subspace(t, 1j) is not ext.defect_subspace(t, 1j, loose)
@@ -338,3 +337,36 @@ def test_m_hat_frame_from_its_structure_spans_what_the_svd_spans(n, tol):
                          ext.defect_subspace(t, -1j, tol).frame, tol)
     assert m_hat.dim == want.dim == 2 * (n // 4)
     assert sub.distance(m_hat.graph, want.graph) <= 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (24, 6)])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)],
+                         ids=["default", "loose"])
+def test_n_class_check_builds_no_adjoint_or_complement(n, d, tol, monkeypatch):
+    # N's first column turned by theta toward T stays in T+ but leaves T-perp,
+    # and toward a column of C = [J D; -J E], which frames the orthocomplement
+    # of T+, stays in T-perp but leaves T+; either angle is exactly theta
+    t = gen_symmetric(InstanceSpec(80 + n, n, (n - n // 2, n // 2), d), tol=tol)
+    witness = sample_witness(t, 81 + n, tol).N
+    e, dd = t.blocks()
+    toward = {"N not orthogonal to T": t.graph.frame[:, 0],
+              "N not inside the adjoint": np.concatenate([t.src.J @ dd[:, 0],
+                                                          -t.src.J @ e[:, 0]])}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("n_class_check built a frame it only measures against")
+
+    monkeypatch.setattr(rel, "adjoint", refuse)
+    monkeypatch.setattr(sub, "complement", refuse)
+    assert ext.n_class_check(t, witness, tol).N is witness
+    for reason, u in toward.items():
+        for factor in (0.5, 2.0):
+            theta = factor * tol.angle_tol
+            f = witness.graph.frame.copy()
+            f[:, 0] = np.cos(theta) * f[:, 0] + np.sin(theta) * u
+            moved = rel.LinearRelation(t.src, t.tgt, sub.Subspace(f))
+            if factor < 1:
+                assert ext.n_class_check(t, moved, tol).N is moved
+            else:
+                with pytest.raises(ext.NClassRejection, match=reason):
+                    ext.n_class_check(t, moved, tol)

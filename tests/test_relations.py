@@ -98,7 +98,10 @@ def test_krein_adjoint_is_indefinite_companion():
 @pytest.mark.parametrize("k", [0, 4, 8])
 def test_cross_space_adjoint_matches_complement_route(metric, k):
     # T from (C^3, J1) with signature (2, 1) to (C^5, J2) with (1, 4);
-    # k = 0 is the zero relation and k = 8 the full graph
+    # k = 0 is the zero relation and k = 8 the full graph.  The adjoint is
+    # itself the complement of a flip of T's frame, so the oracle is no
+    # independent route; the Green pairing and the double adjoint are the
+    # checks here, and the closed forms below the independent reference.
     rng = np.random.default_rng(60 + k)
     src = kr.make_krein(random_signature_symmetry(rng, 2, 1))
     tgt = kr.make_krein(random_signature_symmetry(rng, 1, 4))
@@ -115,6 +118,149 @@ def test_cross_space_adjoint_matches_complement_route(metric, k):
     again = rel.adjoint(adj, metric)
     assert again.src.same_as(adj.tgt) and again.tgt.same_as(adj.src)
     assert sub.equal(again.graph, t.graph)
+
+
+def _green(t, metric):
+    """T's Green rows [D^H J2, -E^H J1], J = I under the Hilbert metric."""
+    e, d = t.blocks()
+    j1, j2 = (t.src.J, t.tgt.J) if metric == "krein" else (np.eye(t.src.dim), np.eye(t.tgt.dim))
+    return np.hstack([d.conj().T @ j2, -e.conj().T @ j1])
+
+
+@pytest.mark.parametrize("n", [3, 8, 24])
+def test_adjoint_takes_no_rank_decision(n, monkeypatch):
+    # dim T in {0, d, n, 2n} on a Krein space of n dims, and one relation from
+    # it to a space of n + 1 dims; at n = 24 the Green rows of dim T = d fall
+    # below the 16 rows of kernel's QR route, those of dim T = n past them
+    rng = np.random.default_rng(700 + n)
+    d = max(1, n // 4)
+    space = kr.make_krein(random_signature_symmetry(rng, n - n // 3, n // 3))
+    other = kr.make_krein(random_signature_symmetry(rng, n // 2, n + 1 - n // 2))
+    cases = [relation(space, space, sub.span(random_complex(rng, 2 * n, k)))
+             for k in (d, n, 2 * n)]
+    cases += [rel.zero_relation(space, space),
+              relation(space, other, sub.span(random_complex(rng, 2 * n + 1, n)))]
+    # the parent's route, one kernel of the Green rows under the policy
+    refs = [(t, metric, _green(t, metric), sub.kernel(_green(t, metric), DEFAULT_TOL))
+            for t in cases for metric in ("krein", "hilbert")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adjoint decided a rank")
+
+    monkeypatch.setattr(sub, "kernel", refuse)
+    monkeypatch.setattr(TolerancePolicy, "span_full_certified", refuse)
+    for t, metric, green, ref in refs:
+        adj = rel.adjoint(t, metric)
+        f = adj.graph.frame
+        assert np.abs(f.conj().T @ f - np.eye(adj.dim)).max(initial=0.0) <= 1e-13
+        assert adj.dim == t.src.dim + t.tgt.dim - t.dim == ref.dim
+        assert sub.distance(adj.graph, ref) <= 1e-12
+        assert np.array_equal(adj._memo[rel._PERP].frame, green.conj().T)
+
+
+def test_adjoint_memo_has_one_entry_per_metric():
+    # the adjoint decides nothing, so callers deciding under either policy
+    # share it
+    from kreinrel import extensions as ext
+    from kreinrel.boundary import DEFAULT_GRID
+    t = gen_symmetric(InstanceSpec(5, 4, (2, 2), 1))
+    loose = TolerancePolicy(1e-3, 1e-6, 1e-4)
+    triples = [gen_triple(t, 6, tol) for tol in (DEFAULT_TOL, loose)]
+    for tol in (DEFAULT_TOL, loose):
+        ext.simple_check(t, DEFAULT_GRID, tol)
+        rel.adjoint(t, "hilbert")
+    assert triples[0].tplus is triples[1].tplus is rel.adjoint(t)
+    assert sorted(k for k in t._memo if k[0] == "adjoint") == [("adjoint", "hilbert"),
+                                                               ("adjoint", "krein")]
+
+
+@pytest.mark.parametrize("n", [3, 8, 24])
+def test_adjoint_of_an_operator_in_closed_form(n):
+    # T = graph of A on (C^n, J): T+ is the graph of J A^H J, and under the
+    # Hilbert metric T* is the graph of A^H; each reference is the QR frame of
+    # [I; B], taken here, and compared by the largest principal angle
+    rng = np.random.default_rng(900 + n)
+    space = kr.make_krein(random_signature_symmetry(rng, n - n // 2, n // 2))
+    a = random_complex(rng, n, n)
+    t = rel.from_operator(a, space, space)
+    j = space.J
+    for metric, b in (("krein", j @ a.conj().T @ j), ("hilbert", a.conj().T)):
+        want = np.linalg.qr(np.vstack([np.eye(n), b]))[0]
+        got = rel.adjoint(t, metric).graph.frame
+        assert got.shape == want.shape
+        sine = np.linalg.norm(got - want @ (want.conj().T @ got), 2)
+        assert np.arcsin(min(1.0, sine)) <= 1e-12
+
+
+def _kernel_route_flags(t, tol):
+    """The parent's rule: contains and equal of the Green rows' kernel and T."""
+    adj = sub.kernel(_green(t, "krein"), tol)
+    return sub.contains(adj, t.graph, tol), sub.equal(adj, t.graph, tol), sub._angle(adj, t.graph)
+
+
+def _tilted(t, theta):
+    """T with its first frame column turned by theta toward C's second
+    column, a unit vector orthogonal to T+ and so to T, then
+    re-orthonormalized.  The J_hat-Gram of the frame becomes sin(theta) times
+    one off-diagonal pair, so the angle from the tilt to its adjoint is theta
+    to first order; toward C's first column it would vanish to first order."""
+    f = t.graph.frame.copy()
+    f[:, 0] = np.cos(theta) * f[:, 0] + np.sin(theta) * _green(t, "krein")[1].conj()
+    return rel.LinearRelation(t.src, t.tgt, sub.Subspace(f))
+
+
+def _symmetry_inputs():
+    """Symmetric draws at n = 2..48, their witnesses' T0, and (T, factor) to
+    tilt T by factor * angle_tol."""
+    from kreinrel.generators import sample_witness
+    specs = [(n, seed) for n in range(2, 13) for seed in range(18)]
+    specs += [(n, seed) for n in (16, 24, 32, 48) for seed in range(2)]
+    out = []
+    for n, seed in specs:
+        d = seed % (n // 2 + 1)
+        t = gen_symmetric(InstanceSpec(5000 + 100 * n + seed, n, (n - n // 2, n // 2), d))
+        out.append(t)
+        if d:
+            out.append(sample_witness(t, seed).t0)
+        if seed < 2 and t.dim >= 2:
+            out += [(t, factor) for factor in (0.5, 1 - 1e-3, 1 + 1e-3, 2.0)]
+    return out
+
+
+def test_symmetry_is_read_off_the_green_rows():
+    # against the parent's rule, an adjoint from one kernel of the Green rows,
+    # under both policies; the draws' angles are roundoff, the tilts' straddle
+    # angle_tol by a factor of 2 or 1 +- 1e-3.  Each relation is a fresh copy,
+    # whose memo the decisions leave empty.
+    inputs = _symmetry_inputs()
+    assert sum(not isinstance(x, tuple) for x in inputs) >= 200
+    near = 0
+    for tol in (DEFAULT_TOL, TolerancePolicy(1e-3, 1e-6, 1e-4)):
+        for item in inputs:
+            t = _tilted(item[0], item[1] * tol.angle_tol) if isinstance(item, tuple) \
+                else rel.LinearRelation(item.src, item.tgt, item.graph)
+            symmetric, selfadjoint, angle = _kernel_route_flags(t, tol)
+            assert abs(rel._angle_to_adjoint(t, t.graph) - angle) <= 1e-13
+            if isinstance(item, tuple):
+                assert abs(angle / (item[1] * tol.angle_tol) - 1) <= 1e-6
+            if abs(angle - tol.angle_tol) <= 1e-12 * tol.angle_tol:
+                near += 1
+                continue
+            assert rel.is_symmetric(t, tol) == symmetric
+            assert rel.is_selfadjoint(t, tol) == selfadjoint
+            assert not t._memo
+    assert near == 0
+
+
+def test_symmetry_needs_an_endorelation():
+    # hosts of one dim with different symmetries, and of different dims
+    rng = np.random.default_rng(31)
+    src = kr.make_krein(random_signature_symmetry(rng, 2, 1))
+    for tgt in (kr.make_krein(random_signature_symmetry(rng, 1, 2)), krein.hilbert_space(4)):
+        for k in (0, 3, src.dim + tgt.dim):
+            t = relation(src, tgt, sub.span(random_complex(rng, src.dim + tgt.dim, k)))
+            assert not rel.is_symmetric(t) and not rel.is_selfadjoint(t)
+            assert not t._memo
 
 
 def test_krein_vs_hilbert_adjoint_conjugation():

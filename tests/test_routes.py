@@ -448,7 +448,7 @@ def test_eigenspaces_of_an_adjoint_are_read_off_its_orthocomplement(n, d, tol):
     assert rel._PERP not in copy._memo
     # the kept frame is the orthonormal complement of the adjoint's graph
     for metric in ("krein", "hilbert"):
-        adj = rel.adjoint(tri.parent, metric, tol)
+        adj = rel.adjoint(tri.parent, metric)
         perp = adj._memo[rel._PERP].frame
         assert perp.shape == (2 * n, 2 * n - adj.dim) and adj.dim == n + d
         assert np.abs(perp.conj().T @ perp - np.eye(n - d)).max() <= 1e-13
